@@ -41,9 +41,7 @@ from repro.cost.contention import analyze_step_contention
 from repro.cost.model import CostModel
 from repro.cost.nccl import NCCLAlgorithm, bytes_on_wire, latency_steps
 from repro.errors import CostModelError
-from repro.semantics.collectives import Collective, apply_collective
-from repro.semantics.goals import initial_context
-from repro.semantics.state import DeviceState
+from repro.semantics.collectives import Collective
 from repro.synthesis.lowering import LoweredProgram
 from repro.topology.topology import MachineTopology
 
@@ -219,6 +217,8 @@ def compile_profile(
 ) -> SimulationProfile:
     """Run semantics and contention analysis once; return the priceable profile.
 
+    A program :meth:`~repro.synthesis.lowering.LoweredProgram.validates_against`
+    already swept is not swept again (``LoweredProgram.pre_state_fractions``).
     Raises the same errors eager simulation would: a device-count mismatch is
     a :class:`~repro.errors.CostModelError`, and a semantically invalid step
     raises :class:`~repro.errors.InvalidCollectiveError` from the Hoare rules.
@@ -229,28 +229,21 @@ def compile_profile(
             f"{topology.num_devices}"
         )
 
-    context = initial_context(program.num_devices)
+    fractions = program.pre_state_fractions()
     step_profiles: List[StepProfile] = []
-    for step in program.steps:
+    for step, step_fractions in zip(program.steps, fractions):
         contention = analyze_step_contention(step, topology)
         # Insertion order keeps the classes in first-occurrence order, which
         # is what makes the pricing max pick the same bottleneck group the
         # per-group loop would (see price_profile).
         classes: Dict[Tuple[int, int, float, float], List] = {}
-        updates: Dict[int, DeviceState] = {}
-        for group, cost in zip(step.groups, contention.groups):
-            pre_states = [context[d] for d in group]
-            fraction = max(s.chunk_fraction() for s in pre_states)
+        for group, cost, fraction in zip(step.groups, contention.groups, step_fractions):
             key = (len(group), cost.span_level, cost.sharing, fraction)
             entry = classes.get(key)
             if entry is None:
                 classes[key] = [cost, fraction, 1]
             else:
                 entry[2] += 1
-            post_states = apply_collective(step.collective, pre_states)
-            for device, state in zip(group, post_states):
-                updates[device] = state
-        context = context.replace(updates)
         step_classes = tuple(
             ProfileClass(
                 group_size=key[0],

@@ -113,6 +113,9 @@ class ProgramSimulator:
     )
     profile_hits: int = field(default=0, init=False, repr=False, compare=False)
     profile_misses: int = field(default=0, init=False, repr=False, compare=False)
+    # Compiles that reused the validation sweep's chunk fractions instead of
+    # re-running the Hoare semantics (recorder: ``profile.semantics_reused``).
+    semantics_reused: int = field(default=0, init=False, repr=False, compare=False)
     # Batch-pricing provenance: how many vectorized kernel invocations ran,
     # how many (program, payload) cells they covered, and how many calls fell
     # back to the scalar loop (numpy unavailable).  Mirrored into the
@@ -326,7 +329,15 @@ class ProgramSimulator:
             return cached
         self.profile_misses += 1
         self.recorder.count("profile.miss")
-        with self.recorder.span("profile.compile", steps=program.num_steps):
+        reused = program.semantics_recorded
+        if reused:
+            self.semantics_reused += 1
+            self.recorder.count("profile.semantics_reused")
+        with self.recorder.span(
+            "profile.compile",
+            steps=program.num_steps,
+            semantics="reused" if reused else "ran",
+        ):
             profile = compile_profile(program, self.topology)
         self._profiles[key] = profile
         if len(self._profiles) > self.profile_cache_size:

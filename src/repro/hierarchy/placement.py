@@ -28,6 +28,8 @@ from typing import Dict, List, Sequence, Tuple
 from repro.errors import PlacementError
 from repro.hierarchy.matrix import ParallelismMatrix
 from repro.hierarchy.parallelism import ReductionRequest
+from repro.semantics.goals import goal_context, initial_context
+from repro.semantics.state import StateContext
 from repro.utils.mixed_radix import MixedRadix
 
 __all__ = ["DevicePlacement"]
@@ -180,6 +182,20 @@ class DevicePlacement:
             members = sorted(groups[key])
             ordered.append([device for _, device in members])
         return ordered
+
+    def reduction_contexts(self, request: ReductionRequest) -> Tuple[StateContext, StateContext]:
+        """The ``(initial, goal)`` Hoare contexts of ``request`` over the physical devices.
+
+        A pure function of the matrix and the reduction axes: computed once
+        per placement, shared (immutable) by every program validated on it.
+        """
+        memo = self.__dict__.setdefault("_reduction_contexts", {})
+        if request.axes not in memo:
+            memo[request.axes] = (
+                initial_context(self.num_devices),
+                goal_context(self.num_devices, self.reduction_groups(request)),
+            )
+        return memo[request.axes]
 
     def reduction_group_of(self, device: int, request: ReductionRequest) -> List[int]:
         """Return the (ordered) reduction group containing ``device``."""

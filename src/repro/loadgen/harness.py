@@ -19,8 +19,8 @@ The **query mix** controls cache behaviour: a :class:`QueryMix` holds
 query has been planned once the steady-state cache-hit ratio approaches 1,
 and the first pass measures cold-plan latency.  :meth:`LoadHarness.probe`
 isolates the cold pass — one sequential request per distinct query — which
-is how the benchmark pins "warm cache-hit p99 is ≥ 10x better than
-cold-plan p99" as a gated number.
+is how the benchmark pins "a warm cache hit is cheaper than a cold plan"
+as a gated comparison.
 """
 
 from __future__ import annotations

@@ -142,6 +142,9 @@ class SearchReport:
     batch_prices: int = 0         # vectorized batch-pricing kernel invocations
     batch_payloads: int = 0       # (program, payload) cells those kernels covered
     batch_fallbacks: int = 0      # batch calls that fell back to the scalar loop
+    # Profile compiles on this driver's simulator that reused the validation
+    # sweep (pool workers count theirs in ``profile.semantics_reused``).
+    semantics_reused: int = 0
     shards: int = 1               # worker processes the search ran across
     shard_steals: int = 0         # matrices claimed outside a shard's home slice
     # Per-shard provenance (matrices claimed, steals, counters, seconds),
@@ -168,6 +171,7 @@ class SearchReport:
             "batch_prices": self.batch_prices,
             "batch_payloads": self.batch_payloads,
             "batch_fallbacks": self.batch_fallbacks,
+            "semantics_reused": self.semantics_reused,
             "shards": self.shards,
             "shard_steals": self.shard_steals,
         }
@@ -432,10 +436,11 @@ class SearchDriver:
         # floats, same profile-cache traffic as per-entry pricing.
         batch_serial = self.evaluator is None and not budgeted
         serial_items: List[Tuple[StrategyEntry, str]] = []
-        batch_before = (
+        counters_before = (
             simulator.batch_prices,
             simulator.batch_payloads,
             simulator.batch_fallbacks,
+            simulator.semantics_reused,
         )
         # Budgeted pool path: survivors buffered between watermark reads.
         chunk: List[StrategyEntry] = []
@@ -624,9 +629,10 @@ class SearchDriver:
 
         report.ranked = len(entries)
         report.matrices_reached = len(candidates)
-        report.batch_prices = simulator.batch_prices - batch_before[0]
-        report.batch_payloads = simulator.batch_payloads - batch_before[1]
-        report.batch_fallbacks = simulator.batch_fallbacks - batch_before[2]
+        report.batch_prices = simulator.batch_prices - counters_before[0]
+        report.batch_payloads = simulator.batch_payloads - counters_before[1]
+        report.batch_fallbacks = simulator.batch_fallbacks - counters_before[2]
+        report.semantics_reused = simulator.semantics_reused - counters_before[3]
         if watermark.seconds < float("inf"):
             report.incumbent_seconds = watermark.seconds
         elif predicted:

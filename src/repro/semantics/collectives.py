@@ -38,7 +38,7 @@ from enum import Enum
 from typing import List, Sequence, Tuple
 
 from repro.errors import InvalidCollectiveError, SemanticsError
-from repro.semantics.state import DeviceState
+from repro.semantics.state import DeviceState, popcount
 
 __all__ = [
     "Collective",
@@ -89,51 +89,58 @@ def _check_group(states: Sequence[DeviceState]) -> None:
         raise InvalidCollectiveError(
             f"a collective needs a group of at least 2 devices, got {len(states)}"
         )
-    sizes = {s.num_chunks for s in states}
-    if len(sizes) != 1:
-        raise SemanticsError(f"all states in a group must have the same size, got {sizes}")
+    num_chunks = states[0].num_chunks
+    for s in states:
+        if s.num_chunks != num_chunks:
+            sizes = {s.num_chunks for s in states}
+            raise SemanticsError(f"all states in a group must have the same size, got {sizes}")
 
 
-def _check_equal_rows(states: Sequence[DeviceState], op: Collective) -> Tuple[int, ...]:
-    """Return the common non-empty row indices, or raise."""
-    rows = states[0].non_empty_rows
-    for i, s in enumerate(states[1:], start=1):
-        if s.non_empty_rows != rows:
+def _check_equal_rows(states: Sequence[DeviceState], op: Collective) -> None:
+    """All members must hold the same, non-empty, set of chunks."""
+    present = states[0].present
+    for i, s in enumerate(states):
+        if s.present != present:
             raise InvalidCollectiveError(
-                f"{op}: device 0 holds chunks {rows} but device {i} holds {s.non_empty_rows}"
+                f"{op}: device 0 holds chunks {states[0].non_empty_rows} "
+                f"but device {i} holds {s.non_empty_rows}"
             )
-    if not rows:
+    if not present:
         raise InvalidCollectiveError(f"{op}: no device in the group holds any data")
-    return rows
 
 
 def _check_chunkwise_disjoint(states: Sequence[DeviceState], op: Collective) -> None:
     """For each chunk, contributor sets must be pairwise disjoint across the group."""
     num_chunks = states[0].num_chunks
-    for r in range(num_chunks):
-        seen = 0
-        for i, s in enumerate(states):
-            mask = s.row(r)
-            if mask & seen:
-                raise InvalidCollectiveError(
-                    f"{op}: chunk {r} would fold the same contribution twice "
-                    f"(device {i} overlaps with an earlier group member)"
-                )
-            seen |= mask
+    seen = 0
+    conflict = None  # (lowest chunk folded twice, first member that repeats it)
+    for i, s in enumerate(states):
+        repeated = s.bits & seen
+        if repeated:
+            chunk = ((repeated & -repeated).bit_length() - 1) // num_chunks
+            if conflict is None or chunk < conflict[0]:
+                conflict = (chunk, i)
+        seen |= s.bits
+    if conflict is not None:
+        raise InvalidCollectiveError(
+            f"{op}: chunk {conflict[0]} would fold the same contribution twice "
+            f"(device {conflict[1]} overlaps with an earlier group member)"
+        )
     # Disjointness alone allows the degenerate case where only one member holds
     # data for every chunk; reducing then moves nothing.  Require at least two
     # members with data overall, which together with equal-rows checks above
     # guarantees genuine information increase.
-    holders = sum(1 for s in states if not s.is_empty)
+    holders = sum(1 for s in states if s.bits)
     if holders < 2:
         raise InvalidCollectiveError(f"{op}: fewer than two group members hold data")
 
 
 def _union(states: Sequence[DeviceState]) -> DeviceState:
-    result = states[0]
-    for s in states[1:]:
-        result = result.union(s)
-    return result
+    bits = present = 0
+    for s in states:
+        bits |= s.bits
+        present |= s.present
+    return DeviceState._packed(states[0].num_chunks, bits, present)
 
 
 # --------------------------------------------------------------------------- #
@@ -147,31 +154,28 @@ def _all_reduce(states: Sequence[DeviceState]) -> List[DeviceState]:
 
 
 def _reduce_scatter(states: Sequence[DeviceState]) -> List[DeviceState]:
-    rows = _check_equal_rows(states, Collective.REDUCE_SCATTER)
+    _check_equal_rows(states, Collective.REDUCE_SCATTER)
     _check_chunkwise_disjoint(states, Collective.REDUCE_SCATTER)
     group_size = len(states)
+    rows = states[0].non_empty_rows
     if len(rows) % group_size != 0:
         raise InvalidCollectiveError(
             f"ReduceScatter: {len(rows)} chunks are not divisible by group size {group_size}"
         )
     reduced = _union(states)
     per_member = len(rows) // group_size
-    post: List[DeviceState] = []
-    for t in range(group_size):
-        kept = set(rows[t * per_member : (t + 1) * per_member])
-        masks = tuple(
-            reduced.row(r) if r in kept else 0 for r in range(reduced.num_chunks)
-        )
-        post.append(DeviceState(reduced.num_chunks, masks))
-    return post
+    return [
+        reduced.restricted_to_rows(rows[t * per_member : (t + 1) * per_member])
+        for t in range(group_size)
+    ]
 
 
 def _all_gather(states: Sequence[DeviceState]) -> List[DeviceState]:
     # Pairwise-disjoint row sets.
-    seen_rows: set = set()
+    seen_rows = 0
     lengths = set()
     for i, s in enumerate(states):
-        rows = set(s.non_empty_rows)
+        rows = s.present
         if not rows:
             raise InvalidCollectiveError("AllGather: a group member holds no data")
         if rows & seen_rows:
@@ -179,7 +183,7 @@ def _all_gather(states: Sequence[DeviceState]) -> List[DeviceState]:
                 f"AllGather: device {i} holds chunks also held by an earlier member"
             )
         seen_rows |= rows
-        lengths.add(len(rows))
+        lengths.add(popcount(rows))
     if len(lengths) != 1:
         raise InvalidCollectiveError(
             f"AllGather: members hold different numbers of chunks: {sorted(lengths)}"
@@ -192,21 +196,21 @@ def _reduce(states: Sequence[DeviceState]) -> List[DeviceState]:
     _check_equal_rows(states, Collective.REDUCE)
     _check_chunkwise_disjoint(states, Collective.REDUCE)
     result = _union(states)
-    empty = DeviceState.empty(states[0].num_chunks)
+    empty = DeviceState._packed(result.num_chunks, 0, 0)
     return [result] + [empty] * (len(states) - 1)
 
 
 def _broadcast(states: Sequence[DeviceState]) -> List[DeviceState]:
     root = states[0]
-    if root.is_empty:
+    if not root.bits:
         raise InvalidCollectiveError("Broadcast: the root device holds no data")
     strictly_below = False
-    for i, s in enumerate(states[1:], start=1):
-        if not s.is_subset_of(root):
+    for i, s in enumerate(states):
+        if s.bits & ~root.bits:
             raise InvalidCollectiveError(
                 f"Broadcast: device {i} holds data the root does not (information would be lost)"
             )
-        if s.is_strict_subset_of(root):
+        if s.bits != root.bits:
             strictly_below = True
     if not strictly_below:
         raise InvalidCollectiveError("Broadcast: no device would learn anything new")
@@ -229,7 +233,7 @@ def apply_collective(op: Collective, states: Sequence[DeviceState]) -> List[Devi
     for rooted collectives.
     """
     _check_group(states)
-    return _RULES[op](list(states))
+    return _RULES[op](states)
 
 
 def check_collective(op: Collective, states: Sequence[DeviceState]) -> None:

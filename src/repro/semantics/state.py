@@ -1,11 +1,13 @@
 """Device state matrices and state contexts.
 
 A :class:`DeviceState` is the boolean ``k x k`` matrix of paper Figure 7,
-stored as one integer bitmask per row (row ``r`` = chunk ``r``; bit ``c`` set
-means device ``c``'s original chunk ``r`` contributes to the value held for
-that chunk).  Integer bitmasks keep states hashable — the synthesizer
-memoizes visited contexts — and make the disjointness / subset checks of the
-Hoare rules single ``&``/``|`` operations.
+bit-packed into one Python integer: row ``r`` (= chunk ``r``) occupies bits
+``[r*k, (r+1)*k)``, and bit ``c`` of a row set means device ``c``'s original
+chunk ``r`` contributes to the value held for that chunk; a second ``k``-bit
+integer marks the non-empty rows.  States stay hashable and the checks of the
+Hoare rules become word arithmetic: union one ``|``, chunk-wise disjointness
+one ``&``, the information order one ``& ~``, "same chunks held" an integer
+compare, the resident payload fraction a popcount.
 
 A :class:`StateContext` maps device indices to states.  Contexts are immutable
 value objects; "updating" a context returns a new one.
@@ -13,7 +15,7 @@ value objects; "updating" a context returns a new one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -22,27 +24,69 @@ from repro.errors import SemanticsError
 
 __all__ = ["DeviceState", "StateContext"]
 
+_set = object.__setattr__
+# ``int.bit_count`` needs Python 3.10; the package supports 3.9.
+popcount = getattr(int, "bit_count", None) or (lambda mask: bin(mask).count("1"))
 
-@dataclass(frozen=True)
+
 class DeviceState:
-    """The data a single device currently holds, as per-chunk contribution masks."""
+    """The data a single device currently holds, as per-chunk contribution masks.
 
-    num_chunks: int
-    rows: Tuple[int, ...]
+    ``bits`` is the packed matrix and ``present`` the mask of non-empty rows
+    (layout above), both read-only.  The constructor validates ``rows``;
+    states derived from valid states go through the trusting :meth:`_packed`.
+    """
 
-    def __post_init__(self) -> None:
-        if self.num_chunks < 1:
-            raise SemanticsError(f"num_chunks must be >= 1, got {self.num_chunks}")
-        if len(self.rows) != self.num_chunks:
+    __slots__ = ("num_chunks", "bits", "present")
+
+    def __new__(cls, num_chunks: int, rows: Sequence[int]) -> "DeviceState":
+        if num_chunks < 1:
+            raise SemanticsError(f"num_chunks must be >= 1, got {num_chunks}")
+        if len(rows) != num_chunks:
             raise SemanticsError(
-                f"state has {len(self.rows)} rows but num_chunks={self.num_chunks}"
+                f"state has {len(rows)} rows but num_chunks={num_chunks}"
             )
-        full = (1 << self.num_chunks) - 1
-        for r, mask in enumerate(self.rows):
+        full = (1 << num_chunks) - 1
+        bits = present = 0
+        for r, mask in enumerate(rows):
             if mask < 0 or mask & ~full:
                 raise SemanticsError(
-                    f"row {r} mask {mask:#x} has bits outside the {self.num_chunks} devices"
+                    f"row {r} mask {mask:#x} has bits outside the {num_chunks} devices"
                 )
+            if mask:
+                bits |= mask << (r * num_chunks)
+                present |= 1 << r
+        return cls._packed(num_chunks, bits, present)
+
+    @classmethod
+    def _packed(cls, num_chunks: int, bits: int, present: int) -> "DeviceState":
+        """Trusted constructor: ``bits``/``present`` must derive from valid states."""
+        state = object.__new__(cls)
+        _set(state, "num_chunks", num_chunks)
+        _set(state, "bits", bits)
+        _set(state, "present", present)
+        return state
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DeviceState:
+            return NotImplemented
+        return self.bits == other.bits and self.num_chunks == other.num_chunks
+
+    def __hash__(self) -> int:
+        return hash((self.num_chunks, self.bits))
+
+    def __repr__(self) -> str:
+        return f"DeviceState(num_chunks={self.num_chunks}, rows={self.rows})"
+
+    def __reduce__(self):
+        # Unpickling goes through the validating constructor.
+        return (DeviceState, (self.num_chunks, self.rows))
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -50,14 +94,14 @@ class DeviceState:
     @classmethod
     def empty(cls, num_chunks: int) -> "DeviceState":
         """A device holding no data at all."""
-        return cls(num_chunks, tuple([0] * num_chunks))
+        return cls(num_chunks, (0,) * num_chunks)
 
     @classmethod
     def initial(cls, num_chunks: int, device: int) -> "DeviceState":
         """The initial state of ``device``: every chunk present, contributed only by itself."""
         if not 0 <= device < num_chunks:
             raise SemanticsError(f"device {device} out of range for {num_chunks} devices")
-        return cls(num_chunks, tuple([1 << device] * num_chunks))
+        return cls(num_chunks, (1 << device,) * num_chunks)
 
     @classmethod
     def full(cls, num_chunks: int, contributors: Iterable[int] = None) -> "DeviceState":
@@ -70,7 +114,7 @@ class DeviceState:
                 if not 0 <= c < num_chunks:
                     raise SemanticsError(f"contributor {c} out of range")
                 mask |= 1 << c
-        return cls(num_chunks, tuple([mask] * num_chunks))
+        return cls(num_chunks, (mask,) * num_chunks)
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[int]]) -> "DeviceState":
@@ -93,24 +137,36 @@ class DeviceState:
     # Queries used by the Hoare rules
     # ------------------------------------------------------------------ #
     @property
+    def rows(self) -> Tuple[int, ...]:
+        """One contributor bitmask per chunk (the unpacked form of ``bits``)."""
+        k = self.num_chunks
+        full = (1 << k) - 1
+        bits = self.bits
+        return tuple((bits >> (r * k)) & full for r in range(k))
+
+    @property
     def non_empty_rows(self) -> Tuple[int, ...]:
         """Indices of rows with at least one contributor (the paper's ``rows`` function)."""
-        return tuple(r for r, mask in enumerate(self.rows) if mask)
+        present = self.present
+        return tuple(r for r in range(self.num_chunks) if present >> r & 1)
 
     @property
     def num_non_empty_rows(self) -> int:
-        return sum(1 for mask in self.rows if mask)
+        return popcount(self.present)
 
     @property
     def is_empty(self) -> bool:
-        return all(m == 0 for m in self.rows)
+        return self.bits == 0
 
     def row(self, r: int) -> int:
-        return self.rows[r]
+        k = self.num_chunks
+        if not 0 <= r < k:
+            raise IndexError(f"row {r} out of range for {k} chunks")
+        return (self.bits >> (r * k)) & ((1 << k) - 1)
 
     def contributors(self, r: int) -> Tuple[int, ...]:
         """Devices whose original chunk ``r`` is folded into this device's chunk ``r``."""
-        mask = self.rows[r]
+        mask = self.row(r)
         return tuple(c for c in range(self.num_chunks) if mask & (1 << c))
 
     def chunk_fraction(self) -> float:
@@ -120,7 +176,7 @@ class DeviceState:
         chunks, so the bytes a device holds are proportional to the number of
         non-empty rows.
         """
-        return len(self.non_empty_rows) / self.num_chunks
+        return popcount(self.present) / self.num_chunks
 
     # ------------------------------------------------------------------ #
     # Order / algebra
@@ -128,27 +184,37 @@ class DeviceState:
     def union(self, other: "DeviceState") -> "DeviceState":
         """Element-wise OR (the paper's ``⊎`` once disjointness has been checked)."""
         self._check_compatible(other)
-        return DeviceState(
-            self.num_chunks, tuple(a | b for a, b in zip(self.rows, other.rows))
+        return DeviceState._packed(
+            self.num_chunks, self.bits | other.bits, self.present | other.present
         )
+
+    def restricted_to_rows(self, rows: Iterable[int]) -> "DeviceState":
+        """This state with every chunk outside ``rows`` dropped."""
+        k = self.num_chunks
+        full = (1 << k) - 1
+        keep = kept_rows = 0
+        for r in rows:
+            keep |= full << (r * k)
+            kept_rows |= 1 << r
+        return DeviceState._packed(k, self.bits & keep, self.present & kept_rows)
 
     def is_subset_of(self, other: "DeviceState") -> bool:
         """Element-wise ``<=`` (the paper's information order on states)."""
         self._check_compatible(other)
-        return all((a & ~b) == 0 for a, b in zip(self.rows, other.rows))
+        return not self.bits & ~other.bits
 
     def is_strict_subset_of(self, other: "DeviceState") -> bool:
-        return self.is_subset_of(other) and self != other
+        return self.is_subset_of(other) and self.bits != other.bits
 
     def rows_disjoint_with(self, other: "DeviceState") -> bool:
         """True if no chunk has a contributor present in both states."""
         self._check_compatible(other)
-        return all((a & b) == 0 for a, b in zip(self.rows, other.rows))
+        return not self.bits & other.bits
 
     def row_sets_disjoint_with(self, other: "DeviceState") -> bool:
         """True if the two states have no non-empty row index in common."""
         self._check_compatible(other)
-        return not (set(self.non_empty_rows) & set(other.non_empty_rows))
+        return not self.present & other.present
 
     def _check_compatible(self, other: "DeviceState") -> None:
         if self.num_chunks != other.num_chunks:
@@ -215,13 +281,19 @@ class StateContext:
     def replace(self, updates: Mapping[int, DeviceState]) -> "StateContext":
         """Return a new context with the given per-device states substituted."""
         new_states = list(self.states)
+        num_devices = len(new_states)
+        num_chunks = new_states[0].num_chunks
         for device, state in updates.items():
-            if not 0 <= device < self.num_devices:
+            if not 0 <= device < num_devices:
                 raise SemanticsError(f"device {device} out of range")
-            if state.num_chunks != self.num_chunks:
+            if state.num_chunks != num_chunks:
                 raise SemanticsError("replacement state has the wrong size")
             new_states[device] = state
-        return StateContext(tuple(new_states))
+        # Every substituted state was size-checked above, so the context
+        # invariant holds without re-running __post_init__ over all devices.
+        context = object.__new__(StateContext)
+        _set(context, "states", tuple(new_states))
+        return context
 
     def describe(self) -> str:
         parts = []

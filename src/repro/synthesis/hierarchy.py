@@ -211,6 +211,31 @@ class SynthesisHierarchy:
         ]
         return placement.grid_to_device(grid)
 
+    @cached_property
+    def _physical_device_maps(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per free-digit assignment (``free_radix`` order): virtual -> physical device id."""
+        placement = DevicePlacement(self.matrix)
+        return tuple(
+            tuple(self.physical_device(placement, v, free) for v in range(self.num_virtual_devices))
+            for free in (list(self.free_radix) or [()])
+        )
+
+    def physical_groups(self, virtual_groups) -> Tuple[Tuple[int, ...], ...]:
+        """``virtual_groups`` as physical device groups, replicated over every
+        free-digit assignment.  Programs of one hierarchy draw their steps from
+        one small instruction alphabet and placements are pure in the matrix, so
+        each grouping is mapped once per hierarchy and shared by every program.
+        """
+        memo = self.__dict__.setdefault("_physical_groups", {})
+        groups = memo.get(virtual_groups)
+        if groups is None:
+            groups = memo[virtual_groups] = tuple(
+                tuple(mapping[v] for v in group)
+                for mapping in self._physical_device_maps
+                for group in virtual_groups
+            )
+        return groups
+
     # ------------------------------------------------------------------ #
     # Synthesis problem (initial / goal contexts over the virtual devices)
     # ------------------------------------------------------------------ #

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.dsl.program import ReductionProgram
-from repro.errors import InvalidCollectiveError, LoweringError
+from repro.errors import InvalidCollectiveError, LoweringError, SemanticsError
 from repro.hierarchy.parallelism import ReductionRequest
 from repro.hierarchy.placement import DevicePlacement
 from repro.semantics.collectives import Collective, apply_collective
-from repro.semantics.goals import goal_context, initial_context
-from repro.semantics.state import DeviceState, StateContext
+from repro.semantics.goals import initial_context
+from repro.semantics.state import StateContext, popcount
 from repro.synthesis.hierarchy import SynthesisHierarchy
 from repro.synthesis.synthesizer import SynthesizedProgram
 
@@ -150,28 +150,68 @@ class LoweredProgram:
     # ------------------------------------------------------------------ #
     def run_semantics(self, initial: StateContext) -> StateContext:
         """Run the Hoare semantics of every step starting from ``initial``."""
-        context = initial
+        return self._sweep(initial)[0]
+
+    def _sweep(self, initial: StateContext) -> Tuple[StateContext, Tuple[Tuple[float, ...], ...]]:
+        """One pass of the Hoare rules over every step and group: the final context
+        and, per step and group, the largest chunk fraction a member held before
+        it — the one fact profile compilation needs from the semantics.
+        """
+        states = list(initial.states)
+        num_chunks = initial.num_chunks
+        # Shared float objects: one per possible popcount, not one per group.
+        fraction_of = [count / num_chunks for count in range(num_chunks + 1)]
+        fractions: List[Tuple[float, ...]] = []
         for step in self.steps:
-            updates: Dict[int, DeviceState] = {}
+            collective = step.collective
+            step_fractions: List[float] = []
+            # Groups of one step are disjoint (LoweredStep enforces it), so
+            # in-place post-states never feed a later group of the same step.
             for group in step.groups:
-                pre = [context[d] for d in group]
-                post = apply_collective(step.collective, pre)
-                for device, state in zip(group, post):
-                    updates[device] = state
-            context = context.replace(updates)
-        return context
+                pre = [states[d] for d in group]
+                step_fractions.append(fraction_of[max(popcount(s.present) for s in pre)])
+                for device, state in zip(group, apply_collective(collective, pre)):
+                    states[device] = state
+            fractions.append(tuple(step_fractions))
+        return StateContext(tuple(states)), tuple(fractions)
 
     def validates_against(
         self, placement: DevicePlacement, request: ReductionRequest
     ) -> bool:
-        """True if the program implements the requested reduction on every device."""
-        groups = placement.reduction_groups(request)
-        initial = initial_context(self.num_devices)
-        goal = goal_context(self.num_devices, groups)
+        """True if the program implements the requested reduction on every device.
+
+        The sweep's chunk fractions stay on the program (floats, never states)
+        so :func:`repro.cost.profile.compile_profile` does not repeat it.
+        """
+        if placement.num_devices != self.num_devices:
+            raise SemanticsError(
+                f"program is over {self.num_devices} devices but the placement has "
+                f"{placement.num_devices}"
+            )
+        initial, goal = placement.reduction_contexts(request)
         try:
-            return self.run_semantics(initial) == goal
+            final, fractions = self._sweep(initial)
         except InvalidCollectiveError:
             return False
+        object.__setattr__(self, "_pre_state_fractions", fractions)
+        return final == goal
+
+    @property
+    def semantics_recorded(self) -> bool:
+        """True once a completed sweep left its chunk fractions on the program."""
+        return "_pre_state_fractions" in self.__dict__
+
+    def pre_state_fractions(self) -> Tuple[Tuple[float, ...], ...]:
+        """Per step, per group: the largest chunk fraction a member holds before it.
+
+        Taken from :meth:`validates_against`'s sweep when there was one; else
+        (``from_dict`` rebuilds, baselines) the semantics run here and an
+        invalid step raises :class:`~repro.errors.InvalidCollectiveError`.
+        """
+        recorded = self.__dict__.get("_pre_state_fractions")
+        if recorded is not None:
+            return recorded
+        return self._sweep(initial_context(self.num_devices))[1]
 
     def describe(self) -> str:
         name = self.label or (self.source.describe() if self.source else "<lowered>")
@@ -222,29 +262,12 @@ def _lower(
     if placement.matrix != hierarchy.matrix:
         raise LoweringError("placement and synthesis hierarchy use different matrices")
 
-    free_assignments: List[Tuple[int, ...]] = list(hierarchy.free_radix) or [()]
-    # Cache the virtual -> physical map per free assignment; each virtual device
-    # is looked up many times across steps.
-    device_maps: List[Dict[int, int]] = []
-    for free_digits in free_assignments:
-        mapping = {
-            virtual: hierarchy.physical_device(placement, virtual, free_digits)
-            for virtual in range(hierarchy.num_virtual_devices)
-        }
-        device_maps.append(mapping)
-
-    lowered_steps: List[LoweredStep] = []
-    for instruction, virtual_groups in zip(program, step_groups):
-        physical_groups: List[Tuple[int, ...]] = []
-        for mapping in device_maps:
-            for group in virtual_groups:
-                physical_groups.append(tuple(mapping[v] for v in group))
-        lowered_steps.append(
-            LoweredStep(collective=instruction.collective, groups=tuple(physical_groups))
-        )
     return LoweredProgram(
         num_devices=placement.num_devices,
-        steps=tuple(lowered_steps),
+        steps=tuple(
+            LoweredStep(instruction.collective, hierarchy.physical_groups(virtual_groups))
+            for instruction, virtual_groups in zip(program, step_groups)
+        ),
         source=program,
         label=label,
     )

@@ -28,12 +28,9 @@ __all__ = ["context_within_goal", "SearchStatistics"]
 
 def context_within_goal(context: StateContext, goal: StateContext) -> bool:
     """True if every device row is a subset of the corresponding goal row."""
-    for device in range(context.num_devices):
-        state = context[device]
-        goal_state = goal[device]
-        for r in range(state.num_chunks):
-            if state.row(r) & ~goal_state.row(r):
-                return False
+    for state, goal_state in zip(context.states, goal.states):
+        if state.bits & ~goal_state.bits:
+            return False
     return True
 
 

@@ -189,6 +189,29 @@ class TestDiskTier:
         assert fresh.get("cafe") is None
         assert fresh.stats.corrupt_entries == 1
 
+    def test_indented_entry_from_an_older_writer_is_a_clean_disk_hit(self, plan, tmp_path):
+        # Entries used to be written with indent=2; the format version did not
+        # change, so a cache directory from before must keep answering.
+        envelope = {
+            "format_version": PLAN_FORMAT_VERSION,
+            "fingerprint": "0ldf00d",
+            "plan": plan_to_dict(plan),
+        }
+        (tmp_path / "0ldf00d.json").write_text(json.dumps(envelope, indent=2))
+
+        cache = PlanCache(directory=tmp_path)
+        loaded, tier = cache.lookup("0ldf00d")
+        assert tier == "disk"
+        assert cache.stats.corrupt_entries == 0
+        assert _ranking(plan_from_dict(loaded)) == _ranking(plan)
+
+    def test_entries_are_written_compactly(self, plan, tmp_path):
+        cache = PlanCache(directory=tmp_path)
+        cache.put("c0ffee", plan_to_dict(plan))
+        text = (tmp_path / "c0ffee.json").read_text()
+        assert "\n" not in text
+        assert json.loads(text)["plan"] == plan_to_dict(plan)
+
     def test_clear_empties_both_tiers(self, plan, tmp_path):
         cache = PlanCache(directory=tmp_path)
         cache.put("one", plan_to_dict(plan))
