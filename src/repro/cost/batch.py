@@ -111,12 +111,12 @@ def _validated_payloads(payloads: Sequence[float]) -> List[float]:
 class BatchPricer:
     """One profile's pricing arithmetic, compiled into coefficient tables.
 
-    Construction walks the profile once per algorithm (the only place
-    ``bytes_on_wire`` / ``latency_steps`` are evaluated); pricing afterwards
-    is pure array arithmetic.  The pricer is payload- and cost-model-free:
-    launch overhead and the small-message derating are applied at price time,
-    so one pricer serves any :class:`~repro.cost.model.CostModel` exactly
-    like the scalar loop does.
+    The first pricing under an algorithm walks the profile once (the only
+    place ``bytes_on_wire`` / ``latency_steps`` are evaluated) and keeps the
+    table; pricing afterwards is pure array arithmetic.  The pricer is
+    payload- and cost-model-free: launch overhead and the small-message
+    derating are applied at price time, so one pricer serves any
+    :class:`~repro.cost.model.CostModel` exactly like the scalar loop does.
     """
 
     def __init__(self, profile: SimulationProfile) -> None:
@@ -127,13 +127,12 @@ class BatchPricer:
             tuple(cls.link_name for cls in step.classes) for step in profile.steps
         )
         self._flat: Dict[NCCLAlgorithm, Optional[_FlatTable]] = {}
-        self._bounds: Dict[NCCLAlgorithm, List[Tuple[float, float]]] = {}
-        if self.vectorized:
-            for algorithm in (NCCLAlgorithm.RING, NCCLAlgorithm.TREE):
-                self._flat[algorithm] = self._flat_table(profile, algorithm)
-                self._bounds[algorithm] = [
-                    step.bound_coefficients(algorithm) for step in profile.steps
-                ]
+
+    def table(self, algorithm: NCCLAlgorithm) -> Optional[_FlatTable]:
+        """The coefficient table under ``algorithm``, built when first priced."""
+        if algorithm not in self._flat:
+            self._flat[algorithm] = self._flat_table(self.profile, algorithm)
+        return self._flat[algorithm]
 
     @staticmethod
     def _flat_table(
@@ -193,7 +192,7 @@ class BatchPricer:
             )
 
         num_payloads = len(values)
-        flat = self._flat[algorithm]
+        flat = self.table(algorithm)
         if flat is None:
             # Every step is empty: all-zero totals, "-" fallback links.
             return BatchPriceResult(
@@ -273,7 +272,8 @@ class BatchPricer:
             ]
         p = _np.asarray(values, dtype=_np.float64)
         totals = _np.zeros(len(values))
-        for latency_seconds, seconds_per_byte in self._bounds[algorithm]:
+        for step in self.profile.steps:
+            latency_seconds, seconds_per_byte = step.bound_coefficients(algorithm)
             term = model.launch_overhead + _np.maximum(
                 latency_seconds, seconds_per_byte * p
             )
@@ -482,7 +482,7 @@ def price_programs(
     cursor = 0
     segment = 0
     for pricer in pricers:
-        flat = pricer._flat[algorithm]
+        flat = pricer.table(algorithm)
         if flat is None:
             program_steps.append((None,) * pricer.profile.num_steps)
             continue

@@ -69,7 +69,11 @@ class StepContention:
 def analyze_step_contention(
     step: LoweredStep, topology: MachineTopology
 ) -> StepContention:
-    """Compute the link and sharing factor of every group in ``step``."""
+    """Compute the link and sharing factor of every group in ``step``: pure in the
+    grouping and the topology, so analysed once per grouping per topology object."""
+    known = topology._contention.get(step.groups)
+    if known is not None:
+        return known
     if topology.num_devices < max(d for g in step.groups for d in g) + 1:
         raise CostModelError(
             "lowered step references devices outside the topology "
@@ -128,4 +132,6 @@ def analyze_step_contention(
                 crosses_nic=is_cross,
             )
         )
-    return StepContention(groups=tuple(group_costs))
+    contention = StepContention(groups=tuple(group_costs))
+    topology._memoize(topology._contention, step.groups, contention)
+    return contention

@@ -34,7 +34,7 @@ max over identical floats; the sum over steps is unchanged), so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cost.contention import analyze_step_contention
@@ -42,7 +42,7 @@ from repro.cost.model import CostModel
 from repro.cost.nccl import NCCLAlgorithm, bytes_on_wire, latency_steps
 from repro.errors import CostModelError
 from repro.semantics.collectives import Collective
-from repro.synthesis.lowering import LoweredProgram
+from repro.synthesis.lowering import LoweredProgram, LoweredStep
 from repro.topology.topology import MachineTopology
 
 __all__ = [
@@ -126,6 +126,9 @@ class SimulationProfile:
     num_devices: int
     label: str
     steps: Tuple[StepProfile, ...]
+    # How many of ``steps`` this compilation analysed itself; the rest it
+    # shares with profiles compiled earlier.  Provenance, not part of ``==``.
+    steps_compiled: int = field(default=0, compare=False, repr=False)
 
     @property
     def num_steps(self) -> int:
@@ -219,6 +222,11 @@ def compile_profile(
 
     A program :meth:`~repro.synthesis.lowering.LoweredProgram.validates_against`
     already swept is not swept again (``LoweredProgram.pre_state_fractions``).
+    Programs share :class:`StepProfile` objects: one is a pure function of the
+    topology and (collective, groups, pre-state chunk fractions), compiled once
+    per such triple.  The fractions are in the key — the same step after
+    different prefixes holds different fractions and collapses into different
+    classes.  The :class:`SimulationProfile` around them is the program's own.
     Raises the same errors eager simulation would: a device-count mismatch is
     a :class:`~repro.errors.CostModelError`, and a semantically invalid step
     raises :class:`~repro.errors.InvalidCollectiveError` from the Hoare rules.
@@ -229,51 +237,57 @@ def compile_profile(
             f"{topology.num_devices}"
         )
 
-    fractions = program.pre_state_fractions()
     step_profiles: List[StepProfile] = []
-    for step, step_fractions in zip(program.steps, fractions):
-        contention = analyze_step_contention(step, topology)
-        # Insertion order keeps the classes in first-occurrence order, which
-        # is what makes the pricing max pick the same bottleneck group the
-        # per-group loop would (see price_profile).
-        classes: Dict[Tuple[int, int, float, float], List] = {}
-        for group, cost, fraction in zip(step.groups, contention.groups, step_fractions):
-            key = (len(group), cost.span_level, cost.sharing, fraction)
-            entry = classes.get(key)
-            if entry is None:
-                classes[key] = [cost, fraction, 1]
-            else:
-                entry[2] += 1
-        step_classes = tuple(
-            ProfileClass(
-                group_size=key[0],
-                span_level=key[1],
-                chunk_fraction=fraction,
-                sharing=cost.sharing,
-                link_name=cost.link.name,
-                link_latency=cost.link.latency,
-                effective_bandwidth=cost.effective_bandwidth,
-                count=count,
-            )
-            for key, (cost, fraction, count) in classes.items()
-        )
-        step_profiles.append(
-            StepProfile(
-                collective=step.collective,
-                num_groups=step.num_groups,
-                group_size=step.group_size,
-                max_sharing=contention.max_sharing,
-                classes=step_classes,
-                ring_bound=_bound_coefficients(
-                    step.collective, NCCLAlgorithm.RING, step_classes
-                ),
-                tree_bound=_bound_coefficients(
-                    step.collective, NCCLAlgorithm.TREE, step_classes
-                ),
-            )
-        )
+    compiled = 0
+    for step, step_fractions in zip(program.steps, program.pre_state_fractions()):
+        key = (step.collective, step.groups, step_fractions)
+        profile = topology._step_profiles.get(key)
+        if profile is None:
+            profile = _compile_step(step, step_fractions, topology)
+            topology._memoize(topology._step_profiles, key, profile)
+            compiled += 1
+        step_profiles.append(profile)
     return SimulationProfile(
-        num_devices=program.num_devices, label=program.label, steps=tuple(step_profiles)
+        program.num_devices, program.label, tuple(step_profiles), steps_compiled=compiled
+    )
+
+
+def _compile_step(
+    step: LoweredStep, step_fractions: Tuple[float, ...], topology: MachineTopology
+) -> StepProfile:
+    contention = analyze_step_contention(step, topology)
+    # Insertion order keeps the classes in first-occurrence order, which
+    # is what makes the pricing max pick the same bottleneck group the
+    # per-group loop would (see price_profile).
+    classes: Dict[Tuple[int, int, float, float], List] = {}
+    for group, cost, fraction in zip(step.groups, contention.groups, step_fractions):
+        key = (len(group), cost.span_level, cost.sharing, fraction)
+        entry = classes.get(key)
+        if entry is None:
+            classes[key] = [cost, fraction, 1]
+        else:
+            entry[2] += 1
+    step_classes = tuple(
+        ProfileClass(
+            group_size=key[0],
+            span_level=key[1],
+            chunk_fraction=fraction,
+            sharing=cost.sharing,
+            link_name=cost.link.name,
+            link_latency=cost.link.latency,
+            effective_bandwidth=cost.effective_bandwidth,
+            count=count,
+        )
+        for key, (cost, fraction, count) in classes.items()
+    )
+    return StepProfile(
+        collective=step.collective,
+        num_groups=step.num_groups,
+        group_size=step.group_size,
+        max_sharing=contention.max_sharing,
+        classes=step_classes,
+        ring_bound=_bound_coefficients(step.collective, NCCLAlgorithm.RING, step_classes),
+        tree_bound=_bound_coefficients(step.collective, NCCLAlgorithm.TREE, step_classes),
     )
 
 

@@ -116,6 +116,10 @@ class ProgramSimulator:
     # Compiles that reused the validation sweep's chunk fractions instead of
     # re-running the Hoare semantics (recorder: ``profile.semantics_reused``).
     semantics_reused: int = field(default=0, init=False, repr=False, compare=False)
+    # Steps of the profiles compiled for this simulator, and how many of them were
+    # analysed rather than shared with an earlier profile (reported once per search).
+    steps_profiled: int = field(default=0, init=False, repr=False, compare=False)
+    steps_compiled: int = field(default=0, init=False, repr=False, compare=False)
     # Batch-pricing provenance: how many vectorized kernel invocations ran,
     # how many (program, payload) cells they covered, and how many calls fell
     # back to the scalar loop (numpy unavailable).  Mirrored into the
@@ -337,8 +341,11 @@ class ProgramSimulator:
             "profile.compile",
             steps=program.num_steps,
             semantics="reused" if reused else "ran",
-        ):
+        ) as span:
             profile = compile_profile(program, self.topology)
+            span.set_attr("steps_compiled", profile.steps_compiled)
+        self.steps_profiled += profile.num_steps
+        self.steps_compiled += profile.steps_compiled
         self._profiles[key] = profile
         if len(self._profiles) > self.profile_cache_size:
             self._profiles.popitem(last=False)
@@ -380,6 +387,8 @@ class ProgramSimulator:
         # own recorder delta (merged back into this one), so the telemetry
         # counter distinguishes adoptions to avoid double-counting compiles.
         self.recorder.count("profile.adopted")
+        self.steps_profiled += profile.num_steps
+        self.steps_compiled += profile.steps_compiled
         self._profiles[program.signature()] = profile
         if len(self._profiles) > self.profile_cache_size:
             self._profiles.popitem(last=False)

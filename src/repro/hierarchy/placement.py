@@ -157,31 +157,33 @@ class DevicePlacement:
         the (axis-major, level-minor) order used by synthesis hierarchy (d):
         this ordering is what lowering relies on, and also fixes which device
         acts as the root for Reduce / Broadcast (the first one).
+        Computed once per placement and reduction axes; every call returns
+        fresh lists, so callers may mutate what they get.
         """
         request.validate_against(self.matrix.axes)
-        reduction_axes = list(request.axes)
-        positions = [
-            (i, j) for i in reduction_axes for j in range(self.num_levels)
-        ]
-        radices = MixedRadix(tuple(self.matrix.factor(i, j) for i, j in positions))
+        memo = self.__dict__.setdefault("_reduction_groups", {})
+        if request.axes not in memo:
+            reduction_axes = list(request.axes)
+            positions = [
+                (i, j) for i in reduction_axes for j in range(self.num_levels)
+            ]
+            radices = MixedRadix(tuple(self.matrix.factor(i, j) for i, j in positions))
 
-        groups: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
-        for device in range(self.num_devices):
-            grid = self.device_to_grid(device)
-            key = tuple(
-                grid[i][j]
-                for i in range(self.num_axes)
-                if i not in reduction_axes
-                for j in range(self.num_levels)
+            groups: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
+            for device in range(self.num_devices):
+                grid = self.device_to_grid(device)
+                key = tuple(
+                    grid[i][j]
+                    for i in range(self.num_axes)
+                    if i not in reduction_axes
+                    for j in range(self.num_levels)
+                )
+                rank = radices.encode(tuple(grid[i][j] for i, j in positions))
+                groups.setdefault(key, []).append((rank, device))
+            memo[request.axes] = tuple(
+                tuple(device for _, device in sorted(groups[key])) for key in sorted(groups)
             )
-            rank = radices.encode(tuple(grid[i][j] for i, j in positions))
-            groups.setdefault(key, []).append((rank, device))
-
-        ordered: List[List[int]] = []
-        for key in sorted(groups):
-            members = sorted(groups[key])
-            ordered.append([device for _, device in members])
-        return ordered
+        return [list(group) for group in memo[request.axes]]
 
     def reduction_contexts(self, request: ReductionRequest) -> Tuple[StateContext, StateContext]:
         """The ``(initial, goal)`` Hoare contexts of ``request`` over the physical devices.
@@ -196,6 +198,16 @@ class DevicePlacement:
                 goal_context(self.num_devices, self.reduction_groups(request)),
             )
         return memo[request.axes]
+
+    @cached_property
+    def hoare_transitions(self) -> Dict:
+        """Reduction axes -> the transition table validation fills while this placement's
+        matrix is searched (:func:`repro.synthesis.lowering.forget_transitions` empties it)."""
+        return {}
+
+    def __getstate__(self) -> Dict:
+        # Memos are pure in the matrix: a shipped placement rebuilds what it needs.
+        return {"matrix": self.matrix}
 
     def reduction_group_of(self, device: int, request: ReductionRequest) -> List[int]:
         """Return the (ordered) reduction group containing ``device``."""

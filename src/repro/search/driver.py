@@ -221,6 +221,14 @@ class SearchResult:
         return best
 
 
+def note_sharing(span, candidates: Sequence[PlacementCandidate]) -> None:
+    """On a ``search.run`` span: the matrices reached and how many distinct
+    synthesis problems — (radices, goal) pairs — they posed."""
+    hierarchies = [c.synthesis.hierarchy for c in candidates if c.synthesis is not None]
+    span.set_attr("matrices", len(candidates))
+    span.set_attr("distinct_synthesis_problems", len({(h.radices, h.goal()) for h in hierarchies}))
+
+
 class _SerialPricer:
     """Exact pricing with the eager pipeline's signature deduplication.
 
@@ -361,8 +369,11 @@ class SearchDriver:
         source_list = list(sources) if sources is not None else default_sources()
         with self.recorder.span(
             "search.run", budgeted=space.query.has_search_budget
-        ):
-            return self._run(space, source_list, watermark=watermark)
+        ) as span:
+            result = self._run(space, source_list, watermark=watermark)
+            if self.recorder.enabled:
+                note_sharing(span, result.candidates)
+            return result
 
     def _run(
         self,
@@ -441,6 +452,8 @@ class SearchDriver:
             simulator.batch_payloads,
             simulator.batch_fallbacks,
             simulator.semantics_reused,
+            simulator.steps_profiled,
+            simulator.steps_compiled,
         )
         # Budgeted pool path: survivors buffered between watermark reads.
         chunk: List[StrategyEntry] = []
@@ -587,6 +600,10 @@ class SearchDriver:
                     note_price(seconds)
                     if budgeted and watermark.update(seconds):
                         report.watermark_updates += 1
+                if stopped and hasattr(iterator, "close"):
+                    # An abandoned stream drops its search state (and counts
+                    # what it shared) here, not when the generator is collected.
+                    iterator.close()
 
         if batch_all and batch_items:
             with evaluation_watch:
@@ -657,6 +674,14 @@ class SearchDriver:
         recorder.count("search.placements_pruned", report.placements_pruned)
         recorder.count("search.watermark_updates", report.watermark_updates)
         recorder.count("search.baseline_entries", report.baseline_entries)
+        # What the matrices' programs shared, once per search: contexts expanded, lowered
+        # steps validated vs Hoare transitions checked, profile steps vs steps analysed.
+        synthesized = [c.synthesis for c in candidates if c.synthesis is not None]
+        recorder.count("synthesis.contexts_expanded", sum(s.contexts_expanded for s in synthesized))
+        recorder.count("semantics.steps", sum(c.semantic_steps for c in candidates))
+        recorder.count("semantics.transitions", sum(c.semantic_transitions for c in candidates))
+        recorder.count("profile.steps", simulator.steps_profiled - counters_before[4])
+        recorder.count("profile.steps_compiled", simulator.steps_compiled - counters_before[5])
         recorder.observe("search.synthesis_seconds", synthesis_watch.seconds)
         recorder.observe("search.evaluation_seconds", evaluation_watch.seconds)
         if report.time_to_incumbent_s is not None:

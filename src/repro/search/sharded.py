@@ -54,7 +54,7 @@ from repro.obs.recorder import (
     get_recorder,
 )
 from repro.query import PlanQuery
-from repro.search.driver import SearchDriver, SearchReport, SearchResult
+from repro.search.driver import SearchDriver, SearchReport, SearchResult, note_sharing
 from repro.search.source import (
     ROLE_BASELINE,
     ROLE_SEED,
@@ -365,9 +365,12 @@ class ShardedSearchDriver:
                 if root.trace_id is not None
                 else current_trace_context()
             )
-            return self._run_sharded(
+            result = self._run_sharded(
                 space, source_list, seed_sources, matrices, effective, parent_ctx
             )
+            if self.recorder.enabled:
+                note_sharing(root, result.candidates)
+            return result
 
     # ------------------------------------------------------------------ #
     def _run_sharded(

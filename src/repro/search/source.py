@@ -44,7 +44,7 @@ from repro.hierarchy.placement import DevicePlacement
 from repro.query import PlanQuery
 from repro.search.bounds import placement_lower_bound
 from repro.synthesis.hierarchy import build_synthesis_hierarchy
-from repro.synthesis.lowering import LoweredProgram
+from repro.synthesis.lowering import LoweredProgram, forget_transitions
 from repro.synthesis.pipeline import (
     PlacementCandidate,
     enumerate_search_matrices,
@@ -275,39 +275,48 @@ class SynthesisSource:
             passes = synthesizer.iter_synthesize_sizes(
                 synthesis_hierarchy, statistics=statistics
             )
-            while True:
-                start = time.perf_counter()
-                item = next(passes, None)
-                if item is None:
-                    break
-                _, batch = item
-                entries: List[StrategyEntry] = []
-                for synthesized in batch:
-                    program = lower_program_candidate(
-                        synthesized,
-                        synthesis_hierarchy,
-                        placement,
-                        query.request,
-                        space.validate,
-                    )
-                    result.programs.append(synthesized)
-                    candidate.programs.append(program)
-                    if program.is_default_all_reduce:
-                        continue
-                    entries.append(
-                        StrategyEntry(
-                            candidate,
-                            program.lowered,
-                            program.mnemonic,
-                            False,
-                            program.size,
+            expanded_before = synthesizer.contexts_expanded
+            try:
+                while True:
+                    start = time.perf_counter()
+                    item = next(passes, None)
+                    if item is None:
+                        break
+                    _, batch = item
+                    entries: List[StrategyEntry] = []
+                    for synthesized in batch:
+                        program = lower_program_candidate(
+                            synthesized,
+                            synthesis_hierarchy,
+                            placement,
+                            query.request,
+                            space.validate,
                         )
-                    )
-                elapsed = time.perf_counter() - start
-                candidate.synthesis_seconds += elapsed
-                result.elapsed_seconds += elapsed
-                for entry in entries:
-                    yield entry
+                        result.programs.append(synthesized)
+                        candidate.programs.append(program)
+                        if program.is_default_all_reduce:
+                            continue
+                        entries.append(
+                            StrategyEntry(
+                                candidate,
+                                program.lowered,
+                                program.mnemonic,
+                                False,
+                                program.size,
+                            )
+                        )
+                    elapsed = time.perf_counter() - start
+                    candidate.synthesis_seconds += elapsed
+                    result.elapsed_seconds += elapsed
+                    for entry in entries:
+                        yield entry
+            finally:
+                # Also when a budget abandons the stream mid-matrix: the
+                # transition table must not outlive the search on a candidate.
+                result.contexts_expanded = synthesizer.contexts_expanded - expanded_before
+                candidate.semantic_steps, candidate.semantic_transitions = (
+                    forget_transitions(placement)
+                )
 
     @staticmethod
     def _placement_pruned(

@@ -19,6 +19,7 @@ their :meth:`LoweredProgram.signature`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.dsl.program import ReductionProgram
@@ -27,11 +28,13 @@ from repro.hierarchy.parallelism import ReductionRequest
 from repro.hierarchy.placement import DevicePlacement
 from repro.semantics.collectives import Collective, apply_collective
 from repro.semantics.goals import initial_context
-from repro.semantics.state import StateContext, popcount
+from repro.semantics.state import DeviceState, StateContext, popcount
 from repro.synthesis.hierarchy import SynthesisHierarchy
 from repro.synthesis.synthesizer import SynthesizedProgram
 
-__all__ = ["LoweredStep", "LoweredProgram", "lower_program", "lower_synthesized"]
+__all__ = [
+    "LoweredStep", "LoweredProgram", "forget_transitions", "lower_program", "lower_synthesized"
+]
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,14 @@ class LoweredStep:
     @property
     def devices(self) -> FrozenSet[int]:
         return frozenset(d for group in self.groups for d in group)
+
+    @cached_property
+    def signature_entry(self) -> Tuple[str, FrozenSet[Tuple[int, ...]]]:
+        """This step's element of :meth:`LoweredProgram.signature`, built once."""
+        return (self.collective.value, frozenset(self.groups))
+
+    def __getstate__(self) -> Dict:
+        return {"collective": self.collective, "groups": self.groups}
 
     def describe(self) -> str:
         preview = ", ".join(
@@ -107,9 +118,7 @@ class LoweredProgram:
     def signature(self) -> Tuple:
         """Hashable identity of the communication pattern (order-sensitive in steps,
         order-insensitive in the groups within a step)."""
-        return tuple(
-            (step.collective.value, frozenset(step.groups)) for step in self.steps
-        )
+        return tuple(step.signature_entry for step in self.steps)
 
     # ------------------------------------------------------------------ #
     # Serialization (used by plan caching and the query API's JSON output)
@@ -153,48 +162,47 @@ class LoweredProgram:
         return self._sweep(initial)[0]
 
     def _sweep(self, initial: StateContext) -> Tuple[StateContext, Tuple[Tuple[float, ...], ...]]:
-        """One pass of the Hoare rules over every step and group: the final context
-        and, per step and group, the largest chunk fraction a member held before
-        it — the one fact profile compilation needs from the semantics.
-        """
+        """One unmemoized pass of the Hoare rules over every step and group: the
+        final context and the per-step, per-group fractions of :func:`_apply_step`."""
         states = list(initial.states)
         num_chunks = initial.num_chunks
         # Shared float objects: one per possible popcount, not one per group.
         fraction_of = [count / num_chunks for count in range(num_chunks + 1)]
-        fractions: List[Tuple[float, ...]] = []
-        for step in self.steps:
-            collective = step.collective
-            step_fractions: List[float] = []
-            # Groups of one step are disjoint (LoweredStep enforces it), so
-            # in-place post-states never feed a later group of the same step.
-            for group in step.groups:
-                pre = [states[d] for d in group]
-                step_fractions.append(fraction_of[max(popcount(s.present) for s in pre)])
-                for device, state in zip(group, apply_collective(collective, pre)):
-                    states[device] = state
-            fractions.append(tuple(step_fractions))
-        return StateContext(tuple(states)), tuple(fractions)
+        fractions = tuple(_apply_step(step, states, fraction_of) for step in self.steps)
+        return StateContext(tuple(states)), fractions
 
     def validates_against(
         self, placement: DevicePlacement, request: ReductionRequest
     ) -> bool:
         """True if the program implements the requested reduction on every device.
 
-        The sweep's chunk fractions stay on the program (floats, never states)
-        so :func:`repro.cost.profile.compile_profile` does not repeat it.
+        Every step's precondition is established on every physical device group
+        from its exact pre-state; programs validated on one placement share the
+        check of a repeated (pre-context, step) pair through the
+        :class:`_Transitions` table this leaves on ``placement.hoare_transitions``.
+        The table holds every context reached, as device states: the caller must
+        end with :func:`forget_transitions` before the placement outlives the
+        search (a plan's candidates keep theirs).  Nothing is shared across
+        placements or without one (:meth:`run_semantics`,
+        :meth:`pre_state_fractions`).  The chunk fractions stay on the program
+        (floats, never states) so ``compile_profile`` does not repeat the pass.
         """
         if placement.num_devices != self.num_devices:
             raise SemanticsError(
                 f"program is over {self.num_devices} devices but the placement has "
                 f"{placement.num_devices}"
             )
-        initial, goal = placement.reduction_contexts(request)
+        table = placement.hoare_transitions.get(request.axes)
+        if table is None:
+            table = placement.hoare_transitions[request.axes] = _Transitions(
+                *placement.reduction_contexts(request)
+            )
         try:
-            final, fractions = self._sweep(initial)
+            reaches_goal, fractions = table.walk(self.steps)
         except InvalidCollectiveError:
             return False
         object.__setattr__(self, "_pre_state_fractions", fractions)
-        return final == goal
+        return reaches_goal
 
     @property
     def semantics_recorded(self) -> bool:
@@ -217,6 +225,69 @@ class LoweredProgram:
         name = self.label or (self.source.describe() if self.source else "<lowered>")
         steps = "; ".join(f"{s.collective}x{s.num_groups}(g={s.group_size})" for s in self.steps)
         return f"{name}: {steps}"
+
+
+def _apply_step(step: LoweredStep, states: list, fraction_of: List[float]) -> Tuple[float, ...]:
+    """Apply ``step``'s Hoare rule to every one of its groups, in place on ``states``:
+    the one loop body of the unmemoized sweep and of the transition table.  Returns,
+    per group, the largest chunk fraction a member held before the step — the one
+    fact profile compilation needs from the semantics."""
+    collective = step.collective
+    fractions: List[float] = []
+    # Groups of one step are disjoint (LoweredStep enforces it), so in-place
+    # post-states never feed a later group of the same step.
+    for group in step.groups:
+        pre = [states[d] for d in group]
+        fractions.append(fraction_of[max(popcount(s.present) for s in pre)])
+        for device, state in zip(group, apply_collective(collective, pre)):
+            states[device] = state
+    return tuple(fractions)
+
+
+class _Transitions:
+    """The distinct Hoare transitions of one placement and reduction, each taken once.
+
+    Programs of a matrix are walks over one small graph: a node ``(device states,
+    out-edges)`` per context reached, an edge per (pre-context, step) pair.  The
+    first program to walk an edge runs :func:`_apply_step` on it; the edge keeps
+    the post-context node and the per-group fractions for every later program.  An
+    invalid step raises and records nothing, so it fails the same way next time.
+    ``steps`` counts edges walked, ``transitions`` edges checked.
+    """
+
+    def __init__(self, initial: StateContext, goal: StateContext) -> None:
+        self.nodes: Dict[Tuple[int, ...], Tuple[Tuple[DeviceState, ...], Dict]] = {}
+        self.root = self._node(initial.states)
+        self.goal = self._node(goal.states)
+        self.fraction_of = [count / initial.num_chunks for count in range(initial.num_chunks + 1)]
+        self.steps = self.transitions = 0
+
+    def _node(self, states: Sequence[DeviceState]):
+        # The packed matrices identify a context, and hash and compare as machine words.
+        return self.nodes.setdefault(tuple(s.bits for s in states), (tuple(states), {}))
+
+    def walk(self, steps: Sequence[LoweredStep]) -> Tuple[bool, Tuple[Tuple[float, ...], ...]]:
+        """Whether ``steps`` lead from the initial context to the goal, and their fractions."""
+        node = self.root
+        fractions: List[Tuple[float, ...]] = []
+        for step in steps:
+            edge = node[1].get(step)
+            if edge is None:
+                states = list(node[0])
+                step_fractions = _apply_step(step, states, self.fraction_of)
+                edge = node[1][step] = (self._node(states), step_fractions)
+                self.transitions += 1
+            node, step_fractions = edge
+            fractions.append(step_fractions)
+        self.steps += len(steps)
+        return node is self.goal, tuple(fractions)
+
+
+def forget_transitions(placement: DevicePlacement) -> Tuple[int, int]:
+    """Drop the tables validation left on ``placement``; (steps walked, transitions checked)."""
+    tables = list(placement.hoare_transitions.values())
+    placement.hoare_transitions.clear()
+    return sum(t.steps for t in tables), sum(t.transitions for t in tables)
 
 
 # --------------------------------------------------------------------------- #
@@ -262,12 +333,15 @@ def _lower(
     if placement.matrix != hierarchy.matrix:
         raise LoweringError("placement and synthesis hierarchy use different matrices")
 
+    # Programs of one hierarchy draw their steps from one small instruction
+    # alphabet: one LoweredStep per (collective, virtual grouping), shared.
+    memo = hierarchy.__dict__.setdefault("_lowered_steps", {})
+    steps: List[LoweredStep] = []
+    for instruction, virtual_groups in zip(program, step_groups):
+        key = (instruction.collective, virtual_groups)
+        if key not in memo:
+            memo[key] = LoweredStep(key[0], hierarchy.physical_groups(virtual_groups))
+        steps.append(memo[key])
     return LoweredProgram(
-        num_devices=placement.num_devices,
-        steps=tuple(
-            LoweredStep(instruction.collective, hierarchy.physical_groups(virtual_groups))
-            for instruction, virtual_groups in zip(program, step_groups)
-        ),
-        source=program,
-        label=label,
+        num_devices=placement.num_devices, steps=tuple(steps), source=program, label=label
     )

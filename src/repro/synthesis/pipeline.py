@@ -33,7 +33,7 @@ from repro.synthesis.hierarchy import (
     SynthesisHierarchy,
     build_synthesis_hierarchy,
 )
-from repro.synthesis.lowering import LoweredProgram, lower_synthesized
+from repro.synthesis.lowering import LoweredProgram, forget_transitions, lower_synthesized
 from repro.synthesis.synthesizer import (
     DEFAULT_MAX_PROGRAM_SIZE,
     SynthesisResult,
@@ -103,6 +103,10 @@ class PlacementCandidate:
     synthesis: Optional[SynthesisResult] = None
     programs: List[ProgramCandidate] = field(default_factory=list)
     synthesis_seconds: float = 0.0
+    # How much validation shared on this placement: lowered steps walked vs
+    # the distinct (pre-context, step) Hoare transitions actually checked.
+    semantic_steps: int = 0
+    semantic_transitions: int = 0
 
     @property
     def num_programs(self) -> int:
@@ -221,6 +225,9 @@ def iter_placement_candidates(
                 )
                 for synthesized in result.programs
             ]
+            # The transition table is search state: it must not stay
+            # reachable from the candidate (and so from the plan).
+            steps, transitions = forget_transitions(placement)
 
             yield PlacementCandidate(
                 matrix=matrix,
@@ -229,6 +236,8 @@ def iter_placement_candidates(
                 synthesis=result,
                 programs=programs,
                 synthesis_seconds=elapsed,
+                semantic_steps=steps,
+                semantic_transitions=transitions,
             )
 
     return _generate()

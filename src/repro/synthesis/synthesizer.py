@@ -16,8 +16,8 @@ levels in hierarchies like ``[1 2 1 2]`` do not blow up the search.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dsl.grouping import Groups, enumerate_instructions
 from repro.dsl.program import ReductionInstruction, ReductionProgram
@@ -57,6 +57,8 @@ class SynthesisResult:
     statistics: SearchStatistics
     elapsed_seconds: float
     max_program_size: int
+    # Contexts this run expanded itself: 0 when answered from an earlier run.  Not in ``==``.
+    contexts_expanded: int = field(default=0, compare=False)
 
     @property
     def num_programs(self) -> int:
@@ -70,6 +72,42 @@ class SynthesisResult:
             f"{self.num_programs} programs for {self.hierarchy.describe()} "
             f"in {self.elapsed_seconds:.3f}s ({self.statistics.describe()})"
         )
+
+
+_INVALID, _PRUNED, _GOAL = "invalid", "pruned", "goal"
+
+
+class _Problem:
+    """One synthesis problem — an alphabet, an initial and a goal context — and
+    what is already known about it: each visited context's expansion and, once
+    :meth:`Synthesizer.synthesize` has run, its answer."""
+
+    def __init__(self, alphabet, initial: StateContext, goal: StateContext) -> None:
+        self.alphabet, self.initial, self.goal = alphabet, initial, goal
+        self.expansions: Dict[Tuple[int, ...], Tuple] = {}
+        self.answer: Optional[Tuple[List[SynthesizedProgram], SearchStatistics]] = None
+
+    def expand(self, context: StateContext) -> Tuple:
+        """Per alphabet instruction, in order: ``_INVALID`` (a Hoare precondition
+        fails), ``_PRUNED`` (the successor leaves the goal bound), ``_GOAL`` or the
+        successor context.  Computed the first time a search visits ``context``."""
+        # The packed matrices identify a context, and hash as machine words.
+        key = tuple(state.bits for state in context.states)
+        outcomes = self.expansions.get(key)
+        if outcomes is None:
+            found: List = []
+            for instruction, groups in self.alphabet:
+                try:
+                    successor = instruction.apply_to_groups(context, groups)
+                except InvalidCollectiveError:
+                    found.append(_INVALID)
+                    continue
+                if not context_within_goal(successor, self.goal):
+                    found.append(_PRUNED)
+                else:
+                    found.append(_GOAL if successor == self.goal else successor)
+            outcomes = self.expansions[key] = tuple(found)
+        return outcomes
 
 
 @dataclass
@@ -86,18 +124,29 @@ class Synthesizer:
         Safety cap on the number of expanded search nodes.
     deduplicate_instructions:
         Skip instructions whose induced grouping duplicates an earlier one.
+
+    An instance expands each distinct context of a problem once (the tree search
+    replays the expansion, counting as if it had recomputed it) and answers a problem
+    — radices, goal, this configuration — :meth:`synthesize` already solved from that run.
     """
 
     max_program_size: int = DEFAULT_MAX_PROGRAM_SIZE
     collectives: Tuple[Collective, ...] = ALL_COLLECTIVES
     node_limit: int = DEFAULT_NODE_LIMIT
     deduplicate_instructions: bool = True
+    _problems: Dict[Tuple, _Problem] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.max_program_size < 1:
             raise SynthesisError("max_program_size must be >= 1")
         if self.node_limit < 1:
             raise SynthesisError("node_limit must be >= 1")
+
+    @property
+    def contexts_expanded(self) -> int:
+        return sum(len(problem.expansions) for problem in self._problems.values())
 
     # ------------------------------------------------------------------ #
     # Instruction alphabet
@@ -115,24 +164,36 @@ class Synthesizer:
             alphabet.append((ReductionInstruction(slice_level, form, op), groups))
         return alphabet
 
+    def _problem(self, hierarchy: SynthesisHierarchy) -> _Problem:
+        # The goal is in the key: the whole-matrix variants' goals depend on
+        # which positions the levels cover, not only on the radices.
+        goal = hierarchy.goal()
+        key = (hierarchy.radices, goal, self.max_program_size, self.collectives,
+               self.node_limit, self.deduplicate_instructions)
+        if key not in self._problems:
+            self._problems[key] = _Problem(
+                self.instruction_alphabet(hierarchy), hierarchy.initial_context(), goal
+            )
+        return self._problems[key]
+
     # ------------------------------------------------------------------ #
     # Search
     # ------------------------------------------------------------------ #
-    def synthesize(self, hierarchy: SynthesisHierarchy) -> SynthesisResult:
-        """Enumerate every valid program of size up to ``max_program_size``."""
-        start = time.perf_counter()
-        alphabet = self.instruction_alphabet(hierarchy)
-        initial = hierarchy.initial_context()
-        goal = hierarchy.goal()
-        statistics = SearchStatistics()
+    def _search(
+        self,
+        problem: _Problem,
+        statistics: SearchStatistics,
+        seen_signatures: set,
+        pass_size: Optional[int] = None,
+    ) -> List[SynthesizedProgram]:
+        """One depth-first search over ``problem``; the new programs it reaches.
+
+        ``pass_size`` makes it one iterative-deepening pass: search that deep and emit
+        only programs of exactly that size (a shorter one belongs to an earlier pass).
+        """
+        max_depth = pass_size if pass_size is not None else self.max_program_size
+        alphabet = problem.alphabet
         programs: List[SynthesizedProgram] = []
-        seen_signatures: set = set()
-
-        if initial == goal:
-            # Degenerate case: nothing to reduce (reduction group size 1).
-            elapsed = time.perf_counter() - start
-            return SynthesisResult(hierarchy, programs, statistics, elapsed, self.max_program_size)
-
         prefix_instructions: List[ReductionInstruction] = []
         prefix_groups: List[Groups] = []
 
@@ -141,40 +202,59 @@ class Synthesizer:
                 statistics.hit_node_limit = True
                 return
             statistics.nodes_expanded += 1
-            for instruction, groups in alphabet:
+            for (instruction, groups), outcome in zip(alphabet, problem.expand(context)):
                 if statistics.hit_node_limit:
                     return
                 statistics.steps_attempted += 1
-                try:
-                    next_context = instruction.apply_to_groups(context, groups)
-                except InvalidCollectiveError:
+                if outcome is _INVALID:
                     statistics.steps_invalid += 1
                     continue
-                if not context_within_goal(next_context, goal):
+                if outcome is _PRUNED:
                     statistics.branches_pruned_goal += 1
                     continue
                 prefix_instructions.append(instruction)
                 prefix_groups.append(groups)
-                if next_context == goal:
-                    program = ReductionProgram(tuple(prefix_instructions))
-                    signature = program.signature()
-                    if signature in seen_signatures:
-                        statistics.duplicate_programs += 1
-                    else:
-                        seen_signatures.add(signature)
-                        programs.append(
-                            SynthesizedProgram(program, tuple(prefix_groups))
-                        )
-                        statistics.record_program(len(program))
-                elif depth + 1 < self.max_program_size:
-                    _dfs(next_context, depth + 1)
+                if outcome is _GOAL:
+                    if pass_size is None or depth + 1 == pass_size:
+                        program = ReductionProgram(tuple(prefix_instructions))
+                        signature = program.signature()
+                        if signature in seen_signatures:
+                            statistics.duplicate_programs += 1
+                        else:
+                            seen_signatures.add(signature)
+                            programs.append(
+                                SynthesizedProgram(program, tuple(prefix_groups))
+                            )
+                            statistics.record_program(len(program))
+                elif depth + 1 < max_depth:
+                    _dfs(outcome, depth + 1)
                 prefix_instructions.pop()
                 prefix_groups.pop()
 
-        _dfs(initial, 0)
-        elapsed = time.perf_counter() - start
-        programs.sort(key=lambda p: (p.size, p.program.signature()))
-        return SynthesisResult(hierarchy, programs, statistics, elapsed, self.max_program_size)
+        _dfs(problem.initial, 0)
+        return programs
+
+    def synthesize(self, hierarchy: SynthesisHierarchy) -> SynthesisResult:
+        """Enumerate every valid program of size up to ``max_program_size``."""
+        start = time.perf_counter()
+        problem = self._problem(hierarchy)
+        expanded_before = len(problem.expansions)
+        if problem.answer is None:
+            statistics = SearchStatistics()
+            programs: List[SynthesizedProgram] = []
+            if problem.initial != problem.goal:  # else nothing to reduce (group size 1)
+                programs = self._search(problem, statistics, set())
+                programs.sort(key=lambda p: (p.size, p.program.signature()))
+            problem.answer = (programs, statistics)
+        programs, statistics = problem.answer
+        return SynthesisResult(
+            hierarchy,
+            list(programs),
+            replace(statistics, per_size_counts=dict(statistics.per_size_counts)),
+            time.perf_counter() - start,
+            self.max_program_size,
+            contexts_expanded=len(problem.expansions) - expanded_before,
+        )
 
     def iter_synthesize_sizes(
         self,
@@ -191,8 +271,7 @@ class Synthesizer:
         enumeration cost (the search tree grows with its branching factor),
         so abandoning this generator after an early pass skips most of a
         placement's synthesis work.  The re-exploration of shallow prefixes
-        across passes costs a constant factor, which is why the exhaustive
-        pipeline keeps the single-pass :meth:`synthesize`.
+        across passes replays expansions the earlier passes computed.
 
         A program's signature determines its size (one entry per
         instruction), so per-pass signature deduplication finds exactly the
@@ -202,61 +281,15 @@ class Synthesizer:
         accumulated total and ends enumeration once hit.
         """
         stats = statistics if statistics is not None else SearchStatistics()
-        alphabet = self.instruction_alphabet(hierarchy)
-        initial = hierarchy.initial_context()
-        goal = hierarchy.goal()
-        if initial == goal:
+        problem = self._problem(hierarchy)
+        if problem.initial == problem.goal:
             return  # degenerate: nothing to reduce (reduction group size 1)
 
         seen_signatures: set = set()
-        prefix_instructions: List[ReductionInstruction] = []
-        prefix_groups: List[Groups] = []
-
         for target_size in range(1, self.max_program_size + 1):
             if stats.hit_node_limit:
                 return
-            batch: List[SynthesizedProgram] = []
-
-            def _dfs(context: StateContext, depth: int) -> None:
-                if stats.nodes_expanded >= self.node_limit:
-                    stats.hit_node_limit = True
-                    return
-                stats.nodes_expanded += 1
-                for instruction, groups in alphabet:
-                    if stats.hit_node_limit:
-                        return
-                    stats.steps_attempted += 1
-                    try:
-                        next_context = instruction.apply_to_groups(context, groups)
-                    except InvalidCollectiveError:
-                        stats.steps_invalid += 1
-                        continue
-                    if not context_within_goal(next_context, goal):
-                        stats.branches_pruned_goal += 1
-                        continue
-                    prefix_instructions.append(instruction)
-                    prefix_groups.append(groups)
-                    if next_context == goal:
-                        # A goal at depth < target is a shorter program: an
-                        # earlier pass already emitted it, and (like the
-                        # single-pass search) nothing extends past the goal.
-                        if depth + 1 == target_size:
-                            program = ReductionProgram(tuple(prefix_instructions))
-                            signature = program.signature()
-                            if signature in seen_signatures:
-                                stats.duplicate_programs += 1
-                            else:
-                                seen_signatures.add(signature)
-                                batch.append(
-                                    SynthesizedProgram(program, tuple(prefix_groups))
-                                )
-                                stats.record_program(len(program))
-                    elif depth + 1 < target_size:
-                        _dfs(next_context, depth + 1)
-                    prefix_instructions.pop()
-                    prefix_groups.pop()
-
-            _dfs(initial, 0)
+            batch = self._search(problem, stats, seen_signatures, pass_size=target_size)
             batch.sort(key=lambda p: p.program.signature())
             yield target_size, batch
 

@@ -55,6 +55,10 @@ class MachineTopology:
     _nic_instances: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # What the cost layer derives from this topology and a lowered step: contention
+    # per grouping, the step profile per (collective, groups, pre-state fractions).
+    _contention: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _step_profiles: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.interconnects) != self.hierarchy.num_levels:
@@ -162,7 +166,7 @@ class MachineTopology:
     # shipping a topology to a worker pool must not drag them (or any
     # cached_property value) along.
     # ------------------------------------------------------------------ #
-    _MEMO_FIELDS = ("_span_levels", "_instances", "_nic_instances")
+    _MEMO_FIELDS = ("_span_levels", "_instances", "_nic_instances", "_contention", "_step_profiles")
 
     def __getstate__(self):
         return {

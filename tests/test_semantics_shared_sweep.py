@@ -22,11 +22,12 @@ from repro.cost.profile import compile_profile
 from repro.cost.simulator import ProgramSimulator
 from repro.errors import InvalidCollectiveError, SemanticsError
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
+from repro.hierarchy.placement import DevicePlacement
 from repro.obs import Recorder
 from repro.query import PlanQuery
 from repro.semantics.collectives import Collective
 from repro.service.parallel import ParallelEvaluator
-from repro.synthesis.lowering import LoweredProgram, LoweredStep
+from repro.synthesis.lowering import LoweredProgram, LoweredStep, forget_transitions
 from repro.synthesis.pipeline import synthesize_all
 
 MB = 1 << 20
@@ -85,11 +86,45 @@ class TestCompileReusesTheValidationSweep:
             assert not fresh.semantics_recorded
 
     def test_validation_still_visits_every_group(self, candidates, apply_calls):
-        placement, program = validated_programs(candidates)[-1]
-        fresh = LoweredProgram.from_dict(program.to_dict(), program.num_devices)
-        assert fresh.validates_against(placement, REQUEST)
-        assert len(apply_calls) == sum(step.num_groups for step in fresh.steps)
-        assert fresh.pre_state_fractions() == program.pre_state_fractions()
+        """On a fresh placement the programs of a matrix apply a rule exactly once
+        per group of each distinct (pre-context, step) pair — no group of any
+        of them is skipped, none is visited twice."""
+        _, placements = candidates
+        candidate = max(placements, key=lambda c: len(c.programs))
+        programs = [
+            LoweredProgram.from_dict(p.lowered.to_dict(), p.lowered.num_devices)
+            for p in candidate.programs
+        ]
+        initial, _ = candidate.placement.reduction_contexts(REQUEST)
+        # The distinct transitions, found by stepping every program on its own.
+        groups_of = {}
+        for program in programs:
+            context = initial
+            for step in program.steps:
+                groups_of[(context, step)] = step.num_groups
+                context = LoweredProgram(program.num_devices, (step,)).run_semantics(context)
+        every_group = sum(step.num_groups for program in programs for step in program.steps)
+        assert sum(groups_of.values()) < every_group
+
+        for _ in range(2):  # a second fresh placement starts again from zero
+            placement = DevicePlacement(candidate.matrix)
+            del apply_calls[:]
+            for program, validated in zip(programs, candidate.programs):
+                assert program.validates_against(placement, REQUEST)
+                assert program.pre_state_fractions() == validated.lowered.pre_state_fractions()
+            assert len(apply_calls) == sum(groups_of.values())
+            assert forget_transitions(placement)[1] == len(groups_of)
+
+        # Without a placement nothing is shared: every group of every step.
+        del apply_calls[:]
+        for program in programs:
+            program.run_semantics(initial)
+        assert len(apply_calls) == every_group
+        del apply_calls[:]
+        for program in candidate.programs:
+            copy = LoweredProgram.from_dict(program.lowered.to_dict(), program.lowered.num_devices)
+            copy.pre_state_fractions()
+        assert len(apply_calls) == every_group
 
     def test_recorded_fractions_are_outside_value_semantics(self, candidates):
         _, program = validated_programs(candidates)[0]
