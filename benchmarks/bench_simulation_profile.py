@@ -87,17 +87,6 @@ def test_profile_reprice_vs_full_simulation(benchmark, save_artifact, bench_json
         for p in programs[:5]
     )
 
-    # The ladder-memoized batch path prices one vectorized kernel per
-    # signature (not per rung) and returns the very same result objects.
-    # Its counters are deterministic for the workload and gate exactly.
-    ladder_simulator = ProgramSimulator(topology)
-    ladder_simulator.set_payload_ladder(PAYLOAD_LADDER)
-    for payload in PAYLOAD_LADDER:
-        for program in programs:
-            assert ladder_simulator.simulate(program, payload) == simulator.simulate(
-                program, payload
-            )
-
     text = format_table(
         ["path", "median seconds (ladder)", "speedup"],
         [
@@ -119,9 +108,6 @@ def test_profile_reprice_vs_full_simulation(benchmark, save_artifact, bench_json
             "programs": len(programs),
             "payloads": len(PAYLOAD_LADDER),
             "profile_classes": profile_classes,
-            "ladder_batch_prices": ladder_simulator.batch_prices,
-            "ladder_batch_payloads": ladder_simulator.batch_payloads,
-            "ladder_batch_fallbacks": ladder_simulator.batch_fallbacks,
         },
     )
 

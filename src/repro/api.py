@@ -40,7 +40,7 @@ from repro.runtime.events import MeasurementResult, TestbedSimulator
 from repro.runtime.noise import NoiseModel
 from repro.runtime.verification import VerificationReport, verify_against_placement
 from repro.search.driver import SearchDriver, SearchReport
-from repro.search.source import CandidateSource, SearchSpace, StrategyEntry
+from repro.search.source import CandidateSource, SearchSpace, ShapeMemo, StrategyEntry
 from repro.synthesis.hierarchy import build_synthesis_hierarchy
 from repro.synthesis.lowering import LoweredProgram
 from repro.synthesis.pipeline import PlacementCandidate, ProgramCandidate
@@ -447,6 +447,7 @@ def compute_plan(
     simulator: Optional[ProgramSimulator] = None,
     sources: Optional[Sequence[CandidateSource]] = None,
     recorder=None,
+    shapes: Optional[ShapeMemo] = None,
 ) -> PlanComputation:
     """The cold-path pipeline shared by :meth:`P2.plan` and the service.
 
@@ -471,6 +472,11 @@ def compute_plan(
     ``recorder`` routes the driver's search spans and counters into a
     specific telemetry recorder (:mod:`repro.obs`); the process-wide one is
     used when omitted.
+
+    ``shapes`` is a long-lived caller's :class:`~repro.search.ShapeMemo`:
+    an exhaustive query whose shape it already holds skips synthesis,
+    lowering and validation and is priced and ranked from the entries the
+    first search of that shape produced — the same plan, bit for bit.
 
     A ``query.shards > 1`` routes the search through the
     :class:`~repro.search.sharded.ShardedSearchDriver` — the placement
@@ -510,6 +516,7 @@ def compute_plan(
         query=query,
         node_limit=node_limit,
         validate=validate,
+        shapes=shapes,
     )
     result = driver.run(space, sources=sources)
     plan = OptimizationPlan(
@@ -584,32 +591,20 @@ class P2:
     _simulator: Optional[ProgramSimulator] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _payload_ladder: Optional[Tuple[float, ...]] = field(
-        default=None, init=False, repr=False, compare=False
+    # Keyed on the hierarchy, not the topology object: survives reassignment.
+    _shapes: ShapeMemo = field(
+        default_factory=ShapeMemo, init=False, repr=False, compare=False
     )
-
-    def set_payload_ladder(self, payloads=None) -> None:
-        """Install (or clear) the simulator's payload-ladder memo.
-
-        Sweeps that re-plan the same shapes across a payload ladder call
-        this with the full ladder before the first rung; the simulator then
-        prices each compiled signature for the *entire* ladder in one
-        vectorized batch and answers later rungs from the memo (see
-        :meth:`~repro.cost.simulator.ProgramSimulator.set_payload_ladder`).
-        The ladder survives simulator rebuilds on topology/cost-model
-        reassignment.
-        """
-        self._payload_ladder = tuple(payloads) if payloads is not None else None
-        self.simulator.set_payload_ladder(self._payload_ladder)
 
     @property
     def simulator(self) -> ProgramSimulator:
         """This tool's simulator, created lazily and kept for the tool's life.
 
-        Sharing one simulator across :meth:`plan` calls is what makes payload
-        ladders cheap: the compiled-profile cache keyed by program signature
-        survives between queries, so re-pricing a known program at a new
-        payload skips semantics and contention analysis entirely.  If the
+        One simulator across :meth:`plan` calls keeps the compiled-profile
+        cache (keyed by program signature) between queries, so re-pricing a
+        known program at a new payload skips semantics and contention
+        analysis; the shape memo beside it does the same for synthesis,
+        lowering and validation (:class:`~repro.search.ShapeMemo`).  If the
         tool's ``topology`` or ``cost_model`` fields are reassigned, the
         simulator (and its cache) is rebuilt so predictions never come from
         stale bindings.
@@ -621,8 +616,6 @@ class P2:
             or simulator.cost_model != self.cost_model
         ):
             simulator = ProgramSimulator(self.topology, self.cost_model)
-            if self._payload_ladder is not None:
-                simulator.set_payload_ladder(self._payload_ladder)
             self._simulator = simulator
         return simulator
 
@@ -716,6 +709,7 @@ class P2:
                         validate=self.validate_lowering,
                         sources=sources,
                         recorder=recorder,
+                        shapes=self._shapes,
                     )
                     hits_after, misses_after = pool.profile_counters()
             else:
@@ -738,6 +732,7 @@ class P2:
                     simulator=None if evaluator is not None else simulator,
                     sources=sources,
                     recorder=recorder,
+                    shapes=self._shapes,
                 )
                 hits_after, misses_after = _profile_counters(simulator)
             if evaluator is not None:

@@ -652,6 +652,7 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
 
 def _run_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import gc
     import json
     import os
 
@@ -694,6 +695,11 @@ def _run_serve(args: argparse.Namespace) -> int:
         daemon = PlanDaemon(service, config, recorder=recorder)
         daemon.install_signal_handlers(asyncio.get_event_loop())
         await daemon.start()
+        # What boot built (imports, corpus replay, --warm plans, the shape memo) lives as
+        # long as this process: frozen, no gen-2 pass walks it into the request tail.
+        gc.collect()
+        gc.freeze()
+        recorder.gauge("gc.frozen_objects", gc.get_freeze_count())
         listening = []
         ready = {"pid": os.getpid()}
         if daemon.tcp_address is not None:

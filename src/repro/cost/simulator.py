@@ -134,15 +134,6 @@ class ProgramSimulator:
     _pricers: "OrderedDict[Tuple, BatchPricer]" = field(
         default_factory=OrderedDict, init=False, repr=False, compare=False
     )
-    _ladder: Optional[Tuple[float, ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _ladder_index: Dict[float, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _ladder_memo: "OrderedDict[Tuple, BatchPriceResult]" = field(
-        default_factory=OrderedDict, init=False, repr=False, compare=False
-    )
 
     def simulate(
         self,
@@ -150,22 +141,9 @@ class ProgramSimulator:
         bytes_per_device: float,
         algorithm: NCCLAlgorithm = NCCLAlgorithm.RING,
     ) -> SimulationResult:
-        """Predict the end-to-end time of ``program`` (profile fast path).
-
-        When a payload ladder is installed (:meth:`set_payload_ladder`) and
-        ``bytes_per_device`` is one of its rungs, the whole ladder is priced
-        through the vectorized :class:`~repro.cost.batch.BatchPricer` on the
-        first rung and memoized per ``(signature, algorithm)``; later rungs
-        are O(1) lookups.  Results are exactly the floats the scalar loop
-        produces — the contract :mod:`repro.cost.batch` maintains.
-        """
+        """Predict the end-to-end time of ``program`` (profile fast path)."""
         self._validate(program, bytes_per_device)
         profile = self.profile_for(program)
-        if self._ladder is not None:
-            column = self._ladder_index.get(float(bytes_per_device))
-            if column is not None:
-                memo = self._ladder_result(program, profile, algorithm)
-                return memo.result(column, label=program.label)
         with self.recorder.span("profile.price", steps=program.num_steps):
             return price_profile(
                 profile, bytes_per_device, algorithm, self.cost_model, label=program.label
@@ -208,32 +186,18 @@ class ProgramSimulator:
         """Total predicted seconds for many programs at one payload.
 
         One flattened :func:`~repro.cost.batch.price_programs` kernel prices
-        every program's class rows together; with a payload ladder installed
-        and ``bytes_per_device`` on it, each program instead reads (and on
-        first touch fills) its ladder memo, so the remaining rungs of a sweep
-        are pure lookups.  Profiles are resolved through :meth:`profile_for`
-        in input order — the hit/miss provenance is exactly what per-program
-        :meth:`simulate` calls would record.
+        every program's class rows together.  Profiles are resolved through
+        :meth:`profile_for` in input order — the hit/miss provenance is
+        exactly what per-program :meth:`simulate` calls would record.
         """
         if not programs:
             return []
         for program in programs:
             self._validate(program, bytes_per_device)
         profiles = [self.profile_for(program) for program in programs]
-        column = (
-            self._ladder_index.get(float(bytes_per_device))
-            if self._ladder is not None
-            else None
-        )
         with self.recorder.span(
             "profile.price", programs=len(programs), batched=True
         ):
-            if column is not None:
-                totals = [
-                    self._ladder_result(program, profile, algorithm).total(column)
-                    for program, profile in zip(programs, profiles)
-                ]
-                return totals
             pricers = [
                 self.pricer_for(program.signature(), profile)
                 for program, profile in zip(programs, profiles)
@@ -243,62 +207,6 @@ class ProgramSimulator:
             )
         self._count_batch(have_numpy(), len(programs))
         return totals
-
-    def set_payload_ladder(
-        self, payloads: Optional[Sequence[float]] = None
-    ) -> None:
-        """Install (or clear, with ``None``) the payload-ladder memo.
-
-        A sweep that re-plans the same shapes across a payload ladder calls
-        this with the full ladder up front; every rung after a signature's
-        first is then answered from the memoized batch result.  Installing a
-        ladder drops previous memos; ladders with fewer than two distinct
-        payloads clear the memo entirely (no batching to amortize).
-        """
-        self._ladder_memo.clear()
-        self._ladder_index = {}
-        if payloads is None:
-            self._ladder = None
-            return
-        values = [float(p) for p in payloads]
-        for value in values:
-            if value < 0:
-                raise CostModelError("bytes_per_device must be non-negative")
-        distinct: List[float] = []
-        for value in values:
-            if value not in distinct:
-                distinct.append(value)
-        if len(distinct) < 2 or not have_numpy():
-            self._ladder = None
-            return
-        self._ladder = tuple(distinct)
-        self._ladder_index = {value: i for i, value in enumerate(distinct)}
-
-    @property
-    def payload_ladder(self) -> Optional[Tuple[float, ...]]:
-        return self._ladder
-
-    def _ladder_result(
-        self,
-        program: LoweredProgram,
-        profile: SimulationProfile,
-        algorithm: NCCLAlgorithm,
-    ) -> BatchPriceResult:
-        key = (program.signature(), algorithm)
-        memo = self._ladder_memo.get(key)
-        if memo is not None:
-            self._ladder_memo.move_to_end(key)
-            return memo
-        pricer = self.pricer_for(program.signature(), profile)
-        with self.recorder.span(
-            "profile.price", steps=program.num_steps, payloads=len(self._ladder)
-        ):
-            memo = pricer.price(self._ladder, algorithm, self.cost_model)
-        self._count_batch(memo.vectorized, memo.num_payloads)
-        self._ladder_memo[key] = memo
-        if len(self._ladder_memo) > self.profile_cache_size:
-            self._ladder_memo.popitem(last=False)
-        return memo
 
     def pricer_for(self, key: Tuple, profile: SimulationProfile) -> BatchPricer:
         """The (cached) coefficient tables for one profile signature."""
@@ -398,10 +306,9 @@ class ProgramSimulator:
         return len(self._profiles)
 
     def clear_profiles(self) -> None:
-        """Drop every cached profile, pricer table and ladder memo."""
+        """Drop every cached profile and pricer table."""
         self._profiles.clear()
         self._pricers.clear()
-        self._ladder_memo.clear()
 
     # ------------------------------------------------------------------ #
     # Reference implementation (the executable specification)

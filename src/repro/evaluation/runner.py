@@ -241,10 +241,11 @@ class SweepRunner:
         to make sweeps cache-amortized (re-runs and duplicate shapes become
         fingerprint lookups) and parallel (the service's worker pool).
         Planners are built once per topology and reused across scenarios —
-        which also reuses one :class:`~repro.cost.simulator.ProgramSimulator`
-        (hence one compiled-profile cache) across a scenario's payload
-        ladder, so only the first rung pays semantics/contention analysis;
-        the resulting ``profile_hits`` land in each result's provenance.
+        which also reuses one shape memo and one compiled-profile cache
+        across a scenario's payload ladder, so only the first rung pays
+        synthesis, validation and contention analysis; the resulting
+        ``profile_hits`` and ``search["reused_streams"]`` land in each
+        result's provenance.
         :meth:`close` releases any planners that need releasing.
     measure_programs / measurement_runs / noise_seed:
         Testbed measurement of every ranked program (the planner only
@@ -321,51 +322,7 @@ class SweepRunner:
             config if isinstance(config, Scenario) else Scenario(config=config)
             for config in configs
         ]
-        ladders = self._payload_ladders(scenarios)
-        results = []
-        for scenario, ladder in zip(scenarios, ladders):
-            self._prime_ladder(scenario, ladder)
-            results.append(self.run(scenario))
-        return results
-
-    # ------------------------------------------------------------------ #
-    # Payload-ladder priming
-    # ------------------------------------------------------------------ #
-    def _payload_ladders(
-        self, scenarios: Sequence[Scenario]
-    ) -> List[Optional[Tuple[float, ...]]]:
-        """Per-scenario payload ladders for batch pricing.
-
-        Scenarios that differ *only* in ``bytes_per_device`` (same topology,
-        same canonical query otherwise) form a ladder group — the shape the
-        ``payload-ladder`` and ``appendix`` presets sweep.  Each scenario in
-        a group of two or more distinct payloads gets the group's full
-        ladder, which :meth:`_prime_ladder` installs on the planner so one
-        vectorized batch per compiled signature answers every rung.
-        """
-        group_payloads: Dict[Tuple[str, str], List[float]] = {}
-        keyed: List[Tuple[Tuple[str, str], Optional[float]]] = []
-        for scenario in scenarios:
-            query = scenario.query().to_dict()
-            payload = query.pop("bytes_per_device", None)
-            key = (scenario.topology_key(), json.dumps(query, sort_keys=True))
-            value = float(payload) if payload is not None else None
-            keyed.append((key, value))
-            bucket = group_payloads.setdefault(key, [])
-            if value is not None and value not in bucket:
-                bucket.append(value)
-        return [
-            tuple(group_payloads[key]) if len(group_payloads[key]) >= 2 else None
-            for key, _ in keyed
-        ]
-
-    def _prime_ladder(
-        self, scenario: Scenario, ladder: Optional[Tuple[float, ...]]
-    ) -> None:
-        planner = self.planner_for(scenario)
-        setter = getattr(planner, "set_payload_ladder", None)
-        if callable(setter):
-            setter(ladder)
+        return [self.run(scenario) for scenario in scenarios]
 
     def run_stream(
         self,
@@ -398,7 +355,6 @@ class SweepRunner:
                 done[record.get("scenario", "")] = record  # last record wins
 
         results: List[SweepResult] = []
-        ladders = dict(zip(map(id, scenarios), self._payload_ladders(scenarios)))
         handle = None
         try:
             if path is not None:
@@ -423,7 +379,6 @@ class SweepRunner:
                 if restored is not None:
                     results.append(restored)
                 else:
-                    self._prime_ladder(scenario, ladders[id(scenario)])
                     result = self.run(scenario)
                     record = result_to_record(result, query=query_dict)
                     results.append(result)

@@ -35,10 +35,12 @@ from repro.search.source import (
     ROLE_BASELINE,
     ROLE_SEARCH,
     ROLE_SEED,
+    SHAPE_MEMO_SHAPES,
     BaselineSource,
     CandidateSource,
     PinnedPlanSource,
     SearchSpace,
+    ShapeMemo,
     StrategyEntry,
     SynthesisSource,
     Watermark,
@@ -52,6 +54,7 @@ __all__ = [
     "ROLE_BASELINE",
     "ROLE_SEARCH",
     "ROLE_SEED",
+    "SHAPE_MEMO_SHAPES",
     "BaselineSource",
     "CandidateEvaluator",
     "CandidateSource",
@@ -61,6 +64,7 @@ __all__ = [
     "SearchReport",
     "SearchResult",
     "SearchSpace",
+    "ShapeMemo",
     "ShardedSearchDriver",
     "SharedWatermark",
     "StrategyEntry",

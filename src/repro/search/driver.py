@@ -145,6 +145,9 @@ class SearchReport:
     # Profile compiles on this driver's simulator that reused the validation
     # sweep (pool workers count theirs in ``profile.semantics_reused``).
     semantics_reused: int = 0
+    # Source streams answered from the planner's shape memo: their entries were
+    # synthesized, lowered and validated by an earlier search of the same shape.
+    reused_streams: int = 0
     shards: int = 1               # worker processes the search ran across
     shard_steals: int = 0         # matrices claimed outside a shard's home slice
     # Per-shard provenance (matrices claimed, steals, counters, seconds),
@@ -172,6 +175,7 @@ class SearchReport:
             "batch_payloads": self.batch_payloads,
             "batch_fallbacks": self.batch_fallbacks,
             "semantics_reused": self.semantics_reused,
+            "reused_streams": self.reused_streams,
             "shards": self.shards,
             "shard_steals": self.shard_steals,
         }
@@ -409,6 +413,10 @@ class SearchDriver:
         entries: List[StrategyEntry] = []
         predicted: List[float] = []
         candidates: List[PlacementCandidate] = []
+        # The candidates this search synthesized itself (a stream answered from
+        # the shape memo hands over an earlier search's): the work counters
+        # below report work done, not work inherited.
+        worked: List[PlacementCandidate] = []
         seen_candidates: Set[int] = set()
         baselines: Dict[str, float] = {}
         # The synthesis/evaluation wall-clock split is part of the outcome
@@ -454,6 +462,10 @@ class SearchDriver:
             simulator.semantics_reused,
             simulator.steps_profiled,
             simulator.steps_compiled,
+        )
+        shapes = space.shapes
+        memo_before = (
+            (shapes.hits, shapes.misses, shapes.evicted) if shapes is not None else None
         )
         # Budgeted pool path: survivors buffered between watermark reads.
         chunk: List[StrategyEntry] = []
@@ -516,6 +528,7 @@ class SearchDriver:
             with self.recorder.span(
                 "search.source", source=source.name, role=source.role
             ):
+                reused_before, first_own = report.reused_streams, len(candidates)
                 iterator = source.entries(space, watermark, report)
                 is_search = source.role not in (ROLE_BASELINE, ROLE_SEED)
                 while True:
@@ -604,6 +617,8 @@ class SearchDriver:
                     # An abandoned stream drops its search state (and counts
                     # what it shared) here, not when the generator is collected.
                     iterator.close()
+                if report.reused_streams == reused_before:
+                    worked.extend(candidates[first_own:])
 
         if batch_all and batch_items:
             with evaluation_watch:
@@ -676,12 +691,17 @@ class SearchDriver:
         recorder.count("search.baseline_entries", report.baseline_entries)
         # What the matrices' programs shared, once per search: contexts expanded, lowered
         # steps validated vs Hoare transitions checked, profile steps vs steps analysed.
-        synthesized = [c.synthesis for c in candidates if c.synthesis is not None]
+        synthesized = [c.synthesis for c in worked if c.synthesis is not None]
         recorder.count("synthesis.contexts_expanded", sum(s.contexts_expanded for s in synthesized))
-        recorder.count("semantics.steps", sum(c.semantic_steps for c in candidates))
-        recorder.count("semantics.transitions", sum(c.semantic_transitions for c in candidates))
+        recorder.count("semantics.steps", sum(c.semantic_steps for c in worked))
+        recorder.count("semantics.transitions", sum(c.semantic_transitions for c in worked))
         recorder.count("profile.steps", simulator.steps_profiled - counters_before[4])
         recorder.count("profile.steps_compiled", simulator.steps_compiled - counters_before[5])
+        if memo_before is not None:
+            recorder.count("search.shape_memo.hit", shapes.hits - memo_before[0])
+            recorder.count("search.shape_memo.miss", shapes.misses - memo_before[1])
+            recorder.count("search.shape_memo.evicted", shapes.evicted - memo_before[2])
+            recorder.gauge("search.shape_memo.shapes", len(shapes))
         recorder.observe("search.synthesis_seconds", synthesis_watch.seconds)
         recorder.observe("search.evaluation_seconds", evaluation_watch.seconds)
         if report.time_to_incumbent_s is not None:

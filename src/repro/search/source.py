@@ -31,8 +31,11 @@ scales").
 from __future__ import annotations
 
 import logging
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, List, Optional, Protocol, Sequence, runtime_checkable
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple, runtime_checkable,
+)
 
 from repro.baselines.allreduce import default_all_reduce
 from repro.baselines.blueconnect import blueconnect
@@ -65,6 +68,8 @@ __all__ = [
     "BASELINE_HIERARCHICAL",
     "BASELINE_BLUECONNECT",
     "StrategyEntry",
+    "SHAPE_MEMO_SHAPES",
+    "ShapeMemo",
     "SearchSpace",
     "Watermark",
     "CandidateSource",
@@ -90,6 +95,9 @@ BASELINE_ALL_REDUCE = "all_reduce"
 BASELINE_HIERARCHICAL = "hierarchical"
 BASELINE_BLUECONNECT = "blueconnect"
 
+# Distinct shapes one ShapeMemo keeps.
+SHAPE_MEMO_SHAPES = 32
+
 
 @dataclass(frozen=True)
 class StrategyEntry:
@@ -111,15 +119,58 @@ class StrategyEntry:
     tag: Optional[str] = None
 
 
+class ShapeMemo:
+    """The complete entry streams of the shapes a long-lived planner has searched.
+
+    What :class:`SynthesisSource` and :class:`BaselineSource` yield depends
+    only on a query's *shape* — system hierarchy, axes, reduction request,
+    size limits, ``validate`` — never on ``bytes_per_device`` or
+    ``algorithm``, which only the pricing that follows reads.  A planner that
+    outlives its requests keeps, per shape, the entries each source yielded on
+    one complete exhaustive run — the very programs that were lowered and
+    validated on every device group — and answers a later query of that shape
+    by pricing, ranking and serializing them.  Bounded to
+    :data:`SHAPE_MEMO_SHAPES` shapes, least recently used evicted first;
+    ``hits`` / ``misses`` count source lookups, ``evicted`` shapes.
+    """
+
+    def __init__(self) -> None:
+        self._shapes: "OrderedDict[Tuple, Dict[str, Tuple[StrategyEntry, ...]]]" = OrderedDict()
+        self.hits = self.misses = self.evicted = 0
+
+    def __len__(self) -> int:
+        return len(self._shapes)
+
+    def recall(self, shape: Tuple, source: str) -> Optional[Tuple[StrategyEntry, ...]]:
+        entries = self._shapes.get(shape, {}).get(source)
+        if entries is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self._shapes.move_to_end(shape)
+        return entries
+
+    def remember(self, shape: Tuple, source: str, entries: Tuple[StrategyEntry, ...]) -> None:
+        self._shapes.setdefault(shape, {})[source] = entries
+        self._shapes.move_to_end(shape)
+        if len(self._shapes) > SHAPE_MEMO_SHAPES:
+            self._shapes.popitem(last=False)
+            self.evicted += 1
+
+
 @dataclass(frozen=True)
 class SearchSpace:
-    """The fixed inputs of one streaming search (everything sources consume)."""
+    """The fixed inputs of one streaming search (everything sources consume).
+
+    ``shapes`` is the caller's :class:`ShapeMemo`; a one-off search or a shard worker has none.
+    """
 
     topology: MachineTopology
     cost_model: CostModel
     query: PlanQuery
     node_limit: int = 500_000
     validate: bool = True
+    shapes: Optional[ShapeMemo] = field(default=None, compare=False, repr=False)
 
 
 class Watermark:
@@ -166,6 +217,37 @@ class CandidateSource(Protocol):
         ...
 
 
+def _through_shape_memo(
+    source, stream, space: SearchSpace, watermark: Watermark, report: "SearchReport"
+) -> Iterator[StrategyEntry]:
+    """``stream(space, watermark, report)``, from ``space.shapes`` once the shape is known.
+
+    Only a complete exhaustive stream over every matrix is a function of the
+    shape alone, so a budgeted or sharded query, a source restricted to some
+    matrices and a finite watermark (it prunes placements) neither read nor
+    write the memo, and a stream abandoned or failed part-way stores nothing.
+    """
+    query, memo = space.query, space.shapes
+    if (memo is None or query.has_search_budget or query.shards > 1
+            or source.matrix_indices is not None or watermark.seconds != float("inf")):
+        yield from stream(space, watermark, report)
+        return
+    # request.axes, as in the canonical query: the request's legacy payload field means nothing.
+    shape = (space.topology.hierarchy, query.axes, query.request.axes, query.max_program_size,
+             query.max_matrices, space.node_limit, space.validate)
+    entries = memo.recall(shape, source.name)
+    if entries is None:
+        fresh = []
+        for entry in stream(space, watermark, report):
+            fresh.append(entry)
+            yield entry
+        if watermark.seconds == float("inf"):
+            memo.remember(shape, source.name, tuple(fresh))
+    else:
+        report.reused_streams += 1
+        yield from entries
+
+
 @dataclass
 class SynthesisSource:
     """The P² synthesis pipeline as a lazy entry stream.
@@ -202,7 +284,7 @@ class SynthesisSource:
     ) -> Iterator[StrategyEntry]:
         if space.query.has_search_budget:
             return self._entries_by_size(space, watermark, report)
-        return self._entries_by_placement(space, watermark, report)
+        return _through_shape_memo(self, self._entries_by_placement, space, watermark, report)
 
     # ------------------------------------------------------------------ #
     def _entries_by_placement(
@@ -365,6 +447,11 @@ class BaselineSource:
     role: str = field(default=ROLE_BASELINE, init=False)
 
     def entries(
+        self, space: SearchSpace, watermark: Watermark, report: "SearchReport"
+    ) -> Iterator[StrategyEntry]:
+        return _through_shape_memo(self, self._entries_by_placement, space, watermark, report)
+
+    def _entries_by_placement(
         self, space: SearchSpace, watermark: Watermark, report: "SearchReport"
     ) -> Iterator[StrategyEntry]:
         query = space.query

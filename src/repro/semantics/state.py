@@ -92,16 +92,32 @@ class DeviceState:
     # Constructors
     # ------------------------------------------------------------------ #
     @classmethod
+    def _uniform(cls, num_chunks: int, mask: int) -> "DeviceState":
+        """Every row equal to ``mask`` (a checked contributor mask), packed directly.
+
+        ``mask`` times the repunit 1 + 2^k + ... + 2^(k(k-1)) lays it into all
+        k rows at once; the validating constructor would loop over them.
+        """
+        if num_chunks < 1:
+            raise SemanticsError(f"num_chunks must be >= 1, got {num_chunks}")
+        if not mask:
+            return cls._packed(num_chunks, 0, 0)
+        full = (1 << num_chunks) - 1
+        return cls._packed(
+            num_chunks, mask * (((1 << num_chunks * num_chunks) - 1) // full), full
+        )
+
+    @classmethod
     def empty(cls, num_chunks: int) -> "DeviceState":
         """A device holding no data at all."""
-        return cls(num_chunks, (0,) * num_chunks)
+        return cls._uniform(num_chunks, 0)
 
     @classmethod
     def initial(cls, num_chunks: int, device: int) -> "DeviceState":
         """The initial state of ``device``: every chunk present, contributed only by itself."""
         if not 0 <= device < num_chunks:
             raise SemanticsError(f"device {device} out of range for {num_chunks} devices")
-        return cls(num_chunks, (1 << device,) * num_chunks)
+        return cls._uniform(num_chunks, 1 << device)
 
     @classmethod
     def full(cls, num_chunks: int, contributors: Iterable[int] = None) -> "DeviceState":
@@ -114,7 +130,7 @@ class DeviceState:
                 if not 0 <= c < num_chunks:
                     raise SemanticsError(f"contributor {c} out of range")
                 mask |= 1 << c
-        return cls(num_chunks, (mask,) * num_chunks)
+        return cls._uniform(num_chunks, mask)
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[int]]) -> "DeviceState":

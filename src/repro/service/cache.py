@@ -23,8 +23,11 @@ recomputes the plan.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+import os
+import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -166,12 +169,22 @@ class PlanCache:
                 "plan": plan,
             }
             # Write-then-rename so a crashed writer never leaves a torn entry
-            # under the final name.
-            tmp = path.with_suffix(".json.tmp")
-            # No ``indent``: it forces the pure-Python encoder (8x slower, 4x
-            # the bytes for a few-hundred-strategy plan).
-            tmp.write_text(json.dumps(envelope))
-            tmp.replace(path)
+            # under the final name; the temp name is this writer's alone, so
+            # two processes storing one fingerprint cannot publish (or remove)
+            # each other's half-written file.
+            handle, tmp = tempfile.mkstemp(
+                dir=self.directory, prefix=f"{fingerprint}.", suffix=".tmp"
+            )
+            try:
+                with os.fdopen(handle, "w") as stream:
+                    # No ``indent``: it forces the pure-Python encoder (8x
+                    # slower, 4x the bytes for a few-hundred-strategy plan).
+                    stream.write(json.dumps(envelope))
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
             logger.debug("stored plan %s to %s", fingerprint, path)
 
     def _insert_memory(self, fingerprint: str, plan: Dict) -> None:
@@ -243,6 +256,9 @@ class PlanCache:
         if self.directory is not None and self.directory.exists():
             for path in self.directory.glob("*.json"):
                 fingerprints.add(path.stem)
+                path.unlink()
+            # What writers that died mid-store left behind (never entries).
+            for path in self.directory.glob("*.tmp"):
                 path.unlink()
         return len(fingerprints)
 

@@ -43,6 +43,7 @@ from repro.errors import ReproError, ServiceError
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.obs.recorder import get_recorder
 from repro.query import PlanOutcome, PlanQuery
+from repro.search.source import SHAPE_MEMO_SHAPES, ShapeMemo
 from repro.service.cache import PlanCache
 from repro.service.fingerprint import canonical_topology, plan_query_fingerprint
 from repro.service.parallel import ParallelEvaluator
@@ -174,12 +175,14 @@ class PlanningService:
         # construction (install one via repro.obs.set_recorder first, or pass
         # it explicitly — embeddings like the serving daemon do the latter).
         self.recorder = recorder if recorder is not None else get_recorder()
-        # One simulator for the serial cold path: its compiled-profile cache
-        # (keyed by program signature) persists across requests, so a payload
-        # ladder over one shape re-prices profiles instead of re-simulating.
+        # One simulator for the serial cold path and one shape memo for every
+        # path: compiled profiles (keyed by program signature) and validated
+        # entry streams (keyed by query shape) persist across requests, so a
+        # payload ladder over one shape synthesizes once and re-prices.
         self._simulator = ProgramSimulator(
             topology, self.cost_model, recorder=self.recorder
         )
+        self._shapes = ShapeMemo()
         self.corpus = corpus
         if corpus is not None:
             # Imported lazily: repro.corpus sits above the service layer
@@ -193,20 +196,6 @@ class PlanningService:
         else:
             self._seeder = None
         self.requests_served = 0
-
-    def set_payload_ladder(self, payloads=None) -> None:
-        """Install (or clear) the payload-ladder memo on the pricing simulators.
-
-        Forwards to the serial-path simulator and, when a worker pool is
-        live, to the evaluator's parent-side simulator (its inline path) —
-        see :meth:`~repro.cost.simulator.ProgramSimulator.set_payload_ladder`.
-        Sweeps call this per scenario group so one vectorized batch answers
-        every rung of a ladder.
-        """
-        ladder = tuple(payloads) if payloads is not None else None
-        self._simulator.set_payload_ladder(ladder)
-        if self._evaluator is not None:
-            self._evaluator.simulator.set_payload_ladder(ladder)
 
     # ------------------------------------------------------------------ #
     # The Planner protocol: plan / plan_many over PlanQuery objects
@@ -295,6 +284,7 @@ class PlanningService:
                     simulator=None if evaluator is not None else self._simulator,
                     recorder=recorder,
                     sources=sources,
+                    shapes=self._shapes,
                 )
                 plan = computation.plan
                 # Budgeted plans are never cached: a wall-clock budget is not a
@@ -464,5 +454,7 @@ class PlanningService:
         return (
             f"PlanningService({self.topology.name}, max_program_size="
             f"{self.max_program_size}, workers={self.n_workers}, "
-            f"served={self.requests_served}; {self.cache.describe()})"
+            f"served={self.requests_served}, "
+            f"shape memo {len(self._shapes)}/{SHAPE_MEMO_SHAPES}; "
+            f"{self.cache.describe()})"
         )

@@ -190,8 +190,6 @@ class TestValidation:
             pricer.lower_bounds([-1.0])
         with pytest.raises(CostModelError, match="non-negative"):
             price_programs([pricer], -1.0)
-        with pytest.raises(CostModelError, match="non-negative"):
-            simulator.set_payload_ladder([0.0, -1.0])
 
     def test_device_mismatch_is_rejected(self, a100_2node, v100_2node):
         program = _sample_programs(v100_2node, (4, 4), (0,), k=1)[0]
@@ -203,7 +201,7 @@ class TestValidation:
 
 
 class TestSimulatorBatching:
-    """simulate_batch / simulate_many / the payload-ladder memo."""
+    """simulate_batch / simulate_many."""
 
     def test_simulate_batch_equals_per_payload_simulate(self, a100_2node):
         simulator = ProgramSimulator(a100_2node)
@@ -230,48 +228,13 @@ class TestSimulatorBatching:
         assert simulator.profile_misses == reference.profile_misses
         assert simulator.profile_hits == reference.profile_hits
 
-    def test_ladder_memo_prices_once_and_stays_exact(self, a100_2node):
-        if not have_numpy():
-            pytest.skip("ladder memo requires numpy")
+    def test_clear_profiles_drops_pricers(self, a100_2node):
         simulator = ProgramSimulator(a100_2node)
-        reference = ProgramSimulator(a100_2node)
-        simulator.set_payload_ladder(PAYLOAD_LADDER)
-        assert simulator.payload_ladder == tuple(float(p) for p in PAYLOAD_LADDER)
-        programs = _sample_programs(a100_2node, (8, 4), (0,), k=6)
-        for payload in PAYLOAD_LADDER:
-            for program in programs:
-                assert simulator.simulate(
-                    program, payload
-                ) == reference.simulate(program, payload)
-        # One batched kernel per (signature, algorithm), not per rung.
-        distinct = len({p.signature() for p in programs})
-        assert simulator.batch_prices == distinct
-        assert simulator.batch_payloads == distinct * len(PAYLOAD_LADDER)
-
-    def test_off_ladder_payload_uses_scalar_path(self, a100_2node):
-        simulator = ProgramSimulator(a100_2node)
-        reference = ProgramSimulator(a100_2node)
-        simulator.set_payload_ladder(PAYLOAD_LADDER)
         program = _sample_programs(a100_2node, (8, 4), (0,), k=1)[0]
-        off = 7 * MB
-        assert float(off) not in set(simulator.payload_ladder or ())
-        assert simulator.simulate(program, off) == reference.simulate(program, off)
-
-    def test_degenerate_ladders_clear_the_memo(self, a100_2node):
-        simulator = ProgramSimulator(a100_2node)
-        simulator.set_payload_ladder([1 * MB, 1 * MB])  # < 2 distinct rungs
-        assert simulator.payload_ladder is None
-        simulator.set_payload_ladder(PAYLOAD_LADDER)
-        simulator.set_payload_ladder(None)
-        assert simulator.payload_ladder is None
-
-    def test_clear_profiles_drops_pricers_and_memo(self, a100_2node):
-        simulator = ProgramSimulator(a100_2node)
-        simulator.set_payload_ladder(PAYLOAD_LADDER)
-        program = _sample_programs(a100_2node, (8, 4), (0,), k=1)[0]
-        simulator.simulate(program, PAYLOAD_LADDER[1])
+        simulator.simulate_batch(program, PAYLOAD_LADDER)
+        assert simulator._pricers and simulator.cached_profiles == 1
         simulator.clear_profiles()
-        assert simulator._pricers == {} and simulator._ladder_memo == {}
+        assert simulator._pricers == {} and simulator.cached_profiles == 0
 
 
 class TestBatchPriceResultShape:

@@ -68,6 +68,84 @@ class TestConstruction:
             DeviceState(2, (0b100, 0))
 
 
+def _same(packed: DeviceState, validated: DeviceState) -> bool:
+    return (
+        packed == validated
+        and (packed.num_chunks, packed.bits, packed.present)
+        == (validated.num_chunks, validated.bits, validated.present)
+        and hash(packed) == hash(validated)
+    )
+
+
+def _outcome(build):
+    """What ``build`` returned, or the exception type and message it raised."""
+    try:
+        return build()
+    except (SemanticsError, ValueError, OverflowError) as error:
+        return type(error), str(error)
+
+
+class TestUniformStatesArePackedDirectly:
+    """``initial`` / ``full`` / ``empty`` against the validating row constructor."""
+
+    @pytest.mark.parametrize("num_chunks", [1, 2, 7, 63, 64, 65])
+    def test_initial_on_every_device(self, num_chunks):
+        for device in range(num_chunks):
+            state = DeviceState.initial(num_chunks, device)
+            assert _same(state, DeviceState(num_chunks, (1 << device,) * num_chunks))
+            assert state.non_empty_rows == tuple(range(num_chunks))
+            assert state.contributors(num_chunks - 1) == (device,)
+
+    def test_every_size_up_to_70(self):
+        for k in range(1, 71):
+            assert _same(DeviceState.empty(k), DeviceState(k, (0,) * k))
+            assert _same(DeviceState.full(k), DeviceState(k, ((1 << k) - 1,) * k))
+            for device in {0, k // 2, k - 1}:
+                assert _same(
+                    DeviceState.initial(k, device), DeviceState(k, (1 << device,) * k)
+                )
+            for contributors in ([], [0], [k - 1], range(0, k, 2), range(k), [0, 0]):
+                mask = sum(1 << c for c in set(contributors))
+                assert _same(
+                    DeviceState.full(k, contributors), DeviceState(k, (mask,) * k)
+                )
+
+    def test_out_of_range_arguments_raise_what_the_row_constructor_raised(self):
+        def initial(k, device):
+            # The factory as it was: a range check, then the validating constructor.
+            if not 0 <= device < k:
+                raise SemanticsError(f"device {device} out of range for {k} devices")
+            return DeviceState(k, (1 << device,) * k)
+
+        def full(k, contributors):
+            if contributors is None:
+                mask = (1 << k) - 1
+            else:
+                mask = 0
+                for c in contributors:
+                    if not 0 <= c < k:
+                        raise SemanticsError(f"contributor {c} out of range")
+                    mask |= 1 << c
+            return DeviceState(k, (mask,) * k)
+
+        for k in (-2, -1, 0, 1, 3):
+            assert _outcome(lambda: DeviceState.empty(k)) == _outcome(
+                lambda: DeviceState(k, (0,) * k)
+            )
+            for device in (-1, 0, k - 1, k, k + 5):
+                assert _outcome(lambda: DeviceState.initial(k, device)) == _outcome(
+                    lambda: initial(k, device)
+                )
+            for contributors in (None, [], [0], [-1], [k], [0, k + 1]):
+                assert _outcome(lambda: DeviceState.full(k, contributors)) == _outcome(
+                    lambda: full(k, contributors)
+                )
+        with pytest.raises(SemanticsError, match="num_chunks must be >= 1"):
+            DeviceState.empty(0)
+        with pytest.raises(SemanticsError, match="out of range"):
+            DeviceState.initial(0, 0)
+
+
 class TestQueries:
     def test_contributors(self):
         state = DeviceState(3, (0b101, 0, 0b010))

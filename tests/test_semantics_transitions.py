@@ -228,8 +228,8 @@ class TestStepProfilesAndContention:
         assert topology._contention and topology._step_profiles
 
 
-def reachable_states(root):
-    """Every ``DeviceState`` reachable from ``root`` through data (not code)."""
+def reachable_states(root, kind=DeviceState):
+    """Every ``DeviceState`` (or ``kind``) reachable from ``root`` through data (not code)."""
     skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
     seen, stack, found = set(), [root], []
     while stack:
@@ -237,7 +237,7 @@ def reachable_states(root):
         if id(obj) in seen or isinstance(obj, skip):
             continue
         seen.add(id(obj))
-        if isinstance(obj, DeviceState):
+        if isinstance(obj, kind):
             found.append(obj)
         stack.extend(gc.get_referents(obj))
     return found

@@ -13,6 +13,7 @@ deterministic; the end-to-end tests use a real
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -523,6 +524,19 @@ class TestSignalDrain:
             assert info["pid"] == process.pid
             with PlanClient(host=info["host"], port=info["port"]) as c:
                 assert c.ping()["ok"] is True
+                # The process that is the daemon froze its boot-time heap, and
+                # its stats reply says so; a second payload of one shape is
+                # answered from the service's shape memo.
+                assert c.stats()["gauges"]["gc.frozen_objects"] > 10_000
+                first = c.plan(QUERY)["outcome"]
+                second = c.plan(dataclasses.replace(QUERY, bytes_per_device=1 << 24))["outcome"]
+                assert first["search"]["reused_streams"] == 0
+                assert second["cache_tier"] is None
+                assert second["search"]["reused_streams"] == 2
+                snapshot = c.stats()
+                assert snapshot["counters"]["search.shape_memo.hit"] == 2
+                assert snapshot["counters"]["search.shape_memo.miss"] == 2
+                assert snapshot["gauges"]["search.shape_memo.shapes"] == 1
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=30) == 0
             # A clean drain: the daemon logged shutdown, not a traceback.

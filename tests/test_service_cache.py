@@ -238,3 +238,84 @@ class TestDiskTier:
         text = cache.describe()
         assert "memory 1" in text
         assert "disk 1" in text
+
+
+class TestWritersSharingADirectory:
+    """Two caches over one directory (two processes) storing one fingerprint."""
+
+    FINGERPRINT = "f" * 64
+
+    def test_interleaved_puts_both_return_and_leave_one_whole_entry(
+        self, plan, tmp_path, monkeypatch
+    ):
+        first, second = PlanCache(tmp_path), PlanCache(tmp_path)
+        data = plan_to_dict(plan)
+        real_fdopen = os.fdopen
+        interleaved = []
+
+        class HalfWayStream:
+            """The first writer's stream: the second writer stores the same
+            fingerprint, start to finish, while half the file is written."""
+
+            def __init__(self, stream):
+                self.stream = stream
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.stream.close()
+
+            def write(self, text):
+                self.stream.write(text[: len(text) // 2])
+                self.stream.flush()
+                second.put(TestWritersSharingADirectory.FINGERPRINT, data)
+                interleaved.append(sorted(p.name for p in tmp_path.iterdir()))
+                return self.stream.write(text[len(text) // 2 :])
+
+        def fdopen(fd, *args, **kwargs):
+            monkeypatch.setattr(os, "fdopen", real_fdopen)  # the first writer only
+            return HalfWayStream(real_fdopen(fd, *args, **kwargs))
+
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        first.put(self.FINGERPRINT, data)
+
+        # The second writer published its own complete file while the first
+        # one's half-written temp file sat beside it under another name.
+        (during,) = interleaved
+        assert f"{self.FINGERPRINT}.json" in during
+        assert len([name for name in during if name.endswith(".tmp")]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == [f"{self.FINGERPRINT}.json"]
+        reader = PlanCache(tmp_path)
+        loaded, tier = reader.lookup(self.FINGERPRINT)
+        assert tier == "disk" and reader.stats.corrupt_entries == 0
+        assert json.dumps(loaded, sort_keys=True) == json.dumps(data, sort_keys=True)
+        assert _ranking(plan_from_dict(loaded)) == _ranking(plan)
+        assert reader.disk_fingerprints() == [self.FINGERPRINT]
+
+    def test_a_failed_write_removes_its_temp_file(self, plan, tmp_path, monkeypatch):
+        cache = PlanCache(tmp_path)
+
+        def no_space(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", no_space)
+        with pytest.raises(OSError, match="No space left"):
+            cache.put(self.FINGERPRINT, plan_to_dict(plan))
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stale_temp_files_are_not_entries_and_clear_removes_them(
+        self, plan, tmp_path
+    ):
+        cache = PlanCache(tmp_path)
+        cache.put("one", plan_to_dict(plan))
+        entry_bytes = cache.disk_bytes()
+        # What a writer killed mid-store leaves behind, old name and new.
+        (tmp_path / "one.json.tmp").write_text('{"format_version": 1, "plan"')
+        (tmp_path / "two.k3j2h1.tmp").write_text("{")
+        assert cache.disk_fingerprints() == ["one"]
+        assert cache.disk_bytes() == entry_bytes
+        assert PlanCache(tmp_path).get("two") is None
+        assert cache.clear() == 1
+        assert list(tmp_path.iterdir()) == []
