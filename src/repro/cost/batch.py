@@ -41,16 +41,18 @@ When numpy is unavailable the pricer transparently falls back to the scalar
 loop (flagged via :attr:`BatchPricer.vectorized` so callers can count
 fallbacks); results are identical either way.
 
-:func:`price_programs` is the cross-program companion: it concatenates many
-pricers' class rows into one flat array and prices them all at a single
-payload with one kernel — per-step maxima via ``np.maximum.reduceat`` (max is
-exact and order-free over non-NaN floats) and per-program totals via a small
-sequential loop over steps.  The streaming search driver uses it to price a
-whole exhaustive entry stream in one call.
+:func:`price_programs` is the cross-program companion: it prices every
+*distinct* step profile of many programs once, at a single payload, in one
+kernel — one row block per :class:`~repro.cost.profile.StepProfile` object
+(programs of a plan share them), per-step maxima via ``np.maximum.reduceat``
+(max is exact and order-free over non-NaN floats) — and sums each program's
+step maxima in a small sequential loop over its steps.  The streaming search
+driver uses it to price a whole exhaustive entry stream in one call.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 try:  # numpy is a declared dependency, but the scalar fallback keeps the
@@ -60,7 +62,7 @@ except ImportError:  # pragma: no cover - exercised via _force_scalar in tests
 
 from repro.cost.model import CostModel
 from repro.cost.nccl import NCCLAlgorithm, bytes_on_wire, latency_steps
-from repro.cost.profile import SimulationProfile, price_profile
+from repro.cost.profile import SimulationProfile, StepProfile, price_profile
 from repro.errors import CostModelError
 
 __all__ = [
@@ -98,6 +100,44 @@ class _FlatTable:
         self.positions = positions  # per step: segment index or None
 
 
+class _Rows:
+    """Class rows under one algorithm, built step by step: one row per class, one
+    segment (for ``np.maximum.reduceat``) per step with classes."""
+
+    def __init__(self) -> None:
+        self.frac: List[float] = []
+        self.ebw: List[float] = []
+        self.coeff: List[float] = []
+        self.lat: List[float] = []
+        self.offsets: List[int] = []
+
+    def add(self, step: StepProfile, algorithm: NCCLAlgorithm) -> int:
+        """Append ``step``'s class rows (it has at least one); its segment index."""
+        self.offsets.append(len(self.frac))
+        for cls in step.classes:
+            self.frac.append(cls.chunk_fraction)
+            self.ebw.append(cls.effective_bandwidth)
+            # bytes_on_wire at payload 1.0 is exactly the per-byte
+            # coefficient: the scalar formulas all multiply the payload
+            # last, so coefficient * payload reproduces them bit for bit.
+            self.coeff.append(bytes_on_wire(step.collective, algorithm, cls.group_size, 1.0))
+            self.lat.append(
+                latency_steps(step.collective, algorithm, cls.group_size) * cls.link_latency
+            )
+        return len(self.offsets) - 1
+
+    def arrays(self) -> Tuple:
+        """(frac, ebw, coeff, lat, offsets) as numpy arrays."""
+        as_array = lambda xs: _np.asarray(xs, dtype=_np.float64)  # noqa: E731
+        return (
+            as_array(self.frac),
+            as_array(self.ebw),
+            as_array(self.coeff),
+            as_array(self.lat),
+            _np.asarray(self.offsets, dtype=_np.intp),
+        )
+
+
 def _validated_payloads(payloads: Sequence[float]) -> List[float]:
     values = list(payloads)
     if not values:
@@ -122,11 +162,12 @@ class BatchPricer:
     def __init__(self, profile: SimulationProfile) -> None:
         self.profile = profile
         self.vectorized = _np is not None
-        # link names per step, for materializing SimulationResult objects.
-        self._links: Tuple[Tuple[str, ...], ...] = tuple(
-            tuple(cls.link_name for cls in step.classes) for step in profile.steps
-        )
         self._flat: Dict[NCCLAlgorithm, Optional[_FlatTable]] = {}
+
+    @cached_property
+    def _links(self) -> Tuple[Tuple[str, ...], ...]:
+        """Link names per step, for materializing SimulationResult objects."""
+        return tuple(tuple(cls.link_name for cls in step.classes) for step in self.profile.steps)
 
     def table(self, algorithm: NCCLAlgorithm) -> Optional[_FlatTable]:
         """The coefficient table under ``algorithm``, built when first priced."""
@@ -138,42 +179,13 @@ class BatchPricer:
     def _flat_table(
         profile: SimulationProfile, algorithm: NCCLAlgorithm
     ) -> Optional[_FlatTable]:
-        frac: List[float] = []
-        ebw: List[float] = []
-        coeff: List[float] = []
-        lat: List[float] = []
-        offsets: List[int] = []
+        rows = _Rows()
         positions: List[Optional[int]] = []
         for step in profile.steps:
-            if not step.classes:
-                positions.append(None)
-                continue
-            offsets.append(len(frac))
-            positions.append(len(offsets) - 1)
-            for cls in step.classes:
-                frac.append(cls.chunk_fraction)
-                ebw.append(cls.effective_bandwidth)
-                # bytes_on_wire at payload 1.0 is exactly the per-byte
-                # coefficient: the scalar formulas all multiply the payload
-                # last, so coefficient * payload reproduces them bit for bit.
-                coeff.append(
-                    bytes_on_wire(step.collective, algorithm, cls.group_size, 1.0)
-                )
-                lat.append(
-                    latency_steps(step.collective, algorithm, cls.group_size)
-                    * cls.link_latency
-                )
-        if not offsets:
+            positions.append(rows.add(step, algorithm) if step.classes else None)
+        if not rows.offsets:
             return None
-        as_array = lambda xs: _np.asarray(xs, dtype=_np.float64)  # noqa: E731
-        return _FlatTable(
-            as_array(frac),
-            as_array(ebw),
-            as_array(coeff),
-            as_array(lat),
-            _np.asarray(offsets, dtype=_np.intp),
-            tuple(positions),
-        )
+        return _FlatTable(*rows.arrays(), tuple(positions))
 
     # ------------------------------------------------------------------ #
     def price(
@@ -452,8 +464,8 @@ def price_programs(
 ) -> List[float]:
     """Total seconds for many profiles at one payload, in one flat kernel.
 
-    All pricers' class rows are concatenated into one array; per-step maxima
-    come from ``np.maximum.reduceat`` over the step segments (max over
+    Each distinct step profile contributes its class rows once; per-step
+    maxima come from ``np.maximum.reduceat`` over the step segments (max over
     non-NaN floats is exact and order-free, so the segment reduce equals the
     scalar first-to-last scan), and per-program totals accumulate the step
     maxima sequentially in step order.  Exact-equal to calling
@@ -470,56 +482,38 @@ def price_programs(
             for pricer in pricers
         ]
 
-    # Concatenate the pricers' flat tables: one row per (pricer, step,
-    # class); record, per pricer, the ordered list of its steps' segment
-    # positions (None for empty steps).
-    frac_parts: List = []
-    ebw_parts: List = []
-    coeff_parts: List = []
-    lat_parts: List = []
-    offset_parts: List = []
-    program_steps: List[Sequence[Optional[int]]] = []
-    cursor = 0
-    segment = 0
+    # One row block per distinct step profile: programs of a plan share their
+    # StepProfile objects (compile_profile memoizes them on the topology), so
+    # identity finds the repeats.  Per program, the ordered segment indices of
+    # its steps with classes (an empty step prices to 0.0 and adds nothing).
+    rows = _Rows()
+    segment_of: Dict[int, int] = {}
+    program_segments: List[List[int]] = []
     for pricer in pricers:
-        flat = pricer.table(algorithm)
-        if flat is None:
-            program_steps.append((None,) * pricer.profile.num_steps)
-            continue
-        frac_parts.append(flat.frac)
-        ebw_parts.append(flat.ebw)
-        coeff_parts.append(flat.coeff)
-        lat_parts.append(flat.lat)
-        offset_parts.append(flat.offsets + cursor)
-        program_steps.append(
-            tuple(
-                None if position is None else segment + position
-                for position in flat.positions
-            )
-        )
-        cursor += flat.frac.shape[0]
-        segment += len(flat.offsets)
+        segments: List[int] = []
+        for step in pricer.profile.steps:
+            if step.classes:
+                segment = segment_of.get(id(step))
+                if segment is None:
+                    segment = segment_of[id(step)] = rows.add(step, algorithm)
+                segments.append(segment)
+        program_segments.append(segments)
 
-    if not offset_parts:
+    if not rows.offsets:
         return [0.0] * len(pricers)
 
-    frac = _np.concatenate(frac_parts)
-    ebw = _np.concatenate(ebw_parts)
-    coeff = _np.concatenate(coeff_parts)
-    lat = _np.concatenate(lat_parts)
-
+    frac, ebw, coeff, lat, offsets = rows.arrays()
     p = _np.float64(bytes_per_device)
     pay = frac * p
     bw = _np.where(pay < model.small_message_bytes, ebw * model.small_message_efficiency, ebw)
     sec = model.launch_overhead + (lat + (coeff * pay) / bw)
-    step_max = _np.maximum.reduceat(sec, _np.concatenate(offset_parts))
+    step_max = _np.maximum.reduceat(sec, offsets).tolist()
 
     totals: List[float] = []
-    for positions in program_steps:
+    for segments in program_segments:
         total = 0.0
-        for position in positions:
-            if position is not None:
-                # Sequential step accumulation, as in the scalar loop.
-                total = total + float(step_max[position])
+        for segment in segments:
+            # Sequential step accumulation, as in the scalar loop.
+            total = total + step_max[segment]
         totals.append(total)
     return totals

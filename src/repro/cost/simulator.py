@@ -185,8 +185,8 @@ class ProgramSimulator:
     ) -> List[float]:
         """Total predicted seconds for many programs at one payload.
 
-        One flattened :func:`~repro.cost.batch.price_programs` kernel prices
-        every program's class rows together.  Profiles are resolved through
+        One :func:`~repro.cost.batch.price_programs` kernel prices the class
+        rows of every distinct step profile once.  Profiles are resolved through
         :meth:`profile_for` in input order — the hit/miss provenance is
         exactly what per-program :meth:`simulate` calls would record.
         """

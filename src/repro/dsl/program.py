@@ -11,13 +11,13 @@ non-participating devices untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.dsl.forms import Form, InsideGroup, Master, Parallel
 from repro.dsl.grouping import Groups, derive_groups
 from repro.errors import DSLError, InvalidCollectiveError
-from repro.semantics.collectives import Collective, apply_collective
-from repro.semantics.state import DeviceState, StateContext
+from repro.semantics.collectives import Collective, apply_step, step_error
+from repro.semantics.state import StateContext
 
 __all__ = ["ReductionInstruction", "ReductionProgram"]
 
@@ -55,13 +55,11 @@ class ReductionInstruction:
 
     def apply_to_groups(self, context: StateContext, groups: Groups) -> StateContext:
         """Apply the collective to pre-computed ``groups`` over ``context``."""
-        updates: Dict[int, DeviceState] = {}
-        for group in groups:
-            pre = [context[d] for d in group]
-            post = apply_collective(self.collective, pre)
-            for device, state in zip(group, post):
-                updates[device] = state
-        return context.replace(updates)
+        states = list(context.states)
+        failure = apply_step(self.collective, groups, states)
+        if failure is not None:
+            raise step_error(self.collective, groups, states, failure)
+        return StateContext._trusted(states)
 
     def describe(self, level_names: Optional[Sequence[str]] = None) -> str:
         if level_names is not None and 0 <= self.slice_level < len(level_names):

@@ -66,6 +66,38 @@ class DevicePlacement:
         """Per axis: mixed radix over that axis's per-level factors (level order)."""
         return tuple(MixedRadix(self.matrix.row(i)) for i in range(self.matrix.num_rows))
 
+    @cached_property
+    def strides(self) -> Tuple[Tuple[int, ...], ...]:
+        """``strides[i][j]``: how far the device id moves per unit of digit ``c[i][j]``.
+
+        :meth:`grid_to_device` is ``sum(c[i][j] * strides[i][j])``: levels are
+        mixed-radix digits of the id, and each level's digit is the mixed radix
+        of its per-axis digits, so position (axis, level) weighs the product of
+        every factor after it in (level, axis) order.
+        """
+        strides = [[0] * self.num_levels for _ in range(self.num_axes)]
+        stride = 1
+        for j in reversed(range(self.num_levels)):
+            for i in reversed(range(self.num_axes)):
+                strides[i][j] = stride
+                stride *= self.matrix.factor(i, j)
+        return tuple(tuple(row) for row in strides)
+
+    def digit_offsets(self, positions: Sequence[Tuple[int, int]]) -> List[int]:
+        """The device-id offset of every digit assignment to ``positions`` (every
+        other digit 0), in mixed-radix order over ``positions`` taken
+        most-significant first."""
+        strides = self.strides
+        offsets = [0]
+        for i, j in positions:
+            stride = strides[i][j]
+            offsets = [
+                offset + digit * stride
+                for offset in offsets
+                for digit in range(self.matrix.factor(i, j))
+            ]
+        return offsets
+
     @property
     def num_devices(self) -> int:
         return self.matrix.num_devices
@@ -163,25 +195,21 @@ class DevicePlacement:
         request.validate_against(self.matrix.axes)
         memo = self.__dict__.setdefault("_reduction_groups", {})
         if request.axes not in memo:
-            reduction_axes = list(request.axes)
-            positions = [
-                (i, j) for i in reduction_axes for j in range(self.num_levels)
-            ]
-            radices = MixedRadix(tuple(self.matrix.factor(i, j) for i, j in positions))
-
-            groups: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
-            for device in range(self.num_devices):
-                grid = self.device_to_grid(device)
-                key = tuple(
-                    grid[i][j]
-                    for i in range(self.num_axes)
-                    if i not in reduction_axes
-                    for j in range(self.num_levels)
-                )
-                rank = radices.encode(tuple(grid[i][j] for i, j in positions))
-                groups.setdefault(key, []).append((rank, device))
+            # Groups in the order of their non-reduction digits, members in the
+            # order of their reduction digits: two offset lists, summed.
+            members = self.digit_offsets(
+                [(i, j) for i in request.axes for j in range(self.num_levels)]
+            )
             memo[request.axes] = tuple(
-                tuple(device for _, device in sorted(groups[key])) for key in sorted(groups)
+                tuple(base + offset for offset in members)
+                for base in self.digit_offsets(
+                    [
+                        (i, j)
+                        for i in range(self.num_axes)
+                        if i not in request.axes
+                        for j in range(self.num_levels)
+                    ]
+                )
             )
         return [list(group) for group in memo[request.axes]]
 

@@ -272,6 +272,14 @@ class StateContext:
             raise SemanticsError(f"all states must have the same size, got {sizes}")
 
     @classmethod
+    def _trusted(cls, states: Sequence[DeviceState]) -> "StateContext":
+        """Trusted constructor: ``states`` are non-empty and of one size (derived
+        from a valid context), so ``__post_init__`` need not scan them again."""
+        context = object.__new__(cls)
+        _set(context, "states", tuple(states))
+        return context
+
+    @classmethod
     def from_mapping(cls, mapping: Mapping[int, DeviceState]) -> "StateContext":
         devices = sorted(mapping)
         if devices != list(range(len(devices))):
@@ -305,11 +313,8 @@ class StateContext:
             if state.num_chunks != num_chunks:
                 raise SemanticsError("replacement state has the wrong size")
             new_states[device] = state
-        # Every substituted state was size-checked above, so the context
-        # invariant holds without re-running __post_init__ over all devices.
-        context = object.__new__(StateContext)
-        _set(context, "states", tuple(new_states))
-        return context
+        # Every substituted state was size-checked above.
+        return StateContext._trusted(new_states)
 
     def describe(self) -> str:
         parts = []

@@ -29,7 +29,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import SynthesisError
+from repro.errors import HierarchyError, PlacementError, SynthesisError
 from repro.hierarchy.matrix import ParallelismMatrix
 from repro.hierarchy.parallelism import ReductionRequest
 from repro.hierarchy.placement import DevicePlacement
@@ -202,23 +202,37 @@ class SynthesisHierarchy:
             raise SynthesisError(
                 f"expected {len(self.free_positions)} free digits, got {len(free_digits)}"
             )
-        digits = self.virtual_to_position_digits(virtual_device)
-        for position, digit in zip(self.free_positions, free_digits):
-            digits[position] = digit
-        grid = [
-            [digits.get((i, j), 0) for j in range(self.matrix.num_cols)]
-            for i in range(self.matrix.num_rows)
-        ]
-        return placement.grid_to_device(grid)
+        if not 0 <= virtual_device < self.num_virtual_devices:
+            raise HierarchyError(
+                f"value {virtual_device} out of range for radices {list(self.radices)}"
+            )
+        strides = placement.strides
+        device = self._device_offsets[0][virtual_device]
+        for (i, j), digit in zip(self.free_positions, free_digits):
+            limit = self.matrix.factor(i, j)
+            if not 0 <= digit < limit:
+                raise PlacementError(
+                    f"grid digit c[{i}][{j}] = {digit} out of range [0, {limit})"
+                )
+            device += digit * strides[i][j]
+        return device
+
+    @cached_property
+    def _device_offsets(self) -> Tuple[List[int], List[int]]:
+        """Device-id offsets of every virtual device and of every free-digit
+        assignment (``free_radix`` order): a physical device is one of each, summed.
+        A virtual device's digits are its covered positions' in packing order."""
+        placement = DevicePlacement(self.matrix)
+        return (
+            placement.digit_offsets(self.covered_positions),
+            placement.digit_offsets(self.free_positions),
+        )
 
     @cached_property
     def _physical_device_maps(self) -> Tuple[Tuple[int, ...], ...]:
         """Per free-digit assignment (``free_radix`` order): virtual -> physical device id."""
-        placement = DevicePlacement(self.matrix)
-        return tuple(
-            tuple(self.physical_device(placement, v, free) for v in range(self.num_virtual_devices))
-            for free in (list(self.free_radix) or [()])
-        )
+        virtual, free = self._device_offsets
+        return tuple(tuple(base + offset for offset in virtual) for base in free)
 
     def physical_groups(self, virtual_groups) -> Tuple[Tuple[int, ...], ...]:
         """``virtual_groups`` as physical device groups, replicated over every

@@ -23,10 +23,10 @@ from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.dsl.program import ReductionProgram
-from repro.errors import InvalidCollectiveError, LoweringError, SemanticsError
+from repro.errors import LoweringError, SemanticsError
 from repro.hierarchy.parallelism import ReductionRequest
 from repro.hierarchy.placement import DevicePlacement
-from repro.semantics.collectives import Collective, apply_collective
+from repro.semantics.collectives import Collective, apply_step, step_error
 from repro.semantics.goals import initial_context
 from repro.semantics.state import DeviceState, StateContext, popcount
 from repro.synthesis.hierarchy import SynthesisHierarchy
@@ -57,6 +57,12 @@ class LoweredStep:
                         f"device {device} appears in two groups of the same step"
                     )
                 seen.add(device)
+        # The devices are at hand here; an unpickled step computes them on first
+        # use.  Two plain attributes, not a tuple or a materialized ``__dict__``:
+        # a plan rebuilt from a cache entry keeps no extra container per step for
+        # the collector to count and walk.
+        object.__setattr__(self, "min_device", min(seen))
+        object.__setattr__(self, "max_device", max(seen))
 
     @property
     def num_groups(self) -> int:
@@ -70,6 +76,17 @@ class LoweredStep:
     @property
     def devices(self) -> FrozenSet[int]:
         return frozenset(d for group in self.groups for d in group)
+
+    @cached_property
+    def min_device(self) -> int:
+        """Lowest device id of the step, found once however many programs share
+        the step; like :attr:`signature_entry`, outside ``==``, hash and pickle."""
+        return min(self.devices)
+
+    @cached_property
+    def max_device(self) -> int:
+        """Highest device id of the step (see :attr:`min_device`)."""
+        return max(self.devices)
 
     @cached_property
     def signature_entry(self) -> Tuple[str, FrozenSet[Tuple[int, ...]]]:
@@ -97,13 +114,14 @@ class LoweredProgram:
     label: str = ""
 
     def __post_init__(self) -> None:
+        # The bounds are cached per step, the verdict is this program's: one step
+        # may be in range for one program and out of range for another.
         for step in self.steps:
-            for group in step.groups:
-                for device in group:
-                    if not 0 <= device < self.num_devices:
-                        raise LoweringError(
-                            f"device {device} out of range for {self.num_devices} devices"
-                        )
+            if step.min_device < 0 or step.max_device >= self.num_devices:
+                device = step.min_device if step.min_device < 0 else step.max_device
+                raise LoweringError(
+                    f"device {device} out of range for {self.num_devices} devices"
+                )
 
     @property
     def num_steps(self) -> int:
@@ -146,7 +164,7 @@ class LoweredProgram:
         steps = tuple(
             LoweredStep(
                 collective=Collective(step["collective"]),
-                groups=tuple(tuple(int(d) for d in group) for group in step["groups"]),
+                groups=tuple(tuple(map(int, group)) for group in step["groups"]),
             )
             for step in data["steps"]
         )
@@ -163,13 +181,18 @@ class LoweredProgram:
 
     def _sweep(self, initial: StateContext) -> Tuple[StateContext, Tuple[Tuple[float, ...], ...]]:
         """One unmemoized pass of the Hoare rules over every step and group: the
-        final context and the per-step, per-group fractions of :func:`_apply_step`."""
-        states = list(initial.states)
-        num_chunks = initial.num_chunks
-        # Shared float objects: one per possible popcount, not one per group.
-        fraction_of = [count / num_chunks for count in range(num_chunks + 1)]
-        fractions = tuple(_apply_step(step, states, fraction_of) for step in self.steps)
-        return StateContext(tuple(states)), fractions
+        final context and the per-step, per-group fractions of :func:`_fractions`."""
+        pre = initial.states
+        fraction_of = _fraction_table(initial.num_chunks)
+        fractions = []
+        for step in self.steps:
+            states = list(pre)
+            failure = apply_step(step.collective, step.groups, states)
+            if failure is not None:
+                raise step_error(step.collective, step.groups, states, failure)
+            fractions.append(_fractions(step, pre, fraction_of))
+            pre = states
+        return StateContext._trusted(pre), tuple(fractions)
 
     def validates_against(
         self, placement: DevicePlacement, request: ReductionRequest
@@ -197,10 +220,10 @@ class LoweredProgram:
             table = placement.hoare_transitions[request.axes] = _Transitions(
                 *placement.reduction_contexts(request)
             )
-        try:
-            reaches_goal, fractions = table.walk(self.steps)
-        except InvalidCollectiveError:
+        walked = table.walk(self.steps)
+        if walked is None:
             return False
+        reaches_goal, fractions = walked
         object.__setattr__(self, "_pre_state_fractions", fractions)
         return reaches_goal
 
@@ -227,21 +250,20 @@ class LoweredProgram:
         return f"{name}: {steps}"
 
 
-def _apply_step(step: LoweredStep, states: list, fraction_of: List[float]) -> Tuple[float, ...]:
-    """Apply ``step``'s Hoare rule to every one of its groups, in place on ``states``:
-    the one loop body of the unmemoized sweep and of the transition table.  Returns,
-    per group, the largest chunk fraction a member held before the step — the one
-    fact profile compilation needs from the semantics."""
-    collective = step.collective
-    fractions: List[float] = []
-    # Groups of one step are disjoint (LoweredStep enforces it), so in-place
-    # post-states never feed a later group of the same step.
-    for group in step.groups:
-        pre = [states[d] for d in group]
-        fractions.append(fraction_of[max(popcount(s.present) for s in pre)])
-        for device, state in zip(group, apply_collective(collective, pre)):
-            states[device] = state
-    return tuple(fractions)
+def _fraction_table(num_chunks: int) -> List[float]:
+    # Shared float objects: one per possible popcount, not one per group.
+    return [count / num_chunks for count in range(num_chunks + 1)]
+
+
+def _fractions(
+    step: LoweredStep, pre: Sequence[DeviceState], fraction_of: List[float]
+) -> Tuple[float, ...]:
+    """Per group of ``step``, which succeeded on the pre-context ``pre``: the largest
+    chunk fraction a member held before it — the one fact profile compilation needs
+    from the semantics.  That is the first member's: the reducing rules require
+    equal chunk sets, AllGather equally many chunks, and Broadcast every member
+    below the root."""
+    return tuple(fraction_of[popcount(pre[group[0]].present)] for group in step.groups)
 
 
 class _Transitions:
@@ -249,9 +271,9 @@ class _Transitions:
 
     Programs of a matrix are walks over one small graph: a node ``(device states,
     out-edges)`` per context reached, an edge per (pre-context, step) pair.  The
-    first program to walk an edge runs :func:`_apply_step` on it; the edge keeps
-    the post-context node and the per-group fractions for every later program.  An
-    invalid step raises and records nothing, so it fails the same way next time.
+    first program to walk an edge runs the step kernel on it; the edge keeps the
+    post-context node and the per-group fractions for every later program.  An
+    invalid step records nothing, so it fails the same way next time.
     ``steps`` counts edges walked, ``transitions`` edges checked.
     """
 
@@ -259,23 +281,30 @@ class _Transitions:
         self.nodes: Dict[Tuple[int, ...], Tuple[Tuple[DeviceState, ...], Dict]] = {}
         self.root = self._node(initial.states)
         self.goal = self._node(goal.states)
-        self.fraction_of = [count / initial.num_chunks for count in range(initial.num_chunks + 1)]
+        self.fraction_of = _fraction_table(initial.num_chunks)
         self.steps = self.transitions = 0
 
     def _node(self, states: Sequence[DeviceState]):
         # The packed matrices identify a context, and hash and compare as machine words.
         return self.nodes.setdefault(tuple(s.bits for s in states), (tuple(states), {}))
 
-    def walk(self, steps: Sequence[LoweredStep]) -> Tuple[bool, Tuple[Tuple[float, ...], ...]]:
-        """Whether ``steps`` lead from the initial context to the goal, and their fractions."""
+    def walk(
+        self, steps: Sequence[LoweredStep]
+    ) -> Optional[Tuple[bool, Tuple[Tuple[float, ...], ...]]]:
+        """Whether ``steps`` lead from the initial context to the goal, and their
+        fractions; ``None`` when some step's precondition fails."""
         node = self.root
         fractions: List[Tuple[float, ...]] = []
         for step in steps:
             edge = node[1].get(step)
             if edge is None:
-                states = list(node[0])
-                step_fractions = _apply_step(step, states, self.fraction_of)
-                edge = node[1][step] = (self._node(states), step_fractions)
+                pre = node[0]
+                states = list(pre)
+                if apply_step(step.collective, step.groups, states) is not None:
+                    return None
+                edge = node[1][step] = (
+                    self._node(states), _fractions(step, pre, self.fraction_of)
+                )
                 self.transitions += 1
             node, step_fractions = edge
             fractions.append(step_fractions)

@@ -21,8 +21,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dsl.grouping import Groups, enumerate_instructions
 from repro.dsl.program import ReductionInstruction, ReductionProgram
-from repro.errors import InvalidCollectiveError, SynthesisError
-from repro.semantics.collectives import ALL_COLLECTIVES, Collective
+from repro.errors import SynthesisError
+from repro.semantics.collectives import ALL_COLLECTIVES, Collective, apply_step
 from repro.semantics.state import StateContext
 from repro.synthesis.hierarchy import SynthesisHierarchy
 from repro.synthesis.pruning import SearchStatistics, context_within_goal
@@ -96,16 +96,17 @@ class _Problem:
         outcomes = self.expansions.get(key)
         if outcomes is None:
             found: List = []
+            goal = self.goal
             for instruction, groups in self.alphabet:
-                try:
-                    successor = instruction.apply_to_groups(context, groups)
-                except InvalidCollectiveError:
+                states = list(context.states)
+                if apply_step(instruction.collective, groups, states) is not None:
                     found.append(_INVALID)
                     continue
-                if not context_within_goal(successor, self.goal):
+                successor = StateContext._trusted(states)
+                if not context_within_goal(successor, goal):
                     found.append(_PRUNED)
                 else:
-                    found.append(_GOAL if successor == self.goal else successor)
+                    found.append(_GOAL if successor == goal else successor)
             outcomes = self.expansions[key] = tuple(found)
         return outcomes
 

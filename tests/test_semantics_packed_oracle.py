@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.errors import InvalidCollectiveError, SemanticsError
 from repro.semantics.collectives import ALL_COLLECTIVES, Collective, apply_collective
+from repro.semantics.collectives import apply_step, step_error
 from repro.semantics.state import DeviceState, StateContext
 from repro.synthesis.pruning import context_within_goal
 
@@ -284,6 +285,97 @@ class TestKernelAgainstOracle:
         gathered = apply_collective(Collective.ALL_GATHER, scattered)
         assert gathered == apply_collective(Collective.ALL_REDUCE, initial)
         assert [s.non_empty_rows for s in scattered] == [(0,), (1,), (2,), (3,)]
+
+
+# --------------------------------------------------------------------------- #
+# apply_step: a whole step of disjoint groups at once
+# --------------------------------------------------------------------------- #
+def oracle_step(op: Collective, groups, mats: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """The oracle applied group by group; raises the first failing group's error."""
+    post = list(mats)
+    for group in groups:
+        for device, matrix in zip(group, oracle_apply(op, [mats[d] for d in group])):
+            post[device] = matrix
+    return post
+
+
+@st.composite
+def partitions(draw, n: int):
+    """Disjoint groups of 2-6 of the ``n`` devices, in random order; some devices
+    may be left out.  Half the time every group has one size dividing ``n``."""
+    order = draw(st.permutations(range(n)))
+    even = [size for size in range(2, 7) if n % size == 0]
+    uniform = draw(st.sampled_from(even)) if even and draw(st.booleans()) else None
+    groups, cut = [], 0
+    while n - cut >= 2:
+        size = uniform or draw(st.integers(2, min(6, n - cut)))
+        groups.append(tuple(order[cut : cut + size]))
+        cut += size
+        if draw(st.integers(0, 3)) == 0:
+            break
+    return tuple(groups)
+
+
+FOLLOW_UP = {Collective.REDUCE_SCATTER: Collective.ALL_GATHER, Collective.REDUCE: Collective.BROADCAST}
+
+
+@st.composite
+def step_cases(draw):
+    """A context of up to 12 devices, reached from the initial one by a few steps
+    the oracle accepts (and perhaps a flipped bit), then one step to check — half
+    the time an earlier step's partition with that step's natural follow-up, so
+    that AllGather after ReduceScatter and Broadcast after Reduce come up valid."""
+    n = draw(st.integers(2, 12))
+    mats = [np.array(DeviceState.initial(n, d).to_matrix()) for d in range(n)]
+    used = []
+    for _ in range(draw(st.integers(0, 3))):
+        op, groups = draw(collectives), draw(partitions(n))
+        try:
+            mats = oracle_step(op, groups, mats)
+            used.append((op, groups))
+        except InvalidCollectiveError:
+            pass
+    if draw(st.integers(0, 3)) == 0:
+        mats[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] ^= 1
+    if used and draw(st.booleans()):
+        op, groups = draw(st.sampled_from(used))
+        return FOLLOW_UP.get(op, op), groups, mats
+    groups = draw(partitions(n))
+    if draw(st.integers(0, 3)) == 0:
+        # Gather-shaped: every member of a group holds its own block of rows,
+        # the blocks disjoint and, unless the last one is resized, equal.
+        for group in groups:
+            order = draw(st.permutations(range(n)))
+            per = draw(st.integers(1, n // len(group)))
+            sizes = [per] * len(group)
+            sizes[-1] = draw(st.integers(1, n - per * (len(group) - 1)))
+            cut = 0
+            for device, size in zip(group, sizes):
+                mats[device] = np.zeros((n, n), dtype=np.uint8)
+                for r in order[cut : cut + size]:
+                    mats[device][r, device] = 1
+                cut += size
+        return Collective.ALL_GATHER, groups, mats
+    return draw(collectives), groups, mats
+
+
+class TestStepKernelAgainstOracle:
+    @given(step_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_step_matches_the_oracle_group_by_group(self, case):
+        op, groups, mats = case
+        states = [DeviceState.from_matrix(m.tolist()) for m in mats]
+        try:
+            expected = oracle_step(op, groups, mats)
+        except InvalidCollectiveError as error:
+            failure = apply_step(op, groups, states)
+            assert failure is not None
+            assert str(step_error(op, groups, states, failure)) == str(error)
+            return
+        assert apply_step(op, groups, states) is None
+        for state, matrix in zip(states, expected):
+            assert np.array_equal(state.to_matrix(), matrix)
+            assert state == DeviceState.from_matrix(matrix.tolist())
 
 
 # --------------------------------------------------------------------------- #

@@ -55,15 +55,16 @@ def validated_programs(candidates):
 
 @pytest.fixture
 def apply_calls(monkeypatch):
-    """Counts every Hoare-rule application the lowering sweep makes."""
+    """Counts every Hoare-rule application the lowering sweep makes: one per
+    group of each step handed to the step kernel."""
     calls = []
-    real = lowering.apply_collective
+    real = lowering.apply_step
 
-    def counting(op, states):
-        calls.append(op)
-        return real(op, states)
+    def counting(op, groups, states):
+        calls.extend([op] * len(groups))
+        return real(op, groups, states)
 
-    monkeypatch.setattr(lowering, "apply_collective", counting)
+    monkeypatch.setattr(lowering, "apply_step", counting)
     return calls
 
 

@@ -46,11 +46,27 @@ class TestLoweredStepValidation:
         assert "..." in step.describe()
 
 
+SHARED_STEP = LoweredStep(Collective.ALL_REDUCE, ((0, 5),))
+
+
 class TestLoweredProgramValidation:
-    def test_device_range_checked(self):
-        step = LoweredStep(Collective.ALL_REDUCE, ((0, 5),))
-        with pytest.raises(LoweringError):
-            LoweredProgram(num_devices=4, steps=(step,))
+    @pytest.mark.parametrize(
+        "step, num_devices, in_range",
+        [
+            (SHARED_STEP, 4, False),  # an id too large
+            (LoweredStep(Collective.ALL_REDUCE, ((-1, 2),)), 4, False),  # a negative id
+            # One step object shared by two programs: the bounds are cached on
+            # the step, the verdict is each program's own.
+            (SHARED_STEP, 6, True),
+            (SHARED_STEP, 4, False),
+        ],
+    )
+    def test_device_range_checked(self, step, num_devices, in_range):
+        if in_range:
+            assert LoweredProgram(num_devices=num_devices, steps=(step,)).steps == (step,)
+        else:
+            with pytest.raises(LoweringError, match="out of range"):
+                LoweredProgram(num_devices=num_devices, steps=(step,))
 
     def test_signature_is_step_order_sensitive(self):
         s1 = LoweredStep(Collective.REDUCE, ((0, 1),))
