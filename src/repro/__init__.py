@@ -6,16 +6,18 @@ a hierarchical accelerator system expressed as *parallelism matrices* — and
 implementing a requested reduction — and ranks them with a topology-aware
 simulator.
 
-The most convenient entry point is :class:`repro.api.P2`:
+The most convenient entry point is :class:`repro.api.P2`, which answers a
+:class:`repro.query.PlanQuery` with a :class:`repro.query.PlanOutcome`:
 
-    >>> from repro import P2, ParallelismAxes, ReductionRequest
+    >>> from repro import P2, PlanQuery
     >>> from repro.topology import a100_system
     >>> system = a100_system(num_nodes=2)
-    >>> p2 = P2(system)
-    >>> plan = p2.optimize(ParallelismAxes.of(8, 4), ReductionRequest.over(0),
-    ...                    bytes_per_device=1 << 20)    # doctest: +SKIP
+    >>> query = PlanQuery((8, 4), (0,), bytes_per_device=1 << 20)
+    >>> outcome = P2(system).plan(query)    # doctest: +SKIP
+    >>> print(outcome.plan.best.describe())    # doctest: +SKIP
 
-Lower-level building blocks live in the subpackages listed in ``DESIGN.md``.
+Lower-level building blocks live in the subpackages listed in the "Package
+map" section of ``README.md``.
 """
 
 import logging as _logging

@@ -42,7 +42,7 @@ from repro.runtime.verification import VerificationReport, verify_against_placem
 from repro.search.driver import SearchDriver, SearchReport
 from repro.search.source import CandidateSource, SearchSpace, ShapeMemo, StrategyEntry
 from repro.synthesis.hierarchy import build_synthesis_hierarchy
-from repro.synthesis.lowering import LoweredProgram
+from repro.synthesis.lowering import LoweredProgram, LoweredStep, StepTable
 from repro.synthesis.pipeline import PlacementCandidate, ProgramCandidate
 from repro.synthesis.pruning import SearchStatistics
 from repro.topology.topology import MachineTopology
@@ -64,11 +64,11 @@ __all__ = [
     "compute_plan",
 ]
 
-# v3: plans carry the per-baseline reference times priced by the search
-# driver's BaselineSource.  Older envelopes lack them, so they must miss
-# (and recompute) rather than be served without per-baseline speedups.
-# (v2 added the DSL program "size" next to each lowered program.)
-PLAN_FORMAT_VERSION = 3
+# v4: a plan writes each distinct lowered step once, in a top-level "steps"
+# table, and each program as indices into it.  Older envelopes inline every
+# step in every program; they miss (and recompute), they are never converted.
+# (v3 added the per-baseline reference times, v2 the DSL program "size".)
+PLAN_FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,12 @@ class RankedStrategy:
             f"{self.predicted_seconds:.4f}s predicted"
         )
 
-    def to_dict(self) -> Dict:
-        """JSON-serializable form (matrix + program + prediction + payload)."""
+    def to_dict(self, steps: StepTable) -> Dict:
+        """JSON-serializable form (matrix + program + prediction + payload).
+
+        The program is written as indices into ``steps``, which gains the
+        program's new steps; :meth:`OptimizationPlan.to_dict` writes the table.
+        """
         return {
             "matrix": [list(row) for row in self.matrix.entries],
             "mnemonic": self.mnemonic,
@@ -105,7 +109,7 @@ class RankedStrategy:
             "is_default_all_reduce": self.is_default_all_reduce,
             "bytes_per_device": self.bytes_per_device,
             "size": self.size,
-            "program": self.program.to_dict(),
+            "program": steps.encode(self.program),
         }
 
     @classmethod
@@ -113,16 +117,18 @@ class RankedStrategy:
         cls,
         data: Dict,
         candidate: PlacementCandidate,
+        steps: Sequence[LoweredStep],
         bytes_per_device: Optional[int] = None,
     ) -> "RankedStrategy":
-        """Rebuild a strategy from :meth:`to_dict` output (``candidate`` is
-        not mutated; it only supplies the placement context).
+        """Rebuild a strategy from :meth:`to_dict` output and the rebuilt step
+        table (``candidate`` is not mutated; it only supplies the placement
+        context).
 
         ``bytes_per_device`` is a fallback for serialized forms predating the
         per-strategy payload field.
         """
         hierarchy = candidate.matrix.hierarchy
-        program = LoweredProgram.from_dict(data["program"], hierarchy.num_devices)
+        program = LoweredProgram.from_table(data["program"], steps, hierarchy.num_devices)
         return cls(
             matrix=candidate.matrix,
             program=program,
@@ -234,6 +240,8 @@ class OptimizationPlan:
             hierarchy = self.strategies[0].matrix.hierarchy
         if hierarchy is None:
             raise ServiceError("cannot serialize an empty optimization plan")
+        steps = StepTable()
+        strategies = [strategy.to_dict(steps) for strategy in self.strategies]
         return {
             "format_version": PLAN_FORMAT_VERSION,
             "hierarchy": {
@@ -251,7 +259,8 @@ class OptimizationPlan:
                 }
                 for candidate in self.candidates
             ],
-            "strategies": [strategy.to_dict() for strategy in self.strategies],
+            "strategies": strategies,
+            "steps": steps.to_dict(),
             "baselines": {
                 name: seconds for name, seconds in sorted(self.baselines.items())
             },
@@ -262,10 +271,12 @@ class OptimizationPlan:
         """Reconstruct a plan from :meth:`to_dict` output.
 
         The ranking — strategy order, matrices, mnemonics, lowered programs
-        and predicted times — is reproduced exactly.  Candidates are rebuilt
-        with a fresh synthesis hierarchy (a cheap pure function of matrix +
-        request) and ``synthesis=None``; their program lists mirror the
-        ranked strategies.
+        and predicted times — is reproduced exactly.  Each entry of the
+        ``"steps"`` table becomes one :class:`LoweredStep`, checked once, and
+        every program refers to those objects, so the rebuilt plan shares
+        steps as the computed one did.  Candidates are rebuilt with a fresh
+        synthesis hierarchy (a cheap pure function of matrix + request) and
+        ``synthesis=None``; their program lists mirror the ranked strategies.
         """
         version = data.get("format_version")
         if version != PLAN_FORMAT_VERSION:
@@ -281,6 +292,7 @@ class OptimizationPlan:
         request = ReductionRequest(tuple(data["request"]["axes"]))
         algorithm = NCCLAlgorithm(data["algorithm"])
         bytes_per_device = data["bytes_per_device"]
+        steps = tuple(LoweredStep.from_dict(step) for step in data["steps"])
 
         candidates: List[PlacementCandidate] = []
         by_entries: Dict[Tuple[Tuple[int, ...], ...], PlacementCandidate] = {}
@@ -303,16 +315,16 @@ class OptimizationPlan:
             return by_entries[entries]
 
         for entry in data["candidates"]:
-            matrix_entries = tuple(tuple(int(x) for x in row) for row in entry["matrix"])
+            matrix_entries = tuple(tuple(map(int, row)) for row in entry["matrix"])
             _candidate_for(matrix_entries, entry["synthesis_seconds"])
 
         strategies: List[RankedStrategy] = []
         for entry in data["strategies"]:
             candidate = _candidate_for(
-                tuple(tuple(int(x) for x in row) for row in entry["matrix"])
+                tuple(tuple(map(int, row)) for row in entry["matrix"])
             )
             strategy = RankedStrategy.from_dict(
-                entry, candidate, bytes_per_device=bytes_per_device
+                entry, candidate, steps, bytes_per_device=bytes_per_device
             )
             # The candidates here are freshly built above, so mirroring the
             # ranked strategies into their program lists cannot accumulate

@@ -932,7 +932,8 @@ def _run_corpus(args: argparse.Namespace) -> int:
             f"({stats['distinct_fingerprints']} queries, "
             f"{stats['distinct_payloads']} payloads), "
             f"{stats['total_bytes'] / 1e3:.1f} kB "
-            f"(bound {stats['max_records']})"
+            f"(bound {stats['max_records']}), "
+            f"{stats['skipped_lines']} unreadable or old-format lines skipped"
         )
         return 0
     if args.corpus_command == "ingest":

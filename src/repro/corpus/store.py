@@ -24,19 +24,25 @@ The file is append-only in steady state; :meth:`PlanCorpus.compact`
 rewrites it (write-then-rename, like the plan cache) keeping the newest
 record per dedupe key and trimming to ``max_records``.  Ingest
 auto-compacts when the record count overflows the bound.  Torn or
-malformed lines — a crashed writer's partial flush — are skipped on load,
-mirroring the sweep checkpoint reader's tolerance.
+malformed lines — a crashed writer's partial flush — and lines whose plan is
+in an older :data:`~repro.api.PLAN_FORMAT_VERSION` are skipped on load and
+counted (:attr:`PlanCorpus.skipped_lines`), mirroring the sweep checkpoint
+reader's tolerance; an old plan is never converted.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.api import PLAN_FORMAT_VERSION
 from repro.errors import ReproError, ServiceError
 from repro.service.fingerprint import canonical_cost_model, canonical_topology
 
@@ -109,6 +115,12 @@ class CorpusRecord:
             raise ServiceError("corpus record carries no fingerprint")
         if not isinstance(query, dict) or not isinstance(plan, dict):
             raise ServiceError("corpus record query/plan must be objects")
+        if plan.get("format_version") != PLAN_FORMAT_VERSION:
+            # History in an older plan format is skipped, never converted.
+            raise ServiceError(
+                f"corpus record plan format {plan.get('format_version')!r} "
+                f"(expected {PLAN_FORMAT_VERSION})"
+            )
         return cls(
             fingerprint=fingerprint,
             context=data.get("context"),
@@ -153,6 +165,7 @@ class PlanCorpus:
         self.ingested = 0
         self.deduplicated = 0
         self.rejected_budgeted = 0
+        self.skipped_lines = 0
         self._load()
 
     @property
@@ -172,7 +185,6 @@ class PlanCorpus:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        skipped = 0
         newest: Dict[Tuple[str, int], CorpusRecord] = {}
         with self.path.open("r", encoding="utf-8") as handle:
             for line in handle:
@@ -184,7 +196,7 @@ class PlanCorpus:
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError, ServiceError):
                     # A torn trailing line from a crashed writer, or a
                     # foreign-format line: skip it, keep the rest.
-                    skipped += 1
+                    self.skipped_lines += 1
                     continue
                 # Duplicate keys (a hand-merged file) resolve newest-wins,
                 # matching compact()'s policy.
@@ -194,8 +206,11 @@ class PlanCorpus:
                 self._seq = max(self._seq, record.seq + 1)
         self._records = sorted(newest.values(), key=lambda r: r.seq)
         self._keys = set(newest)
-        if skipped:
-            logger.debug("corpus load skipped %d malformed line(s)", skipped)
+        if self.skipped_lines:
+            logger.debug(
+                "corpus load skipped %d malformed or old-format line(s)",
+                self.skipped_lines,
+            )
 
     # ------------------------------------------------------------------ #
     # Ingest
@@ -307,13 +322,22 @@ class PlanCorpus:
         self._records = survivors
         self._keys = {record.key for record in survivors}
         self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".jsonl.tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            for record in survivors:
-                handle.write(
-                    json.dumps(record.to_dict(), separators=(",", ":")) + "\n"
-                )
-        tmp.replace(self.path)
+        # The temp name is this writer's alone: two corpora compacting one
+        # directory cannot write into (or publish) each other's file.
+        handle, tmp = tempfile.mkstemp(
+            dir=self.directory, prefix="corpus.", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(handle, "w", encoding="utf-8") as stream:
+                for record in survivors:
+                    stream.write(
+                        json.dumps(record.to_dict(), separators=(",", ":")) + "\n"
+                    )
+            os.replace(tmp, self.path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
         if dropped:
             logger.debug("corpus compaction dropped %d record(s)", dropped)
         return dropped
@@ -337,6 +361,7 @@ class PlanCorpus:
             "ingested": self.ingested,
             "deduplicated": self.deduplicated,
             "rejected_budgeted": self.rejected_budgeted,
+            "skipped_lines": self.skipped_lines,
         }
 
     def describe(self) -> str:

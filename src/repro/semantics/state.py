@@ -15,6 +15,7 @@ value objects; "updating" a context returns a new one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, List, Mapping, Sequence, Tuple
 
@@ -27,6 +28,17 @@ __all__ = ["DeviceState", "StateContext"]
 _set = object.__setattr__
 # ``int.bit_count`` needs Python 3.10; the package supports 3.9.
 popcount = getattr(int, "bit_count", None) or (lambda mask: bin(mask).count("1"))
+
+# Device counts whose repunit is kept; a process plans for a handful, and the
+# repunit of k devices is k*k bits (32 kB at 512).
+_REPUNITS_KEPT = 32
+
+
+@functools.lru_cache(maxsize=_REPUNITS_KEPT)
+def _repunit(num_chunks: int) -> int:
+    """1 + 2^k + ... + 2^(k(k-1)) for k = ``num_chunks``: a k*k-bit division,
+    done once per k instead of once per device state."""
+    return ((1 << num_chunks * num_chunks) - 1) // ((1 << num_chunks) - 1)
 
 
 class DeviceState:
@@ -102,10 +114,7 @@ class DeviceState:
             raise SemanticsError(f"num_chunks must be >= 1, got {num_chunks}")
         if not mask:
             return cls._packed(num_chunks, 0, 0)
-        full = (1 << num_chunks) - 1
-        return cls._packed(
-            num_chunks, mask * (((1 << num_chunks * num_chunks) - 1) // full), full
-        )
+        return cls._packed(num_chunks, mask * _repunit(num_chunks), (1 << num_chunks) - 1)
 
     @classmethod
     def empty(cls, num_chunks: int) -> "DeviceState":

@@ -98,7 +98,9 @@ class PlanClient:
         """Answer one query; returns the raw reply dict (check ``"ok"``).
 
         ``include_plan=False`` by default: monitoring callers want the
-        provenance and the headline numbers, not the full ranked plan.
+        provenance and the headline numbers, not the full ranked plan (whose
+        programs are indices into its ``"steps"`` table; see
+        :mod:`repro.serve.protocol`).
         """
         message: Dict[str, Any] = {"op": "plan", "query": query.to_dict()}
         if tenant is not None:

@@ -29,6 +29,12 @@ load harness reports from).  Replies always carry ``"ok"``::
     {"ok": true, "id": "r1", "outcome": {...PlanOutcome.to_dict()...}}
     {"ok": false, "error": "overloaded", "detail": "queue full (64)"}
 
+With ``include_plan`` (the default for a bare envelope) the outcome carries
+``"plan"``, an :meth:`~repro.api.OptimizationPlan.to_dict` in format v4: the
+plan's distinct lowered steps once, in a top-level ``"steps"`` table, and
+each strategy's ``"program"`` as ``{"label", "steps": [indices]}`` into it.
+:meth:`~repro.api.OptimizationPlan.from_dict` rebuilds the plan.
+
 Error codes: ``bad_request``, ``line_too_long``, ``overloaded`` (admission
 control shed the request), ``rate_limited`` (per-tenant token bucket),
 ``draining`` (the daemon is shutting down), ``plan_failed`` (the query was

@@ -10,15 +10,21 @@ The (de)serialization itself lives on the domain objects —
 :meth:`repro.api.OptimizationPlan.to_dict` / ``from_dict`` — so any caller
 can persist plans, not just the cache; :func:`plan_to_dict` and
 :func:`plan_from_dict` remain here as compatibility aliases.  Plans *do*
-persist their lowered programs (collective + device groups per step) —
-re-synthesizing them would forfeit the point of caching — but not the
-synthesizer's search state, which is why reconstructed candidates carry
-``synthesis=None``.
+persist their lowered programs — re-synthesizing them would forfeit the
+point of caching — but not the synthesizer's search state, which is why
+reconstructed candidates carry ``synthesis=None``.  The programs are
+interned (format v4): the plan's ``"steps"`` table holds each distinct
+lowered step (collective + device groups) once, and every strategy's
+program is a label plus a list of indices into it.  A hit therefore builds
+and checks each distinct step once, however many programs use it.
 
-Corrupted or incompatible entries (truncated writes, format bumps, a file
-renamed to the wrong fingerprint) are treated as misses: the entry is
-deleted, counted in :attr:`CacheStats.corrupt_entries`, and the caller
-recomputes the plan.
+Corrupted or incompatible entries (truncated writes, format bumps — a v3
+entry, which inlines every step, is one — a file renamed to the wrong
+fingerprint, a step index outside the table) are treated as misses: the
+entry is deleted, counted in :attr:`CacheStats.corrupt_entries`, and the
+caller recomputes the plan.  The envelope checks happen here; a plan that
+fails :meth:`~repro.api.OptimizationPlan.from_dict` is discarded by the
+service (:meth:`PlanCache.discard` with ``corrupt=True``).
 """
 
 from __future__ import annotations

@@ -221,7 +221,8 @@ class PlanningService:
                 try:
                     plan = OptimizationPlan.from_dict(cached)
                 except (ReproError, KeyError, TypeError, ValueError):
-                    # A well-formed envelope around a semantically broken plan:
+                    # A well-formed envelope around a semantically broken plan
+                    # (a missing field, a step index outside the plan's table):
                     # honour the cache contract (corrupt entries are misses) and
                     # recompute rather than crash the service.
                     self.cache.discard(fingerprint, corrupt=True)

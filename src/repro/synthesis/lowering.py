@@ -33,7 +33,12 @@ from repro.synthesis.hierarchy import SynthesisHierarchy
 from repro.synthesis.synthesizer import SynthesizedProgram
 
 __all__ = [
-    "LoweredStep", "LoweredProgram", "forget_transitions", "lower_program", "lower_synthesized"
+    "LoweredStep",
+    "LoweredProgram",
+    "StepTable",
+    "forget_transitions",
+    "lower_program",
+    "lower_synthesized",
 ]
 
 
@@ -96,6 +101,21 @@ class LoweredStep:
     def __getstate__(self) -> Dict:
         return {"collective": self.collective, "groups": self.groups}
 
+    def to_dict(self) -> Dict:
+        """JSON-serializable form: the collective and its device groups."""
+        return {
+            "collective": self.collective.value,
+            "groups": [list(group) for group in self.groups],
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "LoweredStep":
+        """Rebuild a step from :meth:`to_dict` output (disjointness re-checked)."""
+        return cls(
+            collective=Collective(data["collective"]),
+            groups=tuple(tuple(map(int, group)) for group in data["groups"]),
+        )
+
     def describe(self) -> str:
         preview = ", ".join(
             "{" + ",".join(str(d) for d in group) + "}" for group in self.groups[:4]
@@ -147,29 +167,41 @@ class LoweredProgram:
         The synthesizer's ``source`` program is deliberately not persisted —
         it is search state, not part of the communication pattern.
         """
-        return {
-            "label": self.label,
-            "steps": [
-                {
-                    "collective": step.collective.value,
-                    "groups": [list(group) for group in step.groups],
-                }
-                for step in self.steps
-            ],
-        }
+        return {"label": self.label, "steps": [step.to_dict() for step in self.steps]}
 
     @classmethod
     def from_dict(cls, data: Dict, num_devices: int) -> "LoweredProgram":
         """Rebuild a program from :meth:`to_dict` output (``source`` is ``None``)."""
-        steps = tuple(
-            LoweredStep(
-                collective=Collective(step["collective"]),
-                groups=tuple(tuple(map(int, group)) for group in step["groups"]),
-            )
-            for step in data["steps"]
-        )
+        steps = tuple(LoweredStep.from_dict(step) for step in data["steps"])
         return cls(
             num_devices=num_devices, steps=steps, source=None, label=data.get("label", "")
+        )
+
+    @classmethod
+    def from_table(
+        cls, data: Dict, table: Sequence[LoweredStep], num_devices: int
+    ) -> "LoweredProgram":
+        """Rebuild a program from :meth:`StepTable.encode` output.
+
+        Its steps are the ``table`` entries themselves, so programs rebuilt
+        from one table share steps the way the encoded ones did.  An index
+        that is not an ``int`` in ``range(len(table))`` raises
+        :class:`~repro.errors.LoweringError`: ``-1`` or ``True`` would index a
+        tuple without complaint and name the wrong step.
+        """
+        size = len(table)
+        steps = []
+        for index in data["steps"]:
+            if type(index) is not int or index < 0 or index >= size:
+                raise LoweringError(
+                    f"step index {index!r} is not in a table of {size} steps"
+                )
+            steps.append(table[index])
+        return cls(
+            num_devices=num_devices,
+            steps=tuple(steps),
+            source=None,
+            label=data.get("label", ""),
         )
 
     # ------------------------------------------------------------------ #
@@ -248,6 +280,35 @@ class LoweredProgram:
         name = self.label or (self.source.describe() if self.source else "<lowered>")
         steps = "; ".join(f"{s.collective}x{s.num_groups}(g={s.group_size})" for s in self.steps)
         return f"{name}: {steps}"
+
+
+class StepTable:
+    """The distinct steps of many programs, numbered in first-use order.
+
+    A serialized plan writes each distinct :class:`LoweredStep` once (the
+    plan's ``"steps"``) and each program as indices into that list.  Steps are
+    compared by equality, so equal steps share an entry even when they are
+    distinct objects.
+    """
+
+    def __init__(self) -> None:
+        self.steps: List[LoweredStep] = []
+        self._index: Dict[LoweredStep, int] = {}
+
+    def index(self, step: LoweredStep) -> int:
+        """The table index of ``step``, appending it on first use."""
+        index = self._index.setdefault(step, len(self.steps))
+        if index == len(self.steps):
+            self.steps.append(step)
+        return index
+
+    def encode(self, program: LoweredProgram) -> Dict:
+        """``program`` as its label and step indices (see :meth:`LoweredProgram.from_table`)."""
+        return {"label": program.label, "steps": [self.index(s) for s in program.steps]}
+
+    def to_dict(self) -> List[Dict]:
+        """The table in JSON form, one :meth:`LoweredStep.to_dict` per entry."""
+        return [step.to_dict() for step in self.steps]
 
 
 def _fraction_table(num_chunks: int) -> List[float]:

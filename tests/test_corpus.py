@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -175,6 +176,85 @@ class TestPlanCorpusStore:
         assert stats["total_bytes"] > 0
         assert stats["max_records"] == corpus.max_records
         assert CORPUS_FORMAT_VERSION == 1
+
+    def test_old_plan_format_line_is_skipped_and_counted(self, corpus, base_outcome):
+        corpus.ingest_outcome(base_outcome)
+        # A record written before plans interned their steps (format v3):
+        # every program carries its steps inline and there is no table.
+        plan = base_outcome.plan.to_dict()
+        del plan["steps"]
+        plan["format_version"] = 3
+        for entry, strategy in zip(plan["strategies"], base_outcome.plan.strategies):
+            entry["program"] = strategy.program.to_dict()
+        old = CorpusRecord(
+            fingerprint="0" * 64,
+            context=None,
+            query=_query(payload=1 << 22).to_dict(),
+            plan=plan,
+            seq=5,
+        )
+        with corpus.path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(old.to_dict()) + "\n")
+        reloaded = PlanCorpus(corpus.directory)
+        assert [r.fingerprint for r in reloaded.records()] == [base_outcome.fingerprint]
+        assert reloaded.skipped_lines == 1
+        assert reloaded.stats()["skipped_lines"] == 1
+
+    def test_concurrent_compactions_do_not_share_a_temp_file(
+        self, tmp_path, base_outcome, monkeypatch
+    ):
+        """Two corpora over one directory (two processes): the second one's
+        compaction runs start to finish while the first is half-way through
+        writing its own."""
+        directory = tmp_path / "shared"
+        first = PlanCorpus(directory)
+        line = base_outcome.to_dict()
+        for index in range(4):
+            assert first.ingest_record(dict(line, fingerprint=f"{index:064d}")) is True
+        second = PlanCorpus(directory)
+        assert len(second) == 4
+        real_to_dict = CorpusRecord.to_dict
+        written = []
+
+        def interleaved(record):
+            written.append(record.fingerprint)
+            if len(written) == 2:
+                second.compact()
+            return real_to_dict(record)
+
+        monkeypatch.setattr(CorpusRecord, "to_dict", interleaved)
+        assert first.compact() == 0
+        monkeypatch.undo()
+        assert len(written) == 8  # both compactions wrote every record
+        reloaded = PlanCorpus(directory)
+        assert reloaded.skipped_lines == 0
+        assert [r.key for r in reloaded.records()] == [r.key for r in first.records()]
+        assert list(directory.glob("*.tmp")) == []
+
+    def test_a_failed_compaction_keeps_the_file_and_removes_its_temp(
+        self, corpus, base_outcome, monkeypatch
+    ):
+        corpus.ingest_outcome(base_outcome)
+        before = corpus.path.read_bytes()
+
+        def no_space(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", no_space)
+        with pytest.raises(OSError, match="No space left"):
+            corpus.compact()
+        monkeypatch.undo()
+        assert corpus.path.read_bytes() == before
+        assert list(corpus.directory.glob("*.tmp")) == []
+
+    def test_stale_temp_files_are_ignored_on_load(self, corpus, base_outcome):
+        corpus.ingest_outcome(base_outcome)
+        # What compactions killed mid-write leave behind, old name and new.
+        (corpus.directory / "corpus.jsonl.tmp").write_text('{"format_version": 1, "fi')
+        (corpus.directory / "corpus.k3j2h1.tmp").write_text("{")
+        reloaded = PlanCorpus(corpus.directory)
+        assert len(reloaded) == 1
+        assert reloaded.skipped_lines == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -21,6 +21,7 @@ from repro.service.fingerprint import (
     plan_query_fingerprint,
     query_fingerprint,
 )
+from repro.synthesis.lowering import LoweredStep, StepTable
 from repro.topology.gcp import a100_system
 
 MB = 1 << 20
@@ -345,7 +346,10 @@ class TestPlanJsonRoundTrip:
         from repro.api import RankedStrategy
 
         strategy = outcome_84.plan.default_all_reduce()
-        restored = RankedStrategy.from_dict(strategy.to_dict(), strategy.candidate)
+        table = StepTable()
+        data = strategy.to_dict(table)
+        steps = tuple(LoweredStep.from_dict(step) for step in table.to_dict())
+        restored = RankedStrategy.from_dict(data, strategy.candidate, steps)
         assert restored.bytes_per_device == strategy.bytes_per_device
         assert restored.program.signature() == strategy.program.signature()
 
@@ -353,10 +357,33 @@ class TestPlanJsonRoundTrip:
         from repro.api import RankedStrategy
 
         strategy = outcome_84.plan.default_all_reduce()
+        table = StepTable()
+        data = strategy.to_dict(table)
         before = len(strategy.candidate.programs)
-        RankedStrategy.from_dict(strategy.to_dict(), strategy.candidate)
-        RankedStrategy.from_dict(strategy.to_dict(), strategy.candidate)
+        RankedStrategy.from_dict(data, strategy.candidate, table.steps)
+        RankedStrategy.from_dict(data, strategy.candidate, table.steps)
         assert len(strategy.candidate.programs) == before
+
+    def test_strategies_share_one_step_table(self, outcome_84):
+        plan = outcome_84.plan
+        table = StepTable()
+        programs = [s.to_dict(table)["program"] for s in plan.strategies]
+        computed = {id(step) for s in plan.strategies for step in s.program.steps}
+        assert len(table.steps) == len(computed)
+        assert sum(len(p["steps"]) for p in programs) > len(table.steps)
+        assert plan.to_dict()["steps"] == table.to_dict()
+
+    def test_outcome_json_plan_rebuilds_each_step_once(self, outcome_84):
+        decoded = json.loads(json.dumps(outcome_84.to_dict()))
+        table = decoded["plan"]["steps"]
+        restored = OptimizationPlan.from_dict(decoded["plan"])
+        built = {id(step) for s in restored.strategies for step in s.program.steps}
+        computed = {id(step) for s in outcome_84.plan.strategies for step in s.program.steps}
+        assert len(built) == len(table) == len(computed)
+        assert [s.program.signature() for s in restored.strategies] == [
+            s.program.signature() for s in outcome_84.plan.strategies
+        ]
+        assert restored.to_dict() == decoded["plan"]
 
     def test_double_plan_roundtrip_does_not_accumulate_programs(self, outcome_84):
         once = OptimizationPlan.from_dict(outcome_84.plan.to_dict())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -319,3 +320,170 @@ class TestWritersSharingADirectory:
         assert PlanCache(tmp_path).get("two") is None
         assert cache.clear() == 1
         assert list(tmp_path.iterdir()) == []
+
+
+# --------------------------------------------------------------------------- #
+# The interned plan format (v4): a "steps" table, programs as indices into it
+# --------------------------------------------------------------------------- #
+def _distinct_step_objects(plan):
+    return len({id(step) for s in plan.strategies for step in s.program.steps})
+
+
+def _v3_plan_dict(plan):
+    """``plan`` as the previous format wrote it: every step inline in every program."""
+    data = plan_to_dict(plan)
+    del data["steps"]
+    data["format_version"] = 3
+    for entry, strategy in zip(data["strategies"], plan.strategies):
+        entry["program"] = strategy.program.to_dict()
+    return data
+
+
+@pytest.fixture()
+def planning_request():
+    from repro.service import PlanningRequest
+
+    return PlanningRequest(ParallelismAxes.of(8, 4), ReductionRequest.over(0), 64 * MB)
+
+
+def _service(cache):
+    from repro.service import PlanningService
+
+    return PlanningService(a100_system(num_nodes=2), max_program_size=3, cache=cache)
+
+
+def _signatures(plan):
+    return [s.program.signature() for s in plan.strategies]
+
+
+class TestInternedFormat:
+    def test_steps_are_written_once_and_rebuilt_once(self, plan):
+        data = json.loads(json.dumps(plan_to_dict(plan)))
+        restored = plan_from_dict(data)
+        assert len(data["steps"]) == _distinct_step_objects(plan)
+        assert _distinct_step_objects(restored) == len(data["steps"])
+        assert _ranking(restored) == _ranking(plan)
+        assert _signatures(restored) == _signatures(plan)
+        assert plan_to_dict(restored) == data
+
+    def test_programs_are_labels_and_index_lists(self, plan):
+        data = plan_to_dict(plan)
+        for entry, strategy in zip(data["strategies"], plan.strategies):
+            program = entry["program"]
+            assert set(program) == {"label", "steps"}
+            assert program["label"] == strategy.program.label
+            assert [data["steps"][i] for i in program["steps"]] == [
+                step.to_dict() for step in strategy.program.steps
+            ]
+
+    def test_from_dict_builds_one_step_per_table_entry(self, plan, monkeypatch):
+        from repro.synthesis.lowering import LoweredStep
+
+        data = plan_to_dict(plan)
+        built = []
+        check = LoweredStep.__post_init__
+
+        def counting(step):
+            built.append(step)
+            check(step)
+
+        monkeypatch.setattr(LoweredStep, "__post_init__", counting)
+        plan_from_dict(data)
+        assert len(built) == len(data["steps"])
+
+    def test_equal_steps_from_distinct_objects_share_one_entry(self, plan):
+        import copy
+
+        # A plan whose strategies hold equal but distinct step objects (as a
+        # plan assembled from two sources might) still writes each step once.
+        twin = copy.copy(plan)
+        twin.strategies = [
+            dataclasses.replace(
+                s, program=dataclasses.replace(s.program, steps=copy.deepcopy(s.program.steps))
+            )
+            for s in plan.strategies
+        ]
+        assert _distinct_step_objects(twin) > _distinct_step_objects(plan)
+        assert plan_to_dict(twin)["steps"] == plan_to_dict(plan)["steps"]
+
+    def test_v3_plan_dict_is_refused(self, plan):
+        with pytest.raises(ServiceError, match="version 3"):
+            plan_from_dict(_v3_plan_dict(plan))
+
+    def test_v3_envelope_on_disk_is_a_corrupt_miss_and_recomputed(
+        self, plan, planning_request, tmp_path
+    ):
+        fingerprint = _service(PlanCache(None)).submit(planning_request).stats.fingerprint
+        path = tmp_path / f"{fingerprint}.json"
+        path.write_text(
+            json.dumps(
+                {"format_version": 3, "fingerprint": fingerprint, "plan": _v3_plan_dict(plan)}
+            )
+        )
+        service = _service(PlanCache(tmp_path))
+        response = service.submit(planning_request)
+        assert not response.stats.cache_hit
+        assert service.cache.stats.corrupt_entries == 1
+        assert _ranking(response.plan) == _ranking(plan)
+        # The recomputed plan replaced the old entry in the current format.
+        assert json.loads(path.read_text())["format_version"] == PLAN_FORMAT_VERSION
+
+
+CORRUPT_INDICES = {
+    "table_length": lambda size: size,
+    "negative": lambda size: -1,
+    "bool": lambda size: True,
+    "string": lambda size: "0",
+    "float": lambda size: 1.0,
+}
+
+
+def _corrupt_first_index(data, make_index):
+    entry = next(e for e in data["strategies"] if e["program"]["steps"])
+    entry["program"]["steps"][0] = make_index(len(data["steps"]))
+
+
+class TestCorruptStepIndex:
+    """A step index that names no table entry is a corrupt entry, never a wrong plan."""
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_INDICES))
+    def test_from_dict_raises_lowering_error(self, plan, case):
+        from repro.errors import LoweringError
+
+        data = json.loads(json.dumps(plan_to_dict(plan)))
+        _corrupt_first_index(data, CORRUPT_INDICES[case])
+        with pytest.raises(LoweringError, match="step index"):
+            plan_from_dict(data)
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_INDICES))
+    def test_memory_tier(self, plan, planning_request, case):
+        service = _service(PlanCache(None))
+        cold = service.submit(planning_request)
+        cached, tier = service.cache.lookup(cold.stats.fingerprint)
+        assert tier == "memory"
+        _corrupt_first_index(cached, CORRUPT_INDICES[case])
+
+        recovered = service.submit(planning_request)
+        assert not recovered.stats.cache_hit
+        assert service.cache.stats.corrupt_entries == 1
+        assert _ranking(recovered.plan) == _ranking(plan)
+        assert _signatures(recovered.plan) == _signatures(plan)
+        assert service.submit(planning_request).stats.cache_tier == "memory"
+
+    @pytest.mark.parametrize("case", sorted(CORRUPT_INDICES))
+    def test_disk_tier(self, plan, planning_request, case, tmp_path):
+        fingerprint = _service(PlanCache(tmp_path)).submit(planning_request).stats.fingerprint
+        path = tmp_path / f"{fingerprint}.json"
+        envelope = json.loads(path.read_text())
+        _corrupt_first_index(envelope["plan"], CORRUPT_INDICES[case])
+        path.write_text(json.dumps(envelope))
+
+        service = _service(PlanCache(tmp_path))
+        recovered = service.submit(planning_request)
+        assert not recovered.stats.cache_hit
+        assert service.cache.stats.corrupt_entries == 1
+        assert service.cache.stats.hits == 0
+        assert _ranking(recovered.plan) == _ranking(plan)
+        assert _signatures(recovered.plan) == _signatures(plan)
+        # The entry was rewritten whole: a fresh process now hits on disk.
+        assert _service(PlanCache(tmp_path)).submit(planning_request).stats.cache_tier == "disk"
