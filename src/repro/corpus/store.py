@@ -32,18 +32,16 @@ reader's tolerance; an old plan is never converted.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import logging
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.api import PLAN_FORMAT_VERSION
+from repro.api import PLAN_FORMAT_VERSION, OptimizationPlan
 from repro.errors import ReproError, ServiceError
+from repro.service.cache import atomic_write_text
 from repro.service.fingerprint import canonical_cost_model, canonical_topology
 
 __all__ = [
@@ -243,8 +241,6 @@ class PlanCorpus:
         :meth:`~repro.api.OptimizationPlan.from_dict` before storage, so a
         malformed line is rejected rather than poisoning future seeds.
         """
-        from repro.api import OptimizationPlan
-
         if not isinstance(data, Mapping):
             return False
         query = data.get("query")
@@ -306,9 +302,10 @@ class PlanCorpus:
     def compact(self) -> int:
         """Rewrite the file: newest per key, trimmed to ``max_records``.
 
-        Returns how many records were dropped.  The rewrite goes through a
-        temporary file and an atomic rename, so a crash mid-compaction
-        leaves the previous file intact.
+        Returns how many records were dropped.  The rewrite goes through
+        :func:`~repro.service.cache.atomic_write_text` (a temp file of this
+        writer's own, then an atomic rename), so a crash or a concurrent
+        compaction never leaves a torn file, and the file keeps its mode.
         """
         newest: Dict[Tuple[str, int], CorpusRecord] = {}
         for record in self._records:
@@ -322,22 +319,14 @@ class PlanCorpus:
         self._records = survivors
         self._keys = {record.key for record in survivors}
         self.directory.mkdir(parents=True, exist_ok=True)
-        # The temp name is this writer's alone: two corpora compacting one
-        # directory cannot write into (or publish) each other's file.
-        handle, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix="corpus.", suffix=".tmp"
+        atomic_write_text(
+            self.path,
+            (
+                json.dumps(record.to_dict(), separators=(",", ":")) + "\n"
+                for record in survivors
+            ),
+            prefix="corpus.",
         )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                for record in survivors:
-                    stream.write(
-                        json.dumps(record.to_dict(), separators=(",", ":")) + "\n"
-                    )
-            os.replace(tmp, self.path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
         if dropped:
             logger.debug("corpus compaction dropped %d record(s)", dropped)
         return dropped

@@ -37,13 +37,14 @@ import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api import PLAN_FORMAT_VERSION, OptimizationPlan
 from repro.errors import ServiceError
 
 __all__ = [
     "PLAN_FORMAT_VERSION",
+    "atomic_write_text",
     "plan_to_dict",
     "plan_from_dict",
     "CacheStats",
@@ -51,6 +52,41 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+
+# The mode a plain ``open(path, "w")`` would create files with.  Read once:
+# ``os.umask`` can only be read by setting it, which is not thread-safe.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+_DEFAULT_FILE_MODE = 0o666 & ~_UMASK
+
+
+def atomic_write_text(path: Path, chunks: Iterable[str], prefix: str) -> None:
+    """Replace ``path`` with the concatenated ``chunks``; no reader ever sees
+    a torn file.
+
+    The chunks (consumed lazily, one ``write`` each) go to a temp file in ``path``'s directory whose name is this
+    writer's alone (``prefix`` + random + ``.tmp``), then is renamed over
+    ``path``; two writers of one path cannot write into, publish or remove
+    each other's file.  The temp file is removed on any failure.  The result
+    keeps ``path``'s existing mode, or the umask default for a new file (not
+    ``mkstemp``'s 0600), so other readers of a shared directory keep access.
+    """
+    try:
+        mode = path.stat().st_mode & 0o777
+    except FileNotFoundError:
+        mode = _DEFAULT_FILE_MODE
+    handle, tmp = tempfile.mkstemp(dir=path.parent, prefix=prefix, suffix=".tmp")
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as stream:
+            for chunk in chunks:
+                stream.write(chunk)
+        os.chmod(tmp, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def plan_to_dict(plan: OptimizationPlan) -> Dict:
@@ -174,23 +210,9 @@ class PlanCache:
                 "fingerprint": fingerprint,
                 "plan": plan,
             }
-            # Write-then-rename so a crashed writer never leaves a torn entry
-            # under the final name; the temp name is this writer's alone, so
-            # two processes storing one fingerprint cannot publish (or remove)
-            # each other's half-written file.
-            handle, tmp = tempfile.mkstemp(
-                dir=self.directory, prefix=f"{fingerprint}.", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(handle, "w") as stream:
-                    # No ``indent``: it forces the pure-Python encoder (8x
-                    # slower, 4x the bytes for a few-hundred-strategy plan).
-                    stream.write(json.dumps(envelope))
-                os.replace(tmp, path)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-                raise
+            # No ``indent``: it forces the pure-Python encoder (8x slower,
+            # 4x the bytes for a few-hundred-strategy plan).
+            atomic_write_text(path, [json.dumps(envelope)], prefix=f"{fingerprint}.")
             logger.debug("stored plan %s to %s", fingerprint, path)
 
     def _insert_memory(self, fingerprint: str, plan: Dict) -> None:

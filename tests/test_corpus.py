@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import stat
 
 import pytest
 
@@ -246,6 +247,16 @@ class TestPlanCorpusStore:
         monkeypatch.undo()
         assert corpus.path.read_bytes() == before
         assert list(corpus.directory.glob("*.tmp")) == []
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_compaction_keeps_the_file_mode(self, corpus, base_outcome):
+        corpus.ingest_outcome(base_outcome)
+        appended = stat.S_IMODE(corpus.path.stat().st_mode)
+        corpus.compact()
+        assert stat.S_IMODE(corpus.path.stat().st_mode) == appended
+        corpus.path.chmod(0o640)
+        corpus.compact()
+        assert stat.S_IMODE(corpus.path.stat().st_mode) == 0o640
 
     def test_stale_temp_files_are_ignored_on_load(self, corpus, base_outcome):
         corpus.ingest_outcome(base_outcome)

@@ -272,5 +272,8 @@ class TestFractionsTravelToWorkers:
         serial = P2(topology).plan(query)
         sharded = P2(topology).plan(dataclasses.replace(query, shards=2))
         assert sharded.search["shards"] == 2
-        assert sharded.plan.to_dict()["strategies"] == serial.plan.to_dict()["strategies"]
+        sharded_dict, serial_dict = sharded.plan.to_dict(), serial.plan.to_dict()
+        assert sharded_dict["strategies"] == serial_dict["strategies"]
+        # Programs are indices into the step table: compare the groups too.
+        assert sharded_dict["steps"] == serial_dict["steps"]
         assert sharded.search["semantics_reused"] > 0

@@ -318,7 +318,10 @@ class TestNothingOutlivesTheSearch:
         serial = P2(topology).plan(self.QUERY)
         sharded = P2(topology).plan(dataclasses.replace(self.QUERY, shards=2))
         assert sharded.search["shards"] == 2
-        assert sharded.plan.to_dict()["strategies"] == serial.plan.to_dict()["strategies"]
+        sharded_dict, serial_dict = sharded.plan.to_dict(), serial.plan.to_dict()
+        assert sharded_dict["strategies"] == serial_dict["strategies"]
+        # Programs are indices into the step table: compare the groups too.
+        assert sharded_dict["steps"] == serial_dict["steps"]
         for candidate, twin in zip(sharded.plan.candidates, serial.plan.candidates):
             blob = pickle.dumps(candidate)
             assert b"_Transitions" not in blob and b"hoare_transitions" not in blob

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -305,6 +306,14 @@ class TestWritersSharingADirectory:
             cache.put(self.FINGERPRINT, plan_to_dict(plan))
         monkeypatch.undo()
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_entries_get_the_umask_default_mode_not_mkstemps(self, plan, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        PlanCache(tmp_path).put(self.FINGERPRINT, plan_to_dict(plan))
+        entry = tmp_path / f"{self.FINGERPRINT}.json"
+        assert stat.S_IMODE(entry.stat().st_mode) == 0o666 & ~umask
 
     def test_stale_temp_files_are_not_entries_and_clear_removes_them(
         self, plan, tmp_path
