@@ -15,11 +15,13 @@ Two phases:
 
 The gate: the warm-phase p50 is the ``median_seconds`` the committed
 baseline bounds, and the run asserts the paper-shaped serving story — a
-warm cache hit is strictly cheaper than a cold plan at p50 and at p99,
-nothing is shed at this offered load, and the cache-hit ratio is exactly 1
-after the probe has planned the whole mix.  The cold/warm p99 ratio is
-recorded as a labelled proxy and not gated: its numerator is the cold plan,
-so a bar on it fails whenever cold plans get faster although nothing
+warm cache hit is strictly cheaper than a cold plan at p50, nothing is shed
+at this offered load, and the cache-hit ratio is exactly 1 after the probe
+has planned the whole mix.  The p99 order and the cold/warm p99 ratio are
+printed and recorded as labelled proxies, not gated: the cold p99 comes
+from only as many plans as the mix has distinct queries (three), so one
+scheduler stall on the warm side flips it, and a ratio whose numerator is
+the cold plan fails whenever cold plans get faster although nothing
 regressed.  The request count and mix size are deterministic per seed, so
 they gate exactly.
 """
@@ -131,15 +133,19 @@ def test_daemon_serves_warm_hits_faster_than_cold_plans(
     assert served == cold.ok + warm.ok
     assert daemon_snapshot.counters.get("serve.shed", 0) == 0
 
+    assert warm.hit_latency["p50_s"] < cold.miss_latency["p50_s"], (
+        f"warm cache hits are not faster than cold plans at p50 "
+        f"({warm.hit_latency['p50_s'] * 1e3:.1f}ms vs "
+        f"{cold.miss_latency['p50_s'] * 1e3:.1f}ms)"
+    )
     cold_p99 = cold.miss_latency["p99_s"]
     warm_hit_p99 = warm.hit_latency["p99_s"]
-    for quantile in ("p50_s", "p99_s"):
-        assert warm.hit_latency[quantile] < cold.miss_latency[quantile], (
-            f"warm cache hits are not faster than cold plans at {quantile[:-2]} "
-            f"({warm.hit_latency[quantile] * 1e3:.1f}ms vs "
-            f"{cold.miss_latency[quantile] * 1e3:.1f}ms)"
-        )
     speedup = cold_p99 / warm_hit_p99  # a proxy: recorded, never gated
+    print(
+        f"p99 proxy (not gated; cold p99 from {mix.distinct} plans): "
+        f"warm hit {warm_hit_p99 * 1e3:.1f}ms vs cold plan {cold_p99 * 1e3:.1f}ms "
+        f"({speedup:.1f}x)"
+    )
 
     bench_json(
         "daemon_load",

@@ -31,7 +31,6 @@ tolerance (process spawn time varies across runners).
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 

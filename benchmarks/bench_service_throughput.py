@@ -1,4 +1,4 @@
-"""Benchmark S1 — planning-service throughput (cache + parallel evaluation).
+"""Benchmark S1 — planning-service throughput (plan cache tiers).
 
 The planning service exists to amortize P² queries: a cold query pays full
 synthesis + simulation, while a warm query is a fingerprint lookup plus plan
@@ -6,12 +6,10 @@ deserialization.  This benchmark runs the same workload as
 ``bench_synthesis_time`` (the Table 4 configurations) through the service
 three times — cold, warm from the in-memory LRU, and warm from a fresh
 service reading the on-disk tier — and reports per-configuration latency and
-speedup.  It also checks that the process-pool evaluator reproduces the
-serial ranking exactly, byte for byte.
+speedup.
 
 Pass criteria: warm-cache lookups (memory and disk) strictly faster than the
-cold plan and ranking-identical to it for every configuration, and parallel
-== serial rankings.  The cold/warm ratio is printed as a labelled proxy, not
+cold plan and ranking-identical to it for every configuration.  The cold/warm ratio is printed as a labelled proxy, not
 gated: its numerator is the cold plan, so a bar on it fails whenever cold
 plans get faster although nothing regressed (``service_cold_plan`` and
 ``service_warm_memory_lookup`` in ``baseline.json`` gate the two sides).
@@ -24,7 +22,6 @@ from statistics import median
 
 import pytest
 
-from repro.api import P2
 from repro.evaluation.config import table4_configs
 from repro.service import PlanCache, PlanningRequest, PlanningService
 from repro.utils.tabulate import format_table
@@ -187,49 +184,3 @@ def test_plan_many_batch_dedup_throughput(benchmark, save_artifact, tmp_path_fac
     )
     save_artifact("service_plan_many", text)
     assert amortized < cold_seconds, "duplicates should be far cheaper than cold"
-
-
-@pytest.mark.benchmark(group="service-throughput")
-def test_parallel_evaluation_matches_serial(benchmark, save_artifact):
-    config = table4_configs(payload_scale=0.01)[0]  # T4-F: A100 2 nodes, [8 4]
-    topology = config.topology()
-    p2 = P2(topology, max_program_size=config.max_program_size)
-
-    def run_both():
-        start = time.perf_counter()
-        serial = p2.optimize(
-            config.parallelism(),
-            config.request(),
-            bytes_per_device=config.bytes_per_device,
-            algorithm=config.algorithm,
-        )
-        serial_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        parallel = p2.optimize(
-            config.parallelism(),
-            config.request(),
-            bytes_per_device=config.bytes_per_device,
-            algorithm=config.algorithm,
-            n_workers=2,
-        )
-        parallel_seconds = time.perf_counter() - start
-        return serial, parallel, serial_seconds, parallel_seconds
-
-    serial, parallel, serial_seconds, parallel_seconds = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
-    # The contract that makes the pool safe to enable by default: identical
-    # ranking, identical predicted times.
-    assert _ranking(parallel) == _ranking(serial)
-
-    text = format_table(
-        ["path", "strategies", "seconds"],
-        [
-            ["serial", len(serial.strategies), serial_seconds],
-            ["2-worker pool", len(parallel.strategies), parallel_seconds],
-        ],
-        title=f"Serial vs parallel evaluation ({config.name}); rankings identical",
-        float_fmt="{:.3f}",
-    )
-    save_artifact("service_parallel", text)

@@ -57,17 +57,17 @@ def test_smoke_sweep_cold_vs_warm(benchmark, save_artifact, bench_json, tmp_path
 
     def cold_then_warm():
         cold_records = []
-        with _service_runner(cache_dir, preset) as runner:
-            start = time.perf_counter()
-            cold_results = runner.run_stream(scenarios, on_record=cold_records.append)
-            cold_seconds = time.perf_counter() - start
+        runner = _service_runner(cache_dir, preset)
+        start = time.perf_counter()
+        cold_results = runner.run_stream(scenarios, on_record=cold_records.append)
+        cold_seconds = time.perf_counter() - start
         assert all(not result.cache_hit for result in cold_results)
 
         warm_records = []
-        with _service_runner(cache_dir, preset) as runner:  # fresh memory tier
-            start = time.perf_counter()
-            warm_results = runner.run_stream(scenarios, on_record=warm_records.append)
-            warm_seconds = time.perf_counter() - start
+        runner = _service_runner(cache_dir, preset)  # fresh memory tier
+        start = time.perf_counter()
+        warm_results = runner.run_stream(scenarios, on_record=warm_records.append)
+        warm_seconds = time.perf_counter() - start
         assert all(result.cache_tier == "disk" for result in warm_results)
         return cold_records, warm_records, cold_seconds, warm_seconds
 

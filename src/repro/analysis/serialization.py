@@ -168,7 +168,6 @@ def results_from_json(text: str) -> List[SweepResult]:
                 cache_tier=provenance.get("cache_tier"),
                 fingerprint=provenance.get("fingerprint"),
                 planner_seconds=provenance.get("planner_seconds", 0.0),
-                n_workers=provenance.get("n_workers", 1),
                 profile_hits=provenance.get("profile_hits", 0),
                 profile_misses=provenance.get("profile_misses", 0),
                 search=provenance.get("search"),
@@ -221,7 +220,6 @@ def result_from_record(data: Dict) -> SweepResult:
         cache_tier=provenance.get("cache_tier"),
         fingerprint=provenance.get("fingerprint"),
         planner_seconds=provenance.get("planner_seconds", 0.0),
-        n_workers=provenance.get("n_workers", 1),
         profile_hits=provenance.get("profile_hits", 0),
         profile_misses=provenance.get("profile_misses", 0),
         search=provenance.get("search"),

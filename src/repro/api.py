@@ -354,13 +354,6 @@ class OptimizationPlan:
         )
 
 
-def _profile_counters(simulator: Optional[ProgramSimulator]) -> Tuple[int, int]:
-    """(hits, misses) of a simulator's profile cache; zeros when there is none."""
-    if simulator is None:
-        return 0, 0
-    return simulator.profile_hits, simulator.profile_misses
-
-
 # StrategyEntry now lives in repro.search.source (the entry stream is the
 # search package's currency); it stays importable from here for callers of
 # the eager helpers below.
@@ -453,7 +446,6 @@ def compute_plan(
     topology: MachineTopology,
     cost_model: CostModel,
     query: PlanQuery,
-    evaluator=None,
     node_limit: int = 500_000,
     validate: bool = True,
     simulator: Optional[ProgramSimulator] = None,
@@ -465,10 +457,7 @@ def compute_plan(
 
     Runs the streaming :class:`~repro.search.SearchDriver` over the query's
     candidate sources (``sources`` overrides the default baseline+synthesis
-    pair; see :func:`repro.search.default_sources`), prices entries through
-    ``evaluator`` — any object with an ``evaluate(programs, bytes_per_device,
-    algorithm)`` method, e.g. a
-    :class:`~repro.service.parallel.ParallelEvaluator` — or serially on the
+    pair; see :func:`repro.search.default_sources`), prices entries on the
     caller-owned ``simulator`` (whose compiled-profile cache then persists
     across calls), and ranks the survivors.  Keeping this in one place is
     what makes the service's fingerprint-keyed cache sound: both entry
@@ -494,17 +483,9 @@ def compute_plan(
     :class:`~repro.search.sharded.ShardedSearchDriver` — the placement
     candidates are partitioned across worker processes that share a
     branch-and-bound incumbent (see :mod:`repro.search.sharded`).  Exhaustive
-    sharded plans are bit-identical to ``shards=1``; sharding is exclusive
-    with ``evaluator`` (two process pools pricing one search would fight
-    over the same cores).
+    sharded plans are bit-identical to ``shards=1``.
     """
     if query.shards > 1:
-        if evaluator is not None:
-            raise EvaluationError(
-                f"shards={query.shards} cannot be combined with a candidate "
-                "evaluator: sharded search runs its own worker processes "
-                "(drop the evaluator/n_workers, or plan with shards=1)"
-            )
         from repro.search.sharded import ShardedSearchDriver
 
         driver = ShardedSearchDriver(
@@ -516,11 +497,7 @@ def compute_plan(
         )
     else:
         driver = SearchDriver(
-            topology,
-            cost_model,
-            simulator=simulator,
-            evaluator=evaluator,
-            recorder=recorder,
+            topology, cost_model, simulator=simulator, recorder=recorder
         )
     space = SearchSpace(
         topology=topology,
@@ -637,8 +614,6 @@ class P2:
         query: PlanQuery,
         *,
         service: Optional["PlanningService"] = None,
-        n_workers: Optional[int] = None,
-        evaluator=None,
         sources: Optional[Sequence[CandidateSource]] = None,
     ) -> PlanOutcome:
         """Answer one :class:`PlanQuery` with a :class:`PlanOutcome`.
@@ -648,19 +623,11 @@ class P2:
         service:
             Opt-in: route the query through a
             :class:`~repro.service.engine.PlanningService` (plan caching,
-            request stats, optional worker pool).  The service must be bound
-            to this tool's topology and cost model; the query's own search
-            limits (``max_program_size``, ``max_matrices``, candidate/time
-            budgets) are honoured by the service, so no agreement on them is
+            request stats).  The service must be bound to this tool's
+            topology and cost model; the query's own search limits
+            (``max_program_size``, ``max_matrices``, candidate/time budgets)
+            are honoured by the service, so no agreement on them is
             required.
-        n_workers:
-            Opt-in: fan candidate simulation out over a process pool of this
-            size (``service`` takes precedence; the service manages its own
-            pool).  The ranking is identical to the serial path.
-        evaluator:
-            Opt-in: an existing evaluator (e.g. a shared
-            :class:`~repro.service.parallel.ParallelEvaluator`) to price the
-            candidates with; takes precedence over ``n_workers``.
         sources:
             Opt-in: override the candidate sources searched (default:
             baselines + full synthesis, :func:`repro.search.default_sources`).
@@ -694,67 +661,23 @@ class P2:
 
         from repro.service.fingerprint import plan_query_fingerprint
 
-        if query.shards > 1 and (
-            evaluator is not None or (n_workers is not None and n_workers > 1)
-        ):
-            raise EvaluationError(
-                f"shards={query.shards} cannot be combined with "
-                "n_workers/evaluator: sharded search runs its own worker "
-                "processes (pick one parallelism axis)"
-            )
         start = time.perf_counter()
         recorder = get_recorder()
         with recorder.span("plan") as root:
-            if evaluator is None and n_workers is not None and n_workers > 1:
-                from repro.service.parallel import ParallelEvaluator
-
-                with ParallelEvaluator(
-                    self.topology, self.cost_model, n_workers, recorder=recorder
-                ) as pool:
-                    hits_before, misses_before = pool.profile_counters()
-                    computation = compute_plan(
-                        self.topology,
-                        self.cost_model,
-                        query,
-                        evaluator=pool,
-                        node_limit=self.node_limit,
-                        validate=self.validate_lowering,
-                        sources=sources,
-                        recorder=recorder,
-                        shapes=self._shapes,
-                    )
-                    hits_after, misses_after = pool.profile_counters()
-            else:
-                # Both the external-evaluator path and the serial path account
-                # profile-cache traffic on the simulator that actually priced the
-                # candidates (the evaluator's own, or this tool's shared one).
-                simulator = (
-                    getattr(evaluator, "simulator", None)
-                    if evaluator is not None
-                    else self.simulator
-                )
-                hits_before, misses_before = _profile_counters(simulator)
-                computation = compute_plan(
-                    self.topology,
-                    self.cost_model,
-                    query,
-                    evaluator=evaluator,
-                    node_limit=self.node_limit,
-                    validate=self.validate_lowering,
-                    simulator=None if evaluator is not None else simulator,
-                    sources=sources,
-                    recorder=recorder,
-                    shapes=self._shapes,
-                )
-                hits_after, misses_after = _profile_counters(simulator)
-            if evaluator is not None:
-                workers = getattr(evaluator, "n_workers", 1)
-            elif n_workers is not None and n_workers > 1:
-                workers = n_workers
-            else:
-                # A sharded search is its own parallelism: report the shard
-                # width as the worker count the plan was computed with.
-                workers = query.shards if query.shards > 1 else 1
+            simulator = self.simulator
+            hits_before, misses_before = simulator.profile_hits, simulator.profile_misses
+            computation = compute_plan(
+                self.topology,
+                self.cost_model,
+                query,
+                node_limit=self.node_limit,
+                validate=self.validate_lowering,
+                simulator=simulator,
+                sources=sources,
+                recorder=recorder,
+                shapes=self._shapes,
+            )
+            hits_after, misses_after = simulator.profile_hits, simulator.profile_misses
             return PlanOutcome(
                 query=query,
                 plan=computation.plan,
@@ -763,7 +686,6 @@ class P2:
                 total_seconds=time.perf_counter() - start,
                 fingerprint=plan_query_fingerprint(self.topology, query, self.cost_model),
                 cache_tier=None,
-                n_workers=workers,
                 profile_hits=hits_after - hits_before,
                 profile_misses=misses_after - misses_before,
                 search=computation.search_dict(),
@@ -771,18 +693,8 @@ class P2:
                 trace_id=root.trace_id,
             )
 
-    def plan_many(
-        self,
-        queries: Sequence[PlanQuery],
-        *,
-        n_workers: Optional[int] = None,
-    ) -> List[PlanOutcome]:
-        """Answer a batch of queries, in order (one shared pool when parallel)."""
-        if n_workers is not None and n_workers > 1:
-            from repro.service.parallel import ParallelEvaluator
-
-            with ParallelEvaluator(self.topology, self.cost_model, n_workers) as pool:
-                return [self.plan(query, evaluator=pool) for query in queries]
+    def plan_many(self, queries: Sequence[PlanQuery]) -> List[PlanOutcome]:
+        """Answer a batch of queries, in order."""
         return [self.plan(query) for query in queries]
 
     # ------------------------------------------------------------------ #
@@ -794,7 +706,6 @@ class P2:
         algorithm: NCCLAlgorithm = NCCLAlgorithm.RING,
         max_matrices: Optional[int] = None,
         service: Optional["PlanningService"] = None,
-        n_workers: Optional[int] = None,
     ) -> OptimizationPlan:
         """Synthesize and rank every (placement, strategy) candidate.
 
@@ -828,7 +739,7 @@ class P2:
             max_matrices=max_matrices,
             max_program_size=self.max_program_size,
         )
-        return self.plan(query, service=service, n_workers=n_workers).plan
+        return self.plan(query, service=service).plan
 
     # ------------------------------------------------------------------ #
     def simulate(

@@ -11,7 +11,7 @@
   (gradients + activations, each with its own payload and frequency).
 * ``repro-cli emit`` — print the best strategy as XLA-style collective ops.
 * ``repro-cli serve-batch`` — answer a batch of optimize queries through the
-  planning service (plan cache + optional worker pool + per-request stats).
+  planning service (plan cache + per-request stats).
 * ``repro-cli serve`` — run the planning daemon: newline-delimited JSON over
   TCP and/or Unix sockets, bounded admission queue with shedding, per-tenant
   rate limits, cache warming on boot and SIGTERM drain (:mod:`repro.serve`).
@@ -29,7 +29,7 @@
   (``--preset smoke|paper-table2|gcp-scaleout|payload-ladder|appendix``), a
   grid file (``--grid grid.json``) or the full appendix by default, with
   JSONL streaming (``--out``/``--json``), checkpoint resume (``--resume``)
-  and cache/worker amortization (``--cache-dir``/``--workers``).
+  and cache amortization (``--cache-dir``).
 
 All commands accept ``--payload-scale`` so they can be run quickly on a
 laptop; the default reproduces the paper's full payload sizes.
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="partition the cold-path search across this many "
                             "worker processes sharing a branch-and-bound "
                             "incumbent (exhaustive results are identical to "
-                            "--shards 1; exclusive with --workers)")
+                            "--shards 1)")
 
     p_opt = sub.add_parser("optimize", help="synthesize and rank strategies for one shape")
     add_shape_arguments(p_opt)
@@ -140,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--reduce", type=int, nargs="+", default=[0],
                        help="reduction axis indices, e.g. --reduce 0 2")
     p_opt.add_argument("--top", type=int, default=10)
-    p_opt.add_argument("--workers", type=int, default=None,
-                       help="evaluate candidates on a process pool of this size")
     p_opt.add_argument("--json", action="store_true",
                        help="emit the outcome (query + plan + provenance) as one JSON object")
     add_corpus_argument(p_opt)
@@ -171,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument("--cache-dir", type=str, default=None,
                          help="persist plans here (warm-starts later runs)")
-    p_batch.add_argument("--workers", type=int, default=None,
-                         help="process-pool size for cold-path evaluation")
     p_batch.add_argument("--top", type=int, default=1,
                          help="strategies to print per query")
     p_batch.add_argument("--json", action="store_true",
@@ -211,12 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seconds to wait for queued requests on shutdown")
     p_serve.add_argument("--cache-dir", type=str, default=None,
                          help="persist plans here (warm-starts later runs)")
-    p_serve.add_argument("--workers", type=int, default=None,
-                         help="process-pool size for cold-path evaluation")
     p_serve.add_argument("--shards", type=int, default=None,
                          help="default shard width for cold-path planning "
-                              "(queries carrying their own shards keep it; "
-                              "exclusive with --workers)")
+                              "(queries carrying their own shards keep it)")
     p_serve.add_argument("--max-program-size", type=int, default=5)
     p_serve.add_argument("--ready-file", type=str, default=None, metavar="FILE",
                          help='write {"host", "port", "pid", ...} JSON here once '
@@ -378,9 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(flushed per scenario: a resumable checkpoint)")
             p.add_argument("--resume", action="store_true",
                            help="skip scenarios already recorded in --out")
-            p.add_argument("--workers", type=int, default=None,
-                           help="answer queries through a planning service with "
-                                "a process pool of this size")
             p.add_argument("--cache-dir", type=str, default=None,
                            help="answer queries through a planning service with an "
                                 "on-disk plan cache here (warm re-runs are lookups)")
@@ -409,8 +399,6 @@ def _run_optimize(args: argparse.Namespace) -> int:
         time_budget_s=args.time_budget,
         shards=1 if args.shards is None else args.shards,
     )
-    if query.shards > 1 and args.workers and args.workers > 1:
-        raise SystemExit("--shards and --workers are exclusive: pick one parallelism axis")
     p2 = P2(topology, max_program_size=args.max_program_size)
     seeder = None
     sources = None
@@ -422,7 +410,7 @@ def _run_optimize(args: argparse.Namespace) -> int:
         sources = seeder.seed_sources(
             query, plan_query_fingerprint(topology, query, p2.cost_model)
         )
-    outcome = p2.plan(query, n_workers=args.workers, sources=sources)
+    outcome = p2.plan(query, sources=sources)
     if seeder is not None:
         seeder.ingest(outcome)
     if args.json:
@@ -615,8 +603,6 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
             )
             for query in queries
         ]
-    if args.workers and args.workers > 1 and any(q.shards > 1 for q in queries):
-        raise SystemExit("--shards and --workers are exclusive: pick one parallelism axis")
 
     cache = PlanCache(directory=args.cache_dir)
     corpus = None
@@ -624,29 +610,28 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
         from repro.corpus import PlanCorpus
 
         corpus = PlanCorpus(args.corpus)
-    with PlanningService(
+    service = PlanningService(
         topology,
         max_program_size=args.max_program_size,
         cache=cache,
-        n_workers=args.workers,
         corpus=corpus,
-    ) as service:
-        if args.json:
-            import json
+    )
+    if args.json:
+        import json
 
-            # Stream: one line flushed per answered query, so a consumer (or
-            # an interrupted run) sees every completed outcome immediately.
-            for outcome in service.plan_stream(queries):
-                print(json.dumps(outcome.to_dict(), sort_keys=True), flush=True)
-            return 1 if line_errors else 0
-        outcomes = service.plan_many(queries)
-        for outcome in outcomes:
-            print(f"query {outcome.query.describe()}")
-            print(f"  {outcome.describe()}")
-            for strategy in outcome.plan.top(args.top):
-                print(f"  {strategy.describe()}")
-        print()
-        print(service.describe())
+        # Stream: one line flushed per answered query, so a consumer (or
+        # an interrupted run) sees every completed outcome immediately.
+        for outcome in service.plan_stream(queries):
+            print(json.dumps(outcome.to_dict(), sort_keys=True), flush=True)
+        return 1 if line_errors else 0
+    outcomes = service.plan_many(queries)
+    for outcome in outcomes:
+        print(f"query {outcome.query.describe()}")
+        print(f"  {outcome.describe()}")
+        for strategy in outcome.plan.top(args.top):
+            print(f"  {strategy.describe()}")
+    print()
+    print(service.describe())
     return 1 if line_errors else 0
 
 
@@ -662,8 +647,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     if args.no_tcp and not args.unix:
         raise SystemExit("serve --no-tcp needs --unix")
-    if args.shards and args.shards > 1 and args.workers and args.workers > 1:
-        raise SystemExit("--shards and --workers are exclusive: pick one parallelism axis")
     system = SystemKind(args.system)
     topology = system.build(args.nodes)
     # The daemon's `stats` op serves the live recorder; if --trace-out did
@@ -724,15 +707,14 @@ def _run_serve(args: argparse.Namespace) -> int:
         )
         await daemon.wait_closed()
 
-    with PlanningService(
+    service = PlanningService(
         topology,
         max_program_size=args.max_program_size,
         cache=PlanCache(directory=args.cache_dir),
-        n_workers=args.workers,
         recorder=recorder,
         corpus=corpus,
-    ) as service:
-        asyncio.run(amain())
+    )
+    asyncio.run(amain())
     return 0
 
 
@@ -1136,11 +1118,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
             )
             for scenario in scenarios
         ]
-    if args.shards and args.shards > 1 and (args.workers or 0) > 1:
-        raise SystemExit("--shards and --workers are exclusive: pick one parallelism axis")
 
     planner_factory = None
-    if args.cache_dir is not None or (args.workers or 0) > 1 or args.corpus:
+    if args.cache_dir is not None or args.corpus:
         from repro.service import PlanCache, PlanningService
 
         corpus = None
@@ -1159,7 +1139,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
             return PlanningService(
                 topology,
                 cache=PlanCache(directory=args.cache_dir),
-                n_workers=args.workers,
                 corpus=corpus,
             )
 
@@ -1172,10 +1151,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
         measure_programs=measure,
         planner_factory=planner_factory,
     )
-    with runner:
-        results = runner.run_stream(
-            scenarios, out_path=args.out, resume=args.resume, on_record=on_record
-        )
+    results = runner.run_stream(
+        scenarios, out_path=args.out, resume=args.resume, on_record=on_record
+    )
 
     if not args.json:
         from repro.obs import get_recorder

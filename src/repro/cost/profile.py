@@ -117,10 +117,8 @@ class SimulationProfile:
     """A lowered program compiled against one topology, ready to price.
 
     Profiles are small (a handful of classes per step rather than one record
-    per group), cheap to pickle — the worker pool ships profiles instead of
-    re-deriving them per task — and payload/algorithm/cost-model independent,
-    so one compilation serves a whole payload ladder under both NCCL
-    algorithms.
+    per group) and payload/algorithm/cost-model independent, so one
+    compilation serves a whole payload ladder under both NCCL algorithms.
     """
 
     num_devices: int

@@ -259,47 +259,16 @@ class ProgramSimulator:
             self._profiles.popitem(last=False)
         return profile
 
-    def cached_profile(self, program: LoweredProgram) -> Optional[SimulationProfile]:
-        """The cached profile for ``program``, or ``None`` (counts as a hit only).
-
-        A miss is *not* counted here: callers that compile elsewhere (e.g. a
-        worker pool compiling in parallel) record it via :meth:`adopt_profile`
-        so hits + misses always equals the number of distinct signatures
-        priced, matching the serial path's accounting.
-        """
-        key = program.signature()
-        cached = self._profiles.get(key)
-        if cached is not None:
-            self.profile_hits += 1
-            self.recorder.count("profile.hit")
-            self._profiles.move_to_end(key)
-        return cached
-
     def peek_profile(self, program: LoweredProgram) -> Optional[SimulationProfile]:
         """The cached profile for ``program`` without touching the counters.
 
-        Unlike :meth:`cached_profile` this neither records a hit nor moves
-        the entry in the LRU — it is for *bound* computations (the search
+        Unlike :meth:`profile_for` this neither records a hit nor moves the
+        entry in the LRU — it is for *bound* computations (the search
         driver asks "can this candidate possibly beat the incumbent?") that
         must not perturb the hits+misses == distinct-signatures-priced
         accounting the planning provenance reports.
         """
         return self._profiles.get(program.signature())
-
-    def adopt_profile(
-        self, program: LoweredProgram, profile: SimulationProfile
-    ) -> None:
-        """Insert a profile compiled elsewhere (counted as one miss/compile)."""
-        self.profile_misses += 1
-        # The worker that compiled it already counted ``profile.miss`` in its
-        # own recorder delta (merged back into this one), so the telemetry
-        # counter distinguishes adoptions to avoid double-counting compiles.
-        self.recorder.count("profile.adopted")
-        self.steps_profiled += profile.num_steps
-        self.steps_compiled += profile.steps_compiled
-        self._profiles[program.signature()] = profile
-        if len(self._profiles) > self.profile_cache_size:
-            self._profiles.popitem(last=False)
 
     @property
     def cached_profiles(self) -> int:

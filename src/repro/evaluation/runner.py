@@ -4,8 +4,8 @@ For every scenario the runner
 
 1. builds the scenario's :class:`~repro.query.PlanQuery` and sends it to a
    planner — a bare :class:`repro.api.P2`, or a
-   :class:`~repro.service.engine.PlanningService` whose cache and worker
-   pool amortize repeated and concurrent sweeps,
+   :class:`~repro.service.engine.PlanningService` whose plan cache
+   amortizes repeated sweeps,
 2. regroups the resulting ranked plan into per-matrix program results,
 3. (optionally) measures every program with the flow-level testbed
    simulator, in ranked order (the order is part of the determinism
@@ -136,8 +136,8 @@ class SweepResult:
 
     ``synthesis_seconds`` / ``prediction_seconds`` come straight from the
     :class:`~repro.query.PlanOutcome` that answered the scenario's query
-    (both are 0.0 on a cache hit); ``cache_tier`` / ``fingerprint`` /
-    ``n_workers`` record how the plan was produced, and
+    (both are 0.0 on a cache hit); ``cache_tier`` / ``fingerprint`` record
+    how the plan was produced, and
     ``measurement_seconds`` is the testbed wall clock spent by this run.
     ``profile_hits`` / ``profile_misses`` count how many candidate
     simulations were answered by re-pricing a cached
@@ -154,7 +154,6 @@ class SweepResult:
     cache_tier: Optional[str] = None  # "memory" | "disk" | None (cold)
     fingerprint: Optional[str] = None
     planner_seconds: float = 0.0
-    n_workers: int = 1
     profile_hits: int = 0
     profile_misses: int = 0
     # Search-driver and synthesizer provenance (None on cache hits, where no
@@ -206,7 +205,6 @@ class SweepResult:
             "evaluation_seconds": self.prediction_seconds,
             "planner_seconds": self.planner_seconds,
             "measurement_seconds": self.measurement_seconds,
-            "n_workers": self.n_workers,
             "profile_hits": self.profile_hits,
             "profile_misses": self.profile_misses,
             "search": self.search,
@@ -239,14 +237,13 @@ class SweepRunner:
         uses a bare :class:`repro.api.P2` (direct computation).  Pass a
         factory returning a :class:`~repro.service.engine.PlanningService`
         to make sweeps cache-amortized (re-runs and duplicate shapes become
-        fingerprint lookups) and parallel (the service's worker pool).
+        fingerprint lookups).
         Planners are built once per topology and reused across scenarios —
         which also reuses one shape memo and one compiled-profile cache
         across a scenario's payload ladder, so only the first rung pays
         synthesis, validation and contention analysis; the resulting
         ``profile_hits`` and ``search["reused_streams"]`` land in each
         result's provenance.
-        :meth:`close` releases any planners that need releasing.
     measure_programs / measurement_runs / noise_seed:
         Testbed measurement of every ranked program (the planner only
         predicts).  Measurement happens in ranked order so that cold and
@@ -285,20 +282,6 @@ class SweepRunner:
                     node_limit=self.node_limit,
                 )
         return self._planners[key]
-
-    def close(self) -> None:
-        """Release every planner that has a ``close`` (service worker pools)."""
-        for planner in self._planners.values():
-            close = getattr(planner, "close", None)
-            if callable(close):
-                close()
-        self._planners.clear()
-
-    def __enter__(self) -> "SweepRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
     # Running
@@ -480,7 +463,6 @@ class SweepRunner:
             cache_tier=outcome.cache_tier,
             fingerprint=outcome.fingerprint,
             planner_seconds=outcome.total_seconds,
-            n_workers=outcome.n_workers,
             profile_hits=outcome.profile_hits,
             profile_misses=outcome.profile_misses,
             search=outcome.search,

@@ -10,8 +10,8 @@ to report about itself:
   histogram in the system shares one bucket ladder
   (:data:`BUCKET_BOUNDS`, log-spaced from 1 µs to ~9 minutes), which is
   what makes merging *associative and commutative*: merging is element-wise
-  addition of bucket counts, so snapshots taken in different processes (pool
-  workers, future search shards) combine in any order into the same result;
+  addition of bucket counts, so snapshots taken in different processes
+  (search shards) combine in any order into the same result;
 * **spans** — a per-request trace tree.  :meth:`Recorder.span` opens a
   timed section; nesting is tracked through a :mod:`contextvars` context
   variable, so spans opened anywhere down the call stack attach to the
@@ -32,9 +32,8 @@ tests.
 
 All mutating operations take the recorder's lock, so one recorder may be
 shared by every thread of a process; cross-*process* aggregation goes
-through :meth:`Recorder.snapshot` / :meth:`Recorder.merge` (pool workers
-record locally and ship snapshots back — the same merge path a sharded
-search will use).
+through :meth:`Recorder.snapshot` / :meth:`Recorder.merge` (sharded-search
+workers record locally and ship snapshots back).
 """
 
 from __future__ import annotations
@@ -506,9 +505,9 @@ class Recorder:
     def drain(self) -> RecorderSnapshot:
         """Snapshot *and reset*, atomically.
 
-        Pool workers call this after each task so every returned snapshot is
-        a disjoint delta; merging deltas in any order reproduces the full
-        state (the associativity the sharded-search merge path relies on).
+        Sharded-search workers call this before shipping telemetry home, so
+        every returned snapshot is a disjoint delta; merging deltas in any
+        order reproduces the full state.
         """
         with self._lock:
             snapshot = RecorderSnapshot(

@@ -5,11 +5,11 @@ reduction request, payload, algorithm, search limits) against a fixed
 topology — to a ranked plan.  :class:`PlanQuery` makes that query a frozen,
 validated, serializable object, and :class:`PlanOutcome` wraps the resulting
 :class:`~repro.api.OptimizationPlan` together with its provenance (timings,
-fingerprint, cache tier, worker count).
+fingerprint, cache tier, search report).
 
 Anything that can answer queries — :class:`repro.api.P2` directly, or a
-:class:`repro.service.engine.PlanningService` with its cache and worker
-pool — implements the :class:`Planner` protocol::
+:class:`repro.service.engine.PlanningService` with its plan cache —
+implements the :class:`Planner` protocol::
 
     outcome = planner.plan(query)            # one query
     outcomes = planner.plan_many(queries)    # a batch
@@ -345,8 +345,8 @@ class PlanOutcome:
 
     ``synthesis_seconds``/``evaluation_seconds`` are the cold-path timings
     :func:`repro.api.compute_plan` measures (zero on a cache hit);
-    ``fingerprint``/``cache_tier``/``n_workers`` record provenance so callers
-    can monitor hit rates and latency without instrumenting the pipeline.
+    ``fingerprint``/``cache_tier`` record provenance so callers can monitor
+    hit rates and latency without instrumenting the pipeline.
     ``profile_hits``/``profile_misses`` count the simulator's compiled-profile
     cache traffic while evaluating this query (zero on a plan-cache hit):
     hits are candidate simulations answered by re-pricing an already compiled
@@ -373,7 +373,6 @@ class PlanOutcome:
     total_seconds: float = 0.0
     fingerprint: Optional[str] = None
     cache_tier: Optional[str] = None  # "memory" | "disk" | None (cold)
-    n_workers: int = 1
     profile_hits: int = 0
     profile_misses: int = 0
     search: Optional[Dict[str, Any]] = None
@@ -410,7 +409,6 @@ class PlanOutcome:
             "synthesis_seconds": self.synthesis_seconds,
             "evaluation_seconds": self.evaluation_seconds,
             "total_seconds": self.total_seconds,
-            "n_workers": self.n_workers,
             "profile_hits": self.profile_hits,
             "profile_misses": self.profile_misses,
             "search": self.search,
@@ -463,8 +461,7 @@ class PlanOutcome:
         source = self.cache_tier or "cold"
         detail = (
             f"synthesis {self.synthesis_seconds * 1e3:.1f} ms, "
-            f"evaluation {self.evaluation_seconds * 1e3:.1f} ms, "
-            f"{self.n_workers} worker(s)"
+            f"evaluation {self.evaluation_seconds * 1e3:.1f} ms"
             if not self.cache_hit
             else "cached plan"
         )
@@ -479,7 +476,7 @@ class Planner(Protocol):
     """Anything that answers :class:`PlanQuery` objects.
 
     Both :class:`repro.api.P2` (direct computation) and
-    :class:`repro.service.engine.PlanningService` (cache + pool + stats)
+    :class:`repro.service.engine.PlanningService` (cache + stats)
     satisfy this protocol and produce identical rankings for the same query,
     so callers — sweep runners, transports, shard routers — can hold either
     behind one type.

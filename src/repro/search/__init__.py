@@ -16,13 +16,7 @@ from repro.search.bounds import (
     placement_lower_bound,
     program_lower_bound,
 )
-from repro.search.driver import (
-    CandidateEvaluator,
-    SearchDriver,
-    SearchReport,
-    SearchResult,
-    driver_chunk_size,
-)
+from repro.search.driver import SearchDriver, SearchReport, SearchResult
 from repro.search.sharded import (
     PlacementLedger,
     ShardedSearchDriver,
@@ -56,7 +50,6 @@ __all__ = [
     "ROLE_SEED",
     "SHAPE_MEMO_SHAPES",
     "BaselineSource",
-    "CandidateEvaluator",
     "CandidateSource",
     "PinnedPlanSource",
     "PlacementLedger",
@@ -71,7 +64,6 @@ __all__ = [
     "SynthesisSource",
     "Watermark",
     "default_sources",
-    "driver_chunk_size",
     "min_link_latency",
     "placement_lower_bound",
     "program_lower_bound",

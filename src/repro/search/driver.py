@@ -23,10 +23,11 @@ pipeline bit for bit — same entries, same predicted floats, same
 profile-cache traffic — which is what keeps the planning service's
 fingerprint cache and the tier-1 determinism contracts sound.
 
-With a :class:`~repro.service.parallel.ParallelEvaluator`, exhaustive runs
-fan the whole stream out in one batch (identical to the historical pool
-path), while budgeted runs price candidate chunks between watermark reads so
-workers always race against a recent incumbent.
+Pricing takes one of two paths: an exhaustive run buffers the stream and
+prices it in one vectorized ``price_many`` batch at the end, while a
+budgeted run prices entry by entry so every bound check reads the freshest
+incumbent.  Parallel search is :mod:`repro.search.sharded`, whose workers
+run this same loop over slices of the placement space.
 """
 
 from __future__ import annotations
@@ -34,22 +35,10 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Set,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cost.model import CostModel
-from repro.cost.nccl import NCCLAlgorithm
 from repro.cost.simulator import ProgramSimulator
-from repro.errors import ServiceError
 from repro.obs.recorder import Stopwatch, get_recorder
 from repro.search.bounds import program_lower_bound
 from repro.search.source import (
@@ -66,55 +55,11 @@ from repro.synthesis.pipeline import PlacementCandidate
 from repro.synthesis.pruning import SearchStatistics
 from repro.topology.topology import MachineTopology
 
-__all__ = [
-    "CandidateEvaluator",
-    "SearchReport",
-    "SearchResult",
-    "SearchDriver",
-    "driver_chunk_size",
-]
+__all__ = ["SearchReport", "SearchResult", "SearchDriver"]
 
 logger = logging.getLogger(__name__)
 
 _SENTINEL = object()
-
-# Entries buffered between watermark reads on the budgeted pool path; small
-# multiples of the worker count keep the incumbent fresh without starving
-# the pool.
-_CHUNK_PER_WORKER = 4
-
-
-@runtime_checkable
-class CandidateEvaluator(Protocol):
-    """The formal evaluator contract the search driver prices through.
-
-    ``n_workers`` is how wide the evaluator actually prices — the driver
-    sizes its budgeted chunks from it (see :func:`driver_chunk_size`), so it
-    is a *required* attribute, not an optional hint.
-    :class:`~repro.service.parallel.ParallelEvaluator` satisfies this
-    protocol; so must any duck-typed replacement.
-    """
-
-    n_workers: int
-
-    def evaluate(
-        self,
-        programs: Sequence[LoweredProgram],
-        bytes_per_device: float,
-        algorithm: NCCLAlgorithm,
-    ) -> List[float]:
-        """Predicted seconds for each program, in input order."""
-        ...
-
-
-def driver_chunk_size(n_workers: int) -> int:
-    """Entries buffered between watermark reads for an ``n_workers``-wide path.
-
-    One shared formula so the pooled driver and the sharded driver
-    (:mod:`repro.search.sharded`) agree on how much staleness a budgeted
-    incumbent can accumulate: a few entries per worker, never below 8.
-    """
-    return max(_CHUNK_PER_WORKER * n_workers, 8)
 
 
 @dataclass
@@ -142,8 +87,7 @@ class SearchReport:
     batch_prices: int = 0         # vectorized batch-pricing kernel invocations
     batch_payloads: int = 0       # (program, payload) cells those kernels covered
     batch_fallbacks: int = 0      # batch calls that fell back to the scalar loop
-    # Profile compiles on this driver's simulator that reused the validation
-    # sweep (pool workers count theirs in ``profile.semantics_reused``).
+    # Profile compiles on this driver's simulator that reused the validation sweep.
     semantics_reused: int = 0
     # Source streams answered from the planner's shape memo: their entries were
     # synthesized, lowered and validated by an earlier search of the same shape.
@@ -233,7 +177,7 @@ def note_sharing(span, candidates: Sequence[PlacementCandidate]) -> None:
     span.set_attr("distinct_synthesis_problems", len({(h.radices, h.goal()) for h in hierarchies}))
 
 
-class _SerialPricer:
+class _EntryPricer:
     """Exact pricing with the eager pipeline's signature deduplication.
 
     One simulator call per distinct ``(num_devices, signature)``; duplicates
@@ -315,9 +259,6 @@ class SearchDriver:
         Optional caller-owned simulator whose compiled-profile cache then
         persists across runs (payload ladders re-price instead of
         recompiling).  A fresh one is used per run otherwise.
-    evaluator:
-        Optional :class:`~repro.service.parallel.ParallelEvaluator`; its
-        parent-side simulator takes over profile caching and accounting.
     recorder:
         The telemetry recorder (:mod:`repro.obs`) search spans and counters
         report into; defaults to the process-wide recorder at construction
@@ -329,30 +270,11 @@ class SearchDriver:
         topology: MachineTopology,
         cost_model: CostModel,
         simulator: Optional[ProgramSimulator] = None,
-        evaluator=None,
         recorder=None,
     ) -> None:
         self.topology = topology
         self.cost_model = cost_model
         self.simulator = simulator
-        if evaluator is not None:
-            # The protocol is structural but enforced up front: a duck-typed
-            # evaluator without n_workers used to silently price with a
-            # default chunk size, which made the budgeted pooled and sharded
-            # paths disagree on watermark staleness.
-            if not callable(getattr(evaluator, "evaluate", None)):
-                raise ServiceError(
-                    f"evaluator {type(evaluator).__name__} has no evaluate() "
-                    "method (see repro.search.driver.CandidateEvaluator)"
-                )
-            n_workers = getattr(evaluator, "n_workers", None)
-            if not isinstance(n_workers, int) or n_workers < 1:
-                raise ServiceError(
-                    f"evaluator {type(evaluator).__name__} must declare "
-                    f"n_workers as a positive int, got {n_workers!r} "
-                    "(see repro.search.driver.CandidateEvaluator)"
-                )
-        self.evaluator = evaluator
         self.recorder = recorder if recorder is not None else get_recorder()
 
     # ------------------------------------------------------------------ #
@@ -393,22 +315,12 @@ class SearchDriver:
             sources=[source.name for source in source_list], budgeted=budgeted
         )
         statistics = SearchStatistics()
-        # Prefer the evaluator's parent-side simulator (shared profile cache
-        # and the counters provenance reports); a duck-typed evaluator
-        # without one falls back to the caller's or a fresh simulator, used
-        # only for bound peeks and non-batched reference pricing.
         simulator = (
-            getattr(self.evaluator, "simulator", None)
-            if self.evaluator is not None
-            else self.simulator
+            self.simulator
+            if self.simulator is not None
+            else ProgramSimulator(self.topology, self.cost_model)
         )
-        if simulator is None:
-            simulator = (
-                self.simulator
-                if self.simulator is not None
-                else ProgramSimulator(self.topology, self.cost_model)
-            )
-        pricer = _SerialPricer(simulator, space)
+        pricer = _EntryPricer(simulator, space)
 
         entries: List[StrategyEntry] = []
         predicted: List[float] = []
@@ -442,19 +354,14 @@ class SearchDriver:
                 incumbent_at = time.perf_counter() - start
                 incumbent_seeded = seeded
 
-        # Exhaustive pool path: one batched evaluate over the whole stream,
-        # exactly like the historical parallel spine.
-        batch_all = self.evaluator is not None and not budgeted
-        batch_items: List[Tuple[StrategyEntry, str]] = []
-        # Exhaustive serial path: nothing reads or updates the watermark here
-        # — seeds are still priced per-entry (they time-stamp the incumbent
-        # early) but only lower the watermark under a search budget, so an
-        # exhaustive stream never prunes and a seeded exhaustive plan stays
-        # bit-identical to unseeded.  The stream is therefore buffered and
-        # priced in one vectorized batch at the end — same entries, same
-        # floats, same profile-cache traffic as per-entry pricing.
-        batch_serial = self.evaluator is None and not budgeted
-        serial_items: List[Tuple[StrategyEntry, str]] = []
+        # Exhaustive path: nothing reads or updates the watermark here — seeds
+        # are still priced per-entry (they time-stamp the incumbent early) but
+        # only lower the watermark under a search budget, so an exhaustive
+        # stream never prunes and a seeded exhaustive plan stays bit-identical
+        # to unseeded.  The stream is therefore buffered and priced in one
+        # vectorized batch at the end — same entries, same floats, same
+        # profile-cache traffic as per-entry pricing.
+        buffered: List[Tuple[StrategyEntry, str]] = []
         counters_before = (
             simulator.batch_prices,
             simulator.batch_payloads,
@@ -467,23 +374,13 @@ class SearchDriver:
         memo_before = (
             (shapes.hits, shapes.misses, shapes.evicted) if shapes is not None else None
         )
-        # Budgeted pool path: survivors buffered between watermark reads.
-        chunk: List[StrategyEntry] = []
-        # n_workers is a formal attribute of the evaluator protocol
-        # (validated at construction), so the chunk size is explicit — no
-        # getattr default that silently mis-sizes the budgeted pool path.
-        chunk_size = (
-            driver_chunk_size(self.evaluator.n_workers)
-            if self.evaluator is not None
-            else 1
-        )
 
         def register(candidate: PlacementCandidate) -> None:
             if id(candidate) not in seen_candidates:
                 seen_candidates.add(id(candidate))
                 candidates.append(candidate)
 
-        def price_serial(entry: StrategyEntry) -> float:
+        def price_entry(entry: StrategyEntry) -> float:
             with evaluation_watch:
                 return pricer.price(entry)
 
@@ -492,34 +389,6 @@ class SearchDriver:
             known = baselines.get(tag)
             if known is None or seconds < known:
                 baselines[tag] = seconds
-
-        def flush_chunk() -> None:
-            """Price the buffered search entries through the pool, bounds first."""
-            if not chunk:
-                return
-            pending = list(chunk)
-            chunk.clear()
-            with evaluation_watch:
-                survivors: List[StrategyEntry] = []
-                for entry in pending:
-                    if not entry.is_default_all_reduce:
-                        bound = self._entry_bound(entry, space, simulator)
-                        if bound > watermark.seconds:
-                            report.bound_rejected += 1
-                            continue
-                    survivors.append(entry)
-                if survivors:
-                    seconds_list = self.evaluator.evaluate(
-                        [entry.lowered for entry in survivors],
-                        query.bytes_per_device,
-                        query.algorithm,
-                    )
-                    for entry, seconds in zip(survivors, seconds_list):
-                        entries.append(entry)
-                        predicted.append(seconds)
-                        note_price(seconds)
-                        if watermark.update(seconds):
-                            report.watermark_updates += 1
 
         stopped = False
         for source in source_list:
@@ -566,52 +435,39 @@ class SearchDriver:
                         break
                     if source.role == ROLE_BASELINE:
                         report.baseline_entries += 1
-                        if batch_all:
-                            batch_items.append((item, ROLE_BASELINE))
-                        elif batch_serial:
-                            serial_items.append((item, ROLE_BASELINE))
+                        if not budgeted:
+                            buffered.append((item, ROLE_BASELINE))
                         else:
-                            record_baseline(item, price_serial(item))
+                            record_baseline(item, price_entry(item))
                         continue
                     if source.role == ROLE_SEED:
                         report.seeds += 1
-                        if batch_all:
-                            batch_items.append((item, ROLE_SEED))
-                        else:
-                            seconds = price_serial(item)
-                            note_price(seconds, seeded=True)
-                            # Seeds only lower the watermark under a search
-                            # budget: an exhaustive stream must never prune,
-                            # so a seeded exhaustive plan stays bit-identical
-                            # to unseeded (which keeps corpus-seeded plans
-                            # sound to service-cache).
-                            if budgeted and watermark.update(seconds):
-                                report.watermark_updates += 1
+                        seconds = price_entry(item)
+                        note_price(seconds, seeded=True)
+                        # Seeds only lower the watermark under a search
+                        # budget: an exhaustive stream must never prune, so a
+                        # seeded exhaustive plan stays bit-identical to
+                        # unseeded (which keeps corpus-seeded plans sound to
+                        # service-cache).
+                        if budgeted and watermark.update(seconds):
+                            report.watermark_updates += 1
                         continue
                     report.considered += 1
                     register(item.candidate)
-                    if batch_all:
-                        batch_items.append((item, "search"))
+                    if not budgeted:
+                        buffered.append((item, "search"))
                         continue
-                    if batch_serial:
-                        serial_items.append((item, "search"))
-                        continue
-                    if self.evaluator is not None:
-                        chunk.append(item)
-                        if len(chunk) >= chunk_size:
-                            flush_chunk()
-                        continue
-                    if budgeted and not item.is_default_all_reduce:
+                    if not item.is_default_all_reduce:
                         with evaluation_watch:
                             bound = self._entry_bound(item, space, simulator)
                         if bound > watermark.seconds:
                             report.bound_rejected += 1
                             continue
-                    seconds = price_serial(item)
+                    seconds = price_entry(item)
                     entries.append(item)
                     predicted.append(seconds)
                     note_price(seconds)
-                    if budgeted and watermark.update(seconds):
+                    if watermark.update(seconds):
                         report.watermark_updates += 1
                 if stopped and hasattr(iterator, "close"):
                     # An abandoned stream drops its search state (and counts
@@ -620,37 +476,16 @@ class SearchDriver:
                 if report.reused_streams == reused_before:
                     worked.extend(candidates[first_own:])
 
-        if batch_all and batch_items:
+        if buffered:
             with evaluation_watch:
-                seconds_list = self.evaluator.evaluate(
-                    [entry.lowered for entry, _ in batch_items],
-                    query.bytes_per_device,
-                    query.algorithm,
-                )
-                for (entry, role), seconds in zip(batch_items, seconds_list):
-                    if role == ROLE_BASELINE:
-                        record_baseline(entry, seconds)
-                    elif role == ROLE_SEED:
-                        # batch_all is the exhaustive pool path: seeds never
-                        # lower the watermark without a budget (see above).
-                        note_price(seconds, seeded=True)
-                    else:
-                        entries.append(entry)
-                        predicted.append(seconds)
-                        note_price(seconds)
-        if batch_serial and serial_items:
-            with evaluation_watch:
-                seconds_list = pricer.price_many(
-                    [entry for entry, _ in serial_items]
-                )
-            for (entry, role), seconds in zip(serial_items, seconds_list):
+                seconds_list = pricer.price_many([entry for entry, _ in buffered])
+            for (entry, role), seconds in zip(buffered, seconds_list):
                 if role == ROLE_BASELINE:
                     record_baseline(entry, seconds)
                 else:
                     entries.append(entry)
                     predicted.append(seconds)
                     note_price(seconds)
-        flush_chunk()
 
         # Aggregate the synthesizer statistics only now: a streaming source
         # keeps accumulating counters on a candidate's SynthesisResult after

@@ -26,11 +26,11 @@ the best strategy (bounds only ever reject candidates provably worse than an
 exactly-priced incumbent) but the ranking tail may differ from serial, which
 is exactly why budgeted plans are never service-cached.
 
-Telemetry follows the pool-worker pattern (:mod:`repro.service.parallel`):
-each worker records into its own :class:`~repro.obs.recorder.Recorder`,
-drains it once, and ships the delta home; the parent merges the deltas
-(drain/merge is associative), so per-shard counters, bound-rejection rates
-and span trees land in ``PlanOutcome.provenance()`` like any other search.
+Telemetry: each worker records into its own
+:class:`~repro.obs.recorder.Recorder`, drains it once, and ships the delta
+home; the parent merges the deltas (drain/merge is associative), so
+per-shard counters, bound-rejection rates and span trees land in
+``PlanOutcome.provenance()`` like any other search.
 """
 
 from __future__ import annotations

@@ -104,8 +104,8 @@ class StrategyEntry:
     """One (candidate, lowered program) pair awaiting cost evaluation.
 
     The entry stream is the contract between synthesis and ranking: the
-    serial path, the process-pool path (:mod:`repro.service.parallel`) and
-    the planning service all see the same entries in the same order, so a
+    serial driver, the sharded driver (:mod:`repro.search.sharded`) and the
+    planning service all see the same entries in the same order, so a
     stable sort over the predicted times yields the identical ranking no
     matter who computed them.  ``tag`` carries the baseline name for entries
     produced by a :class:`BaselineSource` and is ``None`` elsewhere.
@@ -179,9 +179,8 @@ class Watermark:
     Starts at infinity; the driver lowers it as in-space candidates are
     priced.  Sources may read it to skip work that provably cannot matter
     (e.g. :class:`SynthesisSource` skips synthesizing a whole placement when
-    the placement's closed-form lower bound already exceeds it), and the
-    chunked parallel path re-reads it between chunks so every worker prices
-    against the freshest incumbent.
+    the placement's closed-form lower bound already exceeds it), and a
+    budgeted search re-reads it before pricing each entry.
     """
 
     __slots__ = ("seconds",)

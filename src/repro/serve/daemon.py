@@ -5,7 +5,7 @@ traffic.  :class:`PlanDaemon` listens on a TCP socket (and optionally a
 Unix-domain socket), speaks the newline-delimited JSON protocol of
 :mod:`repro.serve.protocol`, and answers ``PlanQuery`` objects through a
 shared :class:`~repro.service.engine.PlanningService` — so the plan cache,
-the compiled-profile cache and the worker pool all amortize across every
+the compiled-profile cache and the shape memo all amortize across every
 connection.
 
 The serving discipline, in order of arrival:
@@ -21,7 +21,7 @@ The serving discipline, in order of arrival:
    ``serve.shed`` counter rather than queued into unbounded latency.
 4. **Execution** — planning runs in a single-thread executor so a cold
    search never blocks the event loop; concurrency inside one plan comes
-   from the service's own process pool (``n_workers``).  Each request is
+   from the query's own ``shards``.  Each request is
    wrapped in a ``serve.request`` root span, so a ``trace_id`` shipped on
    the wire flows through ``PlanningService.plan`` into
    ``PlanOutcome.provenance()`` unchanged.
@@ -212,8 +212,8 @@ class PlanDaemon:
         self._servers: List[asyncio.AbstractServer] = []
         self._worker_task: Optional[asyncio.Task] = None
         # One planning thread: PlanningService (cache, simulator) is not
-        # thread-safe, and intra-plan concurrency belongs to its process
-        # pool.  The executor exists so a multi-second cold search never
+        # thread-safe, and intra-plan concurrency belongs to the query's
+        # shards.  The executor exists so a multi-second cold search never
         # blocks the event loop: hits, sheds and pings keep flowing.
         self._executor: Optional[ThreadPoolExecutor] = None
         self._buckets: Dict[str, TokenBucket] = {}

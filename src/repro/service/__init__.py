@@ -1,4 +1,4 @@
-"""The planning service: caching, parallel evaluation and a batch API for P².
+"""The planning service: caching and a batch API for P².
 
 The rest of the package computes plans; this subpackage *serves* them:
 
@@ -6,8 +6,6 @@ The rest of the package computes plans; this subpackage *serves* them:
   (topology, axes, request, payload, algorithm, cost model, limits) queries.
 * :mod:`repro.service.cache` — a two-tier plan cache (in-memory LRU over a
   JSON-on-disk store) with hit/miss/eviction statistics.
-* :mod:`repro.service.parallel` — process-pool candidate evaluation that
-  reproduces the serial ranking exactly.
 * :mod:`repro.service.engine` — the :class:`PlanningService` facade tying
   them together, with per-request stats and a deduplicating batch API.
 
@@ -39,7 +37,6 @@ from repro.service.fingerprint import (
     plan_query_fingerprint,
     query_fingerprint,
 )
-from repro.service.parallel import ParallelEvaluator, default_worker_count
 
 __all__ = [
     "PlanningService",
@@ -53,8 +50,6 @@ __all__ = [
     "CacheStats",
     "plan_to_dict",
     "plan_from_dict",
-    "ParallelEvaluator",
-    "default_worker_count",
     "plan_query_fingerprint",
     "canonical_plan_query",
     "query_fingerprint",

@@ -8,9 +8,10 @@ behind the three things a serving layer needs:
   :class:`~repro.service.cache.PlanCache` when possible; cold plans are
   serialized back into the cache so subsequent processes warm-start from
   disk,
-* **parallelism** — cold-path candidate evaluation optionally fans out over
-  a :class:`~repro.service.parallel.ParallelEvaluator` process pool, with a
-  ranking guaranteed identical to the serial path,
+* **sharded search** — a query with ``shards > 1`` partitions its
+  placement space across worker processes
+  (:mod:`repro.search.sharded`); exhaustive sharded plans are bit-identical
+  to serial ones, so they share the cache,
 * **a batch API** — :meth:`plan_many` answers a list of queries,
   deduplicating identical queries within the batch so each distinct plan is
   computed (or fetched) once.
@@ -46,7 +47,6 @@ from repro.query import PlanOutcome, PlanQuery
 from repro.search.source import SHAPE_MEMO_SHAPES, ShapeMemo
 from repro.service.cache import PlanCache
 from repro.service.fingerprint import canonical_topology, plan_query_fingerprint
-from repro.service.parallel import ParallelEvaluator
 from repro.topology.topology import MachineTopology
 
 __all__ = ["PlanningRequest", "RequestStats", "PlanningResponse", "PlanningService"]
@@ -98,7 +98,6 @@ class RequestStats:
     evaluation_seconds: float = 0.0
     num_candidates: int = 0
     num_strategies: int = 0
-    n_workers: int = 1
 
     @property
     def cache_hit(self) -> bool:
@@ -108,8 +107,7 @@ class RequestStats:
         source = self.cache_tier or "cold"
         detail = (
             f"synthesis {self.synthesis_seconds * 1e3:.1f} ms, "
-            f"evaluation {self.evaluation_seconds * 1e3:.1f} ms, "
-            f"{self.n_workers} worker(s)"
+            f"evaluation {self.evaluation_seconds * 1e3:.1f} ms"
             if not self.cache_hit
             else "cached plan"
         )
@@ -129,7 +127,7 @@ class PlanningResponse:
 
 
 class PlanningService:
-    """Cached, optionally parallel, batch-capable front end to P².
+    """Cached, batch-capable front end to P².
 
     Parameters
     ----------
@@ -140,11 +138,6 @@ class PlanningService:
         The plan cache to serve from; defaults to a fresh memory-only
         :class:`PlanCache`.  Pass one with a ``directory`` to warm-start
         across processes.
-    n_workers:
-        Pool size for cold-path candidate evaluation; ``None`` or ``1``
-        evaluates serially.  The pool is created lazily and shared across
-        requests; call :meth:`close` (or use the service as a context
-        manager) to release it.
     corpus:
         An optional :class:`~repro.corpus.store.PlanCorpus` of planning
         history.  When set, every cold query is seeded from its nearest
@@ -161,7 +154,6 @@ class PlanningService:
         cost_model: Optional[CostModel] = None,
         max_program_size: int = 5,
         cache: Optional[PlanCache] = None,
-        n_workers: Optional[int] = None,
         recorder=None,
         corpus: Optional["PlanCorpus"] = None,
     ) -> None:
@@ -169,16 +161,14 @@ class PlanningService:
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.max_program_size = max_program_size
         self.cache = cache if cache is not None else PlanCache()
-        self.n_workers = max(1, n_workers or 1)
-        self._evaluator: Optional[ParallelEvaluator] = None
         # The telemetry recorder every request reports into, captured at
         # construction (install one via repro.obs.set_recorder first, or pass
         # it explicitly — embeddings like the serving daemon do the latter).
         self.recorder = recorder if recorder is not None else get_recorder()
-        # One simulator for the serial cold path and one shape memo for every
-        # path: compiled profiles (keyed by program signature) and validated
-        # entry streams (keyed by query shape) persist across requests, so a
-        # payload ladder over one shape synthesizes once and re-prices.
+        # One simulator and one shape memo for every cold path: compiled
+        # profiles (keyed by program signature) and validated entry streams
+        # (keyed by query shape) persist across requests, so a payload ladder
+        # over one shape synthesizes once and re-prices.
         self._simulator = ProgramSimulator(
             topology, self.cost_model, recorder=self.recorder
         )
@@ -250,23 +240,8 @@ class PlanningService:
             else:
                 recorder.count("cache.miss")
                 logger.debug("cache miss for %s; computing plan", fingerprint)
-                # A sharded query brings its own worker processes: the
-                # service's pricing pool is skipped for it (two pools would
-                # fight over the same cores), and the outcome reports the
-                # shard width as its worker count.  Exhaustive sharded plans
-                # are bit-identical to serial ones, so caching them under the
-                # shard-neutral fingerprint is sound.
-                sharded = query.shards > 1
-                evaluator = (
-                    self._ensure_evaluator()
-                    if self.n_workers > 1 and not sharded
-                    else None
-                )
-                pricing_simulator = (
-                    evaluator.simulator if evaluator is not None else self._simulator
-                )
-                hits_before = pricing_simulator.profile_hits
-                misses_before = pricing_simulator.profile_misses
+                hits_before = self._simulator.profile_hits
+                misses_before = self._simulator.profile_misses
                 # Corpus warm start: replay the nearest historical plans as
                 # pinned seeds ahead of the default sources.  Seeding is
                 # fingerprint-neutral — seeds only tighten the watermark
@@ -281,22 +256,18 @@ class PlanningService:
                     self.topology,
                     self.cost_model,
                     query,
-                    evaluator=evaluator,
-                    simulator=None if evaluator is not None else self._simulator,
+                    simulator=self._simulator,
                     recorder=recorder,
                     sources=sources,
                     shapes=self._shapes,
                 )
                 plan = computation.plan
+                # Exhaustive sharded plans are bit-identical to serial ones, so
+                # caching them under the shard-neutral fingerprint is sound.
                 # Budgeted plans are never cached: a wall-clock budget is not a
                 # deterministic function of the query (the same fingerprint can
-                # denote different plans on a slower machine), and under a
-                # candidate budget the *tail* of the ranking depends on how the
-                # incumbent watermark advanced — the chunked pool path
-                # bound-checks whole chunks against a slightly staler watermark
-                # than the serial per-entry path, so the surviving strategy list
-                # (never the best) can differ by n_workers, which the
-                # fingerprint does not cover.
+                # denote different plans on a slower machine), and a budgeted
+                # sharded search may rank a different tail than shards=1.
                 if not query.has_search_budget:
                     with recorder.span("cache.store"):
                         self.cache.put(fingerprint, plan.to_dict())
@@ -313,9 +284,8 @@ class PlanningService:
                     total_seconds=time.perf_counter() - start,
                     fingerprint=fingerprint,
                     cache_tier=None,
-                    n_workers=query.shards if sharded else self.n_workers,
-                    profile_hits=pricing_simulator.profile_hits - hits_before,
-                    profile_misses=pricing_simulator.profile_misses - misses_before,
+                    profile_hits=self._simulator.profile_hits - hits_before,
+                    profile_misses=self._simulator.profile_misses - misses_before,
                     search=computation.search_dict(),
                     synthesis_stats=computation.statistics_dict(),
                     trace_id=root.trace_id,
@@ -381,7 +351,6 @@ class PlanningService:
             evaluation_seconds=outcome.evaluation_seconds,
             num_candidates=outcome.num_candidates,
             num_strategies=outcome.num_strategies,
-            n_workers=outcome.n_workers,
         )
         return PlanningResponse(request=request, plan=outcome.plan, stats=stats)
 
@@ -426,36 +395,16 @@ class PlanningService:
         return warm_from_corpus(self, self.corpus)
 
     # ------------------------------------------------------------------ #
-    # Lifecycle / introspection
+    # Introspection
     # ------------------------------------------------------------------ #
     def compatible_with(self, topology: MachineTopology) -> bool:
         """True when ``topology`` is canonically identical to this service's."""
         return canonical_topology(topology) == canonical_topology(self.topology)
 
-    def _ensure_evaluator(self) -> ParallelEvaluator:
-        if self._evaluator is None:
-            self._evaluator = ParallelEvaluator(
-                self.topology, self.cost_model, self.n_workers, recorder=self.recorder
-            )
-        return self._evaluator
-
-    def close(self) -> None:
-        """Release the worker pool (the cache is left intact)."""
-        if self._evaluator is not None:
-            self._evaluator.close()
-            self._evaluator = None
-
-    def __enter__(self) -> "PlanningService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def describe(self) -> str:
         return (
             f"PlanningService({self.topology.name}, max_program_size="
-            f"{self.max_program_size}, workers={self.n_workers}, "
-            f"served={self.requests_served}, "
+            f"{self.max_program_size}, served={self.requests_served}, "
             f"shape memo {len(self._shapes)}/{SHAPE_MEMO_SHAPES}; "
             f"{self.cache.describe()})"
         )

@@ -43,8 +43,8 @@ class MachineTopology:
     # the same questions about the same groups once per step of every
     # candidate program, so these pure functions of the (frozen) hierarchy
     # are cached per instance.  compare=False keeps them out of __eq__ and
-    # the generated __hash__; __getstate__ keeps them out of pickles (the
-    # worker pool ships topologies once per pool); each table is flushed at
+    # the generated __hash__; __getstate__ keeps them out of pickles (sharded
+    # search ships the topology to every worker); each table is flushed at
     # _MEMO_LIMIT entries so a long-lived topology cannot grow unboundedly.
     _span_levels: Dict[Tuple[int, ...], int] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -163,7 +163,7 @@ class MachineTopology:
 
     # ------------------------------------------------------------------ #
     # Pickling — memo tables are per-process working state, not identity;
-    # shipping a topology to a worker pool must not drag them (or any
+    # shipping a topology to a search shard must not drag them (or any
     # cached_property value) along.
     # ------------------------------------------------------------------ #
     _MEMO_FIELDS = ("_span_levels", "_instances", "_nic_instances", "_contention", "_step_profiles")

@@ -28,20 +28,31 @@ class TestParser:
     def test_optimize_accepts_search_limits(self):
         args = build_parser().parse_args(
             ["optimize", "--axes", "8", "4", "--max-matrices", "2",
-             "--max-program-size", "3", "--workers", "2"]
+             "--max-program-size", "3"]
         )
         assert args.max_matrices == 2
         assert args.max_program_size == 3
-        assert args.workers == 2
 
     def test_serve_batch_arguments(self):
         args = build_parser().parse_args(
             ["serve-batch", "--nodes", "2", "--query", "8,4:0:1048576",
-             "--cache-dir", "/tmp/x", "--workers", "2"]
+             "--cache-dir", "/tmp/x"]
         )
         assert args.command == "serve-batch"
         assert args.query == ["8,4:0:1048576"]
         assert args.cache_dir == "/tmp/x"
+
+    @pytest.mark.parametrize("command", [
+        ["optimize", "--axes", "8", "4"],
+        ["serve-batch", "--query", "8,4:0:1048576"],
+        ["serve", "--port", "0"],
+        ["sweep", "--preset", "smoke"],
+    ])
+    def test_workers_flag_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_cache_requires_subcommand(self):
         with pytest.raises(SystemExit):

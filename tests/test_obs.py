@@ -4,7 +4,7 @@ Covers the merge algebra (histograms and drained worker deltas combine
 associatively and commutatively), thread safety of the shared recorder,
 Chrome-trace export validity (well-formed JSON, balanced nesting), and
 trace-id propagation end to end: ``P2.plan`` and ``PlanningService.plan``
-outcomes, pool-worker spans, sweep JSONL records and the CLI ``--trace-out``
+outcomes, shard-worker spans, sweep JSONL records and the CLI ``--trace-out``
 / ``stats`` surface.
 """
 
@@ -392,7 +392,7 @@ class TestExport:
 
 
 # --------------------------------------------------------------------------- #
-# Spine integration: traces flow through planning, workers and sweeps
+# Spine integration: traces flow through planning, shards and sweeps
 # --------------------------------------------------------------------------- #
 class TestSpineIntegration:
     def test_p2_plan_records_trace_and_spans(self, topology):
@@ -438,83 +438,62 @@ class TestSpineIntegration:
         names = {span.name for span in recorder.snapshot().spans}
         assert {"service.plan", "cache.lookup", "cache.store"} <= names
 
-    def _programs(self, topology):
-        from repro.api import collect_strategy_entries
-        from repro.synthesis.pipeline import synthesize_all
-
-        candidates = synthesize_all(
-            topology.hierarchy,
-            ParallelismAxes.of(8, 4),
-            ReductionRequest.over(0),
-            max_program_size=3,
-        )
-        entries = collect_strategy_entries(candidates, ReductionRequest.over(0))
-        return [entry.lowered for entry in entries]
-
-    def test_pool_worker_deltas_merge_into_the_request_trace(self, topology):
-        from repro.service import ParallelEvaluator
-
-        programs = self._programs(topology)
-        assert programs
-        unique_tasks = len(
-            {(p.num_devices, p.signature()) for p in programs if p.num_steps > 0}
-        )
+    def test_shard_worker_deltas_merge_into_the_request_trace(self, topology):
+        from repro.api import P2
 
         recorder = Recorder()
         with use_recorder(recorder):
-            with ParallelEvaluator(topology, n_workers=2) as evaluator:
-                with recorder.span("request") as root:
-                    seconds = evaluator.evaluate(programs, 32 * MB)
-        assert len(seconds) == len(programs)
+            outcome = P2(topology, max_program_size=3).plan(_query(shards=2))
+        assert outcome.trace_id is not None
 
         snapshot = recorder.snapshot()
-        worker_spans = [s for s in snapshot.spans if s.name == "worker.price"]
-        # Workers price chunks of entries, one span per chunk; the spans'
-        # `entries` attributes partition the unique tasks exactly.
-        chunk_len = max(1, unique_tasks // (2 * 4))  # n_workers=2, 4 chunks each
-        expected_chunks = -(-unique_tasks // chunk_len)  # ceil
-        assert len(worker_spans) == expected_chunks
-        assert sum(span.attrs["entries"] for span in worker_spans) == unique_tasks
-        # Worker spans happened in other processes yet joined this trace.
-        assert all(span.trace_id == root.trace_id for span in worker_spans)
-        assert any(span.pid != os.getpid() for span in worker_spans)
-        # The workers' metric deltas merged back associatively: every task
-        # resolved its profile exactly once (hit or compile) in some worker.
-        hits = snapshot.counters.get("profile.hit", 0)
-        misses = snapshot.counters.get("profile.miss", 0)
-        assert misses > 0
-        assert hits + misses == unique_tasks
-        assert snapshot.histograms["span.worker.price"].count == expected_chunks
-        # Each chunk was priced in one vectorized batch call.
-        assert snapshot.counters.get("batch.prices", 0) == expected_chunks
-        assert snapshot.counters.get("batch.payloads", 0) == unique_tasks
+        shard_spans = [s for s in snapshot.spans if s.name == "search.shard"]
+        assert sorted(span.attrs["shard"] for span in shard_spans) == [0, 1]
+        # Shard spans happened in other processes yet joined this trace.
+        assert all(span.trace_id == outcome.trace_id for span in shard_spans)
+        assert any(span.pid != os.getpid() for span in shard_spans)
+        # The shards' metric deltas merged back: every matrix's profiles were
+        # resolved somewhere and the search counters cover the whole space.
+        assert snapshot.counters.get("profile.miss", 0) > 0
+        assert snapshot.counters["search.considered"] == outcome.search["considered"]
 
-    def test_worker_task_delta_shape(self, topology):
-        """The worker task returns a drained delta when enabled, None when not."""
+    def test_shard_worker_message_shape(self, topology):
+        """A shard ships one message per matrix, then a drained delta when enabled."""
+        import queue
+
         from repro.cost.model import CostModel
-        from repro.cost.nccl import NCCLAlgorithm
-        from repro.service import parallel
+        from repro.search.sharded import PlacementLedger, SharedWatermark, _shard_worker
+        from repro.synthesis.pipeline import enumerate_search_matrices
 
-        program = next(p for p in self._programs(topology) if p.num_steps > 0)
-        task = (0, program, None, float(32 * MB), NCCLAlgorithm.RING, None)
+        query = _query()
+        num_matrices = len(
+            enumerate_search_matrices(
+                topology.hierarchy, query.axes, query.request, query.max_matrices
+            )
+        )
+        assert num_matrices > 1
 
-        parallel._init_worker(topology, CostModel(), telemetry_enabled=False)
-        index, seconds, compiled, delta = parallel._evaluate_task(task)
-        assert (index, delta) == (0, None)
-        assert seconds > 0 and compiled is not None
+        def run(telemetry_enabled):
+            channel = queue.Queue()
+            _shard_worker(
+                0, 1, topology, CostModel(), query, 500_000, True,
+                PlacementLedger(num_matrices, 1), SharedWatermark(num_matrices),
+                None, None, telemetry_enabled, None, channel,
+            )
+            return [channel.get_nowait() for _ in range(channel.qsize())]
 
-        parallel._init_worker(topology, CostModel(), telemetry_enabled=True)
-        _, _, _, delta = parallel._evaluate_task(task)
+        messages = run(telemetry_enabled=False)
+        assert [m[0] for m in messages] == ["matrix"] * num_matrices + ["done"]
+        assert [m[2] for m in messages[:-1]] == list(range(num_matrices))
+        _, shard, summary, delta = messages[-1]
+        assert (shard, delta) == (0, None)
+        assert summary["matrices"] == list(range(num_matrices))
+        assert summary["steals"] == 0 and summary["profile_misses"] > 0
+
+        _, _, summary, delta = run(telemetry_enabled=True)[-1]
         assert delta is not None
-        assert delta.counters["profile.miss"] == 1
-        assert [span.name for span in delta.spans] == [
-            "profile.compile",
-            "worker.price",
-        ]
-        # drain() semantics: the next task's delta starts from zero.
-        _, _, _, second_delta = parallel._evaluate_task(task)
-        assert second_delta.counters == {"profile.hit": 1}
-        parallel._init_worker(topology, CostModel(), telemetry_enabled=False)
+        assert delta.counters["profile.miss"] == summary["profile_misses"]
+        assert [span.name for span in delta.spans].count("search.shard") == 1
 
     def test_sweep_results_and_jsonl_records_carry_trace_ids(self, tmp_path):
         from repro.analysis.serialization import iter_jsonl_records, load_jsonl_results

@@ -297,10 +297,6 @@ class TestPlannerProtocol:
         direct = P2(topology, max_program_size=3).plan(query_84)
         assert _ranking(routed.plan) == _ranking(direct.plan)
 
-    def test_plan_many_records_pool_size_in_provenance(self, topology, query_84):
-        outcomes = P2(topology, max_program_size=3).plan_many([query_84], n_workers=2)
-        assert outcomes[0].n_workers == 2
-
     def test_plan_many_preserves_order_and_dedupes(self, topology, query_84):
         other = PlanQuery(
             ParallelismAxes.of(8, 4), ReductionRequest.over(1), 64 * MB,
@@ -310,6 +306,15 @@ class TestPlannerProtocol:
         outcomes = service.plan_many([query_84, other, query_84])
         assert [o.query for o in outcomes] == [query_84, other, query_84]
         assert [o.cache_tier for o in outcomes] == [None, None, "memory"]
+
+    def test_plan_many_records_shards_in_provenance(self, topology, query_84):
+        outcomes = P2(topology, max_program_size=3).plan_many(
+            [replace(query_84, shards=2)]
+        )
+        assert outcomes[0].search["shards"] == 2
+        encoded = outcomes[0].to_dict()
+        assert encoded["search"]["shards"] == 2
+        assert "_".join(("n", "workers")) not in encoded
 
     def test_p2_plan_many(self, topology, query_84, outcome_84):
         outcomes = P2(topology, max_program_size=3).plan_many([query_84, query_84])

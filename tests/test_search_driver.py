@@ -178,16 +178,6 @@ class TestExhaustiveEquivalence:
             for s in scalar.plan.strategies
         ]
 
-    def test_parallel_budgeted_matches_serial_budgeted(self, topology):
-        query = _query((8, 4), (0,), 16 * MB, NCCLAlgorithm.RING, max_candidates=10**9)
-        serial = P2(topology, max_program_size=3).plan(query)
-        parallel = P2(topology, max_program_size=3).plan(query, n_workers=2)
-        assert parallel.best.predicted_seconds == serial.best.predicted_seconds
-        assert (
-            parallel.best.program.signature() == serial.best.program.signature()
-        )
-        assert parallel.plan.baselines == serial.plan.baselines
-
 
 class TestBudgets:
     def test_max_candidates_truncates_enumeration(self, topology):
@@ -224,16 +214,15 @@ class TestBudgets:
     def test_budgeted_plans_are_never_cached(self, topology):
         from repro.service import PlanningService
 
-        with PlanningService(topology, max_program_size=3) as service:
-            query = _query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING, max_candidates=4)
-            assert not service.plan(query).cache_hit
-            # The ranking's tail under a budget can depend on the worker
-            # count, which the fingerprint does not cover, so a repeat is
-            # recomputed rather than served.
-            assert not service.plan(query).cache_hit
-            unbudgeted = _query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING)
-            assert not service.plan(unbudgeted).cache_hit
-            assert service.plan(unbudgeted).cache_hit
+        service = PlanningService(topology, max_program_size=3)
+        query = _query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING, max_candidates=4)
+        assert not service.plan(query).cache_hit
+        # A budgeted plan is not a deterministic function of its
+        # fingerprint, so a repeat is recomputed rather than served.
+        assert not service.plan(query).cache_hit
+        unbudgeted = _query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING)
+        assert not service.plan(unbudgeted).cache_hit
+        assert service.plan(unbudgeted).cache_hit
 
     def test_budget_round_trips_and_fingerprints(self, topology):
         from repro.service.fingerprint import plan_query_fingerprint
@@ -422,46 +411,6 @@ class TestOptimizeDeprecation:
         assert _ranking(legacy) == _ranking(modern)
 
 
-class TestEvaluatorProtocol:
-    """n_workers is a formal attribute of the evaluator contract, not a hint."""
-
-    def test_parallel_evaluator_satisfies_protocol(self, topology):
-        from repro.search import CandidateEvaluator
-        from repro.service.parallel import ParallelEvaluator
-
-        with ParallelEvaluator(topology, CostModel(), 2) as pool:
-            assert isinstance(pool, CandidateEvaluator)
-            assert pool.n_workers == 2
-
-    def test_driver_rejects_evaluator_without_n_workers(self, topology):
-        from repro.errors import ServiceError
-        from repro.search import SearchDriver
-
-        class NoWidth:
-            def evaluate(self, programs, bytes_per_device, algorithm):
-                return [0.0] * len(programs)
-
-        with pytest.raises(ServiceError, match="n_workers"):
-            SearchDriver(topology, CostModel(), evaluator=NoWidth())
-
-    def test_driver_rejects_evaluator_without_evaluate(self, topology):
-        from repro.errors import ServiceError
-        from repro.search import SearchDriver
-
-        class NoEvaluate:
-            n_workers = 2
-
-        with pytest.raises(ServiceError, match="evaluate"):
-            SearchDriver(topology, CostModel(), evaluator=NoEvaluate())
-
-    def test_chunk_size_formula(self):
-        from repro.search import driver_chunk_size
-
-        assert driver_chunk_size(1) == 8
-        assert driver_chunk_size(2) == 8
-        assert driver_chunk_size(4) == 16
-
-
 class TestShardedSearch:
     """The sharded driver's equivalence contract (repro.search.sharded)."""
 
@@ -516,7 +465,6 @@ class TestShardedSearch:
         assert [entry["shard"] for entry in stats] == [0, 1]
         claimed = sorted(i for entry in stats for i in entry["matrices"])
         assert claimed == list(range(search["matrices_reached"]))
-        assert outcome.n_workers == 2
         json.dumps(outcome.to_dict())  # provenance stays strict-JSON
 
     def test_shards_are_fingerprint_neutral(self, topology):
@@ -544,12 +492,20 @@ class TestShardedSearch:
                     shards=bad,
                 )
 
-    def test_shards_conflict_with_workers(self, topology):
-        from repro.errors import EvaluationError
+    def test_sharding_is_the_only_parallel_knob(self, topology):
+        # The retired process-pool knobs are not silently accepted anywhere.
+        from repro.api import compute_plan
+        from repro.search import SearchDriver
 
-        query = _query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING, shards=2)
-        with pytest.raises(EvaluationError, match="shards"):
-            P2(topology, max_program_size=3).plan(query, n_workers=2)
+        query = _query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING)
+        with pytest.raises(TypeError):
+            SearchDriver(topology, CostModel(), **{"evaluator": object()})
+        with pytest.raises(TypeError):
+            compute_plan(topology, CostModel(), query, **{"evaluator": object()})
+        with pytest.raises(TypeError):
+            P2(topology, max_program_size=3).plan(
+                query, **{"_".join(("n", "workers")): 2}
+            )
 
     def test_custom_sources_are_unshardable(self, topology):
         from repro.errors import SearchError

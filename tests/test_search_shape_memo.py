@@ -425,7 +425,7 @@ class TestOwnership:
 
 
 def assert_same_plan_and_counts(outcome, reference):
-    """For paths whose pricing provenance (pool, seeds) differs from a serial plan's."""
+    """For paths whose pricing provenance (seeds) differs from a serial plan's."""
     assert plan_dict(outcome.plan) == plan_dict(reference.plan)
     assert outcome.synthesis_stats == reference.synthesis_stats
     for key in ("considered", "ranked", "baseline_entries", "matrices_reached"):
@@ -442,14 +442,13 @@ class TestOtherPathsThroughComputePlan:
             for algorithm in ALGORITHMS
         ]
 
-    def test_a_pooled_service_hits_and_stays_bit_identical(self):
+    def test_a_sharded_service_stays_bit_identical(self):
         topology = a100_system(num_nodes=2)
-        with PlanningService(topology, cache=PlanCache(None), n_workers=2) as service:
-            for i, query in enumerate(self.ladder()):
-                outcome = service.plan(query)
-                assert outcome.n_workers == 2
-                assert outcome.search["reused_streams"] == (2 if i else 0)
-                assert_same_plan_and_counts(outcome, fresh_plan(topology, query))
+        service = PlanningService(topology, cache=PlanCache(None))
+        for query in self.ladder():
+            outcome = service.plan(dataclasses.replace(query, shards=2))
+            assert outcome.search["shards"] == 2
+            assert_same_plan_and_counts(outcome, fresh_plan(topology, query))
 
     def test_a_corpus_seeded_service_hits_and_stays_bit_identical(self, tmp_path):
         topology = a100_system(num_nodes=2)

@@ -230,9 +230,9 @@ class TestCustomSources:
 
     def test_sources_cannot_ride_through_a_service(self, topology, query_84):
         p2 = P2(topology, max_program_size=3)
-        with PlanningService(topology, max_program_size=3) as service:
-            with pytest.raises(EvaluationError):
-                p2.plan(query_84, service=service, sources=[SynthesisSource()])
+        service = PlanningService(topology, max_program_size=3)
+        with pytest.raises(EvaluationError):
+            p2.plan(query_84, service=service, sources=[SynthesisSource()])
 
     def test_driver_accepts_custom_source(self, topology, query_84):
         class OneEntrySource:

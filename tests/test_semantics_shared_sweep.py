@@ -5,7 +5,7 @@ fractions of its sweep on the program; ``compile_profile`` consumes them
 instead of running the Hoare semantics a second time.  These tests pin the
 contract: nothing is recomputed, nothing changes in the compiled profile or
 in the errors, no state object outlives the sweep, and the fractions travel
-with the program to pool and shard workers.
+with the program to shard workers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 
 import repro.synthesis.lowering as lowering
 from repro.api import P2
-from repro.cost.nccl import NCCLAlgorithm
 from repro.cost.profile import compile_profile
 from repro.cost.simulator import ProgramSimulator
 from repro.errors import InvalidCollectiveError, SemanticsError
@@ -26,7 +25,6 @@ from repro.hierarchy.placement import DevicePlacement
 from repro.obs import Recorder
 from repro.query import PlanQuery
 from repro.semantics.collectives import Collective
-from repro.service.parallel import ParallelEvaluator
 from repro.synthesis.lowering import LoweredProgram, LoweredStep, forget_transitions
 from repro.synthesis.pipeline import synthesize_all
 
@@ -245,19 +243,6 @@ class TestObservability:
 
 
 class TestFractionsTravelToWorkers:
-    def test_pool_workers_reuse_the_parent_sweep(self, candidates):
-        topology, _ = candidates
-        programs = [program for _, program in validated_programs(candidates)]
-        serial = ProgramSimulator(topology).simulate_many(programs, 4 * MB, NCCLAlgorithm.RING)
-        recorder = Recorder()
-        with ParallelEvaluator(topology, n_workers=2, recorder=recorder) as evaluator:
-            parallel = evaluator.evaluate(programs, 4 * MB, NCCLAlgorithm.RING)
-            misses = evaluator.simulator.profile_misses
-        assert parallel == serial
-        # Every compile happened in a worker, on an unpickled program, and
-        # every one of them found the fractions the parent's validation left.
-        assert recorder.counter_value("profile.semantics_reused") == misses > 0
-
     def test_pickle_round_trip_keeps_the_fractions(self, candidates):
         _, program = validated_programs(candidates)[-1]
         clone = pickle.loads(pickle.dumps(program))

@@ -1,18 +1,15 @@
-"""Tests for the planning service facade, batch API and parallel evaluator."""
+"""Tests for the planning service facade and batch API."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from repro.api import P2
 from repro.errors import EvaluationError, ServiceError
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
-from repro.service import (
-    ParallelEvaluator,
-    PlanCache,
-    PlanningRequest,
-    PlanningService,
-)
+from repro.service import PlanCache, PlanningRequest, PlanningService
 from repro.topology.gcp import a100_system, v100_system
 
 MB = 1 << 20
@@ -200,52 +197,72 @@ class TestBatchAPI:
         assert _ranking(warm.plan) == _ranking(cold.plan)
 
 
-class TestParallelEvaluation:
-    def test_pool_ranking_identical_to_serial(self, topology, request_84):
+class TestShardedPlanning:
+    """Sharded search is the one parallel path; it must agree with serial."""
+
+    def test_sharded_ranking_identical_to_serial(self, topology, request_84):
+        query = request_84.to_query(max_program_size=3)
         p2 = P2(topology, max_program_size=3)
-        serial = p2.optimize(
-            request_84.axes, request_84.request, request_84.bytes_per_device
-        )
-        parallel = p2.optimize(
-            request_84.axes,
-            request_84.request,
-            request_84.bytes_per_device,
-            n_workers=2,
-        )
-        assert _ranking(parallel) == _ranking(serial)
+        serial = p2.plan(query)
+        sharded = p2.plan(dataclasses.replace(query, shards=2))
+        assert sharded.search["shards"] == 2
+        assert _ranking(sharded.plan) == _ranking(serial.plan)
 
-    def test_service_with_workers_matches_serial_service(self, topology, request_84):
-        serial = PlanningService(topology, max_program_size=3).submit(request_84)
-        with PlanningService(topology, max_program_size=3, n_workers=2) as service:
-            parallel = service.submit(request_84)
-            assert parallel.stats.n_workers == 2
-        assert _ranking(parallel.plan) == _ranking(serial.plan)
+    def test_sharded_service_matches_and_shares_the_serial_cache(
+        self, topology, request_84
+    ):
+        query = request_84.to_query(max_program_size=3)
+        serial = PlanningService(topology, max_program_size=3).plan(query)
+        service = PlanningService(topology, max_program_size=3)
+        sharded = service.plan(dataclasses.replace(query, shards=2))
+        assert not sharded.cache_hit
+        assert _ranking(sharded.plan) == _ranking(serial.plan)
+        # shards is fingerprint-neutral: the serial query is served the
+        # sharded plan from the cache.
+        warm = service.plan(query)
+        assert warm.cache_hit and warm.fingerprint == sharded.fingerprint
+        assert _ranking(warm.plan) == _ranking(serial.plan)
 
-    def test_evaluator_zero_step_programs_are_free(self, topology):
+    def test_retired_worker_knob_is_rejected(self, topology):
+        with pytest.raises(TypeError):
+            PlanningService(topology, **{"_".join(("n", "workers")): 2})
+        assert "workers" not in PlanningService(topology).describe()
+
+
+class TestBatchedSimulation:
+    def test_zero_step_programs_are_free(self, topology):
+        from repro.cost.simulator import ProgramSimulator
         from repro.synthesis.lowering import LoweredProgram
 
         empty = LoweredProgram(num_devices=topology.num_devices, steps=())
-        with ParallelEvaluator(topology, n_workers=2) as evaluator:
-            assert evaluator.evaluate([empty], 1 * MB) == [0.0]
+        simulator = ProgramSimulator(topology)
+        assert simulator.simulate_many([empty, empty], 1 * MB) == [0.0, 0.0]
+        assert simulator.simulate_many([], 1 * MB) == []
 
-    def test_evaluator_preserves_input_order(self, topology, request_84):
+    def test_simulate_many_preserves_input_order(self, topology, request_84):
         from repro.api import collect_strategy_entries, evaluate_entries_serial
         from repro.cost.model import CostModel
         from repro.cost.nccl import NCCLAlgorithm
+        from repro.cost.simulator import ProgramSimulator
         from repro.synthesis.pipeline import synthesize_all
 
         candidates = synthesize_all(
             topology.hierarchy, request_84.axes, request_84.request, max_program_size=3
         )
-        entries = collect_strategy_entries(candidates, request_84.request)
+        entries = [
+            entry
+            for entry in collect_strategy_entries(candidates, request_84.request)
+            if entry.lowered.num_steps > 0
+        ]
         programs = [entry.lowered for entry in entries]
+        assert len(programs) > 1
         serial = evaluate_entries_serial(
             entries, topology, CostModel(), 64 * MB, NCCLAlgorithm.RING
         )
-        with ParallelEvaluator(topology, n_workers=2) as evaluator:
-            parallel = evaluator.evaluate(programs, 64 * MB, NCCLAlgorithm.RING)
-        assert parallel == serial
-
-    def test_evaluator_rejects_bad_worker_count(self, topology):
-        with pytest.raises(ServiceError):
-            ParallelEvaluator(topology, n_workers=0)
+        simulator = ProgramSimulator(topology)
+        batched = simulator.simulate_many(programs, 64 * MB, NCCLAlgorithm.RING)
+        assert batched == serial
+        reversed_batch = simulator.simulate_many(
+            programs[::-1], 64 * MB, NCCLAlgorithm.RING
+        )
+        assert reversed_batch == serial[::-1]
