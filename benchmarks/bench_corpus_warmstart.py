@@ -70,7 +70,7 @@ def _ranking(plan):
 def _service(topology, corpus=None) -> PlanningService:
     # A fresh service per plan: neither side may warm the other's profile
     # cache, and repeated queries must re-search rather than hit the cache.
-    return PlanningService(topology, max_program_size=3, corpus=corpus)
+    return PlanningService(topology, corpus=corpus)
 
 
 @pytest.mark.benchmark(group="corpus-warmstart")

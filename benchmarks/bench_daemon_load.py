@@ -73,9 +73,7 @@ def test_daemon_serves_warm_hits_faster_than_cold_plans(
     benchmark, save_artifact, bench_json
 ):
     recorder = Recorder()
-    service = PlanningService(
-        figure2a_system(), max_program_size=3, recorder=recorder
-    )
+    service = PlanningService(figure2a_system(), recorder=recorder)
     mix = _mix()
 
     def serve_and_load():

@@ -19,6 +19,7 @@ import pytest
 from repro.api import P2
 from repro.evaluation.workloads import resnet50_data_parallel
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
+from repro.query import PlanQuery
 from repro.topology.gcp import v100_system
 from repro.utils.tabulate import format_table
 
@@ -33,11 +34,13 @@ def test_resnet50_end_to_end_improvement(benchmark, measurement_runs, save_artif
     p2 = P2(system)
 
     def optimize_and_measure():
-        plan = p2.optimize(
-            ParallelismAxes.of(replicas, names=("data",)),
-            ReductionRequest.over(0),
-            bytes_per_device=gradient_bytes,
-        )
+        plan = p2.plan(
+            PlanQuery(
+                axes=ParallelismAxes.of(replicas, names=("data",)),
+                request=ReductionRequest.over(0),
+                bytes_per_device=gradient_bytes,
+            )
+        ).plan
         default = plan.default_all_reduce()
         best = plan.best
         default_comm = p2.measure(default, gradient_bytes, num_runs=max(measurement_runs, 2)).total_seconds

@@ -48,7 +48,7 @@ def _scenarios(payload_scale: float):
 
 def _plan(scenario, query):
     # A fresh tool per plan: neither side may warm the other's profile cache.
-    tool = P2(scenario.topology(), max_program_size=query.max_program_size)
+    tool = P2(scenario.topology())
     start = time.perf_counter()
     outcome = tool.plan(query)
     return outcome, time.perf_counter() - start

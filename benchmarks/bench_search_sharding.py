@@ -90,13 +90,13 @@ def test_sharded_cold_plan_halves_the_critical_path(
         # what sharding has to beat).
         cpu_start = time.process_time()
         wall_start = time.perf_counter()
-        serial = P2(topology, max_program_size=MAX_PROGRAM_SIZE).plan(
+        serial = P2(topology).plan(
             _query(payload_scale)
         )
         serial_wall = time.perf_counter() - wall_start
         serial_cpu = time.process_time() - cpu_start
         wall_start = time.perf_counter()
-        sharded = P2(topology, max_program_size=MAX_PROGRAM_SIZE).plan(
+        sharded = P2(topology).plan(
             _query(payload_scale, shards=SHARDS)
         )
         sharded_wall = time.perf_counter() - wall_start

@@ -23,7 +23,8 @@ from statistics import median
 import pytest
 
 from repro.evaluation.config import table4_configs
-from repro.service import PlanCache, PlanningRequest, PlanningService
+from repro.query import PlanQuery
+from repro.service import PlanCache, PlanningService
 from repro.utils.tabulate import format_table
 
 
@@ -34,12 +35,13 @@ def _ranking(plan):
     ]
 
 
-def _request_for(config) -> PlanningRequest:
-    return PlanningRequest(
+def _query_for(config) -> PlanQuery:
+    return PlanQuery(
         axes=config.parallelism(),
         request=config.request(),
         bytes_per_device=config.bytes_per_device,
         algorithm=config.algorithm,
+        max_program_size=config.max_program_size,
     )
 
 
@@ -58,31 +60,30 @@ def test_cold_vs_warm_cache_throughput(benchmark, save_artifact, bench_json, tmp
             if fresh or key not in services:
                 services[key] = PlanningService(
                     config.topology(),
-                    max_program_size=config.max_program_size,
                     cache=PlanCache(directory=cache_root / f"{key[0].value}-{key[1]}n"),
                 )
             return services[key]
 
         for config in configs:
-            request = _request_for(config)
+            query = _query_for(config)
 
             start = time.perf_counter()
-            cold = service_for(config).submit(request)
+            cold = service_for(config).plan(query)
             cold_seconds = time.perf_counter() - start
-            assert not cold.stats.cache_hit
+            assert cold.cache_tier is None
 
             start = time.perf_counter()
-            warm = service_for(config).submit(request)
+            warm = service_for(config).plan(query)
             memory_seconds = time.perf_counter() - start
-            assert warm.stats.cache_tier == "memory"
+            assert warm.cache_tier == "memory"
 
             start = time.perf_counter()
-            disk = service_for(config, fresh=True).submit(request)
+            disk = service_for(config, fresh=True).plan(query)
             disk_seconds = time.perf_counter() - start
-            assert disk.stats.cache_tier == "disk"
+            assert disk.cache_tier == "disk"
 
-            for label, response in [("memory", warm), ("disk", disk)]:
-                assert _ranking(response.plan) == _ranking(cold.plan), (
+            for label, outcome in [("memory", warm), ("disk", disk)]:
+                assert _ranking(outcome.plan) == _ranking(cold.plan), (
                     f"{config.name}: {label}-tier plan diverges from cold plan"
                 )
             rankings[config.name] = _ranking(cold.plan)
@@ -139,23 +140,12 @@ def test_cold_vs_warm_cache_throughput(benchmark, save_artifact, bench_json, tmp
 @pytest.mark.benchmark(group="service-throughput")
 def test_plan_many_batch_dedup_throughput(benchmark, save_artifact, tmp_path_factory):
     """Batch PlanQuery throughput: duplicates inside one batch ride the cache."""
-    from repro.query import PlanQuery
-
     config = table4_configs(payload_scale=0.01)[0]
-    queries = [
-        PlanQuery(
-            axes=config.parallelism(),
-            request=config.request(),
-            bytes_per_device=config.bytes_per_device,
-            algorithm=config.algorithm,
-            max_program_size=config.max_program_size,
-        )
-    ] * 8  # one cold computation, seven memory hits
+    queries = [_query_for(config)] * 8  # one cold computation, seven memory hits
 
     def one_batch():
         service = PlanningService(
             config.topology(),
-            max_program_size=config.max_program_size,
             cache=PlanCache(directory=tmp_path_factory.mktemp("plan-batch")),
         )
         start = time.perf_counter()

@@ -48,7 +48,7 @@ def main() -> None:
 
     for nic_gbps in (8.0, 25.0):
         system = build_system(nic_gbps)
-        p2 = P2(system, max_program_size=3)
+        p2 = P2(system)
         plan = p2.plan(query).plan
         best = plan.best
         default = plan.default_all_reduce()

@@ -8,11 +8,10 @@ together with helpers to inspect the best few and to verify them numerically.
 Example
 -------
 >>> from repro.api import P2
+>>> from repro.query import PlanQuery
 >>> from repro.topology import a100_system
->>> from repro import ParallelismAxes, ReductionRequest
 >>> p2 = P2(a100_system(num_nodes=2))
->>> plan = p2.optimize(ParallelismAxes.of(8, 4), ReductionRequest.over(0),
-...                    bytes_per_device=1 << 26)
+>>> plan = p2.plan(PlanQuery((8, 4), (0,), bytes_per_device=1 << 26)).plan
 >>> best = plan.best
 >>> best.predicted_seconds <= plan.default_all_reduce().predicted_seconds
 True
@@ -21,9 +20,8 @@ True
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.allreduce import default_all_reduce
 from repro.cost.model import CostModel
@@ -47,9 +45,6 @@ from repro.synthesis.pipeline import PlacementCandidate, ProgramCandidate
 from repro.synthesis.pruning import SearchStatistics
 from repro.topology.topology import MachineTopology
 from repro.utils.tabulate import format_table
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard; see repro.service
-    from repro.service.engine import PlanningService
 
 __all__ = [
     "PLAN_FORMAT_VERSION",
@@ -567,13 +562,11 @@ class P2:
     :class:`~repro.query.PlanQuery` / :class:`~repro.query.PlanOutcome`
     object model shared with the planning service (both satisfy the
     :class:`~repro.query.Planner` protocol and produce identical rankings
-    for the same query).  :meth:`optimize` is the historical loose-argument
-    signature, kept as a thin shim over :meth:`plan`.
+    for the same query).
     """
 
     topology: MachineTopology
     cost_model: CostModel = field(default_factory=CostModel)
-    max_program_size: int = 5
     noise_seed: int = 0
     validate_lowering: bool = True
     node_limit: int = 500_000
@@ -613,52 +606,22 @@ class P2:
         self,
         query: PlanQuery,
         *,
-        service: Optional["PlanningService"] = None,
         sources: Optional[Sequence[CandidateSource]] = None,
     ) -> PlanOutcome:
         """Answer one :class:`PlanQuery` with a :class:`PlanOutcome`.
 
         Parameters
         ----------
-        service:
-            Opt-in: route the query through a
-            :class:`~repro.service.engine.PlanningService` (plan caching,
-            request stats).  The service must be bound to this tool's
-            topology and cost model; the query's own search limits
-            (``max_program_size``, ``max_matrices``, candidate/time budgets)
-            are honoured by the service, so no agreement on them is
-            required.
         sources:
             Opt-in: override the candidate sources searched (default:
             baselines + full synthesis, :func:`repro.search.default_sources`).
             Prepend a :class:`~repro.search.PinnedPlanSource` to seed the
             branch-and-bound incumbent from a known-good plan, or append a
-            custom :class:`~repro.search.CandidateSource`.  Not available
-            through a ``service`` — custom sources change what a query means,
-            which would poison the fingerprint-keyed plan cache.
+            custom :class:`~repro.search.CandidateSource`.  A
+            :class:`~repro.service.engine.PlanningService` takes no sources:
+            custom sources change what a query means, which would poison its
+            fingerprint-keyed plan cache.
         """
-        if service is not None:
-            if sources is not None:
-                raise EvaluationError(
-                    "custom candidate sources cannot be routed through a "
-                    "planning service: its cache keys queries by fingerprint, "
-                    "which does not cover the source list"
-                )
-            if not service.compatible_with(self.topology):
-                raise EvaluationError(
-                    f"planning service is bound to topology "
-                    f"{service.topology.name!r}, not this tool's {self.topology.name!r}"
-                )
-            if service.cost_model != self.cost_model:
-                raise EvaluationError(
-                    "planning service uses a different cost model than this "
-                    "tool; it would return plans ranked under different "
-                    "assumptions"
-                )
-            # No max_program_size check: the service honours the query's own
-            # search limits, so both routes compute the same plan.
-            return service.plan(query)
-
         from repro.service.fingerprint import plan_query_fingerprint
 
         start = time.perf_counter()
@@ -696,50 +659,6 @@ class P2:
     def plan_many(self, queries: Sequence[PlanQuery]) -> List[PlanOutcome]:
         """Answer a batch of queries, in order."""
         return [self.plan(query) for query in queries]
-
-    # ------------------------------------------------------------------ #
-    def optimize(
-        self,
-        axes: ParallelismAxes,
-        request: ReductionRequest,
-        bytes_per_device: int,
-        algorithm: NCCLAlgorithm = NCCLAlgorithm.RING,
-        max_matrices: Optional[int] = None,
-        service: Optional["PlanningService"] = None,
-    ) -> OptimizationPlan:
-        """Synthesize and rank every (placement, strategy) candidate.
-
-        .. deprecated::
-            This is the pre-:class:`PlanQuery` loose-argument signature,
-            kept only for backward compatibility.  Build a
-            :class:`~repro.query.PlanQuery` and call :meth:`plan` instead —
-            it returns the same plan plus timings, search provenance and
-            per-baseline speedups, and is the only signature new search
-            features (candidate budgets, pinned sources) are added to.
-        """
-        warnings.warn(
-            "P2.optimize is deprecated; build a PlanQuery and call P2.plan "
-            "(the returned PlanOutcome's .plan is this method's return value)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if service is not None and service.max_program_size != self.max_program_size:
-            # Historical contract of this signature: the tool and the service
-            # must agree on the search limit.  (The query-based plan() route
-            # is laxer — the service honours each query's own limits.)
-            raise EvaluationError(
-                "planning service uses a different max_program_size than this "
-                "tool; it would return plans ranked under different assumptions"
-            )
-        query = PlanQuery(
-            axes=axes,
-            request=request,
-            bytes_per_device=bytes_per_device,
-            algorithm=algorithm,
-            max_matrices=max_matrices,
-            max_program_size=self.max_program_size,
-        )
-        return self.plan(query, service=service).plan
 
     # ------------------------------------------------------------------ #
     def simulate(

@@ -210,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--shards", type=int, default=None,
                          help="default shard width for cold-path planning "
                               "(queries carrying their own shards keep it)")
-    p_serve.add_argument("--max-program-size", type=int, default=5)
     p_serve.add_argument("--ready-file", type=str, default=None, metavar="FILE",
                          help='write {"host", "port", "pid", ...} JSON here once '
                               "listening (how scripts find an ephemeral port)")
@@ -399,7 +398,7 @@ def _run_optimize(args: argparse.Namespace) -> int:
         time_budget_s=args.time_budget,
         shards=1 if args.shards is None else args.shards,
     )
-    p2 = P2(topology, max_program_size=args.max_program_size)
+    p2 = P2(topology)
     seeder = None
     sources = None
     if args.corpus:
@@ -610,12 +609,7 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
         from repro.corpus import PlanCorpus
 
         corpus = PlanCorpus(args.corpus)
-    service = PlanningService(
-        topology,
-        max_program_size=args.max_program_size,
-        cache=cache,
-        corpus=corpus,
-    )
+    service = PlanningService(topology, cache=cache, corpus=corpus)
     if args.json:
         import json
 
@@ -709,7 +703,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     service = PlanningService(
         topology,
-        max_program_size=args.max_program_size,
         cache=PlanCache(directory=args.cache_dir),
         recorder=recorder,
         corpus=corpus,

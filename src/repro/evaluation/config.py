@@ -121,7 +121,7 @@ class ExperimentConfig:
         return ParallelismAxes(tuple(self.axes))
 
     def request(self) -> ReductionRequest:
-        return ReductionRequest(tuple(self.reduction_axes), self.bytes_per_device)
+        return ReductionRequest(tuple(self.reduction_axes))
 
     @property
     def bytes_per_device(self) -> int:

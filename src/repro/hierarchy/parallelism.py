@@ -97,14 +97,11 @@ class ReductionRequest:
     ``axes`` holds the indices of the reduction axes (paper: "reduction
     axes").  Devices that agree on every *non*-reduction axis coordinate and
     differ on some reduction-axis coordinate must end up holding the sum of
-    each other's data.
-
-    The payload size (``bytes_per_device``) is carried here because the cost
-    of a strategy — though not its semantic validity — depends on it.
+    each other's data.  The payload size is not part of the request: it is a
+    field of :class:`~repro.query.PlanQuery`.
     """
 
     axes: Tuple[int, ...]
-    bytes_per_device: int = 0
 
     def __post_init__(self) -> None:
         if len(self.axes) == 0:
@@ -114,13 +111,11 @@ class ReductionRequest:
         if any(a < 0 for a in self.axes):
             raise HierarchyError(f"reduction axes must be non-negative, got {list(self.axes)}")
         object.__setattr__(self, "axes", tuple(sorted(self.axes)))
-        if self.bytes_per_device < 0:
-            raise HierarchyError("bytes_per_device must be non-negative")
 
     @classmethod
-    def over(cls, *axes: int, bytes_per_device: int = 0) -> "ReductionRequest":
+    def over(cls, *axes: int) -> "ReductionRequest":
         """Convenience constructor: ``ReductionRequest.over(0, 2)``."""
-        return cls(tuple(axes), bytes_per_device)
+        return cls(tuple(axes))
 
     def validate_against(self, axes: ParallelismAxes) -> None:
         """Raise if any reduction axis index is out of range for ``axes``."""

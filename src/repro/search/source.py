@@ -231,7 +231,7 @@ def _through_shape_memo(
             or source.matrix_indices is not None or watermark.seconds != float("inf")):
         yield from stream(space, watermark, report)
         return
-    # request.axes, as in the canonical query: the request's legacy payload field means nothing.
+    # request.axes, as in the canonical query.
     shape = (space.topology.hierarchy, query.axes, query.request.axes, query.max_program_size,
              query.max_matrices, space.node_limit, space.validate)
     entries = memo.recall(shape, source.name)

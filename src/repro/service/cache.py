@@ -8,8 +8,7 @@ promoted back into memory.
 
 The (de)serialization itself lives on the domain objects —
 :meth:`repro.api.OptimizationPlan.to_dict` / ``from_dict`` — so any caller
-can persist plans, not just the cache; :func:`plan_to_dict` and
-:func:`plan_from_dict` remain here as compatibility aliases.  Plans *do*
+can persist plans, not just the cache.  Plans *do*
 persist their lowered programs — re-synthesizing them would forfeit the
 point of caching — but not the synthesizer's search state, which is why
 reconstructed candidates carry ``synthesis=None``.  The programs are
@@ -39,14 +38,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.api import PLAN_FORMAT_VERSION, OptimizationPlan
+from repro.api import PLAN_FORMAT_VERSION
 from repro.errors import ServiceError
 
 __all__ = [
     "PLAN_FORMAT_VERSION",
     "atomic_write_text",
-    "plan_to_dict",
-    "plan_from_dict",
     "CacheStats",
     "PlanCache",
 ]
@@ -87,16 +84,6 @@ def atomic_write_text(path: Path, chunks: Iterable[str], prefix: str) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-
-
-def plan_to_dict(plan: OptimizationPlan) -> Dict:
-    """Serialize a plan to a JSON-compatible dict (alias of ``plan.to_dict()``)."""
-    return plan.to_dict()
-
-
-def plan_from_dict(data: Dict) -> OptimizationPlan:
-    """Reconstruct a plan (alias of :meth:`OptimizationPlan.from_dict`)."""
-    return OptimizationPlan.from_dict(data)
 
 
 # --------------------------------------------------------------------------- #

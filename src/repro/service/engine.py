@@ -21,17 +21,14 @@ The service speaks the :class:`~repro.query.PlanQuery` /
 :class:`~repro.query.Planner` protocol, interchangeable with a bare
 :class:`repro.api.P2` — and every outcome carries provenance (fingerprint,
 cache tier, timing breakdown) so callers can monitor hit rates and latency
-without instrumenting the pipeline themselves.  The pre-query
-:class:`PlanningRequest` / :meth:`submit` / :meth:`optimize_many` API remains
-as a thin shim.
+without instrumenting the pipeline themselves.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard; corpus sits above us
     from repro.corpus.store import PlanCorpus
@@ -39,91 +36,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard; corpus sits above us
 from repro.api import OptimizationPlan, compute_plan
 from repro.cost.model import CostModel
 from repro.cost.simulator import ProgramSimulator
-from repro.cost.nccl import NCCLAlgorithm
-from repro.errors import ReproError, ServiceError
-from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
+from repro.errors import ReproError
 from repro.obs.recorder import get_recorder
 from repro.query import PlanOutcome, PlanQuery
 from repro.search.source import SHAPE_MEMO_SHAPES, ShapeMemo
 from repro.service.cache import PlanCache
-from repro.service.fingerprint import canonical_topology, plan_query_fingerprint
+from repro.service.fingerprint import plan_query_fingerprint
 from repro.topology.topology import MachineTopology
 
-__all__ = ["PlanningRequest", "RequestStats", "PlanningResponse", "PlanningService"]
+__all__ = ["PlanningService"]
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class PlanningRequest:
-    """One query against the planning service (the batch API's unit of work)."""
-
-    axes: ParallelismAxes
-    request: ReductionRequest
-    bytes_per_device: int
-    algorithm: NCCLAlgorithm = NCCLAlgorithm.RING
-    max_matrices: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.bytes_per_device <= 0:
-            raise ServiceError("bytes_per_device must be positive")
-        self.request.validate_against(self.axes)
-
-    def to_query(self, max_program_size: int) -> PlanQuery:
-        """The :class:`PlanQuery` this request denotes under a service's limits."""
-        return PlanQuery(
-            axes=self.axes,
-            request=self.request,
-            bytes_per_device=self.bytes_per_device,
-            algorithm=self.algorithm,
-            max_matrices=self.max_matrices,
-            max_program_size=max_program_size,
-        )
-
-    def describe(self) -> str:
-        return (
-            f"{self.axes.describe()} {self.request.describe(self.axes)}, "
-            f"{self.bytes_per_device / 1e6:.0f} MB, {self.algorithm}"
-        )
-
-
-@dataclass
-class RequestStats:
-    """How one request was answered: cache tier and timing breakdown."""
-
-    fingerprint: str
-    cache_tier: Optional[str]  # "memory" | "disk" | None (cold)
-    total_seconds: float = 0.0
-    synthesis_seconds: float = 0.0
-    evaluation_seconds: float = 0.0
-    num_candidates: int = 0
-    num_strategies: int = 0
-
-    @property
-    def cache_hit(self) -> bool:
-        return self.cache_tier is not None
-
-    def describe(self) -> str:
-        source = self.cache_tier or "cold"
-        detail = (
-            f"synthesis {self.synthesis_seconds * 1e3:.1f} ms, "
-            f"evaluation {self.evaluation_seconds * 1e3:.1f} ms"
-            if not self.cache_hit
-            else "cached plan"
-        )
-        return (
-            f"[{source}] {self.num_strategies} strategies over "
-            f"{self.num_candidates} placements in {self.total_seconds * 1e3:.1f} ms ({detail})"
-        )
-
-
-@dataclass
-class PlanningResponse:
-    """One answered request: the plan plus how it was produced."""
-
-    request: PlanningRequest
-    plan: OptimizationPlan
-    stats: RequestStats
 
 
 class PlanningService:
@@ -131,9 +54,10 @@ class PlanningService:
 
     Parameters
     ----------
-    topology / cost_model / max_program_size:
+    topology / cost_model:
         The fixed parts of every query this service answers; they participate
-        in each request's fingerprint.
+        in each query's fingerprint.  Search limits such as
+        ``max_program_size`` belong to each :class:`PlanQuery`.
     cache:
         The plan cache to serve from; defaults to a fresh memory-only
         :class:`PlanCache`.  Pass one with a ``directory`` to warm-start
@@ -152,14 +76,12 @@ class PlanningService:
         self,
         topology: MachineTopology,
         cost_model: Optional[CostModel] = None,
-        max_program_size: int = 5,
         cache: Optional[PlanCache] = None,
         recorder=None,
         corpus: Optional["PlanCorpus"] = None,
     ) -> None:
         self.topology = topology
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.max_program_size = max_program_size
         self.cache = cache if cache is not None else PlanCache()
         # The telemetry recorder every request reports into, captured at
         # construction (install one via repro.obs.set_recorder first, or pass
@@ -195,12 +117,7 @@ class PlanningService:
         return plan_query_fingerprint(self.topology, query, self.cost_model)
 
     def plan(self, query: PlanQuery) -> PlanOutcome:
-        """Answer one :class:`PlanQuery`, from cache when possible.
-
-        The query's own ``max_program_size`` / ``max_matrices`` are honoured
-        (the service's ``max_program_size`` is only the default applied when
-        legacy :class:`PlanningRequest` objects are converted).
-        """
+        """Answer one :class:`PlanQuery`, from cache when possible."""
         start = time.perf_counter()
         recorder = self.recorder
         with recorder.span("service.plan") as root:
@@ -320,64 +237,13 @@ class PlanningService:
         """
         return list(self.plan_stream(queries))
 
-    # ------------------------------------------------------------------ #
-    # Legacy single-request / batch API (pre-PlanQuery shims)
-    # ------------------------------------------------------------------ #
-    def fingerprint(self, request: PlanningRequest) -> str:
-        """The cache key this service uses for ``request``."""
-        return self.query_fingerprint(request.to_query(self.max_program_size))
+    def warm(self, queries: Sequence[PlanQuery]) -> int:
+        """Precompute plans for ``queries``; return how many were cold.
 
-    def optimize(
-        self,
-        axes: ParallelismAxes,
-        request: ReductionRequest,
-        bytes_per_device: int,
-        algorithm: NCCLAlgorithm = NCCLAlgorithm.RING,
-        max_matrices: Optional[int] = None,
-    ) -> OptimizationPlan:
-        """Drop-in replacement for :meth:`repro.api.P2.optimize`."""
-        return self.submit(
-            PlanningRequest(axes, request, bytes_per_device, algorithm, max_matrices)
-        ).plan
-
-    def submit(self, request: PlanningRequest) -> PlanningResponse:
-        """Answer one legacy request (a shim over :meth:`plan`)."""
-        outcome = self.plan(request.to_query(self.max_program_size))
-        stats = RequestStats(
-            fingerprint=outcome.fingerprint or "",
-            cache_tier=outcome.cache_tier,
-            total_seconds=outcome.total_seconds,
-            synthesis_seconds=outcome.synthesis_seconds,
-            evaluation_seconds=outcome.evaluation_seconds,
-            num_candidates=outcome.num_candidates,
-            num_strategies=outcome.num_strategies,
-        )
-        return PlanningResponse(request=request, plan=outcome.plan, stats=stats)
-
-    def optimize_many(
-        self, requests: Sequence[PlanningRequest]
-    ) -> List[PlanningResponse]:
-        """Answer a batch of legacy requests (see :meth:`plan_many`)."""
-        return [self.submit(request) for request in requests]
-
-    def warm(self, requests: Sequence[Union[PlanQuery, PlanningRequest]]) -> int:
-        """Precompute plans for ``requests``; return how many were cold.
-
-        Accepts :class:`PlanQuery` objects directly — the daemon's warm-file
-        format is plain ``PlanQuery`` JSONL, the same shape ``serve-batch``
-        reads — and keeps accepting legacy :class:`PlanningRequest` objects
-        (converted under this service's ``max_program_size``) as a shim.
+        The daemon's warm-file format is plain ``PlanQuery`` JSONL, the same
+        shape ``serve-batch`` reads.
         """
-        cold = 0
-        for item in requests:
-            query = (
-                item
-                if isinstance(item, PlanQuery)
-                else item.to_query(self.max_program_size)
-            )
-            if not self.plan(query).cache_hit:
-                cold += 1
-        return cold
+        return sum(1 for query in queries if not self.plan(query).cache_hit)
 
     def warm_from_corpus(self) -> int:
         """Replay this service's corpus into its cache; return how many plans.
@@ -397,14 +263,9 @@ class PlanningService:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def compatible_with(self, topology: MachineTopology) -> bool:
-        """True when ``topology`` is canonically identical to this service's."""
-        return canonical_topology(topology) == canonical_topology(self.topology)
-
     def describe(self) -> str:
         return (
-            f"PlanningService({self.topology.name}, max_program_size="
-            f"{self.max_program_size}, served={self.requests_served}, "
+            f"PlanningService({self.topology.name}, served={self.requests_served}, "
             f"shape memo {len(self._shapes)}/{SHAPE_MEMO_SHAPES}; "
             f"{self.cache.describe()})"
         )

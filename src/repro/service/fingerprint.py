@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.cost.model import CostModel
-from repro.cost.nccl import NCCLAlgorithm
-from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.query import PlanQuery
 from repro.topology.links import LinkSpec
 from repro.topology.topology import MachineTopology
@@ -42,9 +40,7 @@ __all__ = [
     "canonical_topology",
     "canonical_cost_model",
     "canonical_plan_query",
-    "canonical_query",
     "plan_query_fingerprint",
-    "query_fingerprint",
 ]
 
 FINGERPRINT_VERSION = 3
@@ -111,53 +107,3 @@ def plan_query_fingerprint(
 def _digest(canonical: Dict) -> str:
     encoded = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-
-
-# --------------------------------------------------------------------------- #
-# Loose-argument compatibility layer (pre-PlanQuery signature)
-# --------------------------------------------------------------------------- #
-def canonical_query(
-    topology: MachineTopology,
-    axes: ParallelismAxes,
-    request: ReductionRequest,
-    bytes_per_device: int,
-    algorithm: NCCLAlgorithm,
-    cost_model: CostModel,
-    max_program_size: int,
-    max_matrices: Optional[int] = None,
-) -> Dict:
-    """Canonical form from loose arguments (builds a :class:`PlanQuery`)."""
-    query = PlanQuery(
-        axes=axes,
-        request=request,
-        bytes_per_device=bytes_per_device,
-        algorithm=algorithm,
-        max_matrices=max_matrices,
-        max_program_size=max_program_size,
-    )
-    return canonical_plan_query(topology, query, cost_model)
-
-
-def query_fingerprint(
-    topology: MachineTopology,
-    axes: ParallelismAxes,
-    request: ReductionRequest,
-    bytes_per_device: int,
-    algorithm: NCCLAlgorithm,
-    cost_model: CostModel,
-    max_program_size: int,
-    max_matrices: Optional[int] = None,
-) -> str:
-    """SHA-256 fingerprint from loose arguments (64 hex characters)."""
-    return _digest(
-        canonical_query(
-            topology,
-            axes,
-            request,
-            bytes_per_device,
-            algorithm,
-            cost_model,
-            max_program_size,
-            max_matrices,
-        )
-    )

@@ -10,6 +10,7 @@ from repro.api import P2
 from repro.cost.nccl import NCCLAlgorithm
 from repro.errors import EvaluationError
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
+from repro.query import PlanQuery
 from repro.topology.gcp import a100_system
 
 MB = 1 << 20
@@ -17,17 +18,18 @@ MB = 1 << 20
 
 @pytest.fixture(scope="module")
 def plan():
-    p2 = P2(a100_system(num_nodes=2), max_program_size=3)
-    return p2.optimize(
-        ParallelismAxes.of(8, 4),
-        ReductionRequest.over(0),
+    query = PlanQuery(
+        axes=ParallelismAxes.of(8, 4),
+        request=ReductionRequest.over(0),
         bytes_per_device=64 * MB,
+        max_program_size=3,
     )
+    return P2(a100_system(num_nodes=2)).plan(query).plan
 
 
 @pytest.fixture(scope="module")
 def tool():
-    return P2(a100_system(num_nodes=2), max_program_size=3)
+    return P2(a100_system(num_nodes=2))
 
 
 class TestOptimize:
@@ -70,9 +72,9 @@ class TestOptimize:
         # reduction axis inside one node (paper Result 3).
         assert plan.best.matrix.describe() == "[[1 8] [2 2]]"
 
-    def test_invalid_payload_rejected(self, tool):
+    def test_invalid_payload_rejected(self):
         with pytest.raises(EvaluationError):
-            tool.optimize(ParallelismAxes.of(32), ReductionRequest.over(0), 0)
+            PlanQuery(ParallelismAxes.of(32), ReductionRequest.over(0), 0)
 
 
 class TestSpeedupOverDefault:

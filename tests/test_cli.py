@@ -54,6 +54,17 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_serve_program_size_flag_is_a_usage_error(self, capsys):
+        # The limit belongs to each query; the daemon holds none of its own.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--max-program-size", "3"])
+        assert exit_info.value.code == 2
+        assert "--max-program-size" in capsys.readouterr().err
+
+    def test_serve_batch_program_size_sets_the_query_default(self):
+        args = build_parser().parse_args(["serve-batch", "--max-program-size", "3"])
+        assert args.max_program_size == 3
+
     def test_cache_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache"])

@@ -70,7 +70,7 @@ def topology():
 @pytest.fixture(scope="module")
 def base_outcome(topology):
     """One genuine cold outcome (with fingerprint) the tests can replay."""
-    return PlanningService(topology, max_program_size=3).plan(_query())
+    return PlanningService(topology).plan(_query())
 
 
 @pytest.fixture()
@@ -385,7 +385,7 @@ class TestSeeding:
     def test_warm_from_corpus_replays_only_matching_fingerprints(
         self, corpus, topology, base_outcome
     ):
-        service = PlanningService(topology, max_program_size=3, corpus=corpus)
+        service = PlanningService(topology, corpus=corpus)
         corpus.ingest_outcome(base_outcome)
         # A record whose fingerprint does not match what this service would
         # compute (foreign topology/cost model) must be skipped.
@@ -408,7 +408,7 @@ class TestSeeding:
 
     def test_warm_helper_matches_service_method(self, corpus, topology, base_outcome):
         corpus.ingest_outcome(base_outcome)
-        service = PlanningService(topology, max_program_size=3)
+        service = PlanningService(topology)
         assert warm_from_corpus(service, corpus) == 1
 
     def test_context_fingerprint_distinguishes_topologies(self, topology):
@@ -422,9 +422,7 @@ class TestSeeding:
 class TestServiceIntegration:
     def test_cold_plans_are_ingested_and_seed_neighbors(self, corpus, topology):
         recorder = Recorder()
-        service = PlanningService(
-            topology, max_program_size=3, corpus=corpus, recorder=recorder
-        )
+        service = PlanningService(topology, corpus=corpus, recorder=recorder)
         first = service.plan(_query(payload=1 << 20))
         assert len(corpus) == 1
         second = service.plan(_query(payload=1 << 22))
@@ -437,10 +435,10 @@ class TestServiceIntegration:
         assert first.fingerprint != second.fingerprint
 
     def test_seeded_plan_is_bit_identical_to_unseeded(self, corpus, topology):
-        seeded_service = PlanningService(topology, max_program_size=3, corpus=corpus)
+        seeded_service = PlanningService(topology, corpus=corpus)
         seeded_service.plan(_query(payload=1 << 20))
         seeded = seeded_service.plan(_query(payload=1 << 22))
-        unseeded = PlanningService(topology, max_program_size=3).plan(
+        unseeded = PlanningService(topology).plan(
             _query(payload=1 << 22)
         )
         assert seeded.search["seeds"] >= 1
@@ -450,14 +448,14 @@ class TestServiceIntegration:
         assert seeded.fingerprint == unseeded.fingerprint
 
     def test_cache_hits_do_not_touch_the_corpus(self, corpus, topology):
-        service = PlanningService(topology, max_program_size=3, corpus=corpus)
+        service = PlanningService(topology, corpus=corpus)
         service.plan(_query())
         service.plan(_query())  # memory hit: no search, no ingest
         assert len(corpus) == 1
         assert corpus.ingested == 1
 
     def test_budgeted_plans_are_not_ingested(self, corpus, topology):
-        service = PlanningService(topology, max_program_size=3, corpus=corpus)
+        service = PlanningService(topology, corpus=corpus)
         outcome = service.plan(_query(max_candidates=10 ** 9))
         assert outcome.query.has_search_budget
         assert len(corpus) == 0
@@ -467,11 +465,9 @@ class TestDaemonCorpusWarm:
     def test_daemon_pre_warms_from_corpus_on_boot(self, corpus, topology):
         # Populate history out-of-band, then boot a daemon whose service
         # carries the corpus: the first request must already be a cache hit.
-        PlanningService(topology, max_program_size=3, corpus=corpus).plan(_query())
+        PlanningService(topology, corpus=corpus).plan(_query())
         recorder = Recorder()
-        service = PlanningService(
-            topology, max_program_size=3, corpus=corpus, recorder=recorder
-        )
+        service = PlanningService(topology, corpus=corpus, recorder=recorder)
         with DaemonThread(
             service, DaemonConfig(port=0, queue_limit=8), recorder=recorder
         ) as handle:
@@ -485,8 +481,8 @@ class TestDaemonCorpusWarm:
         assert counters["serve.corpus_warm.plans"] == 1
 
     def test_corpus_warm_can_be_disabled(self, corpus, topology):
-        PlanningService(topology, max_program_size=3, corpus=corpus).plan(_query())
-        service = PlanningService(topology, max_program_size=3, corpus=corpus)
+        PlanningService(topology, corpus=corpus).plan(_query())
+        service = PlanningService(topology, corpus=corpus)
         config = DaemonConfig(port=0, queue_limit=8, corpus_warm=False)
         with DaemonThread(service, config) as handle:
             assert handle.daemon.corpus_warmed == 0

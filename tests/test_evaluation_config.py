@@ -116,3 +116,22 @@ class TestNamedConfigSets:
         quick = table5_configs(quick=True)
         full = table5_configs(quick=False)
         assert len(quick) < len(full)
+
+
+class TestConfigPlansRoundTrip:
+    @pytest.mark.parametrize("config", table4_configs(0.01), ids=lambda c: c.name)
+    def test_plan_keeps_its_request_through_serialization(self, config):
+        # The request names reduction axes only; the payload lives on the query.
+        from repro.api import P2, OptimizationPlan
+        from repro.query import PlanQuery
+
+        query = PlanQuery(
+            config.parallelism(),
+            config.request(),
+            config.bytes_per_device,
+            config.algorithm,
+            max_program_size=2,
+        )
+        plan = P2(config.topology()).plan(query).plan
+        back = OptimizationPlan.from_dict(plan.to_dict())
+        assert plan.request == back.request == query.request

@@ -72,9 +72,12 @@ class TestReductionRequest:
         with pytest.raises(HierarchyError):
             ReductionRequest.over(-1)
 
-    def test_rejects_negative_bytes(self):
-        with pytest.raises(HierarchyError):
-            ReductionRequest((0,), bytes_per_device=-5)
+    def test_payload_is_not_a_request_field(self):
+        # The payload belongs to the PlanQuery, never to the request.
+        with pytest.raises(TypeError):
+            ReductionRequest((0,), bytes_per_device=1)
+        with pytest.raises(TypeError):
+            ReductionRequest.over(0, bytes_per_device=1)
 
     def test_validate_against(self):
         axes = ParallelismAxes.of(4, 4)

@@ -20,6 +20,7 @@ from repro.evaluation.runner import SweepRunner
 from repro.hierarchy.matrix import enumerate_parallelism_matrices
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.hierarchy.placement import DevicePlacement
+from repro.query import PlanQuery
 from repro.topology.gcp import a100_system, v100_system
 
 GIB = float(1 << 30)
@@ -94,21 +95,26 @@ class TestResult3And5SynthesizedPrograms:
 
 class TestEndToEndPlanQuality:
     def test_optimizer_places_reduction_locally_when_possible(self):
-        p2 = P2(v100_system(num_nodes=2), max_program_size=3)
-        plan = p2.optimize(
-            ParallelismAxes.of(8, 2),
-            ReductionRequest.over(0),
-            bytes_per_device=32 << 20,
-        )
+        p2 = P2(v100_system(num_nodes=2))
+        plan = p2.plan(
+            PlanQuery(
+                axes=ParallelismAxes.of(8, 2),
+                request=ReductionRequest.over(0),
+                bytes_per_device=32 << 20,
+                max_program_size=3,
+            )
+        ).plan
         # Reduction of size 8 fits into one 8-GPU node; the best strategy is a
         # local AllReduce on the placement that keeps the axis inside a node.
         assert plan.best.matrix.describe() == "[[1 8] [2 1]]"
         assert plan.best.predicted_seconds < plan.default_all_reduce().predicted_seconds * 1.01
 
     def test_every_top_strategy_verifies_numerically(self):
-        p2 = P2(a100_system(num_nodes=2), max_program_size=3)
+        p2 = P2(a100_system(num_nodes=2))
         request = ReductionRequest.over(0)
-        plan = p2.optimize(ParallelismAxes.of(4, 8), request, bytes_per_device=16 << 20)
+        plan = p2.plan(
+            PlanQuery(ParallelismAxes.of(4, 8), request, 16 << 20, max_program_size=3)
+        ).plan
         for strategy in plan.top(5):
             if strategy.program.num_steps == 0:
                 continue

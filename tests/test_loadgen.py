@@ -271,9 +271,7 @@ MIX = QueryMix.payload_ladder(
 @pytest.fixture(scope="module")
 def daemon():
     recorder = Recorder()
-    service = PlanningService(
-        figure2a_system(), max_program_size=3, recorder=recorder
-    )
+    service = PlanningService(figure2a_system(), recorder=recorder)
     with DaemonThread(
         service, DaemonConfig(port=0, queue_limit=64), recorder=recorder
     ) as handle:

@@ -400,7 +400,7 @@ class TestSpineIntegration:
 
         recorder = Recorder()
         with use_recorder(recorder):
-            outcome = P2(topology, max_program_size=3).plan(_query())
+            outcome = P2(topology).plan(_query())
         assert outcome.trace_id is not None
         assert outcome.provenance()["trace_id"] == outcome.trace_id
         spans = recorder.snapshot().spans
@@ -414,7 +414,7 @@ class TestSpineIntegration:
     def test_plan_without_recorder_has_no_trace_id(self, topology):
         from repro.api import P2
 
-        outcome = P2(topology, max_program_size=3).plan(_query())
+        outcome = P2(topology).plan(_query())
         assert outcome.trace_id is None
         assert outcome.provenance()["trace_id"] is None
 
@@ -423,7 +423,7 @@ class TestSpineIntegration:
 
         recorder = Recorder()
         with use_recorder(recorder):
-            service = PlanningService(topology, max_program_size=3)
+            service = PlanningService(topology)
             cold = service.plan(_query())
             warm = service.plan(_query())
         assert cold.trace_id and warm.trace_id
@@ -443,7 +443,7 @@ class TestSpineIntegration:
 
         recorder = Recorder()
         with use_recorder(recorder):
-            outcome = P2(topology, max_program_size=3).plan(_query(shards=2))
+            outcome = P2(topology).plan(_query(shards=2))
         assert outcome.trace_id is not None
 
         snapshot = recorder.snapshot()

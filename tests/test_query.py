@@ -19,7 +19,6 @@ from repro.service.fingerprint import (
     FINGERPRINT_VERSION,
     canonical_plan_query,
     plan_query_fingerprint,
-    query_fingerprint,
 )
 from repro.synthesis.lowering import LoweredStep, StepTable
 from repro.topology.gcp import a100_system
@@ -51,7 +50,7 @@ def query_84():
 
 @pytest.fixture(scope="module")
 def outcome_84(topology, query_84):
-    return P2(topology, max_program_size=3).plan(query_84)
+    return P2(topology).plan(query_84)
 
 
 class TestPlanQueryRoundTrip:
@@ -234,18 +233,6 @@ class TestGoldenFingerprint:
             == hashlib.sha256(encoded.encode("utf-8")).hexdigest()
         )
 
-    def test_loose_argument_shim_agrees(self, topology, query_84):
-        assert plan_query_fingerprint(topology, query_84, CostModel()) == query_fingerprint(
-            topology,
-            query_84.axes,
-            query_84.request,
-            query_84.bytes_per_device,
-            query_84.algorithm,
-            CostModel(),
-            query_84.max_program_size,
-            query_84.max_matrices,
-        )
-
 
 class TestPlannerProtocol:
     def test_p2_and_service_satisfy_the_protocol(self, topology):
@@ -253,7 +240,7 @@ class TestPlannerProtocol:
         assert isinstance(PlanningService(topology), Planner)
 
     def test_p2_and_service_rankings_are_identical(self, topology, query_84, outcome_84):
-        served = PlanningService(topology, max_program_size=3).plan(query_84)
+        served = PlanningService(topology).plan(query_84)
         assert _ranking(served.plan) == _ranking(outcome_84.plan)
         assert [s.program.signature() for s in served.plan.strategies] == [
             s.program.signature() for s in outcome_84.plan.strategies
@@ -268,16 +255,14 @@ class TestPlannerProtocol:
         assert len(outcome_84.fingerprint) == 64
         assert "[cold]" in outcome_84.describe()
 
-        service = PlanningService(topology, max_program_size=3)
+        service = PlanningService(topology)
         service.plan(query_84)
         warm = service.plan(query_84)
         assert warm.cache_tier == "memory" and warm.cache_hit
         assert "[memory]" in warm.describe()
 
     def test_service_honours_query_search_limits(self, topology):
-        # The service's own max_program_size is only a default for legacy
-        # requests; a PlanQuery carries its own.
-        service = PlanningService(topology, max_program_size=5)
+        service = PlanningService(topology)
         limited = service.plan(
             PlanQuery(
                 ParallelismAxes.of(8, 4),
@@ -289,26 +274,18 @@ class TestPlannerProtocol:
         )
         assert limited.num_candidates == 1
 
-    def test_p2_routes_to_service_with_differing_default_limit(self, topology, query_84):
-        # The query carries its own max_program_size, so the service's default
-        # being different is not a conflict on the query-based route.
-        service = PlanningService(topology, max_program_size=5)
-        routed = P2(topology, max_program_size=3).plan(query_84, service=service)
-        direct = P2(topology, max_program_size=3).plan(query_84)
-        assert _ranking(routed.plan) == _ranking(direct.plan)
-
     def test_plan_many_preserves_order_and_dedupes(self, topology, query_84):
         other = PlanQuery(
             ParallelismAxes.of(8, 4), ReductionRequest.over(1), 64 * MB,
             max_program_size=3,
         )
-        service = PlanningService(topology, max_program_size=3)
+        service = PlanningService(topology)
         outcomes = service.plan_many([query_84, other, query_84])
         assert [o.query for o in outcomes] == [query_84, other, query_84]
         assert [o.cache_tier for o in outcomes] == [None, None, "memory"]
 
     def test_plan_many_records_shards_in_provenance(self, topology, query_84):
-        outcomes = P2(topology, max_program_size=3).plan_many(
+        outcomes = P2(topology).plan_many(
             [replace(query_84, shards=2)]
         )
         assert outcomes[0].search["shards"] == 2
@@ -317,7 +294,7 @@ class TestPlannerProtocol:
         assert "_".join(("n", "workers")) not in encoded
 
     def test_p2_plan_many(self, topology, query_84, outcome_84):
-        outcomes = P2(topology, max_program_size=3).plan_many([query_84, query_84])
+        outcomes = P2(topology).plan_many([query_84, query_84])
         assert len(outcomes) == 2
         for outcome in outcomes:
             assert _ranking(outcome.plan) == _ranking(outcome_84.plan)
@@ -398,28 +375,32 @@ class TestPlanJsonRoundTrip:
         ]
 
 
-class TestLegacyShim:
-    """The pre-redesign P2.optimize signature keeps working, byte for byte."""
+class TestRetiredLooseArgumentApi:
+    """The pre-PlanQuery signatures are gone; a query is the only input."""
 
-    def test_positional_call(self, topology, query_84, outcome_84):
-        plan = P2(topology, max_program_size=3).optimize(
-            query_84.axes, query_84.request, query_84.bytes_per_device
+    def test_p2_has_no_optimize(self, topology):
+        assert not hasattr(P2(topology), "optimize")
+
+    def test_p2_plan_takes_no_service(self, topology, query_84):
+        with pytest.raises(TypeError):
+            P2(topology).plan(query_84, service=PlanningService(topology))
+
+    def test_query_limits_reach_p2(self, topology):
+        outcome = P2(topology).plan(
+            PlanQuery(
+                axes=ParallelismAxes.of(8, 4),
+                request=ReductionRequest.over(0),
+                bytes_per_device=32 * MB,
+                algorithm=NCCLAlgorithm.RING,
+                max_matrices=1,
+                max_program_size=3,
+            )
         )
-        assert _ranking(plan) == _ranking(outcome_84.plan)
+        assert len(outcome.plan.candidates) == 1
 
-    def test_keyword_call_with_limits(self, topology):
-        plan = P2(topology, max_program_size=3).optimize(
-            axes=ParallelismAxes.of(8, 4),
-            request=ReductionRequest.over(0),
-            bytes_per_device=32 * MB,
-            algorithm=NCCLAlgorithm.RING,
-            max_matrices=1,
-        )
-        assert len(plan.candidates) == 1
-
-    def test_invalid_payload_still_raises_evaluation_error(self, topology):
+    def test_invalid_payload_raises_evaluation_error(self):
         with pytest.raises(EvaluationError):
-            P2(topology).optimize(ParallelismAxes.of(32), ReductionRequest.over(0), 0)
+            PlanQuery(ParallelismAxes.of(32), ReductionRequest.over(0), 0)
 
 
 class TestSimulatePayloadProvenance:
@@ -432,7 +413,7 @@ class TestSimulatePayloadProvenance:
         )
 
     def test_simulate_defaults_to_the_originating_payload(self, topology, outcome_84):
-        p2 = P2(topology, max_program_size=3)
+        p2 = P2(topology)
         strategy = outcome_84.plan.default_all_reduce()
         implicit = p2.simulate(strategy)
         explicit = p2.simulate(strategy, bytes_per_device=strategy.bytes_per_device)
@@ -441,7 +422,7 @@ class TestSimulatePayloadProvenance:
         assert strategy.bytes_per_device == 64 * MB
 
     def test_simulate_without_any_payload_is_an_error(self, topology, outcome_84):
-        p2 = P2(topology, max_program_size=3)
+        p2 = P2(topology)
         orphan = replace(outcome_84.plan.default_all_reduce(), bytes_per_device=None)
         with pytest.raises(EvaluationError):
             p2.simulate(orphan)
@@ -458,7 +439,7 @@ class TestMultiReductionPlannerIntegration:
         planner = MultiReductionPlanner(topology, max_program_size=3)
         direct = planner.plan(ParallelismAxes.of(2, 16), reductions)
         routed = planner.plan_with(
-            P2(topology, max_program_size=3), ParallelismAxes.of(2, 16), reductions
+            P2(topology), ParallelismAxes.of(2, 16), reductions
         )
         assert routed.best.matrix == direct.best.matrix
         assert routed.best.total_seconds == pytest.approx(direct.best.total_seconds)
@@ -470,7 +451,7 @@ class TestMultiReductionPlannerIntegration:
         planner = MultiReductionPlanner(topology, max_program_size=3)
         with pytest.raises(EvaluationError):
             planner.plan_with(
-                P2(v100_system(num_nodes=2), max_program_size=3),
+                P2(v100_system(num_nodes=2)),
                 ParallelismAxes.of(8, 4),
                 [WeightedReduction("gradients", ReductionRequest.over(0), 1 * MB)],
             )
@@ -485,7 +466,7 @@ class TestMultiReductionPlannerIntegration:
         queries = planner.queries_for(ParallelismAxes.of(8, 4), reductions)
         assert [q.bytes_per_device for q in queries] == [32 * MB]
 
-        service = PlanningService(topology, max_program_size=3)
+        service = PlanningService(topology)
         service.plan_many(queries)  # warm the cache
         routed = planner.plan_with(service, ParallelismAxes.of(8, 4), reductions)
         assert service.cache.stats.hits >= 1

@@ -78,10 +78,10 @@ class TestLosslessPruning:
     def test_bounded_search_returns_bit_identical_best(
         self, topology, shape, reduce_axes, payload, algorithm
     ):
-        exhaustive = P2(topology, max_program_size=3).plan(
+        exhaustive = P2(topology).plan(
             _query(shape, reduce_axes, payload, algorithm)
         )
-        pruned = P2(topology, max_program_size=3).plan(
+        pruned = P2(topology).plan(
             # A non-binding candidate budget turns bounds-based pruning on
             # without truncating enumeration: any difference from the
             # exhaustive best is a pruning (soundness) bug.
@@ -108,7 +108,7 @@ class TestLosslessPruning:
             max_program_size=3,
             max_candidates=10**9,
         )
-        outcome = P2(topology, max_program_size=3).plan(query)
+        outcome = P2(topology).plan(query)
         assert outcome.best.predicted_seconds == 0.0
         assert outcome.plan.speedup_over_default() == 1.0
 
@@ -138,7 +138,7 @@ class TestExhaustiveEquivalence:
         )
         legacy = rank_entries(entries, predicted, bytes_per_device=query.bytes_per_device)
 
-        outcome = P2(topology, max_program_size=3).plan(query)
+        outcome = P2(topology).plan(query)
         assert [
             (s.matrix.entries, s.mnemonic, s.predicted_seconds) for s in legacy
         ] == [
@@ -160,12 +160,12 @@ class TestExhaustiveEquivalence:
         import repro.cost.batch as batch
 
         query = _query((8, 4), (0,), 16 * MB, NCCLAlgorithm.RING)
-        vectorized = P2(topology, max_program_size=3).plan(query)
+        vectorized = P2(topology).plan(query)
         assert vectorized.search["batch_prices"] > 0
         assert vectorized.search["batch_fallbacks"] == 0
 
         monkeypatch.setattr(batch, "_np", None)
-        scalar = P2(topology, max_program_size=3).plan(query)
+        scalar = P2(topology).plan(query)
         assert scalar.search["batch_fallbacks"] > 0
 
         assert vectorized.fingerprint == scalar.fingerprint
@@ -182,7 +182,7 @@ class TestExhaustiveEquivalence:
 class TestBudgets:
     def test_max_candidates_truncates_enumeration(self, topology):
         query = _query((8, 4), (0,), 16 * MB, NCCLAlgorithm.RING, max_candidates=3)
-        outcome = P2(topology, max_program_size=3).plan(query)
+        outcome = P2(topology).plan(query)
         assert outcome.search["budget_stopped"]
         assert outcome.search["considered"] == 3
         assert outcome.num_strategies <= 3
@@ -196,7 +196,7 @@ class TestBudgets:
         query = _query(
             (8, 4), (0,), 16 * MB, NCCLAlgorithm.RING, time_budget_s=1e-9
         )
-        outcome = P2(topology, max_program_size=3).plan(query)
+        outcome = P2(topology).plan(query)
         assert outcome.search["time_stopped"]
         assert outcome.num_strategies >= 1
         outcome.to_dict()  # still serializable end to end
@@ -214,7 +214,7 @@ class TestBudgets:
     def test_budgeted_plans_are_never_cached(self, topology):
         from repro.service import PlanningService
 
-        service = PlanningService(topology, max_program_size=3)
+        service = PlanningService(topology)
         query = _query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING, max_candidates=4)
         assert not service.plan(query).cache_hit
         # A budgeted plan is not a deterministic function of its
@@ -367,7 +367,7 @@ class TestSearchStatisticsSurfacing:
     def test_outcome_provenance_carries_search_and_synthesis_stats(self, topology):
         import json
 
-        outcome = P2(topology, max_program_size=3).plan(
+        outcome = P2(topology).plan(
             _query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING)
         )
         provenance = outcome.provenance()
@@ -399,18 +399,6 @@ class TestSearchStatisticsSurfacing:
         assert restored.baseline_speedups == results[0].baseline_speedups
 
 
-class TestOptimizeDeprecation:
-    def test_optimize_warns_and_matches_plan(self, topology):
-        p2 = P2(topology, max_program_size=3)
-        query = _query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING)
-        with pytest.warns(DeprecationWarning, match="P2.optimize is deprecated"):
-            legacy = p2.optimize(
-                query.axes, query.request, query.bytes_per_device, query.algorithm
-            )
-        modern = p2.plan(query).plan
-        assert _ranking(legacy) == _ranking(modern)
-
-
 class TestShardedSearch:
     """The sharded driver's equivalence contract (repro.search.sharded)."""
 
@@ -420,8 +408,8 @@ class TestShardedSearch:
         self, topology, shape, reduce_axes, algorithm
     ):
         query = _query(shape, reduce_axes, 1 * MB, algorithm)
-        serial = P2(topology, max_program_size=3).plan(query)
-        sharded = P2(topology, max_program_size=3).plan(
+        serial = P2(topology).plan(query)
+        sharded = P2(topology).plan(
             dataclasses.replace(query, shards=4)
         )
         assert _ranking(serial.plan) == _ranking(sharded.plan)
@@ -434,8 +422,8 @@ class TestShardedSearch:
         self, topology, payload, shards
     ):
         query = _query((8, 4), (0,), payload, NCCLAlgorithm.RING)
-        serial = P2(topology, max_program_size=3).plan(query)
-        sharded = P2(topology, max_program_size=3).plan(
+        serial = P2(topology).plan(query)
+        sharded = P2(topology).plan(
             dataclasses.replace(query, shards=shards)
         )
         assert _ranking(serial.plan) == _ranking(sharded.plan)
@@ -445,8 +433,8 @@ class TestShardedSearch:
         query = _query(
             (8, 4), (0,), 16 * MB, NCCLAlgorithm.RING, max_candidates=10**9
         )
-        serial = P2(topology, max_program_size=3).plan(query)
-        sharded = P2(topology, max_program_size=3).plan(
+        serial = P2(topology).plan(query)
+        sharded = P2(topology).plan(
             dataclasses.replace(query, shards=2)
         )
         assert sharded.best.predicted_seconds == serial.best.predicted_seconds
@@ -458,7 +446,7 @@ class TestShardedSearch:
         import json
 
         query = _query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING, shards=2)
-        outcome = P2(topology, max_program_size=3).plan(query)
+        outcome = P2(topology).plan(query)
         search = outcome.search
         assert search["shards"] == 2
         stats = search["shard_stats"]
@@ -503,7 +491,7 @@ class TestShardedSearch:
         with pytest.raises(TypeError):
             compute_plan(topology, CostModel(), query, **{"evaluator": object()})
         with pytest.raises(TypeError):
-            P2(topology, max_program_size=3).plan(
+            P2(topology).plan(
                 query, **{"_".join(("n", "workers")): 2}
             )
 
@@ -529,7 +517,7 @@ class TestShardedSearch:
         # One placement only: the sharded driver must not spawn workers, and
         # the report shows a serial (shards=1) search.
         query = _query((32,), (0,), 1 * MB, NCCLAlgorithm.RING, shards=4)
-        outcome = P2(topology, max_program_size=3).plan(query)
+        outcome = P2(topology).plan(query)
         assert outcome.search["shards"] == 1
         assert "shard_stats" not in outcome.search
 
@@ -537,9 +525,9 @@ class TestShardedSearch:
         from repro.search import PinnedPlanSource, default_sources
 
         query = _query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING)
-        first = P2(topology, max_program_size=3).plan(query)
+        first = P2(topology).plan(query)
         sources = [PinnedPlanSource.from_plan(first.plan, top_k=1), *default_sources()]
-        outcome = P2(topology, max_program_size=3).plan(
+        outcome = P2(topology).plan(
             dataclasses.replace(query, shards=2), sources=sources
         )
         assert outcome.search["seeds"] == 1
@@ -556,13 +544,13 @@ class TestShardedSearch:
         # and the resulting plan must be bit-identical to an unseeded run.
         from repro.search import PinnedPlanSource, default_sources
 
-        foreign = P2(topology, max_program_size=3).plan(
+        foreign = P2(topology).plan(
             _query((8, 4), (1,), 1 * MB, NCCLAlgorithm.RING)
         )
         query = _query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING)
         sources = [PinnedPlanSource.from_plan(foreign.plan, top_k=1), *default_sources()]
-        seeded = P2(topology, max_program_size=3).plan(query, sources=sources)
-        unseeded = P2(topology, max_program_size=3).plan(query)
+        seeded = P2(topology).plan(query, sources=sources)
+        unseeded = P2(topology).plan(query)
         assert seeded.search["seeds"] == 0
         assert seeded.search["seeded_incumbent"] is False
         assert _ranking(seeded.plan) == _ranking(unseeded.plan)

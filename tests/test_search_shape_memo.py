@@ -25,7 +25,6 @@ from repro.cost.model import CostModel
 from repro.cost.nccl import NCCLAlgorithm
 from repro.cost.simulator import ProgramSimulator
 from repro.errors import SynthesisError
-from repro.hierarchy.parallelism import ReductionRequest
 from repro.obs import Recorder
 from repro.query import PlanQuery
 from repro.search import (
@@ -228,20 +227,6 @@ class TestWhatBypassesTheMemo:
         )
         assert self.plan(memo, other).report.reused_streams == 2
         assert (memo.hits, memo.misses, len(memo)) == (2, 2, 1)
-
-    def test_a_payload_carried_on_the_request_object_is_not_part_of_the_shape(self):
-        # Sweep scenarios build ReductionRequest(axes, bytes_per_device=payload); the
-        # canonical query (and so the fingerprint) reads only the request's axes.
-        memo = self.primed()
-        for payload in (8 * MB, 64 * MB):
-            query = dataclasses.replace(
-                self.QUERY, bytes_per_device=payload,
-                request=ReductionRequest((0,), bytes_per_device=payload),
-            )
-            outcome = self.plan(memo, query)
-            assert outcome.report.reused_streams == 2 and outcome.plan.request == query.request
-            assert plan_dict(outcome.plan) == plan_dict(fresh_plan(self.TOPOLOGY, query).plan)
-        assert len(memo) == 1
 
     @pytest.mark.parametrize(
         "change",

@@ -132,11 +132,11 @@ class TestBaselineSource:
                 if name not in expected or seconds < expected[name]:
                     expected[name] = seconds
 
-        outcome = P2(topology, max_program_size=3).plan(query_84)
+        outcome = P2(topology).plan(query_84)
         assert outcome.plan.baselines == expected  # exact floats, no approx
 
     def test_every_baseline_speedup_reported(self, topology, query_84):
-        outcome = P2(topology, max_program_size=3).plan(query_84)
+        outcome = P2(topology).plan(query_84)
         assert set(outcome.baseline_speedups()) == {
             BASELINE_ALL_REDUCE,
             BASELINE_HIERARCHICAL,
@@ -159,7 +159,7 @@ class TestBaselineSource:
     def test_baselines_survive_plan_serialization(self, topology, query_84):
         from repro.api import OptimizationPlan
 
-        plan = P2(topology, max_program_size=3).plan(query_84).plan
+        plan = P2(topology).plan(query_84).plan
         restored = OptimizationPlan.from_dict(plan.to_dict())
         assert restored.baselines == plan.baselines
         assert restored.speedup_over_baseline(
@@ -167,14 +167,14 @@ class TestBaselineSource:
         ) == plan.speedup_over_baseline(BASELINE_BLUECONNECT)
 
     def test_unknown_baseline_name_rejected(self, topology, query_84):
-        plan = P2(topology, max_program_size=3).plan(query_84).plan
+        plan = P2(topology).plan(query_84).plan
         with pytest.raises(EvaluationError):
             plan.speedup_over_baseline("nonexistent")
 
 
 class TestPinnedPlanSource:
     def test_replays_top_strategies_and_seeds_incumbent(self, topology, query_84):
-        p2 = P2(topology, max_program_size=3)
+        p2 = P2(topology)
         first = p2.plan(query_84)
         pinned = PinnedPlanSource.from_plan(first.plan, top_k=1)
         budgeted = dataclasses.replace(query_84, max_candidates=10**9)
@@ -190,7 +190,7 @@ class TestPinnedPlanSource:
         # A plan for a *different* reduction would seed the incumbent with a
         # time the current search space cannot reach — lossy pruning.  The
         # source knows the pinned plan's request and disqualifies itself.
-        p2 = P2(topology, max_program_size=3)
+        p2 = P2(topology)
         other = dataclasses.replace(query_84, request=ReductionRequest.over(1))
         foreign_plan = p2.plan(other).plan
         pinned = PinnedPlanSource.from_plan(foreign_plan, top_k=3)
@@ -204,7 +204,7 @@ class TestPinnedPlanSource:
         )
 
     def test_out_of_space_strategies_are_skipped(self, topology, query_84):
-        plan = P2(topology, max_program_size=3).plan(query_84).plan
+        plan = P2(topology).plan(query_84).plan
         pinned = PinnedPlanSource.from_plan(plan, top_k=3)
         # A shrunk program-size limit pushes size-3 pinned strategies out of
         # the declared search space; only in-space ones may seed.
@@ -221,7 +221,7 @@ class TestPinnedPlanSource:
 
 class TestCustomSources:
     def test_synthesis_only_sources_drop_baselines(self, topology, query_84):
-        outcome = P2(topology, max_program_size=3).plan(
+        outcome = P2(topology).plan(
             query_84, sources=[SynthesisSource()]
         )
         assert outcome.plan.baselines == {}
@@ -229,10 +229,9 @@ class TestCustomSources:
         assert outcome.search["sources"] == ["synthesis"]
 
     def test_sources_cannot_ride_through_a_service(self, topology, query_84):
-        p2 = P2(topology, max_program_size=3)
-        service = PlanningService(topology, max_program_size=3)
-        with pytest.raises(EvaluationError):
-            p2.plan(query_84, service=service, sources=[SynthesisSource()])
+        # Its cache keys queries by fingerprint, which does not cover sources.
+        with pytest.raises(TypeError):
+            PlanningService(topology).plan(query_84, sources=[SynthesisSource()])
 
     def test_driver_accepts_custom_source(self, topology, query_84):
         class OneEntrySource:

@@ -210,7 +210,7 @@ class TestPerPlacementInvariants:
         _, placements = candidates
         placement = placements[0].placement
         assert placement.reduction_contexts(REQUEST) is placement.reduction_contexts(
-            ReductionRequest((0,), bytes_per_device=123)
+            ReductionRequest((0,))
         )
         initial, goal = placement.reduction_contexts(REQUEST)
         assert initial.num_devices == goal.num_devices == placement.num_devices

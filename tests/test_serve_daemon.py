@@ -211,7 +211,7 @@ class StubService:
 @pytest.fixture(scope="module")
 def real_outcome():
     """One genuine PlanOutcome the stub service can replay."""
-    service = PlanningService(figure2a_system(), max_program_size=3)
+    service = PlanningService(figure2a_system())
     return service.plan(QUERY)
 
 
@@ -221,9 +221,7 @@ def real_outcome():
 @pytest.fixture(scope="module")
 def daemon():
     recorder = Recorder()
-    service = PlanningService(
-        figure2a_system(), max_program_size=3, recorder=recorder
-    )
+    service = PlanningService(figure2a_system(), recorder=recorder)
     with DaemonThread(
         service, DaemonConfig(port=0, queue_limit=16), recorder=recorder
     ) as handle:
@@ -453,9 +451,7 @@ class TestServingPolicy:
         warm_file = tmp_path / "warm.jsonl"
         warm_file.write_text(json.dumps(QUERY.to_dict()) + "\n")
         recorder = Recorder()
-        service = PlanningService(
-            figure2a_system(), max_program_size=3, recorder=recorder
-        )
+        service = PlanningService(figure2a_system(), recorder=recorder)
         config = DaemonConfig(port=0, warm_path=str(warm_file))
         with DaemonThread(service, config, recorder=recorder) as handle:
             assert handle.daemon.warmed == 1
@@ -479,22 +475,15 @@ class TestServingPolicy:
         assert not os.path.exists(path)  # unlinked on shutdown
 
 
-class TestWarmShim:
-    def test_warm_accepts_plan_queries_and_legacy_requests(self):
-        from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
-        from repro.service.engine import PlanningRequest
-
-        service = PlanningService(figure2a_system(), max_program_size=3)
-        legacy = PlanningRequest(
-            axes=ParallelismAxes((4, 4)),
-            request=ReductionRequest((0,)),
-            bytes_per_device=1 << 20,
-        )
-        cold = service.warm([QUERY, legacy])
-        # QUERY uses max_program_size=3 == the service limit, so the legacy
-        # request (same shape, service limit) dedupes against it.
+class TestWarm:
+    def test_warm_dedupes_equal_plan_queries(self):
+        service = PlanningService(figure2a_system())
+        twin = PlanQuery(**{field: getattr(QUERY, field) for field in QUERY.__dataclass_fields__})
+        assert twin == QUERY and twin is not QUERY
+        cold = service.warm([QUERY, twin])
+        # Equal queries share one fingerprint, so the second is a memory hit.
         assert cold == 1
-        assert service.warm([QUERY, legacy]) == 0  # everything cached now
+        assert service.warm([QUERY, twin]) == 0  # everything cached now
 
 
 class TestSignalDrain:
@@ -507,7 +496,7 @@ class TestSignalDrain:
             [
                 sys.executable, "-m", "repro.cli", "serve",
                 "--system", "a100", "--nodes", "1", "--port", "0",
-                "--max-program-size", "3", "--ready-file", str(ready_file),
+                "--ready-file", str(ready_file),
             ],
             env=env,
             stdout=subprocess.PIPE,
@@ -546,6 +535,8 @@ class TestSignalDrain:
             if process.poll() is None:  # pragma: no cover - cleanup
                 process.kill()
                 process.wait()
+            process.stdout.close()
+            process.stderr.close()
 
 
 class TestReproErrorTaxonomy:

@@ -11,18 +11,15 @@ import sys
 
 import pytest
 
-from repro.api import P2
+from repro.api import P2, OptimizationPlan
 from repro.errors import ServiceError
-from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
-from repro.service.cache import (
-    PLAN_FORMAT_VERSION,
-    PlanCache,
-    plan_from_dict,
-    plan_to_dict,
-)
+from repro.hierarchy.parallelism import ReductionRequest
+from repro.query import PlanQuery
+from repro.service.cache import PLAN_FORMAT_VERSION, PlanCache
 from repro.topology.gcp import a100_system
 
 MB = 1 << 20
+QUERY = PlanQuery((8, 4), (0,), bytes_per_device=64 * MB, max_program_size=3)
 
 
 def _ranking(plan):
@@ -34,60 +31,57 @@ def _ranking(plan):
 
 @pytest.fixture(scope="module")
 def plan():
-    p2 = P2(a100_system(num_nodes=2), max_program_size=3)
-    return p2.optimize(
-        ParallelismAxes.of(8, 4), ReductionRequest.over(0), bytes_per_device=64 * MB
-    )
+    return P2(a100_system(num_nodes=2)).plan(QUERY).plan
 
 
 class TestPlanRoundTrip:
     def test_ranking_survives_roundtrip(self, plan):
-        restored = plan_from_dict(plan_to_dict(plan))
+        restored = OptimizationPlan.from_dict(plan.to_dict())
         assert _ranking(restored) == _ranking(plan)
 
     def test_programs_survive_roundtrip(self, plan):
-        restored = plan_from_dict(plan_to_dict(plan))
+        restored = OptimizationPlan.from_dict(plan.to_dict())
         assert [s.program.signature() for s in restored.strategies] == [
             s.program.signature() for s in plan.strategies
         ]
 
     def test_query_fields_survive_roundtrip(self, plan):
-        restored = plan_from_dict(plan_to_dict(plan))
+        restored = OptimizationPlan.from_dict(plan.to_dict())
         assert restored.axes == plan.axes
         assert restored.request.axes == plan.request.axes
         assert restored.bytes_per_device == plan.bytes_per_device
         assert restored.algorithm == plan.algorithm
 
     def test_restored_plan_supports_the_plan_api(self, plan):
-        restored = plan_from_dict(plan_to_dict(plan))
+        restored = OptimizationPlan.from_dict(plan.to_dict())
         assert restored.best.mnemonic == plan.best.mnemonic
         assert restored.speedup_over_default() == plan.speedup_over_default()
         assert restored.default_all_reduce().is_default_all_reduce
         assert len(restored.candidates) == len(plan.candidates)
 
     def test_restored_strategies_verify_numerically(self, plan):
-        p2 = P2(a100_system(num_nodes=2), max_program_size=3)
-        restored = plan_from_dict(plan_to_dict(plan))
+        p2 = P2(a100_system(num_nodes=2))
+        restored = OptimizationPlan.from_dict(plan.to_dict())
         report = p2.verify(restored.best, ReductionRequest.over(0))
         assert report.ok
 
     def test_json_safe(self, plan):
-        encoded = json.dumps(plan_to_dict(plan))
-        assert _ranking(plan_from_dict(json.loads(encoded))) == _ranking(plan)
+        encoded = json.dumps(plan.to_dict())
+        assert _ranking(OptimizationPlan.from_dict(json.loads(encoded))) == _ranking(plan)
 
     def test_version_gate(self, plan):
-        data = plan_to_dict(plan)
+        data = plan.to_dict()
         data["format_version"] = PLAN_FORMAT_VERSION + 1
         with pytest.raises(ServiceError):
-            plan_from_dict(data)
+            OptimizationPlan.from_dict(data)
 
 
 class TestMemoryTier:
     def test_get_miss_then_hit(self, plan):
         cache = PlanCache()
         assert cache.get("abc") is None
-        cache.put("abc", plan_to_dict(plan))
-        assert cache.lookup("abc") == (plan_to_dict(plan), "memory")
+        cache.put("abc", plan.to_dict())
+        assert cache.lookup("abc") == (plan.to_dict(), "memory")
         assert cache.stats.misses == 1
         assert cache.stats.memory_hits == 1
 
@@ -110,12 +104,12 @@ class TestMemoryTier:
 class TestDiskTier:
     def test_persists_across_cache_instances(self, plan, tmp_path):
         first = PlanCache(directory=tmp_path)
-        first.put("deadbeef", plan_to_dict(plan))
+        first.put("deadbeef", plan.to_dict())
 
         second = PlanCache(directory=tmp_path)
         loaded, tier = second.lookup("deadbeef")
         assert tier == "disk"
-        assert _ranking(plan_from_dict(loaded)) == _ranking(plan)
+        assert _ranking(OptimizationPlan.from_dict(loaded)) == _ranking(plan)
         # A second lookup is served from memory (disk hit promoted).
         assert second.lookup("deadbeef")[1] == "memory"
 
@@ -123,15 +117,13 @@ class TestDiskTier:
         """End-to-end restart test: one process writes the cache, another reads it."""
         script = (
             "import sys\n"
-            "from repro.service import PlanCache, PlanningService, PlanningRequest\n"
+            "from repro.service import PlanCache, PlanningService, PlanQuery\n"
             "from repro.topology.gcp import a100_system\n"
-            "from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest\n"
-            "service = PlanningService(a100_system(num_nodes=1), max_program_size=2,\n"
+            "service = PlanningService(a100_system(num_nodes=1),\n"
             "                          cache=PlanCache(sys.argv[1]))\n"
-            "response = service.submit(PlanningRequest(\n"
-            "    ParallelismAxes.of(4, 4), ReductionRequest.over(0), 1 << 20))\n"
-            "print(response.stats.fingerprint)\n"
-            "print(response.plan.best.predicted_seconds)\n"
+            "outcome = service.plan(PlanQuery((4, 4), (0,), 1 << 20, max_program_size=2))\n"
+            "print(outcome.fingerprint)\n"
+            "print(outcome.plan.best.predicted_seconds)\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -147,21 +139,17 @@ class TestDiskTier:
         )
         fingerprint, best_seconds = output.stdout.split()
 
-        from repro.service import PlanningRequest, PlanningService
+        from repro.service import PlanningService
 
-        service = PlanningService(
-            a100_system(num_nodes=1), max_program_size=2, cache=PlanCache(tmp_path)
-        )
-        response = service.submit(
-            PlanningRequest(ParallelismAxes.of(4, 4), ReductionRequest.over(0), 1 << 20)
-        )
-        assert response.stats.fingerprint == fingerprint
-        assert response.stats.cache_tier == "disk"
-        assert repr(response.plan.best.predicted_seconds) == best_seconds
+        service = PlanningService(a100_system(num_nodes=1), cache=PlanCache(tmp_path))
+        outcome = service.plan(PlanQuery((4, 4), (0,), 1 << 20, max_program_size=2))
+        assert outcome.fingerprint == fingerprint
+        assert outcome.cache_tier == "disk"
+        assert repr(outcome.plan.best.predicted_seconds) == best_seconds
 
     def test_corrupted_entry_is_a_miss_and_removed(self, plan, tmp_path):
         cache = PlanCache(directory=tmp_path)
-        cache.put("feedface", plan_to_dict(plan))
+        cache.put("feedface", plan.to_dict())
         path = tmp_path / "feedface.json"
         path.write_text("{ not json at all")
 
@@ -172,7 +160,7 @@ class TestDiskTier:
 
     def test_wrong_fingerprint_in_envelope_is_corrupt(self, plan, tmp_path):
         cache = PlanCache(directory=tmp_path)
-        cache.put("aaaa", plan_to_dict(plan))
+        cache.put("aaaa", plan.to_dict())
         (tmp_path / "aaaa.json").rename(tmp_path / "bbbb.json")
 
         fresh = PlanCache(directory=tmp_path)
@@ -181,7 +169,7 @@ class TestDiskTier:
 
     def test_stale_format_version_is_corrupt(self, plan, tmp_path):
         cache = PlanCache(directory=tmp_path)
-        cache.put("cafe", plan_to_dict(plan))
+        cache.put("cafe", plan.to_dict())
         path = tmp_path / "cafe.json"
         envelope = json.loads(path.read_text())
         envelope["format_version"] = PLAN_FORMAT_VERSION + 1
@@ -197,7 +185,7 @@ class TestDiskTier:
         envelope = {
             "format_version": PLAN_FORMAT_VERSION,
             "fingerprint": "0ldf00d",
-            "plan": plan_to_dict(plan),
+            "plan": plan.to_dict(),
         }
         (tmp_path / "0ldf00d.json").write_text(json.dumps(envelope, indent=2))
 
@@ -205,19 +193,19 @@ class TestDiskTier:
         loaded, tier = cache.lookup("0ldf00d")
         assert tier == "disk"
         assert cache.stats.corrupt_entries == 0
-        assert _ranking(plan_from_dict(loaded)) == _ranking(plan)
+        assert _ranking(OptimizationPlan.from_dict(loaded)) == _ranking(plan)
 
     def test_entries_are_written_compactly(self, plan, tmp_path):
         cache = PlanCache(directory=tmp_path)
-        cache.put("c0ffee", plan_to_dict(plan))
+        cache.put("c0ffee", plan.to_dict())
         text = (tmp_path / "c0ffee.json").read_text()
         assert "\n" not in text
-        assert json.loads(text)["plan"] == plan_to_dict(plan)
+        assert json.loads(text)["plan"] == plan.to_dict()
 
     def test_clear_empties_both_tiers(self, plan, tmp_path):
         cache = PlanCache(directory=tmp_path)
-        cache.put("one", plan_to_dict(plan))
-        cache.put("two", plan_to_dict(plan))
+        cache.put("one", plan.to_dict())
+        cache.put("two", plan.to_dict())
         removed = cache.clear()
         # Each plan lives in both tiers but counts once.
         assert removed == 2
@@ -226,8 +214,8 @@ class TestDiskTier:
 
     def test_discard_drops_one_entry_from_both_tiers(self, plan, tmp_path):
         cache = PlanCache(directory=tmp_path)
-        cache.put("one", plan_to_dict(plan))
-        cache.put("two", plan_to_dict(plan))
+        cache.put("one", plan.to_dict())
+        cache.put("two", plan.to_dict())
         cache.discard("one", corrupt=True)
         assert cache.get("one") is None
         assert cache.get("two") is not None
@@ -236,7 +224,7 @@ class TestDiskTier:
 
     def test_describe_mentions_both_tiers(self, plan, tmp_path):
         cache = PlanCache(directory=tmp_path)
-        cache.put("one", plan_to_dict(plan))
+        cache.put("one", plan.to_dict())
         text = cache.describe()
         assert "memory 1" in text
         assert "disk 1" in text
@@ -251,7 +239,7 @@ class TestWritersSharingADirectory:
         self, plan, tmp_path, monkeypatch
     ):
         first, second = PlanCache(tmp_path), PlanCache(tmp_path)
-        data = plan_to_dict(plan)
+        data = plan.to_dict()
         real_fdopen = os.fdopen
         interleaved = []
 
@@ -292,7 +280,7 @@ class TestWritersSharingADirectory:
         loaded, tier = reader.lookup(self.FINGERPRINT)
         assert tier == "disk" and reader.stats.corrupt_entries == 0
         assert json.dumps(loaded, sort_keys=True) == json.dumps(data, sort_keys=True)
-        assert _ranking(plan_from_dict(loaded)) == _ranking(plan)
+        assert _ranking(OptimizationPlan.from_dict(loaded)) == _ranking(plan)
         assert reader.disk_fingerprints() == [self.FINGERPRINT]
 
     def test_a_failed_write_removes_its_temp_file(self, plan, tmp_path, monkeypatch):
@@ -303,7 +291,7 @@ class TestWritersSharingADirectory:
 
         monkeypatch.setattr(os, "replace", no_space)
         with pytest.raises(OSError, match="No space left"):
-            cache.put(self.FINGERPRINT, plan_to_dict(plan))
+            cache.put(self.FINGERPRINT, plan.to_dict())
         monkeypatch.undo()
         assert list(tmp_path.iterdir()) == []
 
@@ -311,7 +299,7 @@ class TestWritersSharingADirectory:
     def test_entries_get_the_umask_default_mode_not_mkstemps(self, plan, tmp_path):
         umask = os.umask(0o022)
         os.umask(umask)
-        PlanCache(tmp_path).put(self.FINGERPRINT, plan_to_dict(plan))
+        PlanCache(tmp_path).put(self.FINGERPRINT, plan.to_dict())
         entry = tmp_path / f"{self.FINGERPRINT}.json"
         assert stat.S_IMODE(entry.stat().st_mode) == 0o666 & ~umask
 
@@ -319,7 +307,7 @@ class TestWritersSharingADirectory:
         self, plan, tmp_path
     ):
         cache = PlanCache(tmp_path)
-        cache.put("one", plan_to_dict(plan))
+        cache.put("one", plan.to_dict())
         entry_bytes = cache.disk_bytes()
         # What a writer killed mid-store leaves behind, old name and new.
         (tmp_path / "one.json.tmp").write_text('{"format_version": 1, "plan"')
@@ -340,7 +328,7 @@ def _distinct_step_objects(plan):
 
 def _v3_plan_dict(plan):
     """``plan`` as the previous format wrote it: every step inline in every program."""
-    data = plan_to_dict(plan)
+    data = plan.to_dict()
     del data["steps"]
     data["format_version"] = 3
     for entry, strategy in zip(data["strategies"], plan.strategies):
@@ -348,17 +336,10 @@ def _v3_plan_dict(plan):
     return data
 
 
-@pytest.fixture()
-def planning_request():
-    from repro.service import PlanningRequest
-
-    return PlanningRequest(ParallelismAxes.of(8, 4), ReductionRequest.over(0), 64 * MB)
-
-
 def _service(cache):
     from repro.service import PlanningService
 
-    return PlanningService(a100_system(num_nodes=2), max_program_size=3, cache=cache)
+    return PlanningService(a100_system(num_nodes=2), cache=cache)
 
 
 def _signatures(plan):
@@ -367,16 +348,16 @@ def _signatures(plan):
 
 class TestInternedFormat:
     def test_steps_are_written_once_and_rebuilt_once(self, plan):
-        data = json.loads(json.dumps(plan_to_dict(plan)))
-        restored = plan_from_dict(data)
+        data = json.loads(json.dumps(plan.to_dict()))
+        restored = OptimizationPlan.from_dict(data)
         assert len(data["steps"]) == _distinct_step_objects(plan)
         assert _distinct_step_objects(restored) == len(data["steps"])
         assert _ranking(restored) == _ranking(plan)
         assert _signatures(restored) == _signatures(plan)
-        assert plan_to_dict(restored) == data
+        assert restored.to_dict() == data
 
     def test_programs_are_labels_and_index_lists(self, plan):
-        data = plan_to_dict(plan)
+        data = plan.to_dict()
         for entry, strategy in zip(data["strategies"], plan.strategies):
             program = entry["program"]
             assert set(program) == {"label", "steps"}
@@ -388,7 +369,7 @@ class TestInternedFormat:
     def test_from_dict_builds_one_step_per_table_entry(self, plan, monkeypatch):
         from repro.synthesis.lowering import LoweredStep
 
-        data = plan_to_dict(plan)
+        data = plan.to_dict()
         built = []
         check = LoweredStep.__post_init__
 
@@ -397,7 +378,7 @@ class TestInternedFormat:
             check(step)
 
         monkeypatch.setattr(LoweredStep, "__post_init__", counting)
-        plan_from_dict(data)
+        OptimizationPlan.from_dict(data)
         assert len(built) == len(data["steps"])
 
     def test_equal_steps_from_distinct_objects_share_one_entry(self, plan):
@@ -413,16 +394,16 @@ class TestInternedFormat:
             for s in plan.strategies
         ]
         assert _distinct_step_objects(twin) > _distinct_step_objects(plan)
-        assert plan_to_dict(twin)["steps"] == plan_to_dict(plan)["steps"]
+        assert twin.to_dict()["steps"] == plan.to_dict()["steps"]
 
     def test_v3_plan_dict_is_refused(self, plan):
         with pytest.raises(ServiceError, match="version 3"):
-            plan_from_dict(_v3_plan_dict(plan))
+            OptimizationPlan.from_dict(_v3_plan_dict(plan))
 
     def test_v3_envelope_on_disk_is_a_corrupt_miss_and_recomputed(
-        self, plan, planning_request, tmp_path
+        self, plan, tmp_path
     ):
-        fingerprint = _service(PlanCache(None)).submit(planning_request).stats.fingerprint
+        fingerprint = _service(PlanCache(None)).plan(QUERY).fingerprint
         path = tmp_path / f"{fingerprint}.json"
         path.write_text(
             json.dumps(
@@ -430,10 +411,10 @@ class TestInternedFormat:
             )
         )
         service = _service(PlanCache(tmp_path))
-        response = service.submit(planning_request)
-        assert not response.stats.cache_hit
+        outcome = service.plan(QUERY)
+        assert not outcome.cache_hit
         assert service.cache.stats.corrupt_entries == 1
-        assert _ranking(response.plan) == _ranking(plan)
+        assert _ranking(outcome.plan) == _ranking(plan)
         # The recomputed plan replaced the old entry in the current format.
         assert json.loads(path.read_text())["format_version"] == PLAN_FORMAT_VERSION
 
@@ -459,40 +440,40 @@ class TestCorruptStepIndex:
     def test_from_dict_raises_lowering_error(self, plan, case):
         from repro.errors import LoweringError
 
-        data = json.loads(json.dumps(plan_to_dict(plan)))
+        data = json.loads(json.dumps(plan.to_dict()))
         _corrupt_first_index(data, CORRUPT_INDICES[case])
         with pytest.raises(LoweringError, match="step index"):
-            plan_from_dict(data)
+            OptimizationPlan.from_dict(data)
 
     @pytest.mark.parametrize("case", sorted(CORRUPT_INDICES))
-    def test_memory_tier(self, plan, planning_request, case):
+    def test_memory_tier(self, plan, case):
         service = _service(PlanCache(None))
-        cold = service.submit(planning_request)
-        cached, tier = service.cache.lookup(cold.stats.fingerprint)
+        cold = service.plan(QUERY)
+        cached, tier = service.cache.lookup(cold.fingerprint)
         assert tier == "memory"
         _corrupt_first_index(cached, CORRUPT_INDICES[case])
 
-        recovered = service.submit(planning_request)
-        assert not recovered.stats.cache_hit
+        recovered = service.plan(QUERY)
+        assert not recovered.cache_hit
         assert service.cache.stats.corrupt_entries == 1
         assert _ranking(recovered.plan) == _ranking(plan)
         assert _signatures(recovered.plan) == _signatures(plan)
-        assert service.submit(planning_request).stats.cache_tier == "memory"
+        assert service.plan(QUERY).cache_tier == "memory"
 
     @pytest.mark.parametrize("case", sorted(CORRUPT_INDICES))
-    def test_disk_tier(self, plan, planning_request, case, tmp_path):
-        fingerprint = _service(PlanCache(tmp_path)).submit(planning_request).stats.fingerprint
+    def test_disk_tier(self, plan, case, tmp_path):
+        fingerprint = _service(PlanCache(tmp_path)).plan(QUERY).fingerprint
         path = tmp_path / f"{fingerprint}.json"
         envelope = json.loads(path.read_text())
         _corrupt_first_index(envelope["plan"], CORRUPT_INDICES[case])
         path.write_text(json.dumps(envelope))
 
         service = _service(PlanCache(tmp_path))
-        recovered = service.submit(planning_request)
-        assert not recovered.stats.cache_hit
+        recovered = service.plan(QUERY)
+        assert not recovered.cache_hit
         assert service.cache.stats.corrupt_entries == 1
         assert service.cache.stats.hits == 0
         assert _ranking(recovered.plan) == _ranking(plan)
         assert _signatures(recovered.plan) == _signatures(plan)
         # The entry was rewritten whole: a fresh process now hits on disk.
-        assert _service(PlanCache(tmp_path)).submit(planning_request).stats.cache_tier == "disk"
+        assert _service(PlanCache(tmp_path)).plan(QUERY).cache_tier == "disk"

@@ -7,10 +7,10 @@ import dataclasses
 import pytest
 
 from repro.api import P2
-from repro.errors import EvaluationError, ServiceError
-from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
-from repro.service import PlanCache, PlanningRequest, PlanningService
-from repro.topology.gcp import a100_system, v100_system
+from repro.errors import QueryError
+from repro.query import PlanQuery
+from repro.service import PlanCache, PlanningService
+from repro.topology.gcp import a100_system
 
 MB = 1 << 20
 
@@ -28,198 +28,160 @@ def topology():
 
 
 @pytest.fixture(scope="module")
-def request_84():
-    return PlanningRequest(
-        axes=ParallelismAxes.of(8, 4),
-        request=ReductionRequest.over(0),
-        bytes_per_device=64 * MB,
-    )
+def query_84():
+    return PlanQuery(axes=(8, 4), request=(0,), bytes_per_device=64 * MB, max_program_size=3)
 
 
 class TestPlanningService:
-    def test_warm_plan_identical_to_cold(self, topology, request_84):
-        service = PlanningService(topology, max_program_size=3)
-        cold = service.submit(request_84)
-        warm = service.submit(request_84)
-        assert not cold.stats.cache_hit
-        assert warm.stats.cache_tier == "memory"
+    def test_warm_plan_identical_to_cold(self, topology, query_84):
+        service = PlanningService(topology)
+        cold = service.plan(query_84)
+        warm = service.plan(query_84)
+        assert not cold.cache_hit
+        assert warm.cache_tier == "memory"
         assert _ranking(warm.plan) == _ranking(cold.plan)
         assert [s.program.signature() for s in warm.plan.strategies] == [
             s.program.signature() for s in cold.plan.strategies
         ]
 
-    def test_matches_direct_p2(self, topology, request_84):
-        direct = P2(topology, max_program_size=3).optimize(
-            request_84.axes, request_84.request, request_84.bytes_per_device
-        )
-        served = PlanningService(topology, max_program_size=3).submit(request_84)
-        assert _ranking(served.plan) == _ranking(direct)
+    def test_matches_direct_p2(self, topology, query_84):
+        direct = P2(topology).plan(query_84)
+        served = PlanningService(topology).plan(query_84)
+        assert _ranking(served.plan) == _ranking(direct.plan)
+        assert served.fingerprint == direct.fingerprint
 
-    def test_cold_stats_carry_timings(self, topology, request_84):
-        service = PlanningService(topology, max_program_size=3)
-        stats = service.submit(request_84).stats
-        assert stats.synthesis_seconds > 0
-        assert stats.evaluation_seconds > 0
-        assert stats.total_seconds >= stats.synthesis_seconds
-        assert stats.num_candidates == 2
-        assert stats.num_strategies > 0
-        assert len(stats.fingerprint) == 64
-        assert "cold" in stats.describe()
+    def test_cold_outcome_carries_timings(self, topology, query_84):
+        outcome = PlanningService(topology).plan(query_84)
+        assert outcome.synthesis_seconds > 0
+        assert outcome.evaluation_seconds > 0
+        assert outcome.total_seconds >= outcome.synthesis_seconds
+        assert outcome.num_candidates == 2
+        assert outcome.num_strategies > 0
+        assert len(outcome.fingerprint) == 64
+        assert "cold" in outcome.describe()
 
-    def test_rejects_invalid_payload(self, topology):
-        with pytest.raises(ServiceError):
-            PlanningRequest(ParallelismAxes.of(32), ReductionRequest.over(0), 0)
-
-    def test_p2_service_wiring(self, topology, request_84):
-        service = PlanningService(topology, max_program_size=3)
-        p2 = P2(topology, max_program_size=3)
-        plan = p2.optimize(
-            request_84.axes,
-            request_84.request,
-            request_84.bytes_per_device,
-            service=service,
-        )
-        assert service.requests_served == 1
-        again = p2.optimize(
-            request_84.axes,
-            request_84.request,
-            request_84.bytes_per_device,
-            service=service,
-        )
-        assert service.cache.stats.hits == 1
-        assert _ranking(again) == _ranking(plan)
+    def test_rejects_invalid_payload(self):
+        with pytest.raises(QueryError):
+            PlanQuery(axes=(32,), request=(0,), bytes_per_device=0)
 
     def test_recovers_from_semantically_corrupt_cache_entry(
-        self, topology, request_84, tmp_path
+        self, topology, query_84, tmp_path
     ):
         """A valid envelope around a broken plan is a miss, not a crash."""
         import json
 
-        service = PlanningService(
-            topology, max_program_size=3, cache=PlanCache(directory=tmp_path)
-        )
-        cold = service.submit(request_84)
-        path = tmp_path / f"{cold.stats.fingerprint}.json"
+        service = PlanningService(topology, cache=PlanCache(directory=tmp_path))
+        cold = service.plan(query_84)
+        path = tmp_path / f"{cold.fingerprint}.json"
         envelope = json.loads(path.read_text())
         del envelope["plan"]["strategies"][0]["matrix"]  # still JSON, no longer a plan
         path.write_text(json.dumps(envelope))
 
-        fresh = PlanningService(
-            topology, max_program_size=3, cache=PlanCache(directory=tmp_path)
-        )
-        recovered = fresh.submit(request_84)
-        assert not recovered.stats.cache_hit
+        fresh = PlanningService(topology, cache=PlanCache(directory=tmp_path))
+        recovered = fresh.plan(query_84)
+        assert not recovered.cache_hit
         assert fresh.cache.stats.corrupt_entries == 1
         # The unusable lookup must not inflate the hit rate.
         assert fresh.cache.stats.hits == 0
         assert fresh.cache.stats.misses == 1
         assert _ranking(recovered.plan) == _ranking(cold.plan)
         # The recomputed plan was re-stored and now serves warm again.
-        assert fresh.submit(request_84).stats.cache_tier == "memory"
+        assert fresh.plan(query_84).cache_tier == "memory"
 
-    def test_p2_rejects_mismatched_service_knobs(self, topology, request_84):
-        service = PlanningService(topology, max_program_size=5)
-        p2 = P2(topology, max_program_size=3)
-        with pytest.raises(EvaluationError):
-            p2.optimize(
-                request_84.axes,
-                request_84.request,
-                request_84.bytes_per_device,
-                service=service,
-            )
+    def test_query_program_size_is_the_only_limit(self, topology, query_84):
+        service = PlanningService(topology)
+        small = service.plan(query_84)
+        large = service.plan(dataclasses.replace(query_84, max_program_size=4))
+        assert small.fingerprint != large.fingerprint
+        assert not large.cache_hit
+        assert large.num_strategies > small.num_strategies
 
-    def test_p2_rejects_mismatched_service_topology(self, request_84):
-        service = PlanningService(v100_system(num_nodes=4))
-        p2 = P2(a100_system(num_nodes=2))
-        with pytest.raises(EvaluationError):
-            p2.optimize(
-                request_84.axes,
-                request_84.request,
-                request_84.bytes_per_device,
-                service=service,
-            )
-
-    def test_describe(self, topology, request_84):
-        service = PlanningService(topology, max_program_size=3)
-        service.submit(request_84)
+    def test_describe(self, topology, query_84):
+        service = PlanningService(topology)
+        service.plan(query_84)
         text = service.describe()
         assert "served=1" in text
         assert "PlanCache" in text
+        assert "max_program_size" not in text
+
+
+class TestRetiredSurface:
+    """The pre-PlanQuery API generation is gone, not deprecated."""
+
+    def test_program_size_is_not_a_tool_or_service_field(self, topology):
+        with pytest.raises(TypeError):
+            PlanningService(topology, max_program_size=3)
+        with pytest.raises(TypeError):
+            P2(topology, max_program_size=3)
+
+    def test_legacy_request_types_are_gone(self):
+        with pytest.raises(ImportError):
+            from repro.service import PlanningRequest  # noqa: F401
+        import repro.service.engine as engine
+
+        for name in ("PlanningRequest", "PlanningResponse", "RequestStats"):
+            assert not hasattr(engine, name)
+
+    @pytest.mark.parametrize("name", ["fingerprint", "optimize", "submit", "optimize_many"])
+    def test_legacy_service_methods_are_gone(self, topology, name):
+        assert not hasattr(PlanningService(topology), name)
 
 
 class TestBatchAPI:
-    def test_optimize_many_dedupes_identical_queries(self, topology, request_84):
-        service = PlanningService(topology, max_program_size=3)
-        other = PlanningRequest(
-            axes=ParallelismAxes.of(8, 4),
-            request=ReductionRequest.over(1),
-            bytes_per_device=64 * MB,
-        )
-        responses = service.optimize_many([request_84, other, request_84])
-        assert len(responses) == 3
-        tiers = [r.stats.cache_tier for r in responses]
+    def test_plan_many_dedupes_identical_queries(self, topology, query_84):
+        service = PlanningService(topology)
+        other = dataclasses.replace(query_84, request=(1,))
+        outcomes = service.plan_many([query_84, other, query_84])
+        assert len(outcomes) == 3
+        tiers = [outcome.cache_tier for outcome in outcomes]
         assert tiers == [None, None, "memory"]
         # The duplicate shares the first answer's ranking exactly.
-        assert _ranking(responses[2].plan) == _ranking(responses[0].plan)
+        assert _ranking(outcomes[2].plan) == _ranking(outcomes[0].plan)
 
-    def test_batch_heterogeneous_algorithms_get_distinct_plans(self, topology):
-        from repro.cost.nccl import NCCLAlgorithm
+    def test_batch_heterogeneous_algorithms_get_distinct_plans(self, topology, query_84):
+        ring = dataclasses.replace(query_84, algorithm="ring")
+        tree = dataclasses.replace(query_84, algorithm="tree")
+        service = PlanningService(topology)
+        outcomes = service.plan_many([ring, tree])
+        assert outcomes[0].fingerprint != outcomes[1].fingerprint
+        assert all(not outcome.cache_hit for outcome in outcomes)
 
-        ring = PlanningRequest(
-            ParallelismAxes.of(8, 4), ReductionRequest.over(0), 64 * MB,
-            algorithm=NCCLAlgorithm.RING,
-        )
-        tree = PlanningRequest(
-            ParallelismAxes.of(8, 4), ReductionRequest.over(0), 64 * MB,
-            algorithm=NCCLAlgorithm.TREE,
-        )
-        service = PlanningService(topology, max_program_size=3)
-        responses = service.optimize_many([ring, tree])
-        assert responses[0].stats.fingerprint != responses[1].stats.fingerprint
-        assert all(not r.stats.cache_hit for r in responses)
+    def test_warm_reports_cold_count(self, topology, query_84):
+        service = PlanningService(topology)
+        assert service.warm([query_84]) == 1
+        assert service.warm([query_84]) == 0
 
-    def test_warm_reports_cold_count(self, topology, request_84):
-        service = PlanningService(topology, max_program_size=3)
-        assert service.warm([request_84]) == 1
-        assert service.warm([request_84]) == 0
+    def test_disk_warm_start_across_services(self, topology, query_84, tmp_path):
+        first = PlanningService(topology, cache=PlanCache(directory=tmp_path))
+        cold = first.plan(query_84)
 
-    def test_disk_warm_start_across_services(self, topology, request_84, tmp_path):
-        first = PlanningService(
-            topology, max_program_size=3, cache=PlanCache(directory=tmp_path)
-        )
-        cold = first.submit(request_84)
-
-        second = PlanningService(
-            topology, max_program_size=3, cache=PlanCache(directory=tmp_path)
-        )
-        warm = second.submit(request_84)
-        assert warm.stats.cache_tier == "disk"
+        second = PlanningService(topology, cache=PlanCache(directory=tmp_path))
+        warm = second.plan(query_84)
+        assert warm.cache_tier == "disk"
         assert _ranking(warm.plan) == _ranking(cold.plan)
 
 
 class TestShardedPlanning:
     """Sharded search is the one parallel path; it must agree with serial."""
 
-    def test_sharded_ranking_identical_to_serial(self, topology, request_84):
-        query = request_84.to_query(max_program_size=3)
-        p2 = P2(topology, max_program_size=3)
-        serial = p2.plan(query)
-        sharded = p2.plan(dataclasses.replace(query, shards=2))
+    def test_sharded_ranking_identical_to_serial(self, topology, query_84):
+        p2 = P2(topology)
+        serial = p2.plan(query_84)
+        sharded = p2.plan(dataclasses.replace(query_84, shards=2))
         assert sharded.search["shards"] == 2
         assert _ranking(sharded.plan) == _ranking(serial.plan)
 
     def test_sharded_service_matches_and_shares_the_serial_cache(
-        self, topology, request_84
+        self, topology, query_84
     ):
-        query = request_84.to_query(max_program_size=3)
-        serial = PlanningService(topology, max_program_size=3).plan(query)
-        service = PlanningService(topology, max_program_size=3)
-        sharded = service.plan(dataclasses.replace(query, shards=2))
+        serial = PlanningService(topology).plan(query_84)
+        service = PlanningService(topology)
+        sharded = service.plan(dataclasses.replace(query_84, shards=2))
         assert not sharded.cache_hit
         assert _ranking(sharded.plan) == _ranking(serial.plan)
         # shards is fingerprint-neutral: the serial query is served the
         # sharded plan from the cache.
-        warm = service.plan(query)
+        warm = service.plan(query_84)
         assert warm.cache_hit and warm.fingerprint == sharded.fingerprint
         assert _ranking(warm.plan) == _ranking(serial.plan)
 
@@ -239,7 +201,7 @@ class TestBatchedSimulation:
         assert simulator.simulate_many([empty, empty], 1 * MB) == [0.0, 0.0]
         assert simulator.simulate_many([], 1 * MB) == []
 
-    def test_simulate_many_preserves_input_order(self, topology, request_84):
+    def test_simulate_many_preserves_input_order(self, topology, query_84):
         from repro.api import collect_strategy_entries, evaluate_entries_serial
         from repro.cost.model import CostModel
         from repro.cost.nccl import NCCLAlgorithm
@@ -247,11 +209,11 @@ class TestBatchedSimulation:
         from repro.synthesis.pipeline import synthesize_all
 
         candidates = synthesize_all(
-            topology.hierarchy, request_84.axes, request_84.request, max_program_size=3
+            topology.hierarchy, query_84.axes, query_84.request, max_program_size=3
         )
         entries = [
             entry
-            for entry in collect_strategy_entries(candidates, request_84.request)
+            for entry in collect_strategy_entries(candidates, query_84.request)
             if entry.lowered.num_steps > 0
         ]
         programs = [entry.lowered for entry in entries]

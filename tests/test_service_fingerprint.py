@@ -8,33 +8,41 @@ import subprocess
 import sys
 from dataclasses import replace
 
-
 from repro.cost.model import CostModel
 from repro.cost.nccl import NCCLAlgorithm
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
+from repro.query import PlanQuery
 from repro.service.fingerprint import (
-    canonical_query,
+    FINGERPRINT_VERSION,
+    canonical_plan_query,
     canonical_topology,
-    query_fingerprint,
+    plan_query_fingerprint,
 )
 from repro.topology.gcp import a100_system, v100_system
 
 MB = 1 << 20
 
+# plan_query_fingerprint of _fingerprint()'s defaults at FINGERPRINT_VERSION 3.
+# Every disk-cache and corpus entry is filed under such a digest: if this
+# changes, entries written by earlier versions stop hitting.
+REFERENCE_FINGERPRINT = "d65509ca7767efbebbaea22a3e038242ffe169220ddf6c9dd9c7b85c04c0bba7"
 
-def _fingerprint(**overrides) -> str:
-    query = dict(
-        topology=a100_system(num_nodes=2),
+
+def _fingerprint(topology=None, cost_model=None, **overrides) -> str:
+    fields = dict(
         axes=ParallelismAxes.of(8, 4),
         request=ReductionRequest.over(0),
         bytes_per_device=64 * MB,
         algorithm=NCCLAlgorithm.RING,
-        cost_model=CostModel(),
         max_program_size=5,
         max_matrices=None,
     )
-    query.update(overrides)
-    return query_fingerprint(**query)
+    fields.update(overrides)
+    return plan_query_fingerprint(
+        topology if topology is not None else a100_system(num_nodes=2),
+        PlanQuery(**fields),
+        cost_model if cost_model is not None else CostModel(),
+    )
 
 
 class TestDeterminism:
@@ -53,17 +61,17 @@ class TestDeterminism:
         assert len(fingerprint) == 64
         int(fingerprint, 16)  # raises if not hex
 
-    def test_canonical_query_is_json_serializable(self):
-        canonical = canonical_query(
+    def test_canonical_plan_query_is_json_serializable(self):
+        canonical = canonical_plan_query(
             a100_system(num_nodes=2),
-            ParallelismAxes.of(8, 4),
-            ReductionRequest.over(0),
-            64 * MB,
-            NCCLAlgorithm.RING,
+            PlanQuery((8, 4), (0,), bytes_per_device=64 * MB),
             CostModel(),
-            5,
         )
         assert json.loads(json.dumps(canonical)) == canonical
+
+    def test_entries_filed_by_earlier_versions_keep_their_key(self):
+        assert FINGERPRINT_VERSION == 3
+        assert _fingerprint() == REFERENCE_FINGERPRINT
 
 
 class TestSensitivity:
@@ -109,13 +117,12 @@ class TestCrossProcessStability:
     """Fingerprints are cache keys on disk: they must survive restarts."""
 
     SCRIPT = (
-        "from repro.service.fingerprint import query_fingerprint\n"
+        "from repro.service.fingerprint import plan_query_fingerprint\n"
         "from repro.topology.gcp import a100_system\n"
-        "from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest\n"
+        "from repro.query import PlanQuery\n"
         "from repro.cost.model import CostModel\n"
-        "from repro.cost.nccl import NCCLAlgorithm\n"
-        "print(query_fingerprint(a100_system(num_nodes=2), ParallelismAxes.of(8, 4),\n"
-        "      ReductionRequest.over(0), 67108864, NCCLAlgorithm.RING, CostModel(), 5))\n"
+        "print(plan_query_fingerprint(a100_system(num_nodes=2),\n"
+        "      PlanQuery((8, 4), (0,), 67108864), CostModel()))\n"
     )
 
     def _fingerprint_in_subprocess(self, hash_seed: str) -> str:
@@ -149,3 +156,11 @@ class TestCanonicalTopology:
         v100 = v100_system(num_nodes=2)
         canonical = canonical_topology(v100)
         assert canonical["host_link"] is not None
+
+
+class TestRetiredSurface:
+    def test_loose_argument_layer_is_gone(self):
+        import repro.service.fingerprint as fingerprint
+
+        assert not hasattr(fingerprint, "query_fingerprint")
+        assert not hasattr(fingerprint, "canonical_query")
