@@ -1212,6 +1212,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         set_recorder(recorder)
     try:
         return _dispatch(args)
+    except ReproError as error:
+        # A planning error is the caller's input, not a crash: one line and
+        # argparse's usage-error exit code, no traceback.
+        print(f"repro-cli: error: {error}", file=sys.stderr)
+        return 2
     finally:
         if recorder is not None:
             from repro.obs import set_recorder, write_chrome_trace

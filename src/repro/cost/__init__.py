@@ -13,26 +13,20 @@ a :class:`~repro.topology.topology.MachineTopology`:
 * :mod:`repro.cost.profile` — the payload-independent part of a simulation
   (semantics + contention) compiled once per program into a
   :class:`SimulationProfile`, priceable for any payload in closed form.
-* :mod:`repro.cost.batch` — profiles compiled further into numpy coefficient
-  tables (:class:`BatchPricer`) that price whole payload ladders and
-  multi-program batches in one vectorized shot, bit-identical to
-  :func:`price_profile`.
+* :mod:`repro.cost.batch` — :func:`price_programs`, the one vectorized
+  kernel: many programs' profiles priced at one payload in one numpy shot,
+  bit-identical to :func:`price_profile` per program.
 * :mod:`repro.cost.simulator` — drives the Hoare semantics step by step to
   track per-device payload sizes and sums the per-step times; answers
-  repeat simulations by pricing cached profiles (vectorized in batch when
-  numpy is available).
+  repeat simulations by pricing cached profiles (one program per call with
+  :func:`price_profile`, many at once with :func:`price_programs`).
 """
 
 from repro.cost.nccl import NCCLAlgorithm, collective_time
 from repro.cost.model import CostModel
 from repro.cost.contention import StepContention, analyze_step_contention
 from repro.cost.profile import SimulationProfile, compile_profile, price_profile
-from repro.cost.batch import (
-    BatchPricer,
-    BatchPriceResult,
-    have_numpy,
-    price_programs,
-)
+from repro.cost.batch import BatchPricer, price_programs
 from repro.cost.simulator import ProgramSimulator, SimulationResult, simulate_program
 
 __all__ = [
@@ -45,8 +39,6 @@ __all__ = [
     "compile_profile",
     "price_profile",
     "BatchPricer",
-    "BatchPriceResult",
-    "have_numpy",
     "price_programs",
     "ProgramSimulator",
     "SimulationResult",

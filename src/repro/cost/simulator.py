@@ -31,7 +31,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cost.batch import BatchPricer, BatchPriceResult, have_numpy, price_programs
+from repro.cost.batch import BatchPricer, price_programs
 from repro.cost.contention import analyze_step_contention
 from repro.cost.model import CostModel
 from repro.cost.nccl import NCCLAlgorithm
@@ -45,6 +45,9 @@ from repro.synthesis.lowering import LoweredProgram, LoweredStep
 from repro.topology.topology import MachineTopology
 
 __all__ = ["StepSimulation", "SimulationResult", "ProgramSimulator", "simulate_program"]
+
+#: Compiled profiles a :class:`ProgramSimulator` keeps (least recently used out).
+PROFILE_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -92,14 +95,15 @@ class ProgramSimulator:
 
     The simulator keeps an LRU cache of compiled
     :class:`~repro.cost.profile.SimulationProfile` objects keyed by
-    :meth:`LoweredProgram.signature`, so re-simulating a known communication
-    pattern — the same program at another payload, under the other NCCL
-    algorithm, or a signature-identical candidate from a different placement —
-    skips semantics and contention analysis entirely.  ``profile_hits`` /
-    ``profile_misses`` count cache outcomes; they feed the planning
-    provenance surfaced by ``sweep --json``, and are mirrored into the
-    telemetry recorder (``profile.hit`` / ``profile.miss`` counters, a
-    ``profile.compile`` span per cold signature) when telemetry is enabled.
+    :meth:`LoweredProgram.signature` (at most :data:`PROFILE_CACHE_SIZE`),
+    so re-simulating a known communication pattern — the same program at
+    another payload, under the other NCCL algorithm, or a signature-identical
+    candidate from a different placement — skips semantics and contention
+    analysis entirely.  ``profile_hits`` / ``profile_misses`` count cache
+    outcomes; they feed the planning provenance surfaced by
+    ``sweep --json``, and are mirrored into the telemetry recorder
+    (``profile.hit`` / ``profile.miss`` counters, a ``profile.compile`` span
+    per cold signature) when telemetry is enabled.
     The recorder is captured at construction — install one via
     :func:`repro.obs.set_recorder` before building simulators that should
     report into it.
@@ -107,7 +111,6 @@ class ProgramSimulator:
 
     topology: MachineTopology
     cost_model: CostModel = field(default_factory=CostModel)
-    profile_cache_size: int = 4096
     recorder: Any = field(
         default_factory=get_recorder, repr=False, compare=False
     )
@@ -120,18 +123,12 @@ class ProgramSimulator:
     # analysed rather than shared with an earlier profile (reported once per search).
     steps_profiled: int = field(default=0, init=False, repr=False, compare=False)
     steps_compiled: int = field(default=0, init=False, repr=False, compare=False)
-    # Batch-pricing provenance: how many vectorized kernel invocations ran,
-    # how many (program, payload) cells they covered, and how many calls fell
-    # back to the scalar loop (numpy unavailable).  Mirrored into the
-    # telemetry recorder as ``batch.prices`` / ``batch.payloads`` /
-    # ``batch.fallback``.
+    # Batch-pricing provenance: how many pricing-kernel invocations ran and
+    # how many programs they priced.  Mirrored into the telemetry recorder as
+    # ``batch.prices`` / ``batch.payloads``.
     batch_prices: int = field(default=0, init=False, repr=False, compare=False)
     batch_payloads: int = field(default=0, init=False, repr=False, compare=False)
-    batch_fallbacks: int = field(default=0, init=False, repr=False, compare=False)
     _profiles: "OrderedDict[Tuple, SimulationProfile]" = field(
-        default_factory=OrderedDict, init=False, repr=False, compare=False
-    )
-    _pricers: "OrderedDict[Tuple, BatchPricer]" = field(
         default_factory=OrderedDict, init=False, repr=False, compare=False
     )
 
@@ -148,34 +145,6 @@ class ProgramSimulator:
             return price_profile(
                 profile, bytes_per_device, algorithm, self.cost_model, label=program.label
             )
-
-    def simulate_batch(
-        self,
-        program: LoweredProgram,
-        payloads: Sequence[float],
-        algorithm: NCCLAlgorithm = NCCLAlgorithm.RING,
-    ) -> BatchPriceResult:
-        """Price ``program`` across a whole payload vector in one kernel.
-
-        Backed by the same profile cache as :meth:`simulate` (hit/miss
-        accounting is identical) plus a per-signature
-        :class:`~repro.cost.batch.BatchPricer` cache, so re-pricing a known
-        signature at a new ladder skips both semantics and table building.
-        Totals, per-step seconds, bottleneck links and payloads are exactly
-        equal to per-payload :meth:`simulate` calls.
-        """
-        values = list(payloads)
-        self._validate(program, 0.0)
-        profile = self.profile_for(program)
-        pricer = self.pricer_for(program.signature(), profile)
-        with self.recorder.span(
-            "profile.price", steps=program.num_steps, payloads=len(values)
-        ):
-            result = pricer.price(
-                values, algorithm, self.cost_model, label=program.label
-            )
-        self._count_batch(result.vectorized, result.num_payloads)
-        return result
 
     def simulate_many(
         self,
@@ -198,37 +167,17 @@ class ProgramSimulator:
         with self.recorder.span(
             "profile.price", programs=len(programs), batched=True
         ):
-            pricers = [
-                self.pricer_for(program.signature(), profile)
-                for program, profile in zip(programs, profiles)
-            ]
             totals = price_programs(
-                pricers, bytes_per_device, algorithm, self.cost_model
+                [BatchPricer(profile) for profile in profiles],
+                bytes_per_device,
+                algorithm,
+                self.cost_model,
             )
-        self._count_batch(have_numpy(), len(programs))
+        self.batch_prices += 1
+        self.batch_payloads += len(programs)
+        self.recorder.count("batch.prices")
+        self.recorder.count("batch.payloads", len(programs))
         return totals
-
-    def pricer_for(self, key: Tuple, profile: SimulationProfile) -> BatchPricer:
-        """The (cached) coefficient tables for one profile signature."""
-        pricer = self._pricers.get(key)
-        if pricer is not None:
-            self._pricers.move_to_end(key)
-            return pricer
-        pricer = BatchPricer(profile)
-        self._pricers[key] = pricer
-        if len(self._pricers) > self.profile_cache_size:
-            self._pricers.popitem(last=False)
-        return pricer
-
-    def _count_batch(self, vectorized: bool, payloads: int) -> None:
-        if vectorized:
-            self.batch_prices += 1
-            self.batch_payloads += payloads
-            self.recorder.count("batch.prices")
-            self.recorder.count("batch.payloads", payloads)
-        else:
-            self.batch_fallbacks += 1
-            self.recorder.count("batch.fallback")
 
     def profile_for(self, program: LoweredProgram) -> SimulationProfile:
         """The compiled profile of ``program``, from the LRU cache when known."""
@@ -255,7 +204,7 @@ class ProgramSimulator:
         self.steps_profiled += profile.num_steps
         self.steps_compiled += profile.steps_compiled
         self._profiles[key] = profile
-        if len(self._profiles) > self.profile_cache_size:
+        if len(self._profiles) > PROFILE_CACHE_SIZE:
             self._profiles.popitem(last=False)
         return profile
 
@@ -275,9 +224,8 @@ class ProgramSimulator:
         return len(self._profiles)
 
     def clear_profiles(self) -> None:
-        """Drop every cached profile and pricer table."""
+        """Drop every cached profile."""
         self._profiles.clear()
-        self._pricers.clear()
 
     # ------------------------------------------------------------------ #
     # Reference implementation (the executable specification)

@@ -3,9 +3,12 @@
 The planner evaluates every parallelism matrix against every requested
 reduction:
 
-* for each (matrix, reduction) pair it synthesizes the reduction strategies
-  with the usual P² pipeline, prices them with the analytic simulator and
-  keeps the cheapest (together with the default AllReduce for reference);
+* it issues one :class:`~repro.query.PlanQuery` per reduction to a P² planner
+  (:meth:`MultiReductionPlanner.plan` builds a fresh
+  :class:`~repro.api.P2`; :meth:`MultiReductionPlanner.plan_with` takes any
+  :class:`~repro.query.Planner`, such as a caching planning service), and for
+  each (matrix, reduction) pair keeps the cheapest ranked strategy (together
+  with the default AllReduce for reference);
 * each reduction carries a *weight* — how many times it runs per training
   step — so the per-placement objective is the weighted sum of the best
   per-reduction times;
@@ -18,23 +21,17 @@ and the selection of a mapping should take all of them into account".
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.baselines.allreduce import default_all_reduce
+from repro.api import P2
 from repro.cost.model import CostModel
-from repro.dsl.pretty import program_mnemonic
 from repro.cost.nccl import NCCLAlgorithm
-from repro.cost.simulator import ProgramSimulator
 from repro.errors import EvaluationError
-from repro.hierarchy.matrix import ParallelismMatrix, enumerate_parallelism_matrices
+from repro.hierarchy.matrix import ParallelismMatrix
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
-from repro.hierarchy.placement import DevicePlacement
 from repro.query import Planner, PlanQuery
-from repro.synthesis.hierarchy import build_synthesis_hierarchy
-from repro.synthesis.lowering import LoweredProgram, lower_synthesized
-from repro.synthesis.synthesizer import Synthesizer
+from repro.synthesis.lowering import LoweredProgram
 from repro.topology.topology import MachineTopology
 from repro.utils.tabulate import format_table
 
@@ -119,11 +116,6 @@ class MultiReductionPlan:
     reductions: Tuple[WeightedReduction, ...]
     algorithm: NCCLAlgorithm
     placements: List[PlacementEvaluation]
-    #: Pricing provenance for plans built by :meth:`MultiReductionPlanner.plan`:
-    #: profile hit/miss and batch-pricing counter deltas for this plan.
-    #: ``None`` for plans sourced from an external planner (:meth:`plan_with`),
-    #: whose provenance lives in that planner's own reports.
-    provenance: Optional[Dict[str, int]] = None
 
     @property
     def best(self) -> PlacementEvaluation:
@@ -182,27 +174,6 @@ class MultiReductionPlanner:
     topology: MachineTopology
     cost_model: CostModel = field(default_factory=CostModel)
     max_program_size: int = 3
-    node_limit: int = 500_000
-    _simulator_cache: Optional[ProgramSimulator] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _simulator_key: Optional[Tuple[int, int]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    @property
-    def simulator(self) -> ProgramSimulator:
-        """The planner's persistent simulator (rebuilt if topology/model change).
-
-        Keeping one simulator across :meth:`plan` calls preserves its
-        compiled-profile and coefficient-table caches, so repeated planning
-        over the same axes prices from cache instead of recompiling.
-        """
-        key = (id(self.topology), id(self.cost_model))
-        if self._simulator_cache is None or self._simulator_key != key:
-            self._simulator_cache = ProgramSimulator(self.topology, self.cost_model)
-            self._simulator_key = key
-        return self._simulator_cache
 
     def queries_for(
         self,
@@ -239,19 +210,16 @@ class MultiReductionPlanner:
         algorithm: NCCLAlgorithm = NCCLAlgorithm.RING,
         max_matrices: Optional[int] = None,
     ) -> MultiReductionPlan:
-        """Like :meth:`plan`, but source per-reduction rankings from ``planner``.
+        """Rank every placement by its weighted cost, planned by ``planner``.
 
         ``planner`` is anything satisfying :class:`~repro.query.Planner` — a
         bare :class:`repro.api.P2` or a caching
         :class:`~repro.service.engine.PlanningService`, whose plan cache then
         amortizes repeated multi-reduction planning over the same axes.  One
-        query is issued per reduction; each placement's choice is the
-        cheapest ranked strategy for its matrix in that reduction's plan.
-
-        Unlike :meth:`plan`, the search runs through the standard P²
-        pipeline, which uses its own synthesis node limit — this planner's
-        ``node_limit`` knob does not apply here.  When the planner exposes a
-        ``topology`` it must match this planner's.
+        query is issued per reduction (:meth:`queries_for`); each placement's
+        choice is the cheapest ranked strategy for its matrix in that
+        reduction's plan.  When the planner exposes a ``topology`` it must
+        match this planner's.
         """
         planner_topology = getattr(planner, "topology", None)
         if planner_topology is not None:
@@ -282,7 +250,8 @@ class MultiReductionPlanner:
                     ReductionChoice(
                         reduction=reduction,
                         program=best.program,
-                        mnemonic=best.mnemonic,
+                        # A reduction over size-1 axes moves nothing: no strategy.
+                        mnemonic=best.mnemonic if best.program.num_steps else "-",
                         seconds=best.predicted_seconds,
                         all_reduce_seconds=default.predicted_seconds,
                     )
@@ -316,136 +285,12 @@ class MultiReductionPlanner:
         algorithm: NCCLAlgorithm = NCCLAlgorithm.RING,
         max_matrices: Optional[int] = None,
     ) -> MultiReductionPlan:
-        """Evaluate every placement against every reduction and rank them."""
-        self._validate(axes, reductions)
+        """Evaluate every placement against every reduction and rank them.
 
-        matrices = enumerate_parallelism_matrices(
-            self.topology.hierarchy, axes, max_results=max_matrices
-        )
-        if not matrices:
-            raise EvaluationError(
-                f"no parallelism matrix exists for {axes.describe()} on "
-                f"{self.topology.hierarchy.describe()}"
-            )
-
-        simulator = self.simulator
-        before = (
-            simulator.profile_hits,
-            simulator.profile_misses,
-            simulator.batch_prices,
-            simulator.batch_payloads,
-            simulator.batch_fallbacks,
-        )
-        synthesizer = Synthesizer(
-            max_program_size=self.max_program_size, node_limit=self.node_limit
-        )
-        # Reductions that share a request differ only in payload: synthesize
-        # their strategies once per matrix and price each strategy over the
-        # whole payload vector in one batched call.
-        groups: "OrderedDict[ReductionRequest, List[int]]" = OrderedDict()
-        for i, reduction in enumerate(reductions):
-            groups.setdefault(reduction.request, []).append(i)
-
-        evaluations: List[PlacementEvaluation] = []
-        for matrix in matrices:
-            placement = DevicePlacement(matrix)
-            choices: List[Optional[ReductionChoice]] = [None] * len(reductions)
-            for request, members in groups.items():
-                group = [reductions[i] for i in members]
-                group_choices = self._group_choices(
-                    request, group, matrix, placement, synthesizer, simulator, algorithm
-                )
-                for i, choice in zip(members, group_choices):
-                    choices[i] = choice
-            evaluations.append(PlacementEvaluation(matrix=matrix, choices=tuple(choices)))
-        evaluations.sort(key=lambda evaluation: evaluation.total_seconds)
-        provenance = {
-            "profile_hits": simulator.profile_hits - before[0],
-            "profile_misses": simulator.profile_misses - before[1],
-            "batch_prices": simulator.batch_prices - before[2],
-            "batch_payloads": simulator.batch_payloads - before[3],
-            "batch_fallbacks": simulator.batch_fallbacks - before[4],
-        }
-        return MultiReductionPlan(
-            axes=axes,
-            reductions=tuple(reductions),
-            algorithm=algorithm,
-            placements=evaluations,
-            provenance=provenance,
-        )
-
-    # ------------------------------------------------------------------ #
-    def _group_choices(
-        self,
-        request: ReductionRequest,
-        group: Sequence[WeightedReduction],
-        matrix: ParallelismMatrix,
-        placement: DevicePlacement,
-        synthesizer: Synthesizer,
-        simulator: ProgramSimulator,
-        algorithm: NCCLAlgorithm,
-    ) -> List[ReductionChoice]:
-        """Best strategy per reduction in ``group`` (all share ``request``).
-
-        One synthesis run covers the group; every candidate is priced across
-        the group's distinct payloads in a single :meth:`~ProgramSimulator.
-        simulate_batch` call, and each payload column keeps the strict-``<``
-        first-better selection of the per-reduction scalar scan — identical
-        winners and identical floats.
+        :meth:`plan_with` over a fresh :class:`~repro.api.P2` on this
+        planner's topology and cost model; its shape memo synthesizes the
+        reductions that share a request once per placement.
         """
-        baseline = default_all_reduce(placement, request)
-        if baseline.num_steps == 0:
-            return [
-                ReductionChoice(
-                    reduction=reduction,
-                    program=baseline,
-                    mnemonic="-",
-                    seconds=0.0,
-                    all_reduce_seconds=0.0,
-                )
-                for reduction in group
-            ]
-
-        # Distinct payloads in first-occurrence order; each reduction in the
-        # group maps to one column of the batched results.
-        payloads: List[float] = []
-        columns: List[int] = []
-        column_of: Dict[float, int] = {}
-        for reduction in group:
-            payload = float(reduction.bytes_per_device)
-            column = column_of.get(payload)
-            if column is None:
-                column = len(payloads)
-                column_of[payload] = column
-                payloads.append(payload)
-            columns.append(column)
-
-        baseline_totals = simulator.simulate_batch(baseline, payloads, algorithm).totals
-
-        best_programs: List[LoweredProgram] = [baseline] * len(payloads)
-        best_mnemonics: List[str] = ["AR"] * len(payloads)
-        best_seconds: List[float] = list(baseline_totals)
-
-        hierarchy = build_synthesis_hierarchy(matrix, request)
-        result = synthesizer.synthesize(hierarchy)
-        for synthesized in result.programs:
-            lowered = lower_synthesized(synthesized, hierarchy, placement)
-            totals = simulator.simulate_batch(lowered, payloads, algorithm).totals
-            mnemonic: Optional[str] = None
-            for column, seconds in enumerate(totals):
-                if seconds < best_seconds[column]:
-                    if mnemonic is None:
-                        mnemonic = program_mnemonic(synthesized.program)
-                    best_seconds[column] = seconds
-                    best_programs[column] = lowered
-                    best_mnemonics[column] = mnemonic
-        return [
-            ReductionChoice(
-                reduction=reduction,
-                program=best_programs[column],
-                mnemonic=best_mnemonics[column],
-                seconds=best_seconds[column],
-                all_reduce_seconds=baseline_totals[column],
-            )
-            for reduction, column in zip(group, columns)
-        ]
+        return self.plan_with(
+            P2(self.topology, self.cost_model), axes, reductions, algorithm, max_matrices
+        )

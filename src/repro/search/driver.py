@@ -84,9 +84,8 @@ class SearchReport:
     # first reached it came from a seed source (a corpus/pinned warm start).
     time_to_incumbent_s: Optional[float] = None
     seeded_incumbent: bool = False
-    batch_prices: int = 0         # vectorized batch-pricing kernel invocations
-    batch_payloads: int = 0       # (program, payload) cells those kernels covered
-    batch_fallbacks: int = 0      # batch calls that fell back to the scalar loop
+    batch_prices: int = 0         # pricing-kernel invocations
+    batch_payloads: int = 0       # programs those kernels priced
     # Profile compiles on this driver's simulator that reused the validation sweep.
     semantics_reused: int = 0
     # Source streams answered from the planner's shape memo: their entries were
@@ -117,7 +116,6 @@ class SearchReport:
             "seeded_incumbent": self.seeded_incumbent,
             "batch_prices": self.batch_prices,
             "batch_payloads": self.batch_payloads,
-            "batch_fallbacks": self.batch_fallbacks,
             "semantics_reused": self.semantics_reused,
             "reused_streams": self.reused_streams,
             "shards": self.shards,
@@ -365,7 +363,6 @@ class SearchDriver:
         counters_before = (
             simulator.batch_prices,
             simulator.batch_payloads,
-            simulator.batch_fallbacks,
             simulator.semantics_reused,
             simulator.steps_profiled,
             simulator.steps_compiled,
@@ -498,8 +495,7 @@ class SearchDriver:
         report.matrices_reached = len(candidates)
         report.batch_prices = simulator.batch_prices - counters_before[0]
         report.batch_payloads = simulator.batch_payloads - counters_before[1]
-        report.batch_fallbacks = simulator.batch_fallbacks - counters_before[2]
-        report.semantics_reused = simulator.semantics_reused - counters_before[3]
+        report.semantics_reused = simulator.semantics_reused - counters_before[2]
         if watermark.seconds < float("inf"):
             report.incumbent_seconds = watermark.seconds
         elif predicted:
@@ -530,8 +526,8 @@ class SearchDriver:
         recorder.count("synthesis.contexts_expanded", sum(s.contexts_expanded for s in synthesized))
         recorder.count("semantics.steps", sum(c.semantic_steps for c in worked))
         recorder.count("semantics.transitions", sum(c.semantic_transitions for c in worked))
-        recorder.count("profile.steps", simulator.steps_profiled - counters_before[4])
-        recorder.count("profile.steps_compiled", simulator.steps_compiled - counters_before[5])
+        recorder.count("profile.steps", simulator.steps_profiled - counters_before[3])
+        recorder.count("profile.steps_compiled", simulator.steps_compiled - counters_before[4])
         if memo_before is not None:
             recorder.count("search.shape_memo.hit", shapes.hits - memo_before[0])
             recorder.count("search.shape_memo.miss", shapes.misses - memo_before[1])

@@ -564,7 +564,6 @@ class ShardedSearchDriver:
             report.watermark_updates += m_report.watermark_updates
             report.batch_prices += m_report.batch_prices
             report.batch_payloads += m_report.batch_payloads
-            report.batch_fallbacks += m_report.batch_fallbacks
             report.semantics_reused += m_report.semantics_reused
             report.budget_stopped = report.budget_stopped or m_report.budget_stopped
             report.time_stopped = report.time_stopped or m_report.time_stopped

@@ -129,6 +129,24 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["plan", "--axes", "2", "16", "--reduction", "oops"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--system", "v100", "--nodes", "2", "--axes", "8", "4",
+             "--reduction", "g:0:"],
+            ["optimize", "--system", "v100", "--nodes", "2", "--axes", "8", "4",
+             "--reduce", "0"],
+        ],
+        ids=["plan", "optimize"],
+    )
+    def test_planner_error_is_one_line_and_exit_two(self, capsys, argv):
+        # 8 x 4 = 32-way parallelism on 16 devices: no placement exists.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro-cli: error: no parallelism matrix exists")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     def test_sweep_quick_with_save(self, capsys, tmp_path):
         from repro.analysis import load_results
 

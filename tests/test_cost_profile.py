@@ -228,7 +228,10 @@ class TestProfileCache:
         assert simulator.profile_hits == 4 * len(programs) - len(unique_signatures)
         assert simulator.cached_profiles == len(unique_signatures)
 
-    def test_lru_evicts_oldest_signature(self, a100_2node):
+    def test_lru_evicts_oldest_signature(self, a100_2node, monkeypatch):
+        import repro.cost.simulator as simulator_module
+
+        monkeypatch.setattr(simulator_module, "PROFILE_CACHE_SIZE", 2)
         programs = [
             LoweredProgram(
                 num_devices=32,
@@ -236,7 +239,7 @@ class TestProfileCache:
             )
             for i in range(3)
         ]
-        simulator = ProgramSimulator(a100_2node, profile_cache_size=2)
+        simulator = ProgramSimulator(a100_2node)
         for program in programs:
             simulator.simulate(program, 1 * MB)
         assert simulator.cached_profiles == 2

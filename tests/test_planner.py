@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, ReproError, SynthesisError
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.planner import MultiReductionPlanner, WeightedReduction
 from repro.topology.gcp import a100_system
@@ -96,3 +96,21 @@ class TestMultiReductionPlanner:
         reductions = [WeightedReduction("g", ReductionRequest.over(0), 4 * MB)]
         plan = planner.plan(axes, reductions)
         assert plan.best.total_seconds == 0.0
+        # A reduction over a size-1 axis moves nothing: no strategy to name.
+        assert plan.best.choices[0].mnemonic == "-"
+
+    def test_axes_without_a_placement_raise_a_synthesis_error(self, planner):
+        # 8 x 4 = 32-way parallelism on 64 devices: no parallelism matrix.
+        reductions = [WeightedReduction("g", ReductionRequest.over(0), 4 * MB)]
+        with pytest.raises(SynthesisError, match="no parallelism matrix") as raised:
+            planner.plan(ParallelismAxes.of(8, 4), reductions)
+        assert isinstance(raised.value, ReproError)
+
+
+class TestRetiredSurface:
+    def test_node_limit_is_not_a_planner_field(self):
+        with pytest.raises(TypeError):
+            MultiReductionPlanner(a100_system(num_nodes=4), node_limit=1)
+
+    def test_plan_carries_no_private_pricing_provenance(self, plan):
+        assert not hasattr(plan, "provenance")

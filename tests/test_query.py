@@ -11,6 +11,7 @@ import pytest
 from repro.api import P2, OptimizationPlan
 from repro.cost.model import CostModel
 from repro.cost.nccl import NCCLAlgorithm
+from repro.cost.simulator import ProgramSimulator
 from repro.errors import EvaluationError, HierarchyError, QueryError
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.query import Planner, PlanQuery
@@ -429,20 +430,35 @@ class TestSimulatePayloadProvenance:
 
 
 class TestMultiReductionPlannerIntegration:
-    def test_plan_with_matches_best_placement(self, topology):
+    @pytest.mark.parametrize("algorithm", [NCCLAlgorithm.RING, NCCLAlgorithm.TREE])
+    def test_every_choice_is_priced_exactly_by_the_reference(self, topology, algorithm):
+        from repro.baselines.allreduce import default_all_reduce
+        from repro.hierarchy.placement import DevicePlacement
         from repro.planner import MultiReductionPlanner, WeightedReduction
 
         reductions = [
             WeightedReduction("gradients", ReductionRequest.over(0), 32 * MB),
             WeightedReduction("activations", ReductionRequest.over(1), 8 * MB, weight=4),
+            # Shares the gradients' request: one shape, a second payload.
+            WeightedReduction("small", ReductionRequest.over(0), 64 * 1024, weight=2),
         ]
         planner = MultiReductionPlanner(topology, max_program_size=3)
-        direct = planner.plan(ParallelismAxes.of(2, 16), reductions)
-        routed = planner.plan_with(
-            P2(topology), ParallelismAxes.of(2, 16), reductions
-        )
-        assert routed.best.matrix == direct.best.matrix
-        assert routed.best.total_seconds == pytest.approx(direct.best.total_seconds)
+        plan = planner.plan(ParallelismAxes.of(2, 16), reductions, algorithm)
+        oracle = ProgramSimulator(topology)
+        assert len(plan.placements) > 1
+        for evaluation in plan.placements:
+            placement = DevicePlacement(evaluation.matrix)
+            assert [c.reduction for c in evaluation.choices] == reductions
+            for choice in evaluation.choices:
+                payload = choice.reduction.bytes_per_device
+                chosen = oracle.simulate_reference(choice.program, payload, algorithm)
+                default = oracle.simulate_reference(
+                    default_all_reduce(placement, choice.reduction.request),
+                    payload,
+                    algorithm,
+                )
+                assert choice.seconds == chosen.total_seconds
+                assert choice.all_reduce_seconds == default.total_seconds
 
     def test_plan_with_rejects_mismatched_planner_topology(self, topology):
         from repro.planner import MultiReductionPlanner, WeightedReduction

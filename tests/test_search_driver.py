@@ -19,17 +19,26 @@ import dataclasses
 import pytest
 
 from repro.api import P2
+from repro.baselines.allreduce import default_all_reduce
+from repro.baselines.blueconnect import blueconnect
+from repro.baselines.hierarchical import reduce_allreduce_broadcast
 from repro.cost.model import CostModel
 from repro.cost.simulator import ProgramSimulator
+from repro.errors import SynthesisError
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
+from repro.hierarchy.placement import DevicePlacement
 from repro.query import PlanQuery
 from repro.search import (
+    BASELINE_ALL_REDUCE,
+    BASELINE_BLUECONNECT,
+    BASELINE_HIERARCHICAL,
     min_link_latency,
     placement_lower_bound,
     program_lower_bound,
 )
 from repro.cost.nccl import NCCLAlgorithm
-from repro.synthesis.pipeline import synthesize_all
+from repro.synthesis.hierarchy import build_synthesis_hierarchy
+from repro.synthesis.pipeline import enumerate_search_matrices, synthesize_all
 from repro.synthesis.pruning import SearchStatistics
 from repro.topology.gcp import a100_system, v100_system
 
@@ -151,32 +160,55 @@ class TestExhaustiveEquivalence:
         assert outcome.profile_hits == 0
         assert outcome.profile_misses >= legacy_simulator.profile_misses
 
-    def test_batched_serial_path_matches_forced_scalar_fallback(
-        self, topology, monkeypatch
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_batched_serial_path_matches_scalar_and_reference_oracles(
+        self, topology, algorithm
     ):
-        """The vectorized serial spine is bit-identical — fingerprint, ranking
-        and every float — to the same plan priced with numpy disabled (the
-        scalar fallback runs the historical per-entry price_profile loop)."""
-        import repro.cost.batch as batch
+        """Every float of a plan priced by the one vectorized kernel — each
+        ranked strategy's time and each baseline's best-placement time — is
+        exactly the scalar profile price and the per-group reference
+        simulation of its program at the query's payload."""
+        query = _query((8, 4), (0,), 16 * MB, algorithm)
+        outcome = P2(topology).plan(query)
+        assert outcome.search["batch_prices"] > 0
+        oracle = ProgramSimulator(topology, CostModel())
+        payload = query.bytes_per_device
 
-        query = _query((8, 4), (0,), 16 * MB, NCCLAlgorithm.RING)
-        vectorized = P2(topology).plan(query)
-        assert vectorized.search["batch_prices"] > 0
-        assert vectorized.search["batch_fallbacks"] == 0
+        def oracle_seconds(program):
+            scalar = oracle.simulate(program, payload, algorithm).total_seconds
+            reference = oracle.simulate_reference(program, payload, algorithm)
+            assert scalar == reference.total_seconds
+            return scalar
 
-        monkeypatch.setattr(batch, "_np", None)
-        scalar = P2(topology).plan(query)
-        assert scalar.search["batch_fallbacks"] > 0
+        for strategy in outcome.plan.strategies:
+            assert strategy.predicted_seconds == oracle_seconds(strategy.program)
 
-        assert vectorized.fingerprint == scalar.fingerprint
-        assert vectorized.plan.baselines == scalar.plan.baselines
-        assert [
-            (s.matrix.entries, s.mnemonic, s.predicted_seconds)
-            for s in vectorized.plan.strategies
-        ] == [
-            (s.matrix.entries, s.mnemonic, s.predicted_seconds)
-            for s in scalar.plan.strategies
-        ]
+        expected = {}
+        for matrix in enumerate_search_matrices(
+            topology.hierarchy, query.axes, query.request
+        ):
+            placement = DevicePlacement(matrix)
+            hierarchy = build_synthesis_hierarchy(matrix, query.request)
+            programs = {BASELINE_ALL_REDUCE: default_all_reduce(placement, query.request)}
+            try:
+                programs[BASELINE_HIERARCHICAL] = reduce_allreduce_broadcast(
+                    hierarchy, placement
+                )
+                programs[BASELINE_BLUECONNECT] = blueconnect(hierarchy, placement)
+            except SynthesisError:
+                pass  # no local/global split: only the flat AllReduce
+            for tag, program in programs.items():
+                seconds = oracle_seconds(program)
+                if tag not in expected or seconds < expected[tag]:
+                    expected[tag] = seconds
+        assert len(expected) == 3
+        assert outcome.plan.baselines == expected
+
+    def test_search_provenance_has_no_fallback_count(self, topology):
+        outcome = P2(topology).plan(_query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING))
+        assert outcome.search["batch_prices"] == 1
+        assert "batch_fallbacks" not in outcome.search
+        assert "batch_fallbacks" not in outcome.to_dict()["search"]
 
 
 class TestBudgets:
@@ -312,41 +344,6 @@ class TestBoundsAdmissibility:
         assert min_link_latency(topology) <= min(
             link.latency for link in topology.interconnects
         )
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_vectorized_lower_bounds_match_scalar_and_stay_admissible(
-        self, topology, algorithm
-    ):
-        """BatchPricer.lower_bounds == profile.lower_bound per payload, and
-        every vectorized bound keeps the admissibility invariant."""
-        from repro.cost.batch import BatchPricer
-
-        model = CostModel()
-        simulator = ProgramSimulator(topology, model)
-        candidates = synthesize_all(
-            topology.hierarchy,
-            ParallelismAxes((8, 4)),
-            ReductionRequest((0,)),
-            max_program_size=3,
-        )
-        checked = 0
-        for candidate in candidates:
-            for program in candidate.programs:
-                lowered = program.lowered
-                if lowered.num_steps == 0:
-                    continue
-                profile = simulator.profile_for(lowered)
-                pricer = BatchPricer(profile)
-                bounds = pricer.lower_bounds(PAYLOADS, algorithm, model)
-                assert len(bounds) == len(PAYLOADS)
-                for payload, bound in zip(PAYLOADS, bounds):
-                    assert bound == profile.lower_bound(payload, algorithm, model)
-                    exact = simulator.simulate(
-                        lowered, payload, algorithm
-                    ).total_seconds
-                    assert bound <= exact
-                    checked += 1
-        assert checked > 0
 
 
 class TestSearchStatisticsSurfacing:
