@@ -20,6 +20,8 @@ from repro.api import P2
 from repro.evaluation.workloads import resnet50_data_parallel
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.query import PlanQuery
+from repro.runtime.events import TestbedSimulator
+from repro.runtime.noise import NoiseModel
 from repro.topology.gcp import v100_system
 from repro.utils.tabulate import format_table
 
@@ -43,8 +45,13 @@ def test_resnet50_end_to_end_improvement(benchmark, measurement_runs, save_artif
         ).plan
         default = plan.default_all_reduce()
         best = plan.best
-        default_comm = p2.measure(default, gradient_bytes, num_runs=max(measurement_runs, 2)).total_seconds
-        best_comm = p2.measure(best, gradient_bytes, num_runs=max(measurement_runs, 2)).total_seconds
+        runs = max(measurement_runs, 2)
+        default_comm = TestbedSimulator(system, NoiseModel(seed=0)).measure(
+            default.program, gradient_bytes, num_runs=runs
+        ).total_seconds
+        best_comm = TestbedSimulator(system, NoiseModel(seed=0)).measure(
+            best.program, gradient_bytes, num_runs=runs
+        ).total_seconds
         return plan, default_comm, best_comm
 
     plan, default_comm, best_comm = benchmark.pedantic(

@@ -7,7 +7,7 @@ that a placement that is perfect for one reduction can be terrible for the
 other (the B1 vs. B3 trade-off in Table 3), so the placement must be chosen
 with all reductions in mind.
 
-This example uses :class:`repro.planner.MultiReductionPlanner` to enumerate
+This example uses :func:`repro.planner.plan_placements` to enumerate
 every placement of (data=4, shard=16) on 4 A100 nodes, price both reductions
 for each placement (each with its own best synthesized strategy), and pick
 the placement minimising the weighted combined cost.
@@ -17,9 +17,10 @@ Run with ``python examples/megatron_parameter_sharding.py``.
 
 from __future__ import annotations
 
+from repro.api import P2
 from repro.evaluation.workloads import megatron_sharded_layer
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
-from repro.planner import MultiReductionPlanner, WeightedReduction
+from repro.planner import WeightedReduction, plan_placements
 from repro.topology.gcp import a100_system
 
 MB = 1 << 20
@@ -48,8 +49,7 @@ def main() -> None:
         ),
     ]
 
-    planner = MultiReductionPlanner(system)
-    plan = planner.plan(axes, reductions)
+    plan = plan_placements(P2(system), axes, reductions)
 
     print(f"system: {system.name}; parallelism: {axes.describe()}")
     print()

@@ -16,8 +16,12 @@ from __future__ import annotations
 
 from repro.api import P2
 from repro.cost.nccl import NCCLAlgorithm
+from repro.cost.simulator import ProgramSimulator
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.query import PlanQuery
+from repro.runtime.events import TestbedSimulator
+from repro.runtime.noise import NoiseModel
+from repro.runtime.verification import verify_against_placement
 from repro.topology.gcp import a100_system
 
 MB = 1 << 20
@@ -79,15 +83,20 @@ def main() -> None:
     print()
 
     # 4a. Why is it fast?  Per-step breakdown from the analytic simulator.
-    detail = p2.simulate(constrained_best, bytes_per_device)
+    program = constrained_best.program
+    detail = ProgramSimulator(system).simulate(program, query.bytes_per_device, query.algorithm)
     print(detail.describe())
     print()
 
     # 4b. Check the strategy actually computes the requested reduction, and
     #     measure it on the flow-level testbed simulator.
-    report = p2.verify(constrained_best, request)
+    report = verify_against_placement(
+        program, constrained_best.candidate.placement, query.request
+    )
     print(f"numerical verification: {report.describe()}")
-    measurement = p2.measure(constrained_best, bytes_per_device, num_runs=3)
+    measurement = TestbedSimulator(system, NoiseModel(seed=0)).measure(
+        program, query.bytes_per_device, query.algorithm, num_runs=3
+    )
     print(f"testbed measurement:    {measurement.describe()}")
 
 

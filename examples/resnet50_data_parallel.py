@@ -20,6 +20,9 @@ from repro.api import P2
 from repro.evaluation.workloads import resnet50_data_parallel
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.query import PlanQuery
+from repro.runtime.events import TestbedSimulator
+from repro.runtime.noise import NoiseModel
+from repro.runtime.verification import verify_against_placement
 from repro.topology.gcp import v100_system
 
 
@@ -37,8 +40,7 @@ def main() -> None:
     print(f"gradient payload per GPU: {gradient_bytes / 1e6:.1f} MB")
     print()
 
-    p2 = P2(system)
-    plan = p2.plan(
+    plan = P2(system).plan(
         PlanQuery(
             axes=ParallelismAxes.of(replicas, names=("data",)),
             request=ReductionRequest.over(0),
@@ -53,8 +55,12 @@ def main() -> None:
 
     # Use the testbed measurements (which include cross-PCIe-domain losses and
     # noise, like the real system) for the end-to-end comparison.
-    default_comm = p2.measure(default, gradient_bytes, num_runs=3).total_seconds
-    best_comm = p2.measure(best, gradient_bytes, num_runs=3).total_seconds
+    def measured(strategy) -> float:
+        testbed = TestbedSimulator(system, NoiseModel(seed=0))
+        return testbed.measure(strategy.program, gradient_bytes, num_runs=3).total_seconds
+
+    default_comm = measured(default)
+    best_comm = measured(best)
     print(f"default AllReduce: {default_comm * 1e3:.1f} ms per step (measured)")
     print(f"best strategy:     {best_comm * 1e3:.1f} ms per step "
           f"({best.mnemonic}, matrix {best.matrix.describe()})")
@@ -73,7 +79,9 @@ def main() -> None:
           f"(paper reports ~15% on this system)")
 
     # Confirm the chosen strategy is numerically correct.
-    report = p2.verify(best, ReductionRequest.over(0))
+    report = verify_against_placement(
+        best.program, best.candidate.placement, ReductionRequest.over(0)
+    )
     print()
     print(f"numerical verification: {report.describe()}")
 

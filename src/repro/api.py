@@ -1,9 +1,11 @@
 """High-level user-facing API.
 
 :class:`P2` bundles the whole tool the paper describes: give it a machine
-topology, a parallelism shape, a reduction request and a payload size, and it
-returns every (placement, strategy) candidate ranked by the simulator —
-together with helpers to inspect the best few and to verify them numerically.
+topology and a :class:`~repro.query.PlanQuery` (parallelism shape, reduction
+request, payload size) and it returns every (placement, strategy) candidate
+ranked by the simulator.  It is the package's only planner: the planning
+service (:class:`repro.service.engine.PlanningService`) is a ``P2`` with a
+plan cache.
 
 Example
 -------
@@ -19,26 +21,26 @@ True
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.baselines.allreduce import default_all_reduce
 from repro.cost.model import CostModel
 from repro.cost.nccl import NCCLAlgorithm
-from repro.cost.simulator import ProgramSimulator, SimulationResult
-from repro.errors import EvaluationError, ServiceError
+from repro.cost.simulator import ProgramSimulator
+from repro.errors import EvaluationError, ReproError, ServiceError
 from repro.hierarchy.levels import SystemHierarchy
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.hierarchy.matrix import ParallelismMatrix
 from repro.hierarchy.placement import DevicePlacement
 from repro.obs.recorder import get_recorder
 from repro.query import PlanOutcome, PlanQuery
-from repro.runtime.events import MeasurementResult, TestbedSimulator
-from repro.runtime.noise import NoiseModel
-from repro.runtime.verification import VerificationReport, verify_against_placement
 from repro.search.driver import SearchDriver, SearchReport
-from repro.search.source import CandidateSource, SearchSpace, ShapeMemo, StrategyEntry
+from repro.search.source import (
+    SHAPE_MEMO_SHAPES, CandidateSource, SearchSpace, ShapeMemo, StrategyEntry,
+)
 from repro.synthesis.hierarchy import build_synthesis_hierarchy
 from repro.synthesis.lowering import LoweredProgram, LoweredStep, StepTable
 from repro.synthesis.pipeline import PlacementCandidate, ProgramCandidate
@@ -64,6 +66,8 @@ __all__ = [
 # step in every program; they miss (and recompute), they are never converted.
 # (v3 added the per-baseline reference times, v2 the DSL program "size".)
 PLAN_FORMAT_VERSION = 4
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -441,22 +445,23 @@ def compute_plan(
     topology: MachineTopology,
     cost_model: CostModel,
     query: PlanQuery,
-    node_limit: int = 500_000,
-    validate: bool = True,
     simulator: Optional[ProgramSimulator] = None,
     sources: Optional[Sequence[CandidateSource]] = None,
     recorder=None,
     shapes: Optional[ShapeMemo] = None,
 ) -> PlanComputation:
-    """The cold-path pipeline shared by :meth:`P2.plan` and the service.
+    """The cold path behind :meth:`P2.plan`.
 
     Runs the streaming :class:`~repro.search.SearchDriver` over the query's
-    candidate sources (``sources`` overrides the default baseline+synthesis
-    pair; see :func:`repro.search.default_sources`), prices entries on the
-    caller-owned ``simulator`` (whose compiled-profile cache then persists
-    across calls), and ranks the survivors.  Keeping this in one place is
-    what makes the service's fingerprint-keyed cache sound: both entry
-    points compute plans from the same inputs the same way.
+    candidate sources, prices entries on the caller-owned ``simulator``
+    (whose compiled-profile cache then persists across calls), and ranks the
+    survivors.
+
+    ``sources`` overrides the default baseline+synthesis pair (see
+    :func:`repro.search.default_sources`), e.g. with a
+    :class:`~repro.search.PinnedPlanSource` seed or a custom
+    :class:`~repro.search.CandidateSource`.  :meth:`P2.plan` takes none: its
+    fingerprint-keyed cache does not cover them.
 
     Without a search budget on the query the result is identical to the
     historical exhaustive pipeline; with one
@@ -498,8 +503,6 @@ def compute_plan(
         topology=topology,
         cost_model=cost_model,
         query=query,
-        node_limit=node_limit,
-        validate=validate,
         shapes=shapes,
     )
     result = driver.run(space, sources=sources)
@@ -531,7 +534,7 @@ def rank_entries(
     """Pair entries with their predicted times and stable-sort into a ranking.
 
     ``bytes_per_device`` stamps each strategy with the payload the times were
-    predicted for, so downstream tools (:meth:`P2.simulate`) never guess it.
+    predicted for, so downstream tools never guess it.
     """
     if len(entries) != len(predicted):
         raise EvaluationError(
@@ -554,151 +557,173 @@ def rank_entries(
     return strategies
 
 
-@dataclass
 class P2:
-    """The end-to-end tool: placement synthesis + strategy synthesis + ranking.
+    """The planner: placement synthesis + strategy synthesis + ranking.
 
-    :meth:`plan` is the primary entry point — it speaks the
-    :class:`~repro.query.PlanQuery` / :class:`~repro.query.PlanOutcome`
-    object model shared with the planning service (both satisfy the
-    :class:`~repro.query.Planner` protocol and produce identical rankings
-    for the same query).
+    :meth:`plan` answers a :class:`~repro.query.PlanQuery` with a
+    :class:`~repro.query.PlanOutcome` (the :class:`~repro.query.Planner`
+    protocol).  ``topology`` and ``cost_model`` are read-only: the simulator
+    (compiled profiles keyed by program signature), the shape memo
+    (validated entry streams keyed by query shape,
+    :class:`~repro.search.ShapeMemo`) and every cached plan are bound to
+    them, and all three persist across requests — a payload ladder over one
+    shape synthesizes once and re-prices.  Search limits such as
+    ``max_program_size`` belong to each query.
+
+    ``cache`` is an optional :class:`~repro.service.cache.PlanCache`: each
+    query is fingerprinted and answered from it when possible, and each
+    unbudgeted cold plan stored back; without one the planner keeps no plans
+    (:class:`~repro.service.engine.PlanningService` defaults to a memory-only
+    cache).  ``recorder`` is captured at construction (default: the one
+    installed via :func:`repro.obs.set_recorder`).  ``corpus`` is an optional
+    :class:`~repro.corpus.store.PlanCorpus`: each cold query is seeded from
+    its nearest records (lossless: exhaustive seeded plans are bit-identical
+    to unseeded), each cold unbudgeted outcome is ingested back, and
+    :meth:`warm_from_corpus` replays exact historical answers into the cache.
     """
 
-    topology: MachineTopology
-    cost_model: CostModel = field(default_factory=CostModel)
-    noise_seed: int = 0
-    validate_lowering: bool = True
-    node_limit: int = 500_000
-    _simulator: Optional[ProgramSimulator] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # Keyed on the hierarchy, not the topology object: survives reassignment.
-    _shapes: ShapeMemo = field(
-        default_factory=ShapeMemo, init=False, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        topology: MachineTopology,
+        cost_model: Optional[CostModel] = None,
+        cache=None,
+        recorder=None,
+        corpus=None,
+    ) -> None:
+        self._topology = topology
+        self._cost_model = cost_model if cost_model is not None else CostModel()
+        self.cache = cache
+        self.recorder = recorder if recorder is not None else get_recorder()
+        self._simulator = ProgramSimulator(topology, self._cost_model, recorder=self.recorder)
+        self._shapes = ShapeMemo()
+        self.corpus = corpus
+        self._seeder = None
+        if corpus is not None:
+            # Imported lazily: repro.corpus sits above the planner.
+            from repro.corpus.seeding import CorpusSeeder
+
+            self._seeder = CorpusSeeder(corpus, topology, self._cost_model, recorder=self.recorder)
+        self.requests_served = 0
 
     @property
-    def simulator(self) -> ProgramSimulator:
-        """This tool's simulator, created lazily and kept for the tool's life.
+    def topology(self) -> MachineTopology:
+        return self._topology
 
-        One simulator across :meth:`plan` calls keeps the compiled-profile
-        cache (keyed by program signature) between queries, so re-pricing a
-        known program at a new payload skips semantics and contention
-        analysis; the shape memo beside it does the same for synthesis,
-        lowering and validation (:class:`~repro.search.ShapeMemo`).  If the
-        tool's ``topology`` or ``cost_model`` fields are reassigned, the
-        simulator (and its cache) is rebuilt so predictions never come from
-        stale bindings.
-        """
-        simulator = self._simulator
-        if (
-            simulator is None
-            or simulator.topology != self.topology
-            or simulator.cost_model != self.cost_model
-        ):
-            simulator = ProgramSimulator(self.topology, self.cost_model)
-            self._simulator = simulator
-        return simulator
+    @property
+    def cost_model(self) -> CostModel:
+        return self._cost_model
 
-    # ------------------------------------------------------------------ #
-    def plan(
-        self,
-        query: PlanQuery,
-        *,
-        sources: Optional[Sequence[CandidateSource]] = None,
-    ) -> PlanOutcome:
-        """Answer one :class:`PlanQuery` with a :class:`PlanOutcome`.
-
-        Parameters
-        ----------
-        sources:
-            Opt-in: override the candidate sources searched (default:
-            baselines + full synthesis, :func:`repro.search.default_sources`).
-            Prepend a :class:`~repro.search.PinnedPlanSource` to seed the
-            branch-and-bound incumbent from a known-good plan, or append a
-            custom :class:`~repro.search.CandidateSource`.  A
-            :class:`~repro.service.engine.PlanningService` takes no sources:
-            custom sources change what a query means, which would poison its
-            fingerprint-keyed plan cache.
-        """
+    def query_fingerprint(self, query: PlanQuery) -> str:
+        """The cache key this planner uses for ``query``."""
         from repro.service.fingerprint import plan_query_fingerprint
 
+        return plan_query_fingerprint(self._topology, query, self._cost_model)
+
+    def plan(self, query: PlanQuery) -> PlanOutcome:
+        """Answer one :class:`PlanQuery`, from the cache when there is one."""
         start = time.perf_counter()
-        recorder = get_recorder()
-        with recorder.span("plan") as root:
-            simulator = self.simulator
-            hits_before, misses_before = simulator.profile_hits, simulator.profile_misses
-            computation = compute_plan(
-                self.topology,
-                self.cost_model,
-                query,
-                node_limit=self.node_limit,
-                validate=self.validate_lowering,
-                simulator=simulator,
-                sources=sources,
-                recorder=recorder,
-                shapes=self._shapes,
-            )
-            hits_after, misses_after = simulator.profile_hits, simulator.profile_misses
-            return PlanOutcome(
-                query=query,
-                plan=computation.plan,
-                synthesis_seconds=computation.synthesis_seconds,
-                evaluation_seconds=computation.evaluation_seconds,
-                total_seconds=time.perf_counter() - start,
-                fingerprint=plan_query_fingerprint(self.topology, query, self.cost_model),
-                cache_tier=None,
-                profile_hits=hits_after - hits_before,
-                profile_misses=misses_after - misses_before,
-                search=computation.search_dict(),
-                synthesis_stats=computation.statistics_dict(),
-                trace_id=root.trace_id,
-            )
+        recorder, cache = self.recorder, self.cache
+        with recorder.span("service.plan") as root:
+            fingerprint = self.query_fingerprint(query)
+            cached = None
+            if cache is not None:
+                with recorder.span("cache.lookup"):
+                    cached, tier = cache.lookup(fingerprint)
+                if cached is not None:
+                    try:
+                        plan = OptimizationPlan.from_dict(cached)
+                    except (ReproError, KeyError, TypeError, ValueError):
+                        # A well-formed envelope around a semantically broken
+                        # plan (a missing field, a step index outside the
+                        # plan's table) is a miss: recompute, never crash.
+                        cache.discard(fingerprint, corrupt=True)
+                        cache.stats.demote_hit(tier)
+                        recorder.count("cache.corrupt")
+                        logger.debug("discarded corrupt entry %s (tier=%s)", fingerprint, tier)
+                        cached = None
+                recorder.count("cache.miss" if cached is None else f"cache.hit.{tier}")
+            if cached is not None:
+                # total_seconds is threaded through construction on both
+                # paths: an outcome is never observable with a zero total.
+                outcome = PlanOutcome(
+                    query=query,
+                    plan=plan,
+                    fingerprint=fingerprint,
+                    cache_tier=tier,
+                    total_seconds=time.perf_counter() - start,
+                    trace_id=root.trace_id,
+                )
+            else:
+                outcome = self._compute(query, fingerprint, start, root.trace_id)
+        recorder.observe("service.total_seconds", outcome.total_seconds)
+        self.requests_served += 1
+        return outcome
+
+    def _compute(self, query: PlanQuery, fingerprint: str, start: float, trace_id) -> PlanOutcome:
+        simulator, seeder = self._simulator, self._seeder
+        hits_before, misses_before = simulator.profile_hits, simulator.profile_misses
+        # Corpus seeds only tighten the watermark under a search budget, so an
+        # exhaustive seeded plan is bit-identical to unseeded: sound to cache.
+        computation = compute_plan(
+            self._topology,
+            self._cost_model,
+            query,
+            simulator=simulator,
+            sources=seeder.seed_sources(query, fingerprint) if seeder is not None else None,
+            recorder=self.recorder,
+            shapes=self._shapes,
+        )
+        # Budgeted plans are never cached: a wall-clock budget is not a
+        # deterministic function of the query.  Exhaustive sharded plans are
+        # bit-identical to serial ones, so the shard-neutral key is sound.
+        if self.cache is not None and not query.has_search_budget:
+            with self.recorder.span("cache.store"):
+                self.cache.put(fingerprint, computation.plan.to_dict())
+        outcome = PlanOutcome(
+            query=query,
+            plan=computation.plan,
+            synthesis_seconds=computation.synthesis_seconds,
+            evaluation_seconds=computation.evaluation_seconds,
+            total_seconds=time.perf_counter() - start,
+            fingerprint=fingerprint,
+            cache_tier=None,
+            profile_hits=simulator.profile_hits - hits_before,
+            profile_misses=simulator.profile_misses - misses_before,
+            search=computation.search_dict(),
+            synthesis_stats=computation.statistics_dict(),
+            trace_id=trace_id,
+        )
+        if seeder is not None and not query.has_search_budget:
+            seeder.ingest(outcome)
+        return outcome
+
+    def plan_stream(self, queries: Iterable[PlanQuery]) -> Iterator[PlanOutcome]:
+        """Answer queries lazily, one outcome yielded as each query finishes."""
+        for query in queries:
+            yield self.plan(query)
 
     def plan_many(self, queries: Sequence[PlanQuery]) -> List[PlanOutcome]:
-        """Answer a batch of queries, in order."""
-        return [self.plan(query) for query in queries]
+        """Answer a batch of queries, in order (with a cache, a duplicate
+        within the batch is a memory hit)."""
+        return list(self.plan_stream(queries))
 
-    # ------------------------------------------------------------------ #
-    def simulate(
-        self,
-        strategy: RankedStrategy,
-        bytes_per_device: Optional[int] = None,
-        algorithm: NCCLAlgorithm = NCCLAlgorithm.RING,
-    ) -> SimulationResult:
-        """Detailed per-step prediction for one strategy.
+    def warm(self, queries: Sequence[PlanQuery]) -> int:
+        """Precompute plans for ``queries``; return how many were cold."""
+        return sum(1 for query in queries if not self.plan(query).cache_hit)
 
-        When ``bytes_per_device`` is omitted the payload recorded on the
-        strategy (from its originating query) is used; a strategy that never
-        went through the planning pipeline carries no payload, in which case
-        the payload must be passed explicitly.
-        """
-        payload = (
-            bytes_per_device if bytes_per_device is not None else strategy.bytes_per_device
-        )
-        if payload is None:
-            raise EvaluationError(
-                "this strategy records no originating payload; pass "
-                "bytes_per_device explicitly to simulate it"
-            )
-        # The shared simulator: a strategy that came out of this tool's own
-        # planning run re-prices its cached profile instead of recompiling.
-        return self.simulator.simulate(strategy.program, payload, algorithm)
+    def warm_from_corpus(self) -> int:
+        """Replay the corpus into the cache without searching; return how many
+        plans (none without a corpus or a cache).  Only records whose stored
+        fingerprint matches what this planner computes are replayed."""
+        if self.corpus is None or self.cache is None:
+            return 0
+        from repro.corpus.seeding import warm_from_corpus
 
-    def measure(
-        self,
-        strategy: RankedStrategy,
-        bytes_per_device: int,
-        algorithm: NCCLAlgorithm = NCCLAlgorithm.RING,
-        num_runs: int = 3,
-    ) -> MeasurementResult:
-        """Measure one strategy on the flow-level testbed simulator."""
-        testbed = TestbedSimulator(self.topology, NoiseModel(seed=self.noise_seed))
-        return testbed.measure(strategy.program, bytes_per_device, algorithm, num_runs)
+        return warm_from_corpus(self, self.corpus)
 
-    def verify(self, strategy: RankedStrategy, request: ReductionRequest) -> VerificationReport:
-        """Numerically verify that a strategy implements the requested reduction."""
-        return verify_against_placement(
-            strategy.program, strategy.candidate.placement, request
+    def describe(self) -> str:
+        cache = f"; {self.cache.describe()}" if self.cache is not None else ""
+        return (
+            f"{type(self).__name__}({self._topology.name}, served={self.requests_served}, "
+            f"shape memo {len(self._shapes)}/{SHAPE_MEMO_SHAPES}{cache})"
         )

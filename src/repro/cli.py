@@ -398,20 +398,12 @@ def _run_optimize(args: argparse.Namespace) -> int:
         time_budget_s=args.time_budget,
         shards=1 if args.shards is None else args.shards,
     )
-    p2 = P2(topology)
-    seeder = None
-    sources = None
+    corpus = None
     if args.corpus:
-        from repro.corpus import CorpusSeeder, PlanCorpus
-        from repro.service.fingerprint import plan_query_fingerprint
+        from repro.corpus import PlanCorpus
 
-        seeder = CorpusSeeder(PlanCorpus(args.corpus), topology, p2.cost_model)
-        sources = seeder.seed_sources(
-            query, plan_query_fingerprint(topology, query, p2.cost_model)
-        )
-    outcome = p2.plan(query, sources=sources)
-    if seeder is not None:
-        seeder.ingest(outcome)
+        corpus = PlanCorpus(args.corpus)
+    outcome = P2(topology, corpus=corpus).plan(query)
     if args.json:
         import json
 
@@ -997,7 +989,7 @@ def _parse_weighted_reduction(spec: str, default_bytes: int):
 
 
 def _run_plan(args: argparse.Namespace) -> int:
-    from repro.planner import MultiReductionPlanner
+    from repro.planner import plan_placements
 
     system = SystemKind(args.system)
     topology = system.build(args.nodes)
@@ -1005,8 +997,8 @@ def _run_plan(args: argparse.Namespace) -> int:
     reductions = [
         _parse_weighted_reduction(spec, default_bytes) for spec in args.reduction
     ]
-    planner = MultiReductionPlanner(topology)
-    plan = planner.plan(
+    plan = plan_placements(
+        P2(topology),
         ParallelismAxes(tuple(args.axes)),
         reductions,
         algorithm=NCCLAlgorithm(args.algorithm),

@@ -143,7 +143,7 @@ def render_provenance_summary(results: Sequence[SweepResult], snapshot=None) -> 
                 f"{seeded} seeded from history"
             )
     if snapshot is not None:
-        for name in ("sweep.scenario", "service.plan", "plan", "search.run"):
+        for name in ("sweep.scenario", "service.plan", "search.run"):
             histogram = snapshot.histograms.get(f"span.{name}")
             if histogram is None or histogram.count == 0:
                 continue

@@ -3,7 +3,7 @@
 For every scenario the runner
 
 1. builds the scenario's :class:`~repro.query.PlanQuery` and sends it to a
-   planner — a bare :class:`repro.api.P2`, or a
+   planner — a :class:`repro.api.P2` without a cache, or a
    :class:`~repro.service.engine.PlanningService` whose plan cache
    amortizes repeated sweeps,
 2. regroups the resulting ranked plan into per-matrix program results,
@@ -234,7 +234,7 @@ class SweepRunner:
     ----------
     planner_factory:
         Builds the planner for each distinct topology of a sweep.  ``None``
-        uses a bare :class:`repro.api.P2` (direct computation).  Pass a
+        uses a :class:`repro.api.P2` without a cache.  Pass a
         factory returning a :class:`~repro.service.engine.PlanningService`
         to make sweeps cache-amortized (re-runs and duplicate shapes become
         fingerprint lookups).
@@ -248,17 +248,12 @@ class SweepRunner:
         Testbed measurement of every ranked program (the planner only
         predicts).  Measurement happens in ranked order so that cold and
         cache-warm runs consume the seeded noise stream identically.
-    validate_lowering / node_limit:
-        Honoured by the default (direct P²) planner; a custom
-        ``planner_factory`` applies its own pipeline settings.
     """
 
     cost_model: CostModel = field(default_factory=CostModel)
     noise_seed: int = 0
     measurement_runs: int = 3
     measure_programs: bool = True
-    validate_lowering: bool = True
-    node_limit: int = 500_000
     planner_factory: Optional[PlannerFactory] = None
     _planners: Dict[str, Planner] = field(default_factory=dict, repr=False)
 
@@ -275,12 +270,7 @@ class SweepRunner:
             else:
                 from repro.api import P2
 
-                self._planners[key] = P2(
-                    topology,
-                    cost_model=self.cost_model,
-                    validate_lowering=self.validate_lowering,
-                    node_limit=self.node_limit,
-                )
+                self._planners[key] = P2(topology, cost_model=self.cost_model)
         return self._planners[key]
 
     # ------------------------------------------------------------------ #

@@ -3,12 +3,11 @@
 The planner evaluates every parallelism matrix against every requested
 reduction:
 
-* it issues one :class:`~repro.query.PlanQuery` per reduction to a P² planner
-  (:meth:`MultiReductionPlanner.plan` builds a fresh
-  :class:`~repro.api.P2`; :meth:`MultiReductionPlanner.plan_with` takes any
-  :class:`~repro.query.Planner`, such as a caching planning service), and for
-  each (matrix, reduction) pair keeps the cheapest ranked strategy (together
-  with the default AllReduce for reference);
+* :func:`plan_placements` issues one :class:`~repro.query.PlanQuery` per
+  reduction to any :class:`~repro.query.Planner` (a :class:`~repro.api.P2`
+  or a caching planning service, whose shape memo and cache it then
+  shares), and for each (matrix, reduction) pair keeps the cheapest ranked
+  strategy (together with the default AllReduce for reference);
 * each reduction carries a *weight* — how many times it runs per training
   step — so the per-placement objective is the weighted sum of the best
   per-reduction times;
@@ -21,18 +20,15 @@ and the selection of a mapping should take all of them into account".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.api import P2
-from repro.cost.model import CostModel
 from repro.cost.nccl import NCCLAlgorithm
 from repro.errors import EvaluationError
 from repro.hierarchy.matrix import ParallelismMatrix
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.query import Planner, PlanQuery
 from repro.synthesis.lowering import LoweredProgram
-from repro.topology.topology import MachineTopology
 from repro.utils.tabulate import format_table
 
 __all__ = [
@@ -40,7 +36,7 @@ __all__ = [
     "ReductionChoice",
     "PlacementEvaluation",
     "MultiReductionPlan",
-    "MultiReductionPlanner",
+    "plan_placements",
 ]
 
 
@@ -167,130 +163,71 @@ class MultiReductionPlan:
         )
 
 
-@dataclass
-class MultiReductionPlanner:
-    """Plans placements that minimise the combined cost of several reductions."""
+def plan_placements(
+    planner: Planner,
+    axes: ParallelismAxes,
+    reductions: Sequence[WeightedReduction],
+    algorithm: NCCLAlgorithm = NCCLAlgorithm.RING,
+    max_matrices: Optional[int] = None,
+    max_program_size: int = 3,
+) -> MultiReductionPlan:
+    """Rank every placement of ``axes`` by its weighted cost over ``reductions``.
 
-    topology: MachineTopology
-    cost_model: CostModel = field(default_factory=CostModel)
-    max_program_size: int = 3
-
-    def queries_for(
-        self,
-        axes: ParallelismAxes,
-        reductions: Sequence[WeightedReduction],
-        algorithm: NCCLAlgorithm = NCCLAlgorithm.RING,
-        max_matrices: Optional[int] = None,
-    ) -> List[PlanQuery]:
-        """One :class:`PlanQuery` per reduction (same order as ``reductions``).
-
-        These are the exact queries :meth:`plan_with` issues — hand them to
-        :meth:`~repro.service.engine.PlanningService.plan_many` (or its
-        ``warm``-style callers) to precompute the cache a multi-reduction
-        plan will hit.
-        """
-        self._validate(axes, reductions)
-        return [
+    ``planner`` is anything satisfying :class:`~repro.query.Planner` — a
+    :class:`repro.api.P2` or a :class:`~repro.service.engine.PlanningService`,
+    whose shape memo and plan cache then serve repeated multi-reduction
+    planning over the same axes.  One query is issued per reduction; each
+    placement's choice is the cheapest ranked strategy for its matrix in that
+    reduction's plan.
+    """
+    if not reductions:
+        raise EvaluationError("at least one reduction is required")
+    names = [r.name for r in reductions]
+    if len(set(names)) != len(names):
+        raise EvaluationError(f"reduction names must be unique, got {names}")
+    for reduction in reductions:
+        reduction.request.validate_against(axes)
+    outcomes = planner.plan_many(
+        [
             PlanQuery(
                 axes=axes,
                 request=reduction.request,
                 bytes_per_device=reduction.bytes_per_device,
                 algorithm=algorithm,
                 max_matrices=max_matrices,
-                max_program_size=self.max_program_size,
+                max_program_size=max_program_size,
             )
             for reduction in reductions
         ]
-
-    def plan_with(
-        self,
-        planner: Planner,
-        axes: ParallelismAxes,
-        reductions: Sequence[WeightedReduction],
-        algorithm: NCCLAlgorithm = NCCLAlgorithm.RING,
-        max_matrices: Optional[int] = None,
-    ) -> MultiReductionPlan:
-        """Rank every placement by its weighted cost, planned by ``planner``.
-
-        ``planner`` is anything satisfying :class:`~repro.query.Planner` — a
-        bare :class:`repro.api.P2` or a caching
-        :class:`~repro.service.engine.PlanningService`, whose plan cache then
-        amortizes repeated multi-reduction planning over the same axes.  One
-        query is issued per reduction (:meth:`queries_for`); each placement's
-        choice is the cheapest ranked strategy for its matrix in that
-        reduction's plan.  When the planner exposes a ``topology`` it must
-        match this planner's.
-        """
-        planner_topology = getattr(planner, "topology", None)
-        if planner_topology is not None:
-            from repro.service.fingerprint import canonical_topology
-
-            if canonical_topology(planner_topology) != canonical_topology(self.topology):
+    )
+    evaluations: List[PlacementEvaluation] = []
+    for candidate in outcomes[0].plan.candidates:
+        matrix = candidate.matrix
+        choices: List[ReductionChoice] = []
+        for reduction, outcome in zip(reductions, outcomes):
+            ranked = outcome.plan.strategies_for_matrix(matrix)
+            if not ranked:
                 raise EvaluationError(
-                    f"planner is bound to topology {planner_topology.name!r}, "
-                    f"not this multi-reduction planner's {self.topology.name!r}"
+                    f"planner returned no strategies for placement "
+                    f"{matrix.describe()} and reduction {reduction.name!r}"
                 )
-        queries = self.queries_for(axes, reductions, algorithm, max_matrices)
-        outcomes = planner.plan_many(queries)
-        first = outcomes[0].plan
-        evaluations: List[PlacementEvaluation] = []
-        for candidate in first.candidates:
-            matrix = candidate.matrix
-            choices: List[ReductionChoice] = []
-            for reduction, outcome in zip(reductions, outcomes):
-                ranked = outcome.plan.strategies_for_matrix(matrix)
-                if not ranked:
-                    raise EvaluationError(
-                        f"planner returned no strategies for placement "
-                        f"{matrix.describe()} and reduction {reduction.name!r}"
-                    )
-                best = ranked[0]  # plans are sorted by predicted time
-                default = outcome.plan.default_all_reduce(matrix)
-                choices.append(
-                    ReductionChoice(
-                        reduction=reduction,
-                        program=best.program,
-                        # A reduction over size-1 axes moves nothing: no strategy.
-                        mnemonic=best.mnemonic if best.program.num_steps else "-",
-                        seconds=best.predicted_seconds,
-                        all_reduce_seconds=default.predicted_seconds,
-                    )
+            best = ranked[0]  # plans are sorted by predicted time
+            default = outcome.plan.default_all_reduce(matrix)
+            choices.append(
+                ReductionChoice(
+                    reduction=reduction,
+                    program=best.program,
+                    # A reduction over size-1 axes moves nothing: no strategy.
+                    mnemonic=best.mnemonic if best.program.num_steps else "-",
+                    seconds=best.predicted_seconds,
+                    all_reduce_seconds=default.predicted_seconds,
                 )
-            evaluations.append(
-                PlacementEvaluation(matrix=matrix, choices=tuple(choices))
             )
-        evaluations.sort(key=lambda evaluation: evaluation.total_seconds)
-        return MultiReductionPlan(
-            axes=axes,
-            reductions=tuple(reductions),
-            algorithm=algorithm,
-            placements=evaluations,
-        )
-
-    def _validate(
-        self, axes: ParallelismAxes, reductions: Sequence[WeightedReduction]
-    ) -> None:
-        if not reductions:
-            raise EvaluationError("at least one reduction is required")
-        names = [r.name for r in reductions]
-        if len(set(names)) != len(names):
-            raise EvaluationError(f"reduction names must be unique, got {names}")
-        for reduction in reductions:
-            reduction.request.validate_against(axes)
-
-    def plan(
-        self,
-        axes: ParallelismAxes,
-        reductions: Sequence[WeightedReduction],
-        algorithm: NCCLAlgorithm = NCCLAlgorithm.RING,
-        max_matrices: Optional[int] = None,
-    ) -> MultiReductionPlan:
-        """Evaluate every placement against every reduction and rank them.
-
-        :meth:`plan_with` over a fresh :class:`~repro.api.P2` on this
-        planner's topology and cost model; its shape memo synthesizes the
-        reductions that share a request once per placement.
-        """
-        return self.plan_with(
-            P2(self.topology, self.cost_model), axes, reductions, algorithm, max_matrices
-        )
+        evaluations.append(PlacementEvaluation(matrix=matrix, choices=tuple(choices)))
+    evaluations.sort(key=lambda evaluation: evaluation.total_seconds)
+    return MultiReductionPlan(
+        axes=axes,
+        reductions=tuple(reductions),
+        algorithm=algorithm,
+        placements=evaluations,
+    )

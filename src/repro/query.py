@@ -7,9 +7,10 @@ validated, serializable object, and :class:`PlanOutcome` wraps the resulting
 :class:`~repro.api.OptimizationPlan` together with its provenance (timings,
 fingerprint, cache tier, search report).
 
-Anything that can answer queries — :class:`repro.api.P2` directly, or a
-:class:`repro.service.engine.PlanningService` with its plan cache —
-implements the :class:`Planner` protocol::
+Anything that can answer queries — :class:`repro.api.P2`, the one planner,
+with or without a plan cache (:class:`repro.service.engine.PlanningService`
+is a ``P2`` with one by default) — implements the :class:`Planner`
+protocol::
 
     outcome = planner.plan(query)            # one query
     outcomes = planner.plan_many(queries)    # a batch
@@ -475,11 +476,11 @@ class PlanOutcome:
 class Planner(Protocol):
     """Anything that answers :class:`PlanQuery` objects.
 
-    Both :class:`repro.api.P2` (direct computation) and
-    :class:`repro.service.engine.PlanningService` (cache + stats)
-    satisfy this protocol and produce identical rankings for the same query,
-    so callers — sweep runners, transports, shard routers — can hold either
-    behind one type.
+    :class:`repro.api.P2` is the implementation (a
+    :class:`repro.service.engine.PlanningService` is a ``P2`` with a plan
+    cache); callers — sweep runners, transports,
+    :func:`repro.planner.plan_placements` — can hold any planner behind one
+    type.
     """
 
     def plan(self, query: PlanQuery) -> PlanOutcome:

@@ -179,8 +179,6 @@ def _shard_worker(
     topology: MachineTopology,
     cost_model: CostModel,
     query: PlanQuery,
-    node_limit: int,
-    validate: bool,
     ledger: PlacementLedger,
     watermark: SharedWatermark,
     budget_counter,
@@ -221,13 +219,7 @@ def _shard_worker(
                 ]
                 if search_enabled:
                     sources.append(SynthesisSource(matrix_indices=(index,)))
-                space = SearchSpace(
-                    topology=topology,
-                    cost_model=cost_model,
-                    query=sub_query,
-                    node_limit=node_limit,
-                    validate=validate,
-                )
+                space = SearchSpace(topology=topology, cost_model=cost_model, query=sub_query)
                 result = driver.run(
                     space, sources=sources, watermark=watermark.matrix_view(index)
                 )
@@ -452,8 +444,6 @@ class ShardedSearchDriver:
                     self.topology,
                     self.cost_model,
                     query,
-                    space.node_limit,
-                    space.validate,
                     ledger,
                     watermark,
                     budget_counter,

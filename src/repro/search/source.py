@@ -24,7 +24,7 @@ Three sources ship with the package:
 
 A custom source is any object with ``name``, ``role`` and an
 ``entries(space, watermark, report)`` generator; pass it to
-:meth:`repro.api.P2.plan` via ``sources=`` (see the README's "How search
+:func:`repro.api.compute_plan` via ``sources=`` (see the README's "How search
 scales").
 """
 
@@ -124,7 +124,7 @@ class ShapeMemo:
 
     What :class:`SynthesisSource` and :class:`BaselineSource` yield depends
     only on a query's *shape* — system hierarchy, axes, reduction request,
-    size limits, ``validate`` — never on ``bytes_per_device`` or
+    size limits — never on ``bytes_per_device`` or
     ``algorithm``, which only the pricing that follows reads.  A planner that
     outlives its requests keeps, per shape, the entries each source yielded on
     one complete exhaustive run — the very programs that were lowered and
@@ -168,8 +168,6 @@ class SearchSpace:
     topology: MachineTopology
     cost_model: CostModel
     query: PlanQuery
-    node_limit: int = 500_000
-    validate: bool = True
     shapes: Optional[ShapeMemo] = field(default=None, compare=False, repr=False)
 
 
@@ -233,7 +231,7 @@ def _through_shape_memo(
         return
     # request.axes, as in the canonical query.
     shape = (space.topology.hierarchy, query.axes, query.request.axes, query.max_program_size,
-             query.max_matrices, space.node_limit, space.validate)
+             query.max_matrices)
     entries = memo.recall(shape, source.name)
     if entries is None:
         fresh = []
@@ -295,8 +293,6 @@ class SynthesisSource:
             query.axes,
             query.request,
             max_program_size=query.max_program_size,
-            node_limit=space.node_limit,
-            validate=space.validate,
             max_matrices=query.max_matrices,
             matrix_indices=self.matrix_indices,
         ):
@@ -327,9 +323,7 @@ class SynthesisSource:
         if self.matrix_indices is not None:
             wanted = set(self.matrix_indices)
             matrices = [m for i, m in enumerate(matrices) if i in wanted]
-        synthesizer = Synthesizer(
-            max_program_size=query.max_program_size, node_limit=space.node_limit
-        )
+        synthesizer = Synthesizer(max_program_size=query.max_program_size)
         for matrix in matrices:
             placement = DevicePlacement(matrix)
             if self._placement_pruned(placement, space, watermark, report):
@@ -367,11 +361,7 @@ class SynthesisSource:
                     entries: List[StrategyEntry] = []
                     for synthesized in batch:
                         program = lower_program_candidate(
-                            synthesized,
-                            synthesis_hierarchy,
-                            placement,
-                            query.request,
-                            space.validate,
+                            synthesized, synthesis_hierarchy, placement, query.request
                         )
                         result.programs.append(synthesized)
                         candidate.programs.append(program)

@@ -126,7 +126,9 @@ class DeviceState:
         """The initial state of ``device``: every chunk present, contributed only by itself."""
         if not 0 <= device < num_chunks:
             raise SemanticsError(f"device {device} out of range for {num_chunks} devices")
-        return cls._uniform(num_chunks, 1 << device)
+        # The repunit shifted into place: the same integer as _uniform's
+        # product, without multiplying a k*k-bit number.
+        return cls._packed(num_chunks, _repunit(num_chunks) << device, (1 << num_chunks) - 1)
 
     @classmethod
     def full(cls, num_chunks: int, contributors: Iterable[int] = None) -> "DeviceState":

@@ -6,8 +6,8 @@ The rest of the package computes plans; this subpackage *serves* them:
   (topology, axes, request, payload, algorithm, cost model, limits) queries.
 * :mod:`repro.service.cache` — a two-tier plan cache (in-memory LRU over a
   JSON-on-disk store) with hit/miss/eviction statistics.
-* :mod:`repro.service.engine` — the :class:`PlanningService` facade tying
-  them together, with per-query provenance and a deduplicating batch API.
+* :mod:`repro.service.engine` — :class:`PlanningService`, the planner
+  (:class:`repro.api.P2`) with a plan cache by default.
 
 Quickstart::
 

@@ -132,7 +132,6 @@ def lower_program_candidate(
     synthesis_hierarchy: SynthesisHierarchy,
     placement: DevicePlacement,
     request: ReductionRequest,
-    validate: bool,
 ) -> ProgramCandidate:
     """Lower one synthesized program and wrap it as a :class:`ProgramCandidate`.
 
@@ -148,7 +147,7 @@ def lower_program_candidate(
         placement,
         label=synthesized.program.describe(synthesis_hierarchy.names),
     )
-    if validate and not lowered.validates_against(placement, request):
+    if not lowered.validates_against(placement, request):
         raise SynthesisError(
             "synthesized program failed physical validation: "
             f"{synthesized.program.describe(synthesis_hierarchy.names)} on "
@@ -173,8 +172,6 @@ def iter_placement_candidates(
     request: ReductionRequest,
     max_program_size: int = DEFAULT_MAX_PROGRAM_SIZE,
     variant: HierarchyVariant = HierarchyVariant.REDUCTION_COLLAPSED,
-    node_limit: int = 500_000,
-    validate: bool = True,
     max_matrices: Optional[int] = None,
     matrix_indices: Optional[Sequence[int]] = None,
 ) -> Iterator[PlacementCandidate]:
@@ -188,13 +185,12 @@ def iter_placement_candidates(
     the placements it does not look at.  Fully consuming the iterator yields
     exactly :func:`synthesize_all`'s candidates in the same order.
 
+    Every lowered program is checked against the requested reduction over
+    the physical devices; failures raise :class:`~repro.errors.SynthesisError`
+    because they indicate a bug, not a user error.
+
     Parameters
     ----------
-    validate:
-        When true (default) every lowered program is checked against the
-        requested reduction over the physical devices; failures raise
-        :class:`~repro.errors.SynthesisError` because they indicate a bug, not
-        a user error.
     max_matrices:
         Optional cap on the number of parallelism matrices considered.
     matrix_indices:
@@ -209,7 +205,7 @@ def iter_placement_candidates(
     if matrix_indices is not None:
         wanted = set(matrix_indices)
         matrices = [m for i, m in enumerate(matrices) if i in wanted]
-    synthesizer = Synthesizer(max_program_size=max_program_size, node_limit=node_limit)
+    synthesizer = Synthesizer(max_program_size=max_program_size)
 
     def _generate() -> Iterator[PlacementCandidate]:
         for matrix in matrices:
@@ -220,9 +216,7 @@ def iter_placement_candidates(
             elapsed = time.perf_counter() - start
 
             programs = [
-                lower_program_candidate(
-                    synthesized, synthesis_hierarchy, placement, request, validate
-                )
+                lower_program_candidate(synthesized, synthesis_hierarchy, placement, request)
                 for synthesized in result.programs
             ]
             # The transition table is search state: it must not stay
@@ -249,8 +243,6 @@ def synthesize_all(
     request: ReductionRequest,
     max_program_size: int = DEFAULT_MAX_PROGRAM_SIZE,
     variant: HierarchyVariant = HierarchyVariant.REDUCTION_COLLAPSED,
-    node_limit: int = 500_000,
-    validate: bool = True,
     max_matrices: Optional[int] = None,
 ) -> List[PlacementCandidate]:
     """Run the full P² synthesis pipeline eagerly (see :func:`iter_placement_candidates`)."""
@@ -261,8 +253,6 @@ def synthesize_all(
             request,
             max_program_size=max_program_size,
             variant=variant,
-            node_limit=node_limit,
-            validate=validate,
             max_matrices=max_matrices,
         )
     )

@@ -6,11 +6,16 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import P2
+from repro.api import P2, compute_plan
+from repro.cost.model import CostModel
 from repro.cost.nccl import NCCLAlgorithm
+from repro.cost.simulator import ProgramSimulator
 from repro.errors import EvaluationError
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.query import PlanQuery
+from repro.runtime.events import TestbedSimulator
+from repro.runtime.noise import NoiseModel
+from repro.runtime.verification import verify_against_placement
 from repro.topology.gcp import a100_system
 
 MB = 1 << 20
@@ -28,8 +33,8 @@ def plan():
 
 
 @pytest.fixture(scope="module")
-def tool():
-    return P2(a100_system(num_nodes=2))
+def topology():
+    return a100_system(num_nodes=2)
 
 
 class TestOptimize:
@@ -117,23 +122,66 @@ class TestSpeedupOverDefault:
 
 
 class TestSimulateMeasureVerify:
-    def test_simulate_detail(self, tool, plan):
+    """A ranked strategy feeds the simulator, the testbed and the verifier directly."""
+
+    def test_simulate_detail(self, topology, plan):
         strategy = plan.default_all_reduce()
-        result = tool.simulate(strategy, bytes_per_device=64 * MB)
+        result = ProgramSimulator(topology).simulate(strategy.program, 64 * MB)
         assert result.total_seconds > 0
         assert result.num_steps == strategy.program.num_steps
 
-    def test_measure(self, tool, plan):
-        strategy = plan.best
-        result = tool.measure(strategy, bytes_per_device=16 * MB, num_runs=1)
+    def test_measure(self, topology, plan):
+        testbed = TestbedSimulator(topology, NoiseModel(seed=0))
+        result = testbed.measure(plan.best.program, 16 * MB, num_runs=1)
         assert result.total_seconds > 0
 
-    def test_verify(self, tool, plan):
-        report = tool.verify(plan.best, ReductionRequest.over(0))
+    def test_verify(self, plan):
+        report = verify_against_placement(
+            plan.best.program, plan.best.candidate.placement, ReductionRequest.over(0)
+        )
         assert report.ok
 
-    def test_measure_tree_algorithm(self, tool, plan):
-        result = tool.measure(
-            plan.best, bytes_per_device=16 * MB, algorithm=NCCLAlgorithm.TREE, num_runs=1
-        )
+    def test_measure_tree_algorithm(self, topology, plan):
+        testbed = TestbedSimulator(topology, NoiseModel(seed=0))
+        result = testbed.measure(plan.best.program, 16 * MB, NCCLAlgorithm.TREE, num_runs=1)
         assert result.algorithm == NCCLAlgorithm.TREE
+
+
+class TestRetiredSurface:
+    """The knobs and wrappers the one planner dropped stay dropped."""
+
+    QUERY = PlanQuery(ParallelismAxes.of(8, 4), ReductionRequest.over(0), 1 * MB)
+
+    @pytest.mark.parametrize("keyword", ["noise_seed", "validate_lowering", "node_limit"])
+    def test_p2_takes_no_pipeline_knobs(self, topology, keyword):
+        with pytest.raises(TypeError):
+            P2(topology, **{keyword: 1})
+
+    @pytest.mark.parametrize("keyword", ["validate_lowering", "node_limit"])
+    def test_sweep_runner_takes_no_pipeline_knobs(self, keyword):
+        from repro.evaluation.runner import SweepRunner
+
+        with pytest.raises(TypeError):
+            SweepRunner(**{keyword: 1})
+
+    @pytest.mark.parametrize("keyword", ["node_limit", "validate"])
+    def test_compute_plan_and_search_space_take_no_pipeline_knobs(self, topology, keyword):
+        from repro.search import SearchSpace
+
+        with pytest.raises(TypeError):
+            compute_plan(topology, CostModel(), self.QUERY, **{keyword: 1})
+        with pytest.raises(TypeError):
+            SearchSpace(topology=topology, cost_model=CostModel(), query=self.QUERY,
+                        **{keyword: 1})
+
+    def test_plan_takes_no_sources(self, topology):
+        with pytest.raises(TypeError):
+            P2(topology).plan(self.QUERY, sources=[])
+
+    @pytest.mark.parametrize("name", ["simulate", "measure", "verify", "simulator"])
+    def test_p2_has_no_wrappers(self, topology, name):
+        assert not hasattr(P2(topology), name)
+
+    def test_the_multi_reduction_planner_class_is_gone(self):
+        with pytest.raises(ImportError):
+            from repro.planner import MultiReductionPlanner  # noqa: F401

@@ -268,16 +268,30 @@ class TestProfileCache:
 
 
 class TestStaleBindingGuards:
-    def test_p2_rebinding_cost_model_rebuilds_the_simulator(self, a100_2node):
+    @pytest.mark.parametrize("spelling", ["P2", "PlanningService"])
+    def test_planner_bindings_are_read_only(self, a100_2node, spelling):
+        """A planner's simulator, shape memo and cache are bound to the topology
+        and cost model it was built with, so neither can be reassigned — and a
+        failed assignment leaves every later plan priced under the original
+        model (a stale simulator used to price a new model's plans)."""
         from repro.api import P2
+        from repro.query import PlanQuery
+        from repro.service.engine import PlanningService
+        from repro.topology.gcp import v100_system
 
-        p2 = P2(a100_2node)
-        first = p2.simulator
-        assert p2.simulator is first  # stable while the fields are stable
-        p2.cost_model = CostModel(launch_overhead=1e-3)
-        second = p2.simulator
-        assert second is not first
-        assert second.cost_model == p2.cost_model
+        planner = {"P2": P2, "PlanningService": PlanningService}[spelling](a100_2node)
+        first = PlanQuery((8, 4), (0,), bytes_per_device=1 * MB, max_program_size=2)
+        planner.plan(first)
+        with pytest.raises(AttributeError):
+            planner.cost_model = CostModel(launch_overhead=1e-3)
+        with pytest.raises(AttributeError):
+            planner.topology = v100_system(num_nodes=2)
+        assert planner.cost_model == CostModel()
+        assert planner.topology is a100_2node
+
+        second = PlanQuery((8, 4), (0,), bytes_per_device=4 * MB, max_program_size=2)
+        best = planner.plan(second).plan.best.predicted_seconds
+        assert best == P2(a100_2node, CostModel()).plan(second).plan.best.predicted_seconds
 
     def test_mismatched_device_count_is_rejected_not_deduped(self, a100_2node):
         step = LoweredStep(Collective.ALL_REDUCE, ((0, 1),))

@@ -1,9 +1,7 @@
 """Smoke tests for the example scripts.
 
-Each example is importable (so API drift breaks the suite, not just the
-docs) and exposes a ``main`` entry point.  The cheapest example is actually
-executed end to end; the longer ones are exercised indirectly by the
-integration tests and the benchmark harness.
+Each example is importable, exposes a ``main`` entry point and runs end to
+end, so API drift breaks the suite, not just the docs.
 """
 
 from __future__ import annotations
@@ -16,6 +14,13 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 EXAMPLE_FILES = sorted(EXAMPLES_DIR.glob("*.py"))
+# Lines an example must print, beyond printing anything at all.
+EXPECTED_OUTPUT = {
+    "placement_exploration": ("parallelism matrices", "strategies synthesized"),
+    "quickstart": ("numerical verification: PASS", "testbed measurement:"),
+    "resnet50_data_parallel": ("numerical verification: PASS",),
+    "megatron_parameter_sharding": ("best combined placement:",),
+}
 
 
 def _load(path: Path):
@@ -39,9 +44,10 @@ class TestExamples:
         assert callable(getattr(module, "main", None))
         assert module.__doc__ and len(module.__doc__) > 80
 
-    def test_placement_exploration_runs(self, capsys):
-        module = _load(EXAMPLES_DIR / "placement_exploration.py")
-        module.main()
+    @pytest.mark.parametrize("path", EXAMPLE_FILES, ids=lambda p: p.stem)
+    def test_example_runs_end_to_end(self, path, capsys):
+        _load(path).main()
         out = capsys.readouterr().out
-        assert "parallelism matrices" in out
-        assert "strategies synthesized" in out
+        for expected in EXPECTED_OUTPUT.get(path.stem, ()):
+            assert expected in out
+        assert out.strip()

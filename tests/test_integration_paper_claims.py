@@ -21,6 +21,7 @@ from repro.hierarchy.matrix import enumerate_parallelism_matrices
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.hierarchy.placement import DevicePlacement
 from repro.query import PlanQuery
+from repro.runtime.verification import verify_against_placement
 from repro.topology.gcp import a100_system, v100_system
 
 GIB = float(1 << 30)
@@ -118,4 +119,6 @@ class TestEndToEndPlanQuality:
         for strategy in plan.top(5):
             if strategy.program.num_steps == 0:
                 continue
-            assert p2.verify(strategy, request).ok
+            assert verify_against_placement(
+                strategy.program, strategy.candidate.placement, request
+            ).ok

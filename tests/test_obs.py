@@ -405,7 +405,7 @@ class TestSpineIntegration:
         assert outcome.provenance()["trace_id"] == outcome.trace_id
         spans = recorder.snapshot().spans
         names = {span.name for span in spans}
-        assert {"plan", "search.run", "search.source", "profile.price"} <= names
+        assert {"service.plan", "search.run", "search.source", "profile.price"} <= names
         assert {span.trace_id for span in spans} == {outcome.trace_id}
         counters = recorder.snapshot().counters
         assert counters["search.considered"] > 0
@@ -476,7 +476,7 @@ class TestSpineIntegration:
         def run(telemetry_enabled):
             channel = queue.Queue()
             _shard_worker(
-                0, 1, topology, CostModel(), query, 500_000, True,
+                0, 1, topology, CostModel(), query,
                 PlacementLedger(num_matrices, 1), SharedWatermark(num_matrices),
                 None, None, telemetry_enabled, None, channel,
             )
@@ -518,7 +518,7 @@ class TestSpineIntegration:
         names = {span.name for span in recorder.snapshot().spans}
         # The plain runner plans through P2 directly (no service), so the
         # root planning span is "plan".
-        assert {"sweep.scenario", "plan", "search.run"} <= names
+        assert {"sweep.scenario", "service.plan", "search.run"} <= names
 
     def test_provenance_summary_reports_percentiles_from_snapshot(self):
         from repro.evaluation.report import render_provenance_summary
@@ -530,7 +530,7 @@ class TestSpineIntegration:
             result = SweepRunner(measure_programs=False).run(preset("smoke")[0])
         text = render_provenance_summary([result], snapshot=recorder.snapshot())
         assert "sweep.scenario: n=1 p50=" in text
-        assert "\nplan: n=1 p50=" in text
+        assert "\nservice.plan: n=1 p50=" in text
         assert "search.run: n=1 p50=" in text
         # Without a snapshot the summary is unchanged legacy output.
         legacy = render_provenance_summary([result])
@@ -562,7 +562,7 @@ class TestCLI:
         assert str(trace_path) in captured.err
         trace = json.loads(trace_path.read_text())
         names = {event["name"] for event in trace["traceEvents"]}
-        assert {"plan", "search.run", "search.source"} <= names
+        assert {"service.plan", "search.run", "search.source"} <= names
         snapshot = load_snapshot(trace_path)
         assert snapshot.counters["search.considered"] > 0
         # The recorder was uninstalled again after the command.

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import P2
 from repro.errors import EvaluationError, ReproError, SynthesisError
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
-from repro.planner import MultiReductionPlanner, WeightedReduction
+from repro.planner import WeightedReduction, plan_placements
 from repro.topology.gcp import a100_system
 
 MB = 1 << 20
@@ -14,7 +15,7 @@ MB = 1 << 20
 
 @pytest.fixture(scope="module")
 def planner():
-    return MultiReductionPlanner(a100_system(num_nodes=4), max_program_size=3)
+    return P2(a100_system(num_nodes=4))
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +25,7 @@ def plan(planner):
         WeightedReduction("gradients", ReductionRequest.over(0), 512 * MB, weight=1.0),
         WeightedReduction("activations", ReductionRequest.over(1), 64 * MB, weight=4.0),
     ]
-    return planner.plan(axes, reductions)
+    return plan_placements(planner, axes, reductions)
 
 
 class TestWeightedReduction:
@@ -37,7 +38,7 @@ class TestWeightedReduction:
             WeightedReduction("g", ReductionRequest.over(0), 1, weight=0)
 
 
-class TestMultiReductionPlanner:
+class TestPlanPlacements:
     def test_plan_covers_every_matrix(self, plan):
         assert len(plan.placements) == 3
         matrices = {p.matrix.describe() for p in plan.placements}
@@ -83,18 +84,18 @@ class TestMultiReductionPlanner:
     def test_argument_validation(self, planner):
         axes = ParallelismAxes.of(4, 16)
         with pytest.raises(EvaluationError):
-            planner.plan(axes, [])
+            plan_placements(planner, axes, [])
         duplicated = [
             WeightedReduction("g", ReductionRequest.over(0), 1 * MB),
             WeightedReduction("g", ReductionRequest.over(1), 1 * MB),
         ]
         with pytest.raises(EvaluationError):
-            planner.plan(axes, duplicated)
+            plan_placements(planner, axes, duplicated)
 
     def test_singleton_reduction_axis_costs_nothing(self, planner):
         axes = ParallelismAxes.of(1, 64)
         reductions = [WeightedReduction("g", ReductionRequest.over(0), 4 * MB)]
-        plan = planner.plan(axes, reductions)
+        plan = plan_placements(planner, axes, reductions)
         assert plan.best.total_seconds == 0.0
         # A reduction over a size-1 axis moves nothing: no strategy to name.
         assert plan.best.choices[0].mnemonic == "-"
@@ -103,14 +104,15 @@ class TestMultiReductionPlanner:
         # 8 x 4 = 32-way parallelism on 64 devices: no parallelism matrix.
         reductions = [WeightedReduction("g", ReductionRequest.over(0), 4 * MB)]
         with pytest.raises(SynthesisError, match="no parallelism matrix") as raised:
-            planner.plan(ParallelismAxes.of(8, 4), reductions)
+            plan_placements(planner, ParallelismAxes.of(8, 4), reductions)
         assert isinstance(raised.value, ReproError)
 
 
 class TestRetiredSurface:
-    def test_node_limit_is_not_a_planner_field(self):
+    def test_node_limit_is_not_a_planner_field(self, planner):
+        reductions = [WeightedReduction("g", ReductionRequest.over(0), 4 * MB)]
         with pytest.raises(TypeError):
-            MultiReductionPlanner(a100_system(num_nodes=4), node_limit=1)
+            plan_placements(planner, ParallelismAxes.of(4, 16), reductions, node_limit=1)
 
     def test_plan_carries_no_private_pricing_provenance(self, plan):
         assert not hasattr(plan, "provenance")

@@ -405,7 +405,7 @@ class TestRetiredLooseArgumentApi:
 
 
 class TestSimulatePayloadProvenance:
-    """P2.simulate no longer invents a magic 1 MiB payload."""
+    """Nothing invents a magic 1 MiB payload: strategies carry the query's."""
 
     def test_strategies_record_the_query_payload(self, query_84, outcome_84):
         assert all(
@@ -413,28 +413,27 @@ class TestSimulatePayloadProvenance:
             for s in outcome_84.plan.strategies
         )
 
-    def test_simulate_defaults_to_the_originating_payload(self, topology, outcome_84):
-        p2 = P2(topology)
+    def test_the_recorded_payload_reprices_the_prediction(self, topology, outcome_84):
         strategy = outcome_84.plan.default_all_reduce()
-        implicit = p2.simulate(strategy)
-        explicit = p2.simulate(strategy, bytes_per_device=strategy.bytes_per_device)
-        assert implicit.total_seconds == explicit.total_seconds
+        repriced = ProgramSimulator(topology).simulate(
+            strategy.program, strategy.bytes_per_device
+        )
+        assert repriced.total_seconds == strategy.predicted_seconds
         # and the recorded payload is the query's, not 1 MiB
         assert strategy.bytes_per_device == 64 * MB
 
     def test_simulate_without_any_payload_is_an_error(self, topology, outcome_84):
-        p2 = P2(topology)
-        orphan = replace(outcome_84.plan.default_all_reduce(), bytes_per_device=None)
-        with pytest.raises(EvaluationError):
-            p2.simulate(orphan)
+        # The simulator has no default payload to fall back on.
+        with pytest.raises(TypeError):
+            ProgramSimulator(topology).simulate(outcome_84.plan.default_all_reduce().program)
 
 
-class TestMultiReductionPlannerIntegration:
+class TestPlanPlacementsIntegration:
     @pytest.mark.parametrize("algorithm", [NCCLAlgorithm.RING, NCCLAlgorithm.TREE])
     def test_every_choice_is_priced_exactly_by_the_reference(self, topology, algorithm):
         from repro.baselines.allreduce import default_all_reduce
         from repro.hierarchy.placement import DevicePlacement
-        from repro.planner import MultiReductionPlanner, WeightedReduction
+        from repro.planner import WeightedReduction, plan_placements
 
         reductions = [
             WeightedReduction("gradients", ReductionRequest.over(0), 32 * MB),
@@ -442,8 +441,7 @@ class TestMultiReductionPlannerIntegration:
             # Shares the gradients' request: one shape, a second payload.
             WeightedReduction("small", ReductionRequest.over(0), 64 * 1024, weight=2),
         ]
-        planner = MultiReductionPlanner(topology, max_program_size=3)
-        plan = planner.plan(ParallelismAxes.of(2, 16), reductions, algorithm)
+        plan = plan_placements(P2(topology), ParallelismAxes.of(2, 16), reductions, algorithm)
         oracle = ProgramSimulator(topology)
         assert len(plan.placements) > 1
         for evaluation in plan.placements:
@@ -460,30 +458,16 @@ class TestMultiReductionPlannerIntegration:
                 assert choice.seconds == chosen.total_seconds
                 assert choice.all_reduce_seconds == default.total_seconds
 
-    def test_plan_with_rejects_mismatched_planner_topology(self, topology):
-        from repro.planner import MultiReductionPlanner, WeightedReduction
-        from repro.topology.gcp import v100_system
-
-        planner = MultiReductionPlanner(topology, max_program_size=3)
-        with pytest.raises(EvaluationError):
-            planner.plan_with(
-                P2(v100_system(num_nodes=2)),
-                ParallelismAxes.of(8, 4),
-                [WeightedReduction("gradients", ReductionRequest.over(0), 1 * MB)],
-            )
-
-    def test_queries_for_feeds_the_service_cache(self, topology):
-        from repro.planner import MultiReductionPlanner, WeightedReduction
+    def test_a_long_lived_service_answers_a_repeat_from_its_cache(self, topology):
+        from repro.planner import WeightedReduction, plan_placements
 
         reductions = [
             WeightedReduction("gradients", ReductionRequest.over(0), 32 * MB),
+            WeightedReduction("activations", ReductionRequest.over(1), 8 * MB),
         ]
-        planner = MultiReductionPlanner(topology, max_program_size=3)
-        queries = planner.queries_for(ParallelismAxes.of(8, 4), reductions)
-        assert [q.bytes_per_device for q in queries] == [32 * MB]
-
         service = PlanningService(topology)
-        service.plan_many(queries)  # warm the cache
-        routed = planner.plan_with(service, ParallelismAxes.of(8, 4), reductions)
-        assert service.cache.stats.hits >= 1
-        assert routed.best.total_seconds >= 0.0
+        first = plan_placements(service, ParallelismAxes.of(8, 4), reductions)
+        assert service.cache.stats.hits == 0
+        again = plan_placements(service, ParallelismAxes.of(8, 4), reductions)
+        assert service.cache.stats.hits == len(reductions)
+        assert again.describe() == first.describe()

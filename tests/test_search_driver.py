@@ -18,7 +18,7 @@ import dataclasses
 
 import pytest
 
-from repro.api import P2
+from repro.api import P2, compute_plan
 from repro.baselines.allreduce import default_all_reduce
 from repro.baselines.blueconnect import blueconnect
 from repro.baselines.hierarchical import reduce_allreduce_broadcast
@@ -524,16 +524,17 @@ class TestShardedSearch:
         query = _query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING)
         first = P2(topology).plan(query)
         sources = [PinnedPlanSource.from_plan(first.plan, top_k=1), *default_sources()]
-        outcome = P2(topology).plan(
-            dataclasses.replace(query, shards=2), sources=sources
+        seeded = compute_plan(
+            topology, CostModel(), dataclasses.replace(query, shards=2), sources=sources
         )
-        assert outcome.search["seeds"] == 1
-        assert _ranking(outcome.plan) == _ranking(first.plan)
+        search = seeded.search_dict()
+        assert search["seeds"] == 1
+        assert _ranking(seeded.plan) == _ranking(first.plan)
         # An exhaustive sharded run reaches the same incumbent through the
         # seed, so it is stamped as seeded and timestamped early.
-        assert outcome.search["seeded_incumbent"] is True
-        assert outcome.search["time_to_incumbent_s"] is not None
-        assert outcome.search["time_to_incumbent_s"] >= 0.0
+        assert search["seeded_incumbent"] is True
+        assert search["time_to_incumbent_s"] is not None
+        assert search["time_to_incumbent_s"] >= 0.0
 
     def test_near_miss_seed_is_disqualified_wholesale(self, topology):
         # A seed whose plan answers a *different* reduction request must be
@@ -546,10 +547,10 @@ class TestShardedSearch:
         )
         query = _query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING)
         sources = [PinnedPlanSource.from_plan(foreign.plan, top_k=1), *default_sources()]
-        seeded = P2(topology).plan(query, sources=sources)
+        seeded = compute_plan(topology, CostModel(), query, sources=sources)
         unseeded = P2(topology).plan(query)
-        assert seeded.search["seeds"] == 0
-        assert seeded.search["seeded_incumbent"] is False
+        assert seeded.search_dict()["seeds"] == 0
+        assert seeded.search_dict()["seeded_incumbent"] is False
         assert _ranking(seeded.plan) == _ranking(unseeded.plan)
 
 

@@ -211,14 +211,14 @@ class TestWhatBypassesTheMemo:
         axes=(8, 4), request=(0,), bytes_per_device=4 * MB, max_program_size=3
     )
 
-    def primed(self, **limits):
+    def primed(self):
         memo = ShapeMemo()
-        outcome = self.plan(memo, self.QUERY, **limits)
+        outcome = self.plan(memo, self.QUERY)
         assert outcome.report.reused_streams == 0 and len(memo) == 1
         return memo
 
-    def plan(self, memo, query, **limits):
-        return compute_plan(self.TOPOLOGY, CostModel(), query, shapes=memo, **limits)
+    def plan(self, memo, query):
+        return compute_plan(self.TOPOLOGY, CostModel(), query, shapes=memo)
 
     def test_the_same_shape_hits(self):
         memo = self.primed()
@@ -251,18 +251,6 @@ class TestWhatBypassesTheMemo:
         outcome = self.plan(memo, dataclasses.replace(self.QUERY, **change))
         assert outcome.report.reused_streams == 0
         assert (memo.hits, len(memo)) == (0, 2)
-
-    @pytest.mark.parametrize(
-        "limits", [{"validate": False}, {"node_limit": 400_000}],
-        ids=["validate", "node_limit"],
-    )
-    def test_unvalidated_and_differently_limited_searches_do_not_share(self, limits):
-        memo = self.primed()
-        assert self.plan(memo, self.QUERY, **limits).report.reused_streams == 0
-        assert (memo.hits, len(memo)) == (0, 2)
-        # ... in either direction: validated programs only under the validated key.
-        assert self.plan(memo, self.QUERY).report.reused_streams == 2
-        assert self.plan(memo, self.QUERY, **limits).report.reused_streams == 2
 
     def test_a_restricted_source_and_a_finite_watermark_bypass(self):
         memo = self.primed()
@@ -417,6 +405,22 @@ def assert_same_plan_and_counts(outcome, reference):
         assert outcome.search[key] == reference.search[key]
 
 
+class TestOnePlannerTwoSpellings:
+    """``P2`` and ``PlanningService`` are one implementation: a fresh or a
+    long-lived instance of either answers every query identically."""
+
+    def test_a_service_is_a_p2(self):
+        assert isinstance(PlanningService(a100_system(num_nodes=2)), P2)
+
+    def test_every_spelling_gives_the_same_answer(self, shape):
+        topology, queries, references = shape
+        long_lived = (P2(topology), PlanningService(topology, cache=PlanCache(None)))
+        for query, reference in zip(queries, references):
+            assert_same_answer(P2(topology).plan(query), reference)
+            for planner in long_lived:
+                assert_same_answer(planner.plan(query), reference)
+
+
 class TestOtherPathsThroughComputePlan:
     QUERY = TestWhatBypassesTheMemo.QUERY
 
@@ -447,17 +451,18 @@ class TestOtherPathsThroughComputePlan:
             assert (outcome.search["seeds"] > 0) == (i > 0)
             assert_same_plan_and_counts(outcome, fresh_plan(topology, query))
 
-    def test_p2_with_a_caller_owned_simulator_topology_change(self):
-        # The memo is keyed on the hierarchy: reassigning an equal-hierarchy
-        # topology with other links keeps the entries and re-prices them.
-        tool = P2(a100_system(num_nodes=2))
-        tool.plan(self.QUERY)
-        tool.topology = v100_system(num_nodes=2, gpus_per_node=16)
-        assert tool.topology.hierarchy == a100_system(num_nodes=2).hierarchy
-        outcome = tool.plan(self.QUERY)
-        assert outcome.search["reused_streams"] == 2
-        reference = fresh_plan(tool.topology, self.QUERY)
-        assert plan_dict(outcome.plan) == plan_dict(reference.plan)
+    def test_equal_hierarchy_topologies_share_one_memo(self):
+        # The memo is keyed on the hierarchy, not the topology: a topology with
+        # the same hierarchy but other links reuses the entries and re-prices
+        # them under its own links.
+        memo = ShapeMemo()
+        compute_plan(a100_system(num_nodes=2), CostModel(), self.QUERY, shapes=memo)
+        other = v100_system(num_nodes=2, gpus_per_node=16)
+        assert other.hierarchy == a100_system(num_nodes=2).hierarchy
+        computation = compute_plan(other, CostModel(), self.QUERY, shapes=memo)
+        assert computation.report.reused_streams == 2
+        reference = fresh_plan(other, self.QUERY)
+        assert plan_dict(computation.plan) == plan_dict(reference.plan)
 
 
 # --------------------------------------------------------------------------- #

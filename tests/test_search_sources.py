@@ -9,7 +9,7 @@ The contracts pinned here:
   report the very same numbers the evaluation tables always used.
 * ``PinnedPlanSource`` replays only in-space strategies and seeds the
   branch-and-bound incumbent.
-* Custom source lists plug into ``P2.plan(sources=...)`` but are rejected
+* Custom source lists plug into ``compute_plan(sources=...)`` but are rejected
   when routed through a caching service.
 """
 
@@ -19,7 +19,7 @@ import dataclasses
 
 import pytest
 
-from repro.api import P2, collect_strategy_entries
+from repro.api import P2, collect_strategy_entries, compute_plan
 from repro.baselines import blueconnect, default_all_reduce, reduce_allreduce_broadcast
 from repro.cost.model import CostModel
 from repro.cost.simulator import ProgramSimulator
@@ -27,7 +27,7 @@ from repro.errors import EvaluationError, SynthesisError
 from repro.hierarchy.matrix import enumerate_parallelism_matrices
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.hierarchy.placement import DevicePlacement
-from repro.query import PlanQuery
+from repro.query import PlanOutcome, PlanQuery
 from repro.search import (
     BASELINE_ALL_REDUCE,
     BASELINE_BLUECONNECT,
@@ -178,12 +178,14 @@ class TestPinnedPlanSource:
         first = p2.plan(query_84)
         pinned = PinnedPlanSource.from_plan(first.plan, top_k=1)
         budgeted = dataclasses.replace(query_84, max_candidates=10**9)
-        outcome = p2.plan(budgeted, sources=[pinned, *default_sources()])
-        assert outcome.search["seeds"] == 1
+        seeded = compute_plan(
+            topology, CostModel(), budgeted, sources=[pinned, *default_sources()]
+        )
+        assert seeded.search_dict()["seeds"] == 1
         # Seeding never changes the answer, only how fast pruning bites.
-        assert outcome.best.predicted_seconds == first.best.predicted_seconds
+        assert seeded.plan.best.predicted_seconds == first.best.predicted_seconds
         assert (
-            outcome.best.program.signature() == first.best.program.signature()
+            seeded.plan.best.program.signature() == first.best.program.signature()
         )
 
     def test_foreign_reduction_seeds_are_dropped_wholesale(self, topology, query_84):
@@ -196,10 +198,12 @@ class TestPinnedPlanSource:
         pinned = PinnedPlanSource.from_plan(foreign_plan, top_k=3)
         assert _pull_all(pinned, _space(topology, query_84)) == []
         budgeted = dataclasses.replace(query_84, max_candidates=10**9)
-        outcome = p2.plan(budgeted, sources=[pinned, *default_sources()])
-        assert outcome.search["seeds"] == 0
+        seeded = compute_plan(
+            topology, CostModel(), budgeted, sources=[pinned, *default_sources()]
+        )
+        assert seeded.search_dict()["seeds"] == 0
         assert (
-            outcome.best.predicted_seconds
+            seeded.plan.best.predicted_seconds
             == p2.plan(query_84).best.predicted_seconds
         )
 
@@ -221,17 +225,20 @@ class TestPinnedPlanSource:
 
 class TestCustomSources:
     def test_synthesis_only_sources_drop_baselines(self, topology, query_84):
-        outcome = P2(topology).plan(
-            query_84, sources=[SynthesisSource()]
+        computation = compute_plan(
+            topology, CostModel(), query_84, sources=[SynthesisSource()]
         )
-        assert outcome.plan.baselines == {}
+        assert computation.plan.baselines == {}
+        outcome = PlanOutcome(query=query_84, plan=computation.plan)
         assert outcome.baseline_speedups() == {}
-        assert outcome.search["sources"] == ["synthesis"]
+        assert computation.search_dict()["sources"] == ["synthesis"]
 
-    def test_sources_cannot_ride_through_a_service(self, topology, query_84):
-        # Its cache keys queries by fingerprint, which does not cover sources.
+    @pytest.mark.parametrize("planner", [P2, PlanningService])
+    def test_sources_cannot_ride_through_a_service(self, topology, query_84, planner):
+        # A planner's cache keys queries by fingerprint, which does not cover
+        # sources; custom sources go to compute_plan.
         with pytest.raises(TypeError):
-            PlanningService(topology).plan(query_84, sources=[SynthesisSource()])
+            planner(topology).plan(query_84, sources=[SynthesisSource()])
 
     def test_driver_accepts_custom_source(self, topology, query_84):
         class OneEntrySource:

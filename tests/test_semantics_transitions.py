@@ -286,7 +286,7 @@ class TestNothingOutlivesTheSearch:
         placement = DevicePlacement(candidate.matrix)
         programs = [
             lower_program_candidate(
-                synthesized, candidate.synthesis.hierarchy, placement, reduction, validate=True
+                synthesized, candidate.synthesis.hierarchy, placement, reduction
             )
             for synthesized in candidate.synthesis.programs
         ]

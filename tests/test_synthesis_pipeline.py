@@ -62,7 +62,7 @@ class TestSynthesizeAll:
     def test_all_lowered_programs_validate(self, small_system):
         candidates = synthesize_all(
             small_system, ParallelismAxes.of(4, 2), ReductionRequest.over(1),
-            max_program_size=3, validate=True,
+            max_program_size=3,
         )
         request = ReductionRequest.over(1)
         for candidate in candidates:
