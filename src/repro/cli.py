@@ -15,10 +15,6 @@
 * ``repro-cli serve`` — run the planning daemon: newline-delimited JSON over
   TCP and/or Unix sockets, bounded admission queue with shedding, per-tenant
   rate limits, cache warming on boot and SIGTERM drain (:mod:`repro.serve`).
-* ``repro-cli loadgen`` — open-loop synthetic traffic against a running
-  daemon (Poisson / bursty / diurnal profiles, query-mix cache control);
-  reports throughput, p50/p99 latency, shed rate and cache-hit ratio, and
-  can write a ``BENCH_daemon_load.json`` record (:mod:`repro.loadgen`).
 * ``repro-cli cache stats | clear`` — inspect or clear an on-disk plan cache
   (``stats --json`` emits the telemetry snapshot schema).
 * ``repro-cli stats`` — pretty-print a telemetry file written by
@@ -218,63 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip replaying the corpus into the plan cache "
                               "on boot (corpus seeding/ingest still run)")
     add_trace_out(p_serve)
-
-    p_load = sub.add_parser(
-        "loadgen",
-        help="fire open-loop synthetic traffic at a running daemon",
-    )
-    p_load.add_argument("--host", type=str, default="127.0.0.1")
-    p_load.add_argument("--port", type=int, default=None)
-    p_load.add_argument("--unix", type=str, default=None, metavar="PATH",
-                        help="connect over a Unix-domain socket instead of TCP")
-    p_load.add_argument("--ready-file", type=str, default=None, metavar="FILE",
-                        help="read the daemon address from a `serve --ready-file`")
-    p_load.add_argument("--duration", type=float, default=10.0,
-                        help="open-loop window in seconds")
-    p_load.add_argument("--rps", type=float, default=None,
-                        help="mean offered load (requests/s); default 5")
-    p_load.add_argument("--users", type=float, default=None,
-                        help="alternative rate spec: this many concurrent users "
-                             "x --rpm requests/minute each")
-    p_load.add_argument("--rpm", type=float, default=10.0,
-                        help="requests per minute per user (with --users)")
-    p_load.add_argument("--load-profile", choices=["constant", "bursty", "diurnal"],
-                        default="constant", dest="load_profile",
-                        help="arrival-rate shape (bursty/diurnal are normalized "
-                             "to the same mean load as constant)")
-    p_load.add_argument("--burst-multiplier", type=float, default=4.0,
-                        help="peak/base ratio for bursty and diurnal profiles")
-    p_load.add_argument("--period", type=float, default=10.0,
-                        help="burst/diurnal period in seconds")
-    p_load.add_argument("--distinct", type=int, default=4,
-                        help="distinct queries in the mix (the cache knob: "
-                             "hit ratio approaches 1 - distinct/requests)")
-    p_load.add_argument("--axes", type=int, nargs="+", default=[8, 4],
-                        help="parallelism axes of every query in the mix")
-    p_load.add_argument("--reduce", type=int, nargs="+", default=[0])
-    p_load.add_argument("--bytes", type=int, default=1 << 20,
-                        help="base payload; distinct query i uses bytes*(i+1)")
-    p_load.add_argument("--max-program-size", type=int, default=3)
-    p_load.add_argument("--tenants", type=str, default=None,
-                        help="comma-separated tenant labels, assigned round-robin")
-    p_load.add_argument("--seed", type=int, default=0,
-                        help="arrival schedule and query sampling seed")
-    p_load.add_argument("--concurrency", type=int, default=8,
-                        help="worker threads (one daemon connection each)")
-    p_load.add_argument("--timeout", type=float, default=60.0,
-                        help="per-request client timeout in seconds")
-    p_load.add_argument("--skip-probe", action="store_true",
-                        help="skip the sequential cold-plan probe phase")
-    p_load.add_argument("--out", type=str, default=None, metavar="FILE",
-                        help="write a BENCH-style JSON record "
-                             "(the BENCH_daemon_load.json schema)")
-    p_load.add_argument("--bench-name", type=str, default="daemon_load",
-                        help="the 'name' field of the --out record")
-    p_load.add_argument("--snapshot-out", type=str, default=None, metavar="FILE",
-                        help="write the merged loadgen+daemon telemetry snapshot "
-                             "(readable by `repro-cli stats`)")
-    p_load.add_argument("--json", action="store_true",
-                        help="emit one JSON object per phase instead of prose")
 
     p_cache = sub.add_parser("cache", help="inspect or clear an on-disk plan cache")
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
@@ -703,153 +642,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_daemon_address(args: argparse.Namespace):
-    """(host, port, unix_path) for loadgen, from flags or a --ready-file."""
-    import json
-
-    if args.ready_file:
-        try:
-            with open(args.ready_file) as handle:
-                info = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            raise SystemExit(f"cannot read --ready-file {args.ready_file}: {error}")
-        if info.get("unix_path") and not info.get("port"):
-            return None, None, info["unix_path"]
-        return info.get("host", "127.0.0.1"), info.get("port"), None
-    if args.unix:
-        return None, None, args.unix
-    return args.host, args.port, None
-
-
-def _run_loadgen(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import ServeError
-    from repro.loadgen import (
-        LoadHarness,
-        QueryMix,
-        profile_from_name,
-        validate_tenants,
-    )
-
-    host, port, unix_path = _resolve_daemon_address(args)
-    if port is None and unix_path is None:
-        raise SystemExit("loadgen needs --port, --unix or --ready-file")
-    if args.rps is not None and args.users is not None:
-        raise SystemExit("pass --rps or --users, not both")
-    if args.users is not None:
-        rps = args.users * args.rpm / 60.0
-    else:
-        rps = args.rps if args.rps is not None else 5.0
-    mix = QueryMix.payload_ladder(
-        axes=tuple(args.axes),
-        reduce_axes=tuple(args.reduce),
-        base_bytes=args.bytes,
-        distinct=args.distinct,
-        max_program_size=args.max_program_size,
-    )
-    profile = profile_from_name(
-        args.load_profile, rps, args.burst_multiplier, args.period
-    )
-    tenants = validate_tenants((args.tenants or "").split(","))
-    harness = LoadHarness(
-        mix,
-        profile,
-        args.duration,
-        host=host,
-        port=port,
-        unix_path=unix_path,
-        seed=args.seed,
-        concurrency=args.concurrency,
-        tenants=tenants,
-        timeout_s=args.timeout,
-    )
-
-    def emit(report) -> None:
-        if args.json:
-            print(json.dumps(report.to_dict(), sort_keys=True), flush=True)
-        else:
-            print(report.describe(), flush=True)
-
-    try:
-        cold = None
-        if not args.skip_probe:
-            # One sequential pass over the mix: every miss here is a genuine
-            # cold plan, giving an uncontended cold-latency distribution.
-            cold = harness.probe("cold")
-            emit(cold)
-        report = harness.run(args.load_profile)
-        emit(report)
-        try:
-            daemon_snapshot = harness.fetch_daemon_snapshot()
-        except (ServeError, OSError):
-            daemon_snapshot = None  # daemon gone; the client side still stands
-    except (ServeError, OSError) as error:
-        raise SystemExit(f"loadgen: cannot drive the daemon: {error}")
-
-    if report.latency is None:
-        print("loadgen: no request succeeded; nothing to report", file=sys.stderr)
-        return 1
-    if not args.json and cold is not None and cold.miss_latency and report.hit_latency:
-        ratio = cold.miss_latency["p99_s"] / max(report.hit_latency["p99_s"], 1e-9)
-        print(
-            f"cold-plan p99 {cold.miss_latency['p99_s'] * 1e3:.1f}ms vs warm-hit "
-            f"p99 {report.hit_latency['p99_s'] * 1e3:.1f}ms ({ratio:.1f}x)"
-        )
-
-    if args.snapshot_out:
-        from repro.obs import Recorder
-
-        merged = Recorder()
-        for snapshot in (
-            cold.snapshot if cold is not None else None,
-            report.snapshot,
-            daemon_snapshot,
-        ):
-            if snapshot is not None:
-                merged.merge(snapshot)
-        with open(args.snapshot_out, "w") as handle:
-            json.dump(merged.snapshot().to_dict(), handle, sort_keys=True)
-        if not args.json:
-            print(f"telemetry snapshot written to {args.snapshot_out}")
-
-    if args.out:
-        latency = report.latency
-        record = {
-            "name": args.bench_name,
-            # The gated latency number: warm-phase p50 (seconds), so cache
-            # regressions move the benchmark, not scheduler noise at p99.
-            "median_seconds": latency["p50_s"],
-            # Deterministic per seed (the arrival schedule and the mix size),
-            # so baseline.json can pin them exactly.
-            "counters": {
-                "requests": report.offered,
-                "distinct_queries": mix.distinct,
-            },
-            "throughput_rps": report.throughput_rps,
-            "p50_latency_s": latency["p50_s"],
-            "p99_latency_s": latency["p99_s"],
-            "max_latency_s": latency["max_s"],
-            "shed_rate": report.shed_rate,
-            "cache_hit_ratio": report.cache_hit_ratio,
-            "profile": args.load_profile,
-            "offered_rps": rps,
-            "duration_s": args.duration,
-            "warm": report.to_dict(),
-        }
-        if cold is not None:
-            record["cold"] = cold.to_dict()
-            if cold.miss_latency:
-                record["cold_p99_latency_s"] = cold.miss_latency["p99_s"]
-        if report.hit_latency:
-            record["warm_hit_p99_latency_s"] = report.hit_latency["p99_s"]
-        with open(args.out, "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-        if not args.json:
-            print(f"benchmark record written to {args.out}")
-    return 0
-
-
 def _run_cache(args: argparse.Namespace) -> int:
     from repro.service import PlanCache
 
@@ -1230,9 +1022,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "serve":
         return _run_serve(args)
-
-    if args.command == "loadgen":
-        return _run_loadgen(args)
 
     if args.command == "cache":
         return _run_cache(args)

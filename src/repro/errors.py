@@ -77,7 +77,3 @@ class ServiceError(ReproError):
 
 class ServeError(ServiceError):
     """Raised by the daemon wire protocol for malformed or refused messages."""
-
-
-class LoadgenError(ReproError):
-    """Raised by the synthetic-traffic harness for bad profiles or configs."""

@@ -158,38 +158,33 @@ def _format_seconds(value: Optional[float]) -> str:
 
 
 def _render_serving_section(snapshot: RecorderSnapshot) -> List[str]:
-    """Shed rates and per-tenant counters, when a daemon/loadgen run is present.
+    """Shed rates and per-tenant counters, when a daemon run is present.
 
-    The serving layer names its counters ``serve.*`` (the daemon side) and
-    ``loadgen.*`` (the traffic side), with per-tenant detail under
-    ``<side>.tenant.<name>.<metric>``; this section distills the ones an
+    The daemon names its counters ``serve.*``, with per-tenant detail under
+    ``serve.tenant.<name>.<metric>``; this section distills the ones an
     operator reads first: volume, shed rate, rate-limit refusals, tenants.
     """
     counters = snapshot.counters
     lines: List[str] = []
-    for side, volume_name in (("serve", "serve.requests"), ("loadgen", "loadgen.sent")):
-        volume = counters.get(volume_name)
-        if volume is None:
-            continue
-        shed = counters.get(f"{side}.shed", 0)
+    volume = counters.get("serve.requests")
+    if volume is not None:
+        shed = counters.get("serve.shed", 0)
         shed_rate = shed / volume if volume else 0.0
         summary = (
-            f"  {side}: {volume} requests, {counters.get(f'{side}.ok', 0)} ok, "
+            f"  serve: {volume} requests, {counters.get('serve.ok', 0)} ok, "
             f"{shed} shed ({shed_rate * 100:.1f}%)"
         )
-        limited = counters.get(f"{side}.rate_limited", 0)
+        limited = counters.get("serve.rate_limited", 0)
         if limited:
             summary += f", {limited} rate-limited"
         lines.append(summary)
     tenant_metrics: Dict[str, Dict[str, int]] = {}
+    prefix = "serve.tenant."
     for name, value in counters.items():
-        for side in ("serve", "loadgen"):
-            prefix = f"{side}.tenant."
-            if name.startswith(prefix):
-                tenant, _, metric = name[len(prefix):].partition(".")
-                if metric:
-                    key = f"{side}/{tenant}"
-                    tenant_metrics.setdefault(key, {})[metric] = value
+        if name.startswith(prefix):
+            tenant, _, metric = name[len(prefix):].partition(".")
+            if metric:
+                tenant_metrics.setdefault(f"serve/{tenant}", {})[metric] = value
     if tenant_metrics:
         lines.append("  tenants:")
         width = max(len(key) for key in tenant_metrics)
@@ -207,9 +202,9 @@ def _render_serving_section(snapshot: RecorderSnapshot) -> List[str]:
 def render_summary(snapshot: RecorderSnapshot, title: str = "telemetry") -> str:
     """A human-readable summary: counters, gauges, latency percentiles.
 
-    When the snapshot carries serving-layer telemetry (a daemon run, a
-    loadgen run, or their merge) a ``serving:`` section distills shed rates
-    and per-tenant traffic above the raw counter dump.
+    When the snapshot carries a daemon's telemetry (its ``stats`` reply) a
+    ``serving:`` section distills shed rates and per-tenant traffic above
+    the raw counter dump.
     """
     lines = [f"== {title} =="]
     lines.extend(_render_serving_section(snapshot))

@@ -360,8 +360,8 @@ class RecorderSnapshot:
     Snapshots are what travels: across processes (workers ship them back to
     the parent), to disk (the exporters consume them), and into merges
     (:meth:`Recorder.merge`).  ``to_dict`` is the *snapshot schema* — the
-    one format ``repro.cli stats``, ``cache stats --json`` and the future
-    load harness all speak.
+    one format ``repro.cli stats``, ``cache stats --json`` and the daemon's
+    ``stats`` op all speak.
     """
 
     counters: Dict[str, int] = field(default_factory=dict)

@@ -10,10 +10,11 @@ Three pieces:
   per-tenant token-bucket rate limits, warm-on-boot, SIGTERM drain, and
   ``serve.request`` root spans so wire trace ids land in plan provenance.
 * :mod:`repro.serve.client` — :class:`PlanClient`, the blocking one-socket
-  client the load harness and tests drive the daemon with.
+  client that tests and scripts drive the daemon with.
 
-Start one from the command line with ``repro-cli serve``; drive it with
-``repro-cli loadgen`` (:mod:`repro.loadgen`).  Everything is stdlib-only.
+Start one from the command line with ``repro-cli serve``; ``bench/run.py
+--workload daemon_open_loop`` fires open-loop traffic at one.  Everything is
+stdlib-only.
 """
 
 from repro.serve.client import PlanClient

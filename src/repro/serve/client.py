@@ -1,10 +1,10 @@
 """A small blocking client for the planning daemon.
 
 :class:`PlanClient` owns one socket (TCP or Unix-domain) and speaks the
-newline-delimited JSON protocol synchronously — the shape the load
-harness's worker threads, the tests and ad-hoc scripts want.  It is *not*
-thread-safe: one client per thread (a client is one connection; the daemon
-multiplexes many connections, not many threads on one connection).
+newline-delimited JSON protocol synchronously — the shape tests and ad-hoc
+scripts want.  It is *not* thread-safe: one client per thread (a client is
+one connection; the daemon multiplexes many connections, not many threads
+on one connection).
 """
 
 from __future__ import annotations
@@ -39,8 +39,12 @@ class PlanClient:
             if host is not None or port is not None:
                 raise ServeError("pass host/port or unix_path, not both")
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(timeout)
-            sock.connect(unix_path)
+            try:
+                sock.settimeout(timeout)
+                sock.connect(unix_path)
+            except BaseException:
+                sock.close()
+                raise
             self.address: Tuple[Any, ...] = (unix_path,)
         else:
             if host is None or port is None:

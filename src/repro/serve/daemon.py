@@ -33,8 +33,7 @@ Cache warming on boot replays a ``PlanQuery`` JSONL file (the same format
 restarted daemon serves its first real request from a hot cache.
 
 :class:`DaemonThread` runs the whole daemon on a background thread with its
-own event loop — the embedding used by the load harness's tests and
-``benchmarks/bench_daemon_load.py``.
+own event loop — the embedding the daemon's tests use.
 """
 
 from __future__ import annotations
@@ -543,7 +542,7 @@ class PlanDaemon:
         else:
             # The full ranked plan dominates the frame (tens of kB) and is
             # expensive to serialize; callers that only watch latency and
-            # provenance (the load harness) get the headline numbers only.
+            # provenance get the headline numbers only.
             speedup = outcome.plan.speedup_over_default()
             outcome_dict = {
                 "query": outcome.query.to_dict(),

@@ -23,8 +23,8 @@ A request is either a full envelope or a bare query::
     {"axes": [8, 4], "reduce": [0], "bytes": 67108864}
 
 Ops: ``plan`` (default when a query is present), ``ping`` and ``stats``
-(the daemon's live :class:`~repro.obs.RecorderSnapshot`, the currency the
-load harness reports from).  Replies always carry ``"ok"``::
+(the daemon's live :class:`~repro.obs.RecorderSnapshot`, which
+``repro-cli stats`` renders).  Replies always carry ``"ok"``::
 
     {"ok": true, "id": "r1", "outcome": {...PlanOutcome.to_dict()...}}
     {"ok": false, "error": "overloaded", "detail": "queue full (64)"}

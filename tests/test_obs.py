@@ -391,6 +391,66 @@ class TestExport:
         assert "spans: 1 recorded" in text
 
 
+def _summary_lines(**counters):
+    """``render_summary`` of a snapshot holding only ``counters`` (dots as __)."""
+    snapshot = RecorderSnapshot(
+        counters={name.replace("__", "."): value for name, value in counters.items()}
+    )
+    return render_summary(snapshot, title="t").splitlines()
+
+
+class TestServingSection:
+    """The ``serving:`` digest of a daemon's ``serve.*`` counters."""
+
+    def test_absent_without_daemon_counters(self):
+        lines = _summary_lines(cache__miss=3)
+        assert "serving:" not in lines
+        assert not any(line.startswith("  serve:") for line in lines)
+
+    def test_volume_line_reports_the_shed_rate(self):
+        lines = _summary_lines(serve__requests=8, serve__ok=6, serve__shed=2)
+        assert lines[1] == "serving:"
+        assert lines[2] == "  serve: 8 requests, 6 ok, 2 shed (25.0%)"
+
+    def test_rate_limited_refusals_join_the_volume_line(self):
+        limited = _summary_lines(serve__requests=4, serve__ok=1, serve__rate_limited=3)
+        assert limited[2] == "  serve: 4 requests, 1 ok, 0 shed (0.0%), 3 rate-limited"
+        unlimited = _summary_lines(serve__requests=4, serve__ok=4, serve__rate_limited=0)
+        assert unlimited[2] == "  serve: 4 requests, 4 ok, 0 shed (0.0%)"
+
+    def test_zero_volume_divides_safely(self):
+        lines = _summary_lines(serve__requests=0)
+        assert lines[1:3] == ["serving:", "  serve: 0 requests, 0 ok, 0 shed (0.0%)"]
+
+    def test_tenant_rows_are_sorted_and_aligned(self):
+        lines = _summary_lines(
+            serve__tenant__longer__requests=2,
+            serve__tenant__longer__ok=2,
+            serve__tenant__a__shed=1,
+            serve__tenant__a__requests=1,
+        )
+        start = lines.index("  tenants:")
+        assert lines[start + 1:start + 3] == [
+            "    serve/a       requests=1  shed=1",
+            "    serve/longer  ok=2  requests=2",
+        ]
+
+    def test_a_tenant_counter_without_a_metric_is_not_a_row(self):
+        lines = _summary_lines(serve__tenant__orphan=5)
+        assert "serving:" not in lines
+        assert "  tenants:" not in lines
+
+    def test_tenant_rows_alone_open_the_section(self):
+        lines = _summary_lines(serve__tenant__alpha__ok=1)
+        assert lines[1:3] == ["serving:", "  tenants:"]
+        assert not any(line.startswith("  serve:") for line in lines)
+
+    def test_the_section_precedes_the_raw_counter_dump(self):
+        lines = _summary_lines(serve__requests=2, serve__ok=2)
+        assert lines.index("serving:") < lines.index("counters:")
+        assert any(line.split() == ["serve.requests", "2"] for line in lines)
+
+
 # --------------------------------------------------------------------------- #
 # Spine integration: traces flow through planning, shards and sweeps
 # --------------------------------------------------------------------------- #

@@ -13,7 +13,9 @@ deterministic; the end-to-end tests use a real
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import json
 import os
 import signal
@@ -22,10 +24,11 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
-from repro.errors import ReproError, ServeError
+from repro.errors import QueryError, ReproError, ServeError
 from repro.obs.recorder import Recorder
 from repro.query import PlanQuery
 from repro.serve import (
@@ -167,6 +170,12 @@ class TestWarmFile:
         with pytest.raises(ServeError, match="line 2"):
             load_warm_queries(path)
 
+    def test_a_json_line_that_is_no_query_names_its_line(self, tmp_path):
+        path = tmp_path / "warm.jsonl"
+        path.write_text(json.dumps(QUERY.to_dict()) + "\n\n" + '{"reduce": [0]}\n')
+        with pytest.raises(ServeError, match="line 3"):
+            load_warm_queries(path)
+
 
 class TestDaemonConfig:
     def test_needs_some_listener(self):
@@ -178,6 +187,17 @@ class TestDaemonConfig:
             DaemonConfig(queue_limit=0)
         with pytest.raises(ServeError, match="rate_limit_per_s"):
             DaemonConfig(rate_limit_per_s=0.0)
+        with pytest.raises(ServeError, match="max_line_bytes"):
+            DaemonConfig(max_line_bytes=63)
+
+    @pytest.mark.parametrize("shards", [0, True, "2"])
+    def test_rejects_bad_default_shards(self, shards):
+        with pytest.raises(ServeError, match="shards"):
+            DaemonConfig(shards=shards)
+
+    def test_a_unix_only_listener_is_enough(self):
+        config = DaemonConfig(port=None, unix_path="plan.sock")
+        assert config.port is None and config.unix_path == "plan.sock"
 
 
 # --------------------------------------------------------------------------- #
@@ -350,6 +370,70 @@ class TestDaemonEndToEnd:
             assert reply is not None and reply["ok"] is True
             assert reply["id"] == f"w{index}"
 
+    def test_ping_and_stats_echo_the_request_id(self, client):
+        assert client.request({"op": "ping", "id": "p1"})["id"] == "p1"
+        stats = client.request({"op": "stats", "id": "s1"})
+        assert stats["ok"] is True and stats["id"] == "s1"
+        assert stats["snapshot"]["schema"] == "repro.obs/1"
+
+    def test_a_bare_query_line_gets_the_full_rebuildable_plan(self, client):
+        from repro.api import OptimizationPlan
+
+        reply = client.request(QUERY.to_dict())
+        assert reply["ok"] is True
+        outcome = reply["outcome"]
+        plan = OptimizationPlan.from_dict(outcome["plan"])
+        assert len(plan.strategies) == outcome["num_strategies"] > 0
+        assert plan.best.predicted_seconds > 0
+
+    def test_the_headline_outcome_carries_the_numbers(self, client):
+        outcome = client.plan(QUERY)["outcome"]
+        assert PlanQuery.from_dict(outcome["query"]) == QUERY
+        assert outcome["num_candidates"] > 0 and outcome["num_strategies"] > 0
+        assert outcome["best_seconds"] > 0
+        assert isinstance(outcome["baseline_speedups"], dict)
+        assert outcome["fingerprint"] and "cache_tier" in outcome
+
+    def test_pipelined_requests_on_one_connection(self, client):
+        frames = [
+            {"op": "plan", "query": QUERY.to_dict(), "id": f"q{index}",
+             "include_plan": False}
+            for index in range(3)
+        ] + [{"op": "ping", "id": "ping"}]
+        client._sock.sendall(b"".join(encode_message(frame) for frame in frames))
+        replies = [decode_message(client._read_line()) for _ in frames]
+        assert all(reply["ok"] for reply in replies)
+        # One planning thread answers the plans in arrival order; the ping
+        # is answered on the event loop and may overtake them.
+        plan_ids = [r["id"] for r in replies if r["id"] != "ping"]
+        assert plan_ids == ["q0", "q1", "q2"]
+        assert len(replies) == 4
+
+    def test_every_answered_plan_is_counted_and_timed(self, client):
+        def totals():
+            snapshot = client.stats()
+            return (
+                snapshot["counters"].get("serve.ok", 0),
+                snapshot["counters"].get("serve.tenant._anonymous.ok", 0),
+                snapshot["histograms"]["serve.request_seconds"]["count"],
+            )
+
+        client.plan(QUERY)  # the histogram exists from here on
+        ok, anonymous, timed = totals()
+        for _ in range(3):
+            assert client.plan(QUERY)["ok"] is True
+        assert totals() == (ok + 3, anonymous + 3, timed + 3)
+
+    def test_bad_requests_and_connections_are_counted(self, daemon, client):
+        before = client.stats()["counters"]
+        assert client.send_raw(b"[1, 2]\n")["error"] == "bad_request"
+        host, port = daemon.address
+        with PlanClient(host=host, port=port) as second:
+            assert second.ping()["ok"] is True
+        after = client.stats()["counters"]
+        assert after["serve.bad_request"] == before.get("serve.bad_request", 0) + 1
+        assert after["serve.connections"] == before["serve.connections"] + 1
+
 
 class TestServingPolicy:
     def test_shedding_when_queue_is_full(self, real_outcome):
@@ -474,6 +558,263 @@ class TestServingPolicy:
                 assert c.plan(QUERY)["ok"] is True
         assert not os.path.exists(path)  # unlinked on shutdown
 
+    def test_tcp_and_unix_listeners_serve_together(self, real_outcome, tmp_path):
+        path = str(tmp_path / "both.sock")
+        config = DaemonConfig(port=0, unix_path=path)
+        with DaemonThread(StubService(real_outcome), config) as handle:
+            host, port = handle.address
+            with PlanClient(host=host, port=port) as tcp, PlanClient(unix_path=path) as unix:
+                assert tcp.ping()["pid"] == unix.ping()["pid"] == os.getpid()
+
+    def test_an_explicit_burst_admits_that_many(self, real_outcome):
+        recorder = Recorder()
+        config = DaemonConfig(port=0, rate_limit_per_s=0.001, rate_limit_burst=2.0)
+        with DaemonThread(StubService(real_outcome), config, recorder=recorder) as handle:
+            host, port = handle.address
+            with PlanClient(host=host, port=port) as c:
+                replies = [c.plan(QUERY, tenant="bursty") for _ in range(3)]
+        assert [r["ok"] for r in replies] == [True, True, False]
+        assert replies[2]["error"] == "rate_limited"
+        counters = recorder.snapshot().counters
+        assert counters["serve.rate_limited"] == 1
+        assert counters["serve.tenant.bursty.rate_limited"] == 1
+        assert counters["serve.tenant.bursty.requests"] == 3
+
+    def test_plan_failed_is_counted_and_the_connection_survives(self):
+        class RefusingService(StubService):
+            def plan(self, query):
+                raise QueryError("no plan for you")
+
+        recorder = Recorder()
+        with DaemonThread(RefusingService(None), DaemonConfig(port=0), recorder=recorder) as handle:
+            host, port = handle.address
+            with PlanClient(host=host, port=port) as c:
+                reply = c.plan(QUERY, request_id="f1")
+                assert reply == {"ok": False, "error": "plan_failed",
+                                 "detail": "no plan for you", "id": "f1"}
+                assert c.ping()["ok"] is True
+        assert recorder.snapshot().counters["serve.plan_failed"] == 1
+
+    def test_an_unexpected_error_is_internal_and_the_worker_survives(self):
+        class BrokenService(StubService):
+            def plan(self, query):
+                raise RuntimeError("bug")
+
+        recorder = Recorder()
+        with DaemonThread(BrokenService(None), DaemonConfig(port=0), recorder=recorder) as handle:
+            host, port = handle.address
+            with PlanClient(host=host, port=port) as c:
+                for request_id in ("i1", "i2"):  # the second proves the worker lives
+                    reply = c.plan(QUERY, request_id=request_id)
+                    assert reply["error"] == "internal" and reply["id"] == request_id
+        assert recorder.snapshot().counters["serve.internal_error"] == 2
+
+    def test_default_shards_widen_only_unsharded_queries(self, real_outcome):
+        class RecordingService(StubService):
+            def __init__(self, outcome):
+                super().__init__(outcome)
+                self.shards = []
+
+            def plan(self, query):
+                self.shards.append(query.shards)
+                return self.outcome
+
+        service = RecordingService(real_outcome)
+        with DaemonThread(service, DaemonConfig(port=0, shards=4)) as handle:
+            host, port = handle.address
+            with PlanClient(host=host, port=port) as c:
+                assert c.plan(QUERY)["ok"] is True
+                # ``to_dict`` leaves the fingerprint-neutral shards out; a
+                # wire query names them explicitly.
+                sharded = dict(QUERY.to_dict(), shards=2)
+                assert c.request({"op": "plan", "query": sharded})["ok"] is True
+        assert service.shards == [4, 2]
+
+    def test_an_empty_warm_file_warms_nothing(self, real_outcome, tmp_path):
+        warm_file = tmp_path / "warm.jsonl"
+        warm_file.write_text("\n  \n")
+        recorder = Recorder()
+        config = DaemonConfig(port=0, warm_path=str(warm_file))
+        with DaemonThread(StubService(real_outcome), config, recorder=recorder) as handle:
+            assert handle.daemon.warmed == 0
+        assert "serve.warm.queries" not in recorder.snapshot().counters
+
+    def test_a_missing_warm_file_fails_the_start(self, real_outcome, tmp_path):
+        config = DaemonConfig(port=0, warm_path=str(tmp_path / "absent.jsonl"))
+        with pytest.raises(ServeError, match="failed to start"):
+            DaemonThread(StubService(real_outcome), config).start()
+
+    def test_a_taken_port_fails_the_start(self, real_outcome):
+        with DaemonThread(StubService(real_outcome), DaemonConfig(port=0)) as first:
+            _, port = first.address
+            with pytest.raises(ServeError, match="failed to start"):
+                DaemonThread(StubService(real_outcome), DaemonConfig(port=port)).start()
+
+    def test_stop_is_idempotent(self, real_outcome):
+        DaemonThread(StubService(real_outcome)).stop()  # never started: a no-op
+        handle = DaemonThread(StubService(real_outcome), DaemonConfig(port=0)).start()
+        handle.stop()
+        handle.stop()
+        assert handle.daemon._closed.is_set()
+
+
+class TestStatsCommand:
+    def test_stats_renders_a_daemon_snapshots_serving_section(
+        self, real_outcome, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        recorder = Recorder()
+        service = StubService(real_outcome)
+        with DaemonThread(service, DaemonConfig(port=0), recorder=recorder) as handle:
+            host, port = handle.address
+            with PlanClient(host=host, port=port) as c:
+                for tenant in ("alpha", "beta", "alpha"):
+                    assert c.plan(QUERY, tenant=tenant)["ok"] is True
+                snapshot_file = tmp_path / "stats.json"
+                snapshot_file.write_text(json.dumps(c.stats()))
+        capsys.readouterr()
+        assert main(["stats", str(snapshot_file)]) == 0
+        rendered = capsys.readouterr().out.splitlines()
+        assert "serving:" in rendered
+        assert "  serve: 3 requests, 3 ok, 0 shed (0.0%)" in rendered
+        for tenant in ("alpha", "beta"):
+            assert any(line.lstrip().startswith(f"serve/{tenant} ") for line in rendered), tenant
+
+    def test_an_unreadable_snapshot_file_is_a_usage_error(self, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="cannot read"):
+            main(["stats", str(tmp_path / "absent.json")])
+
+    def test_serve_without_tcp_needs_a_unix_socket(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="needs --unix"):
+            main(["serve", "--no-tcp"])
+
+
+def _read_request(conn):
+    data = b""
+    while not data.endswith(b"\n"):
+        chunk = conn.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+def _wait_for_close(conn):
+    while conn.recv(65536):
+        pass
+
+
+@contextlib.contextmanager
+def scripted_peer(script):
+    """A one-connection TCP peer standing in for the daemon.
+
+    ``script(conn)`` runs on the accepted socket; yields ``(host, port)``.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    failures = []
+
+    def serve():
+        try:
+            conn, _ = listener.accept()
+            with conn:
+                script(conn)
+        except Exception as error:  # pragma: no cover - surfaced below
+            failures.append(error)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[:2]
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive() and not failures, failures
+
+
+class TestPlanClient:
+    def test_a_failed_unix_connect_closes_its_socket(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(FileNotFoundError):
+                PlanClient(unix_path=str(tmp_path / "missing.sock"))
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
+
+    def test_needs_exactly_one_transport(self):
+        with pytest.raises(ServeError, match="not both"):
+            PlanClient(host="127.0.0.1", unix_path="plan.sock")
+        with pytest.raises(ServeError, match="needs host and port"):
+            PlanClient(host="127.0.0.1")
+
+    def test_the_plan_envelope_carries_only_what_was_given(self):
+        def echo(conn):
+            for _ in range(2):
+                conn.sendall(_read_request(conn))
+
+        with scripted_peer(echo) as (host, port):
+            with PlanClient(host=host, port=port) as c:
+                assert c.plan(QUERY) == {
+                    "op": "plan", "query": QUERY.to_dict(), "include_plan": False,
+                }
+                full = c.plan(QUERY, tenant="t", include_plan=True,
+                              request_id="r1", trace_id="abc")
+        assert full == {
+            "op": "plan", "query": QUERY.to_dict(), "include_plan": True,
+            "tenant": "t", "id": "r1", "trace_id": "abc",
+        }
+
+    def test_an_overlong_reply_aborts(self):
+        def flood(conn):
+            _read_request(conn)
+            conn.sendall(b"x" * 200)
+            _wait_for_close(conn)
+
+        with scripted_peer(flood) as (host, port):
+            with PlanClient(host=host, port=port, max_line_bytes=64) as c:
+                with pytest.raises(ServeError, match="exceeds 64 bytes"):
+                    c.ping()
+
+    def test_a_closed_connection_is_a_serve_error(self):
+        with scripted_peer(_read_request) as (host, port):
+            with PlanClient(host=host, port=port) as c:
+                with pytest.raises(ServeError, match="closed by the daemon"):
+                    c.ping()
+
+    def test_a_silent_daemon_times_out(self):
+        def silent(conn):
+            _read_request(conn)
+            _wait_for_close(conn)
+
+        with scripted_peer(silent) as (host, port):
+            with PlanClient(host=host, port=port, timeout=0.2) as c:
+                with pytest.raises(ServeError, match="did not reply"):
+                    c.ping()
+
+    def test_refused_ping_and_stats_raise(self):
+        def refuse(conn):
+            for _ in range(2):
+                _read_request(conn)
+                conn.sendall(encode_message(error_reply("internal")))
+
+        with scripted_peer(refuse) as (host, port):
+            with PlanClient(host=host, port=port) as c:
+                with pytest.raises(ServeError, match="ping failed"):
+                    c.ping()
+                with pytest.raises(ServeError, match="stats failed"):
+                    c.stats()
+
+    def test_close_is_idempotent(self):
+        with scripted_peer(_wait_for_close) as (host, port):
+            c = PlanClient(host=host, port=port)
+            c.close()
+            c.close()
+
 
 class TestWarm:
     def test_warm_dedupes_equal_plan_queries(self):
@@ -542,3 +883,19 @@ class TestSignalDrain:
 class TestReproErrorTaxonomy:
     def test_serve_error_is_a_repro_error(self):
         assert issubclass(ServeError, ReproError)
+
+
+class TestRetiredSurface:
+    """``bench/run.py --workload daemon_open_loop`` is the one open-loop harness."""
+
+    def test_loadgen_is_gone(self, capsys):
+        import repro.errors
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["loadgen", "--port", "1"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'loadgen'" in capsys.readouterr().err
+        with pytest.raises(ImportError):
+            import repro.loadgen  # noqa: F401
+        assert not hasattr(repro.errors, "LoadgenError")
