@@ -16,69 +16,31 @@ The most convenient entry point is :class:`repro.api.P2`, which answers a
     >>> outcome = P2(system).plan(query)    # doctest: +SKIP
     >>> print(outcome.plan.best.describe())    # doctest: +SKIP
 
-Lower-level building blocks live in the subpackages listed in the "Package
-map" section of ``README.md``.
+Lower-level building blocks (hierarchies, placements, synthesis, topologies)
+live in the subpackages listed in the "Package map" section of ``README.md``.
 """
 
 import logging as _logging
-
-from repro._version import __version__
-from repro.hierarchy import (
-    DevicePlacement,
-    ParallelismAxes,
-    ParallelismMatrix,
-    ReductionRequest,
-    SystemHierarchy,
-    enumerate_parallelism_matrices,
-)
-from repro.semantics import Collective
-from repro.synthesis import (
-    HierarchyVariant,
-    LoweredProgram,
-    build_synthesis_hierarchy,
-    synthesize_all,
-    synthesize_programs,
-)
 
 # Library logging etiquette: the package logs under the "repro" hierarchy and
 # emits nothing unless the application configures handlers (the CLI's
 # --verbose flags do; see repro.cli).
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__all__ = [
-    "__version__",
-    "SystemHierarchy",
-    "ParallelismAxes",
-    "ReductionRequest",
-    "ParallelismMatrix",
-    "DevicePlacement",
-    "enumerate_parallelism_matrices",
-    "Collective",
-    "HierarchyVariant",
-    "LoweredProgram",
-    "build_synthesis_hierarchy",
-    "synthesize_programs",
-    "synthesize_all",
-    "P2",
-    "PlanningService",
-    "PlanQuery",
-    "PlanOutcome",
-    "Planner",
-]
+__all__ = ["__version__", "P2", "PlanQuery", "PlanOutcome", "Planner"]
 
 
 def __getattr__(name: str):
-    # Imported lazily to keep `import repro` cheap for users who only need the
-    # core data structures and to avoid importing the topology/cost stack
-    # before it is needed.
+    # Every export is imported lazily, so `import repro` loads none of the
+    # package's layers until one of them is asked for.
+    if name == "__version__":
+        from repro._version import __version__
+
+        return __version__
     if name == "P2":
         from repro.api import P2
 
         return P2
-    if name == "PlanningService":
-        from repro.service.engine import PlanningService
-
-        return PlanningService
     if name in ("PlanQuery", "PlanOutcome", "Planner"):
         import repro.query
 

@@ -3,7 +3,8 @@
 The evaluation harness can take minutes at paper-scale payloads, so results
 should be produced once and analysed many times:
 
-* :mod:`repro.analysis.serialization` — save/load sweep results as JSON.
+* :mod:`repro.analysis.serialization` — sweep results as JSONL records
+  (``repro-cli sweep --out``) and back.
 * :mod:`repro.analysis.stats` — aggregate statistics (fraction of mappings a
   synthesized program helps, average and maximum speedups, per-system
   breakdowns) in the form the paper's abstract quotes.
@@ -14,21 +15,13 @@ should be produced once and analysed many times:
 from repro.analysis.serialization import (
     iter_jsonl_records,
     load_jsonl_results,
-    load_results,
     result_from_record,
     result_to_record,
-    results_from_json,
-    results_to_json,
-    save_results,
 )
 from repro.analysis.stats import SpeedupSummary, summarize_results
 from repro.analysis.compare import SweepComparison, compare_sweeps
 
 __all__ = [
-    "results_to_json",
-    "results_from_json",
-    "save_results",
-    "load_results",
     "result_to_record",
     "result_from_record",
     "load_jsonl_results",

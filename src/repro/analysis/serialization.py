@@ -1,4 +1,4 @@
-"""JSON persistence for sweep results.
+"""JSON persistence for sweep results: one self-contained record per scenario.
 
 Only plain data is stored: configurations are flattened to their constructor
 arguments and each program keeps its label, mnemonic, size and the two times.
@@ -6,23 +6,20 @@ Loading therefore does not reconstruct lowered programs (they can always be
 re-synthesized deterministically from the configuration); it reconstructs
 everything the tables, figures and statistics need.
 
-Two formats share the same building blocks:
-
-* :func:`results_to_json` / :func:`results_from_json` — one JSON document
-  for a whole result list (``repro-cli sweep --save``).
-* :func:`result_to_record` / :func:`result_from_record` — one self-contained
-  dict per scenario, written as JSONL by
-  :meth:`~repro.evaluation.runner.SweepRunner.run_stream` (one flushed line
-  per scenario = a resumable checkpoint).  Records carry the scenario name,
-  the canonical :class:`~repro.query.PlanQuery` dict and the
-  :class:`~repro.query.PlanOutcome` provenance next to the result proper.
+:func:`result_to_record` / :func:`result_from_record` convert one scenario's
+result; :meth:`~repro.evaluation.runner.SweepRunner.run_stream` writes the
+records as JSONL (``repro-cli sweep --out``; one flushed line per scenario =
+a resumable checkpoint) and :func:`load_jsonl_results` reads a file back.
+Records carry the scenario name, the canonical :class:`~repro.query.PlanQuery`
+dict and the :class:`~repro.query.PlanOutcome` provenance next to the result
+proper.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.cost.nccl import NCCLAlgorithm
 from repro.errors import EvaluationError
@@ -33,17 +30,12 @@ from repro.hierarchy.parallelism import ParallelismAxes
 from repro.hierarchy.levels import SystemHierarchy
 
 __all__ = [
-    "results_to_json",
-    "results_from_json",
-    "save_results",
-    "load_results",
     "result_to_record",
     "result_from_record",
     "load_jsonl_results",
     "iter_jsonl_records",
 ]
 
-FORMAT_VERSION = 1
 SWEEP_RECORD_VERSION = 1
 
 
@@ -81,26 +73,6 @@ def _matrix_to_dict(matrix: MatrixResult) -> Dict:
         "synthesis_seconds": matrix.synthesis_seconds,
         "programs": [_program_to_dict(p) for p in matrix.programs],
     }
-
-
-def results_to_json(results: Sequence[SweepResult]) -> str:
-    """Serialize sweep results to a JSON string."""
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "results": [
-            {
-                "config": _config_to_dict(result.config),
-                "synthesis_seconds": result.synthesis_seconds,
-                "prediction_seconds": result.prediction_seconds,
-                "measurement_seconds": result.measurement_seconds,
-                "provenance": result.provenance(),
-                "baseline_speedups": result.baseline_speedups,
-                "matrices": [_matrix_to_dict(m) for m in result.matrices],
-            }
-            for result in results
-        ],
-    }
-    return json.dumps(payload, indent=2)
 
 
 # --------------------------------------------------------------------------- #
@@ -142,41 +114,6 @@ def _matrix_from_dict(data: Dict, config: ExperimentConfig) -> MatrixResult:
         programs=programs,
         synthesis_seconds=data["synthesis_seconds"],
     )
-
-
-def results_from_json(text: str) -> List[SweepResult]:
-    """Deserialize sweep results from :func:`results_to_json` output."""
-    payload = json.loads(text)
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise EvaluationError(
-            f"unsupported sweep-result format version {version!r} "
-            f"(expected {FORMAT_VERSION})"
-        )
-    results: List[SweepResult] = []
-    for entry in payload["results"]:
-        config = _config_from_dict(entry["config"])
-        matrices = [_matrix_from_dict(m, config) for m in entry["matrices"]]
-        provenance = entry.get("provenance", {})
-        results.append(
-            SweepResult(
-                config=config,
-                matrices=matrices,
-                synthesis_seconds=entry["synthesis_seconds"],
-                prediction_seconds=entry["prediction_seconds"],
-                measurement_seconds=entry["measurement_seconds"],
-                cache_tier=provenance.get("cache_tier"),
-                fingerprint=provenance.get("fingerprint"),
-                planner_seconds=provenance.get("planner_seconds", 0.0),
-                profile_hits=provenance.get("profile_hits", 0),
-                profile_misses=provenance.get("profile_misses", 0),
-                search=provenance.get("search"),
-                synthesis_stats=provenance.get("synthesis_stats"),
-                baseline_speedups=entry.get("baseline_speedups"),
-                trace_id=provenance.get("trace_id"),
-            )
-        )
-    return results
 
 
 # --------------------------------------------------------------------------- #
@@ -255,19 +192,3 @@ def iter_jsonl_records(path: Union[str, Path]) -> Iterator[Dict]:
                 continue  # a partially written (interrupted) trailing line
             if isinstance(record, dict):
                 yield record
-
-
-# --------------------------------------------------------------------------- #
-# Files
-# --------------------------------------------------------------------------- #
-def save_results(results: Sequence[SweepResult], path: Union[str, Path]) -> Path:
-    """Write sweep results to ``path`` as JSON; return the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(results_to_json(results))
-    return path
-
-
-def load_results(path: Union[str, Path]) -> List[SweepResult]:
-    """Read sweep results previously written by :func:`save_results`."""
-    return results_from_json(Path(path).read_text())

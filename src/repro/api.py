@@ -38,9 +38,7 @@ from repro.hierarchy.placement import DevicePlacement
 from repro.obs.recorder import get_recorder
 from repro.query import PlanOutcome, PlanQuery
 from repro.search.driver import SearchDriver, SearchReport
-from repro.search.source import (
-    SHAPE_MEMO_SHAPES, CandidateSource, SearchSpace, ShapeMemo, StrategyEntry,
-)
+from repro.search.source import CandidateSource, SearchSpace, ShapeMemo, StrategyEntry
 from repro.synthesis.hierarchy import build_synthesis_hierarchy
 from repro.synthesis.lowering import LoweredProgram, LoweredStep, StepTable
 from repro.synthesis.pipeline import PlacementCandidate, ProgramCandidate
@@ -725,5 +723,5 @@ class P2:
         cache = f"; {self.cache.describe()}" if self.cache is not None else ""
         return (
             f"{type(self).__name__}({self._topology.name}, served={self.requests_served}, "
-            f"shape memo {len(self._shapes)}/{SHAPE_MEMO_SHAPES}{cache})"
+            f"{self._shapes.describe()}{cache})"
         )

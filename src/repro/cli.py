@@ -298,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
             # None (not 1.0) so an explicit "--payload-scale 1.0" is
             # distinguishable from "not given" and overrides preset defaults.
             p.set_defaults(payload_scale=None)
-            p.add_argument("--save", type=str, default=None,
-                           help="write the raw sweep results to this JSON file")
             p.add_argument("--preset", choices=preset_names(), default=None,
                            help="run a named scenario preset instead of the appendix")
             p.add_argument("--grid", type=str, default=None,
@@ -940,12 +938,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
         print(render_sweep_summary(results, snapshot=snapshot))
         print()
         print(build_appendix_table(results).text)
-    if args.save:
-        from repro.analysis import save_results
-
-        path = save_results(results, args.save)
-        if not args.json:
-            print(f"\nraw results written to {path}")
     return 0
 
 

@@ -184,16 +184,17 @@ class PlanCorpus:
         if not self.path.exists():
             return
         newest: Dict[Tuple[str, int], CorpusRecord] = {}
-        with self.path.open("r", encoding="utf-8") as handle:
+        # Lines are decoded one by one, so bytes that are not UTF-8 cost one line.
+        with self.path.open("rb") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    record = CorpusRecord.from_dict(json.loads(line))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError, ServiceError):
-                    # A torn trailing line from a crashed writer, or a
-                    # foreign-format line: skip it, keep the rest.
+                    record = CorpusRecord.from_dict(json.loads(line.decode("utf-8")))
+                except (KeyError, TypeError, ValueError, RecursionError, ServiceError):
+                    # A torn trailing line from a crashed writer, a foreign-format
+                    # line, or one that is not UTF-8: skip it, keep the rest.
                     self.skipped_lines += 1
                     continue
                 # Duplicate keys (a hand-merged file) resolve newest-wins,

@@ -71,7 +71,7 @@ def analyze_step_contention(
 ) -> StepContention:
     """Compute the link and sharing factor of every group in ``step``: pure in the
     grouping and the topology, so analysed once per grouping per topology object."""
-    known = topology._contention.get(step.groups)
+    known = topology.contentions.get(step.groups)
     if known is not None:
         return known
     if topology.num_devices < max(d for g in step.groups for d in g) + 1:
@@ -133,5 +133,5 @@ def analyze_step_contention(
             )
         )
     contention = StepContention(groups=tuple(group_costs))
-    topology._memoize(topology._contention, step.groups, contention)
+    topology.contentions.put(step.groups, contention)
     return contention

@@ -239,10 +239,10 @@ def compile_profile(
     compiled = 0
     for step, step_fractions in zip(program.steps, program.pre_state_fractions()):
         key = (step.collective, step.groups, step_fractions)
-        profile = topology._step_profiles.get(key)
+        profile = topology.step_profiles.get(key)
         if profile is None:
             profile = _compile_step(step, step_fractions, topology)
-            topology._memoize(topology._step_profiles, key, profile)
+            topology.step_profiles.put(key, profile)
             compiled += 1
         step_profiles.append(profile)
     return SimulationProfile(

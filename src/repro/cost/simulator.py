@@ -14,7 +14,7 @@ the simulator
 
 Steps 1 and 2 are payload-independent, so :class:`ProgramSimulator` performs
 them once per program by compiling a :class:`~repro.cost.profile.SimulationProfile`
-(cached in an LRU keyed by :meth:`LoweredProgram.signature`) and answering
+(memoized per :meth:`LoweredProgram.signature`) and answering
 every ``simulate`` call by *pricing* the profile — a closed-form loop over
 group equivalence classes.  The priced result is bit-identical to the
 original per-group evaluation, which remains available as
@@ -27,9 +27,8 @@ the examples can explain *why* a strategy wins.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.cost.batch import BatchPricer, price_programs
 from repro.cost.contention import analyze_step_contention
@@ -43,6 +42,7 @@ from repro.semantics.goals import initial_context
 from repro.semantics.state import DeviceState, StateContext
 from repro.synthesis.lowering import LoweredProgram, LoweredStep
 from repro.topology.topology import MachineTopology
+from repro.utils.memo import BoundedMemo
 
 __all__ = ["StepSimulation", "SimulationResult", "ProgramSimulator", "simulate_program"]
 
@@ -93,13 +93,13 @@ class SimulationResult:
 class ProgramSimulator:
     """Reusable simulator bound to one topology and one cost model.
 
-    The simulator keeps an LRU cache of compiled
-    :class:`~repro.cost.profile.SimulationProfile` objects keyed by
-    :meth:`LoweredProgram.signature` (at most :data:`PROFILE_CACHE_SIZE`),
-    so re-simulating a known communication pattern — the same program at
-    another payload, under the other NCCL algorithm, or a signature-identical
-    candidate from a different placement — skips semantics and contention
-    analysis entirely.  ``profile_hits`` / ``profile_misses`` count cache
+    The simulator memoizes compiled
+    :class:`~repro.cost.profile.SimulationProfile` objects in ``profiles``,
+    keyed by :meth:`LoweredProgram.signature` (at most
+    :data:`PROFILE_CACHE_SIZE`), so re-simulating a known communication
+    pattern — the same program at another payload, under the other NCCL
+    algorithm, or a signature-identical candidate from a different
+    placement — skips semantics and contention analysis entirely.  ``profile_hits`` / ``profile_misses`` count cache
     outcomes; they feed the planning provenance surfaced by
     ``sweep --json``, and are mirrored into the telemetry recorder
     (``profile.hit`` / ``profile.miss`` counters, a ``profile.compile`` span
@@ -114,8 +114,6 @@ class ProgramSimulator:
     recorder: Any = field(
         default_factory=get_recorder, repr=False, compare=False
     )
-    profile_hits: int = field(default=0, init=False, repr=False, compare=False)
-    profile_misses: int = field(default=0, init=False, repr=False, compare=False)
     # Compiles that reused the validation sweep's chunk fractions instead of
     # re-running the Hoare semantics (recorder: ``profile.semantics_reused``).
     semantics_reused: int = field(default=0, init=False, repr=False, compare=False)
@@ -128,9 +126,18 @@ class ProgramSimulator:
     # ``batch.prices`` / ``batch.payloads``.
     batch_prices: int = field(default=0, init=False, repr=False, compare=False)
     batch_payloads: int = field(default=0, init=False, repr=False, compare=False)
-    _profiles: "OrderedDict[Tuple, SimulationProfile]" = field(
-        default_factory=OrderedDict, init=False, repr=False, compare=False
-    )
+    profiles: BoundedMemo = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.profiles = BoundedMemo("profile", PROFILE_CACHE_SIZE)
+
+    @property
+    def profile_hits(self) -> int:
+        return self.profiles.hits
+
+    @property
+    def profile_misses(self) -> int:
+        return self.profiles.misses
 
     def simulate(
         self,
@@ -180,15 +187,16 @@ class ProgramSimulator:
         return totals
 
     def profile_for(self, program: LoweredProgram) -> SimulationProfile:
-        """The compiled profile of ``program``, from the LRU cache when known."""
+        """The compiled profile of ``program``, from ``profiles`` when known.
+
+        Bound computations that must not perturb the hits + misses ==
+        distinct-signatures-priced accounting read ``profiles.peek`` instead.
+        """
         key = program.signature()
-        cached = self._profiles.get(key)
+        cached = self.profiles.get(key)
         if cached is not None:
-            self.profile_hits += 1
             self.recorder.count("profile.hit")
-            self._profiles.move_to_end(key)
             return cached
-        self.profile_misses += 1
         self.recorder.count("profile.miss")
         reused = program.semantics_recorded
         if reused:
@@ -203,29 +211,8 @@ class ProgramSimulator:
             span.set_attr("steps_compiled", profile.steps_compiled)
         self.steps_profiled += profile.num_steps
         self.steps_compiled += profile.steps_compiled
-        self._profiles[key] = profile
-        if len(self._profiles) > PROFILE_CACHE_SIZE:
-            self._profiles.popitem(last=False)
+        self.profiles.put(key, profile)
         return profile
-
-    def peek_profile(self, program: LoweredProgram) -> Optional[SimulationProfile]:
-        """The cached profile for ``program`` without touching the counters.
-
-        Unlike :meth:`profile_for` this neither records a hit nor moves the
-        entry in the LRU — it is for *bound* computations (the search
-        driver asks "can this candidate possibly beat the incumbent?") that
-        must not perturb the hits+misses == distinct-signatures-priced
-        accounting the planning provenance reports.
-        """
-        return self._profiles.get(program.signature())
-
-    @property
-    def cached_profiles(self) -> int:
-        return len(self._profiles)
-
-    def clear_profiles(self) -> None:
-        """Drop every cached profile."""
-        self._profiles.clear()
 
     # ------------------------------------------------------------------ #
     # Reference implementation (the executable specification)

@@ -13,18 +13,18 @@ them) and cost model, so repeated shapes compile once per process.
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.cost.model import CostModel
 from repro.cost.simulator import ProgramSimulator
 from repro.service.fingerprint import canonical_topology
 from repro.topology.topology import MachineTopology
+from repro.utils.memo import BoundedMemo
 
-__all__ = ["shared_simulator", "clear_shared_simulators"]
+__all__ = ["shared_simulator"]
 
-_SIMULATORS: "OrderedDict[Tuple[str, CostModel], ProgramSimulator]" = OrderedDict()
 _MAX_SIMULATORS = 16
+_SIMULATORS = BoundedMemo("evaluation.simulators", _MAX_SIMULATORS)
 
 
 def shared_simulator(
@@ -36,14 +36,5 @@ def shared_simulator(
     simulator = _SIMULATORS.get(key)
     if simulator is None:
         simulator = ProgramSimulator(topology, model)
-        _SIMULATORS[key] = simulator
-        if len(_SIMULATORS) > _MAX_SIMULATORS:
-            _SIMULATORS.popitem(last=False)
-    else:
-        _SIMULATORS.move_to_end(key)
+        _SIMULATORS.put(key, simulator)
     return simulator
-
-
-def clear_shared_simulators() -> None:
-    """Drop every shared simulator (tests that count compiles call this)."""
-    _SIMULATORS.clear()

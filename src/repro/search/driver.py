@@ -561,7 +561,7 @@ class SearchDriver:
         program = entry.lowered
         if program.num_steps == 0:
             return 0.0
-        profile = simulator.peek_profile(program)
+        profile = simulator.profiles.peek(program.signature())
         if profile is not None:
             return profile.lower_bound(
                 space.query.bytes_per_device, space.query.algorithm, space.cost_model

@@ -31,10 +31,9 @@ scales").
 from __future__ import annotations
 
 import logging
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple, runtime_checkable,
+    TYPE_CHECKING, Iterator, List, Optional, Protocol, Sequence, Tuple, runtime_checkable,
 )
 
 from repro.baselines.allreduce import default_all_reduce
@@ -54,6 +53,7 @@ from repro.synthesis.pipeline import (
     iter_placement_candidates,
 )
 from repro.topology.topology import MachineTopology
+from repro.utils.memo import BoundedMemo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard; see repro.api
     from repro.search.driver import SearchReport
@@ -119,7 +119,7 @@ class StrategyEntry:
     tag: Optional[str] = None
 
 
-class ShapeMemo:
+class ShapeMemo(BoundedMemo):
     """The complete entry streams of the shapes a long-lived planner has searched.
 
     What :class:`SynthesisSource` and :class:`BaselineSource` yield depends
@@ -129,33 +129,23 @@ class ShapeMemo:
     outlives its requests keeps, per shape, the entries each source yielded on
     one complete exhaustive run — the very programs that were lowered and
     validated on every device group — and answers a later query of that shape
-    by pricing, ranking and serializing them.  Bounded to
-    :data:`SHAPE_MEMO_SHAPES` shapes, least recently used evicted first;
+    by pricing, ranking and serializing them.  A :class:`BoundedMemo` of
+    :data:`SHAPE_MEMO_SHAPES` shapes, each mapping a source name to its entries;
     ``hits`` / ``misses`` count source lookups, ``evicted`` shapes.
     """
 
     def __init__(self) -> None:
-        self._shapes: "OrderedDict[Tuple, Dict[str, Tuple[StrategyEntry, ...]]]" = OrderedDict()
-        self.hits = self.misses = self.evicted = 0
-
-    def __len__(self) -> int:
-        return len(self._shapes)
+        super().__init__("search.shape_memo", SHAPE_MEMO_SHAPES)
 
     def recall(self, shape: Tuple, source: str) -> Optional[Tuple[StrategyEntry, ...]]:
-        entries = self._shapes.get(shape, {}).get(source)
-        if entries is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-            self._shapes.move_to_end(shape)
-        return entries
+        """``source``'s entries for ``shape``; a held shape without them is a miss."""
+        if source in (self.peek(shape) or ()):
+            return self.get(shape)[source]
+        self.misses += 1
+        return None
 
     def remember(self, shape: Tuple, source: str, entries: Tuple[StrategyEntry, ...]) -> None:
-        self._shapes.setdefault(shape, {})[source] = entries
-        self._shapes.move_to_end(shape)
-        if len(self._shapes) > SHAPE_MEMO_SHAPES:
-            self._shapes.popitem(last=False)
-            self.evicted += 1
+        self.put(shape, {**(self.peek(shape) or {}), source: entries})
 
 
 @dataclass(frozen=True)

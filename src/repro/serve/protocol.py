@@ -87,6 +87,8 @@ def decode_message(line: bytes) -> Dict[str, Any]:
         raise ServeError(f"message is not UTF-8: {error}")
     except json.JSONDecodeError as error:
         raise ServeError(f"message is not JSON: {error}")
+    except RecursionError:
+        raise ServeError("message nests deeper than the JSON parser can descend")
     if not isinstance(data, dict):
         raise ServeError(
             f"message must be a JSON object, got {type(data).__name__}"

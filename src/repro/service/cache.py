@@ -2,7 +2,8 @@
 
 The cache maps query fingerprints (:mod:`repro.service.fingerprint`) to
 serialized :class:`~repro.api.OptimizationPlan` objects.  Lookups try the
-in-memory tier first (bounded LRU, cheap), then the disk tier (one JSON file
+in-memory tier first (a :class:`~repro.utils.memo.BoundedMemo` of
+:data:`MEMORY_ENTRIES` plans, cheap), then the disk tier (one JSON file
 per fingerprint, shared across processes and restarts); disk hits are
 promoted back into memory.
 
@@ -17,7 +18,8 @@ lowered step (collective + device groups) once, and every strategy's
 program is a label plus a list of indices into it.  A hit therefore builds
 and checks each distinct step once, however many programs use it.
 
-Corrupted or incompatible entries (truncated writes, format bumps — a v3
+Corrupted or incompatible entries (truncated writes, bytes that are not
+UTF-8 or nest deeper than the JSON parser can descend, format bumps — a v3
 entry, which inlines every step, is one — a file renamed to the wrong
 fingerprint, a step index outside the table) are treated as misses: the
 entry is deleted, counted in :attr:`CacheStats.corrupt_entries`, and the
@@ -33,22 +35,26 @@ import json
 import logging
 import os
 import tempfile
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api import PLAN_FORMAT_VERSION
 from repro.errors import ServiceError
+from repro.utils.memo import BoundedMemo
 
 __all__ = [
     "PLAN_FORMAT_VERSION",
+    "MEMORY_ENTRIES",
     "atomic_write_text",
     "CacheStats",
     "PlanCache",
 ]
 
 logger = logging.getLogger(__name__)
+
+#: Plans the memory tier keeps (least recently used out; disk entries never are).
+MEMORY_ENTRIES = 128
 
 
 # The mode a plain ``open(path, "w")`` would create files with.  Read once:
@@ -137,27 +143,17 @@ class CacheStats:
 
 
 class PlanCache:
-    """Two-tier (memory LRU + optional JSON-on-disk) store of serialized plans.
+    """Two-tier (memory + optional JSON-on-disk) store of serialized plans.
 
-    Parameters
-    ----------
-    directory:
-        Where to persist entries; ``None`` keeps the cache memory-only.
-    capacity:
-        Maximum number of plans held in the memory tier; the least recently
-        used entry is evicted first (disk entries are never evicted by size).
+    ``directory`` is where entries persist; ``None`` keeps the cache
+    memory-only.  The memory tier holds :data:`MEMORY_ENTRIES` plans.
     """
 
-    def __init__(
-        self, directory: Optional[Union[str, Path]] = None, capacity: int = 128
-    ) -> None:
-        if capacity < 1:
-            raise ServiceError("cache capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self, directory: Optional[Union[str, Path]] = None) -> None:
         self.directory = (
             Path(directory).expanduser() if directory is not None else None
         )
-        self._memory: "OrderedDict[str, Dict]" = OrderedDict()
+        self._memory = BoundedMemo("cache.memory", MEMORY_ENTRIES)
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------ #
@@ -169,14 +165,14 @@ class PlanCache:
 
     def lookup(self, fingerprint: str) -> Tuple[Optional[Dict], Optional[str]]:
         """Return ``(plan_dict, tier)`` where tier is ``"memory"``/``"disk"``/``None``."""
-        if fingerprint in self._memory:
-            self._memory.move_to_end(fingerprint)
+        plan = self._memory.get(fingerprint)
+        if plan is not None:
             self.stats.memory_hits += 1
-            return self._memory[fingerprint], "memory"
+            return plan, "memory"
         plan = self._read_disk(fingerprint)
         if plan is not None:
             self.stats.disk_hits += 1
-            self._insert_memory(fingerprint, plan)
+            self._remember(fingerprint, plan)
             return plan, "disk"
         self.stats.misses += 1
         return None, None
@@ -187,7 +183,7 @@ class PlanCache:
 
     def put(self, fingerprint: str, plan: Dict) -> None:
         """Store a serialized plan under ``fingerprint`` in both tiers."""
-        self._insert_memory(fingerprint, plan)
+        self._remember(fingerprint, plan)
         self.stats.stores += 1
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -202,13 +198,9 @@ class PlanCache:
             atomic_write_text(path, [json.dumps(envelope)], prefix=f"{fingerprint}.")
             logger.debug("stored plan %s to %s", fingerprint, path)
 
-    def _insert_memory(self, fingerprint: str, plan: Dict) -> None:
-        self._memory[fingerprint] = plan
-        self._memory.move_to_end(fingerprint)
-        while len(self._memory) > self.capacity:
-            evicted, _ = self._memory.popitem(last=False)
-            self.stats.evictions += 1
-            logger.debug("evicted plan %s from the memory tier", evicted)
+    def _remember(self, fingerprint: str, plan: Dict) -> None:
+        self._memory.put(fingerprint, plan)
+        self.stats.evictions = self._memory.evicted
 
     def _read_disk(self, fingerprint: str) -> Optional[Dict]:
         if self.directory is None:
@@ -226,7 +218,9 @@ class PlanCache:
             if not isinstance(plan, dict):
                 raise ServiceError("malformed plan payload")
             return plan
-        except (json.JSONDecodeError, KeyError, TypeError, ServiceError) as error:
+        except (ValueError, KeyError, TypeError, RecursionError, ServiceError) as error:
+            # ValueError covers invalid JSON and invalid UTF-8; RecursionError
+            # a nesting deeper than the parser can descend.
             self.stats.corrupt_entries += 1
             logger.debug("dropping corrupt cache entry %s: %r", path, error)
             try:
@@ -256,7 +250,7 @@ class PlanCache:
 
     def discard(self, fingerprint: str, corrupt: bool = False) -> None:
         """Drop one entry from both tiers (e.g. after failed deserialization)."""
-        self._memory.pop(fingerprint, None)
+        self._memory.discard(fingerprint)
         if self.directory is not None:
             path = self._entry_path(fingerprint)
             if path.exists():
@@ -266,19 +260,19 @@ class PlanCache:
 
     def clear(self) -> int:
         """Drop every entry from both tiers; return how many distinct plans were removed."""
-        fingerprints = set(self._memory)
-        self._memory.clear()
+        removed = len(self._memory)
         if self.directory is not None and self.directory.exists():
             for path in self.directory.glob("*.json"):
-                fingerprints.add(path.stem)
+                removed += self._memory.peek(path.stem) is None
                 path.unlink()
             # What writers that died mid-store left behind (never entries).
             for path in self.directory.glob("*.tmp"):
                 path.unlink()
-        return len(fingerprints)
+        self._memory.clear()
+        return removed
 
     def describe(self) -> str:
-        tiers = [f"memory {self.num_memory_entries}/{self.capacity}"]
+        tiers = [f"memory {self.num_memory_entries}/{self._memory.bound}"]
         if self.directory is not None:
             tiers.append(
                 f"disk {len(self.disk_fingerprints())} entries "

@@ -18,15 +18,26 @@ it to count how many concurrent groups share each NIC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import TopologyError
 from repro.hierarchy.levels import SystemHierarchy
 from repro.topology.links import LinkSpec
+from repro.utils.memo import BoundedMemo
 
 __all__ = ["MachineTopology"]
+
+#: Entries each of a topology's memos keeps (least recently used out).
+TOPOLOGY_MEMO_BOUND = 1 << 16
+
+
+def _memo(name: str):
+    return field(
+        default_factory=lambda: BoundedMemo(f"topology.{name}", TOPOLOGY_MEMO_BOUND),
+        init=False, repr=False, compare=False,
+    )
 
 
 @dataclass(frozen=True)
@@ -39,26 +50,19 @@ class MachineTopology:
     nic_level: int = 0
     nics_per_instance: int = 1
     host_link: Optional[LinkSpec] = None
-    # Memo tables for the group-oriented queries below.  The cost model asks
-    # the same questions about the same groups once per step of every
-    # candidate program, so these pure functions of the (frozen) hierarchy
-    # are cached per instance.  compare=False keeps them out of __eq__ and
-    # the generated __hash__; __getstate__ keeps them out of pickles (sharded
-    # search ships the topology to every worker); each table is flushed at
-    # _MEMO_LIMIT entries so a long-lived topology cannot grow unboundedly.
-    _span_levels: Dict[Tuple[int, ...], int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _instances: Dict[Tuple[int, int], Tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _nic_instances: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # Memos for the group-oriented queries below.  The cost model asks the
+    # same questions about the same groups once per step of every candidate
+    # program, so these pure functions of the (frozen) hierarchy are memoized
+    # per instance.  compare=False keeps them out of __eq__ and the generated
+    # __hash__, and a memo pickles empty, so a topology shipped to a search
+    # shard drags none of them along.
+    _span_levels: BoundedMemo = _memo("span_levels")
+    _instances: BoundedMemo = _memo("instances")
+    _nic_instances: BoundedMemo = _memo("nic_instances")
     # What the cost layer derives from this topology and a lowered step: contention
     # per grouping, the step profile per (collective, groups, pre-state fractions).
-    _contention: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _step_profiles: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    contentions: BoundedMemo = _memo("contentions")
+    step_profiles: BoundedMemo = _memo("step_profiles")
 
     def __post_init__(self) -> None:
         if len(self.interconnects) != self.hierarchy.num_levels:
@@ -108,7 +112,7 @@ class MachineTopology:
         span = lca + 1
         if span >= self.num_levels:  # pragma: no cover - defensive; lca < leaf for >=2 devices
             raise TopologyError("devices do not diverge at any level")
-        self._memoize(self._span_levels, key, span)
+        self._span_levels.put(key, span)
         return span
 
     def link_for_group(self, devices: Sequence[int]) -> LinkSpec:
@@ -134,7 +138,7 @@ class MachineTopology:
             return cached
         instances = {self.instance_of(d, self.nic_level) for d in devices}
         result = tuple(sorted(instances))
-        self._memoize(self._nic_instances, key, result)
+        self._nic_instances.put(key, result)
         return result
 
     def instance_of(self, device: int, level: int) -> Tuple[int, ...]:
@@ -143,16 +147,8 @@ class MachineTopology:
         cached = self._instances.get(key)
         if cached is None:
             cached = self.hierarchy.ancestor_instance(device, level)
-            self._memoize(self._instances, key, cached)
+            self._instances.put(key, cached)
         return cached
-
-    _MEMO_LIMIT = 1 << 16
-
-    @staticmethod
-    def _memoize(table: Dict, key, value) -> None:
-        if len(table) >= MachineTopology._MEMO_LIMIT:
-            table.clear()  # flush rather than grow without bound
-        table[key] = value
 
     @cached_property
     def devices_per_nic_instance(self) -> int:
@@ -160,26 +156,6 @@ class MachineTopology:
         for level in range(self.nic_level + 1, self.num_levels):
             per *= self.hierarchy.cardinalities[level]
         return per
-
-    # ------------------------------------------------------------------ #
-    # Pickling — memo tables are per-process working state, not identity;
-    # shipping a topology to a search shard must not drag them (or any
-    # cached_property value) along.
-    # ------------------------------------------------------------------ #
-    _MEMO_FIELDS = ("_span_levels", "_instances", "_nic_instances", "_contention", "_step_profiles")
-
-    def __getstate__(self):
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in self._MEMO_FIELDS
-        }
-
-    def __setstate__(self, state) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-        for name in self._MEMO_FIELDS:
-            object.__setattr__(self, name, {})
 
     # ------------------------------------------------------------------ #
     # Presentation

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.analysis import (
     compare_sweeps,
-    load_results,
-    results_from_json,
-    results_to_json,
-    save_results,
+    load_jsonl_results,
+    result_from_record,
+    result_to_record,
     summarize_results,
 )
 from repro.analysis.stats import render_summary
@@ -46,10 +47,14 @@ def results():
     return SweepRunner(measurement_runs=1).run_many(configs)
 
 
+def round_trip(results):
+    """Each result through its JSON record and back."""
+    return [result_from_record(json.loads(json.dumps(result_to_record(r)))) for r in results]
+
+
 class TestSerialization:
     def test_roundtrip_preserves_everything_needed(self, results):
-        text = results_to_json(results)
-        restored = results_from_json(text)
+        restored = round_trip(results)
         assert len(restored) == len(results)
         for original, loaded in zip(results, restored):
             assert loaded.config == original.config
@@ -64,19 +69,20 @@ class TestSerialization:
                     best_original.measured_seconds
                 )
 
-    def test_save_and_load_file(self, results, tmp_path):
-        path = save_results(results, tmp_path / "results.json")
-        assert path.exists()
-        assert len(load_results(path)) == len(results)
+    def test_jsonl_file_round_trip(self, results, tmp_path):
+        path = tmp_path / "results.jsonl"
+        path.write_text("".join(json.dumps(result_to_record(r)) + "\n" for r in results))
+        loaded = load_jsonl_results(path)
+        assert [r.config for r in loaded] == [r.config for r in results]
 
     def test_version_check(self, results):
-        text = results_to_json(results).replace('"format_version": 1', '"format_version": 99')
+        record = dict(result_to_record(results[0]), format_version=99)
         with pytest.raises(EvaluationError):
-            results_from_json(text)
+            result_from_record(record)
 
     def test_summary_survives_roundtrip(self, results):
         original = summarize_results(results)
-        restored = summarize_results(results_from_json(results_to_json(results)))
+        restored = summarize_results(round_trip(results))
         assert restored.num_mappings == original.num_mappings
         assert restored.max_speedup == pytest.approx(original.max_speedup)
 

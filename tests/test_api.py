@@ -185,3 +185,33 @@ class TestRetiredSurface:
     def test_the_multi_reduction_planner_class_is_gone(self):
         with pytest.raises(ImportError):
             from repro.planner import MultiReductionPlanner  # noqa: F401
+
+
+class TestPackageExports:
+    def test_the_package_exports_the_planner_surface(self):
+        import repro
+
+        assert repro.__all__ == ["__version__", "P2", "PlanQuery", "PlanOutcome", "Planner"]
+        assert repro.P2 is P2 and repro.PlanQuery is PlanQuery
+        for retired in ("PlanningService", "SystemHierarchy", "synthesize_all", "Collective"):
+            assert retired not in repro.__all__
+
+    def test_import_repro_loads_no_layer(self):
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        script = (
+            "import sys, repro\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro')))\n"
+            "print(repro.__version__)\n"
+        )
+        output = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env,
+        ).stdout.splitlines()
+        assert output[0] == "['repro']"  # repro.synthesis, repro.hierarchy, ... stay out
+        from repro._version import __version__
+
+        assert output[1] == __version__

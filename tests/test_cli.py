@@ -147,19 +147,24 @@ class TestMain:
         assert captured.err.startswith("repro-cli: error: no parallelism matrix exists")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
-    def test_sweep_quick_with_save(self, capsys, tmp_path):
-        from repro.analysis import load_results
+    def test_sweep_quick_with_out(self, capsys, tmp_path):
+        from repro.analysis import load_jsonl_results
 
-        target = tmp_path / "sweep.json"
+        target = tmp_path / "sweep.jsonl"
         exit_code = main(
-            ["sweep", "--quick", "--payload-scale", "0.002", "--save", str(target)]
+            ["sweep", "--quick", "--payload-scale", "0.002", "--out", str(target)]
         )
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "Sweep summary" in captured.out
         assert "plan cache:" in captured.out
-        assert target.exists()
-        assert len(load_results(target)) > 0
+        assert len(load_jsonl_results(target)) == 6  # --quick keeps six scenarios
+
+    def test_sweep_save_is_gone(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--quick", "--save", str(tmp_path / "sweep.json")])
+        assert exit_info.value.code == 2
+        assert "--save" in capsys.readouterr().err
 
     def test_sweep_preset_json_emits_jsonl(self, capsys):
         import json

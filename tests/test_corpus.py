@@ -210,6 +210,15 @@ class TestPlanCorpusStore:
         assert reloaded.skipped_lines == 1
         assert reloaded.stats()["skipped_lines"] == 1
 
+    def test_a_line_that_is_not_utf8_is_skipped_and_counted(self, corpus, base_outcome):
+        corpus.ingest_outcome(base_outcome)
+        with corpus.path.open("ab") as handle:
+            handle.write(b'{"fingerprint": "\xff\xfe"}\n')
+        corpus.ingest_outcome(dataclasses.replace(base_outcome, fingerprint="1" * 64))
+        reloaded = PlanCorpus(corpus.directory)
+        assert [r.fingerprint for r in reloaded.records()] == [base_outcome.fingerprint, "1" * 64]
+        assert reloaded.skipped_lines == 1
+
     def test_concurrent_compactions_do_not_share_a_temp_file(
         self, tmp_path, base_outcome, monkeypatch
     ):

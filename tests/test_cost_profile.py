@@ -226,7 +226,7 @@ class TestProfileCache:
                 simulator.simulate(program, payload)
         assert simulator.profile_misses == len(unique_signatures)
         assert simulator.profile_hits == 4 * len(programs) - len(unique_signatures)
-        assert simulator.cached_profiles == len(unique_signatures)
+        assert len(simulator.profiles) == len(unique_signatures)
 
     def test_lru_evicts_oldest_signature(self, a100_2node, monkeypatch):
         import repro.cost.simulator as simulator_module
@@ -242,7 +242,7 @@ class TestProfileCache:
         simulator = ProgramSimulator(a100_2node)
         for program in programs:
             simulator.simulate(program, 1 * MB)
-        assert simulator.cached_profiles == 2
+        assert (len(simulator.profiles), simulator.profiles.evicted) == (2, 1)
         # The first program was evicted: simulating it again recompiles.
         misses_before = simulator.profile_misses
         simulator.simulate(programs[0], 1 * MB)
@@ -263,8 +263,20 @@ class TestProfileCache:
         )
         simulator = ProgramSimulator(a100_2node)
         simulator.simulate(program, MB)
-        simulator.clear_profiles()
-        assert simulator.cached_profiles == 0
+        simulator.profiles.clear()
+        assert len(simulator.profiles) == 0
+        simulator.simulate(program, MB)
+        assert (simulator.profile_hits, simulator.profile_misses) == (0, 2)
+
+    def test_peek_is_silent(self, a100_2node):
+        program = LoweredProgram(
+            num_devices=32, steps=(LoweredStep(Collective.ALL_REDUCE, ((0, 16),)),)
+        )
+        simulator = ProgramSimulator(a100_2node)
+        assert simulator.profiles.peek(program.signature()) is None
+        profile = simulator.profile_for(program)
+        assert simulator.profiles.peek(program.signature()) is profile
+        assert (simulator.profile_hits, simulator.profile_misses) == (0, 1)
 
 
 class TestStaleBindingGuards:

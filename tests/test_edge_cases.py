@@ -8,8 +8,9 @@ sweep serialization, and report rendering corner cases.
 
 from __future__ import annotations
 
+import json
 
-from repro.analysis import results_from_json, results_to_json
+from repro.analysis import result_from_record, result_to_record
 from repro.baselines.allreduce import default_all_reduce
 from repro.cost.contention import analyze_step_contention
 from repro.cost.nccl import NCCLAlgorithm
@@ -132,8 +133,8 @@ class TestPredictionOnlySerialization:
             max_program_size=2,
         )
         results = SweepRunner(measure_programs=False).run_many([config])
-        restored = results_from_json(results_to_json(results))
-        program = restored[0].matrices[0].programs[0]
+        restored = result_from_record(json.loads(json.dumps(result_to_record(results[0]))))
+        program = restored.matrices[0].programs[0]
         assert program.measured_seconds is None
         assert program.evaluation_seconds == program.predicted_seconds
 

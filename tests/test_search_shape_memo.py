@@ -106,7 +106,8 @@ class TestMemoizedPlansEqualFromScratchPlans:
             assert outcome.search["reused_streams"] == (2 if i else 0)
             assert_same_answer(outcome, reference)
         assert len(service._shapes) == 1
-        assert "shape memo 1/32" in service.describe()
+        hits = 2 * (len(queries) - 1)
+        assert f"search.shape_memo 1/32 ({hits} hits, 2 misses, 0 evicted)" in service.describe()
 
     def test_long_lived_p2(self, shape):
         topology, queries, references = shape
@@ -295,7 +296,7 @@ class TestWhatBypassesTheMemo:
         space = SearchSpace(
             topology=self.TOPOLOGY, cost_model=CostModel(), query=self.QUERY, shapes=memo
         )
-        shape = next(iter(memo._shapes))
+        shape = next(iter(memo._entries))
         assert memo.recall(shape, "baselines") and memo.recall(shape, "synthesis") is None
         outcome = self.plan(memo, self.QUERY)
         assert outcome.report.reused_streams == 1
@@ -357,7 +358,7 @@ class TestOwnership:
 
         def held(service):
             return {
-                id(entry) for streams in service._shapes._shapes.values()
+                id(entry) for streams in service._shapes._entries.values()
                 for entries in streams.values() for entry in entries
             }
 
@@ -370,7 +371,7 @@ class TestOwnership:
         service = PlanningService(topology, cache=PlanCache(None))
         plan = service.plan(self.QUERY).plan
         allowed_states, allowed_contexts, placements = set(), set(), set()
-        for streams in service._shapes._shapes.values():
+        for streams in service._shapes._entries.values():
             for entries in streams.values():
                 for entry in entries:
                     placements.add(id(entry.candidate.placement))
@@ -389,7 +390,7 @@ class TestOwnership:
         # ... and what it holds beyond the plan is the baselines' stream.
         plan_objects = {id(obj) for obj in reachable_states(plan, object)}
         synthesis = [
-            streams["synthesis"] for streams in service._shapes._shapes.values()
+            streams["synthesis"] for streams in service._shapes._entries.values()
         ]
         assert all(
             id(entry.lowered) in plan_objects and id(entry.candidate) in plan_objects

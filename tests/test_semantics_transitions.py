@@ -44,7 +44,7 @@ MB = 1 << 20
 def fresh(topology: MachineTopology) -> MachineTopology:
     """An equal topology that has memoized nothing yet."""
     clone = dataclasses.replace(topology)
-    assert clone == topology and clone._step_profiles == {} and clone._span_levels == {}
+    assert clone == topology and len(clone.step_profiles) == 0 == len(clone._span_levels)
     return clone
 
 
@@ -177,7 +177,7 @@ class TestStepProfilesAndContention:
                 compiled += shared.steps_compiled
                 steps += copy.num_steps
         assert 0 < compiled < steps
-        assert compiled <= len(topology._step_profiles)
+        assert compiled <= len(topology.step_profiles)
 
     def test_the_fractions_are_part_of_the_key(self):
         # The pinned pairs: on [[2 4] [1 4]] the second step of an AR-AR and of
@@ -217,15 +217,16 @@ class TestStepProfilesAndContention:
                     assert shared == analyze_step_contention(step, fresh(topology))
                     assert analyze_step_contention(step, topology) is shared
                     distinct.add(step.groups)
-        assert len(topology._contention) == len(distinct)
+        assert len(topology.contentions) == len(distinct)
 
     def test_memos_stay_out_of_value_semantics_and_pickles(self, shape):
         topology, _, candidates = shape
         compile_profile(candidates[0].programs[0].lowered, topology)
         clone = pickle.loads(pickle.dumps(topology))
         assert clone == topology and hash(clone) == hash(topology)
-        assert clone._contention == {} == clone._step_profiles
-        assert topology._contention and topology._step_profiles
+        assert len(clone.contentions) == 0 == len(clone.step_profiles)
+        assert clone.step_profiles.bound == topology.step_profiles.bound
+        assert len(topology.contentions) and len(topology.step_profiles)
 
 
 def reachable_states(root, kind=DeviceState):

@@ -302,6 +302,15 @@ class TestDaemonEndToEnd:
         assert reply["ok"] is False and reply["error"] == "bad_request"
         assert client.ping()["ok"] is True  # same socket still serves
 
+    def test_deeply_nested_line_is_a_bad_request_on_a_live_connection(self, client):
+        # Well under the line bound, but deeper than the JSON parser descends.
+        before = client.stats()["counters"].get("serve.bad_request", 0)
+        reply = client.send_raw(b"[" * 100000 + b"\n")
+        assert reply["ok"] is False and reply["error"] == "bad_request"
+        assert "nests" in reply["detail"]
+        assert client.ping()["ok"] is True  # same socket still serves
+        assert client.stats()["counters"]["serve.bad_request"] == before + 1
+
     def test_plan_failed_is_structured(self, client):
         # A well-formed query that cannot plan on this topology: the axes
         # product exceeds the 16 devices of Figure 2a.

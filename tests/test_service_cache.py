@@ -16,6 +16,7 @@ from repro.errors import ServiceError
 from repro.hierarchy.parallelism import ReductionRequest
 from repro.query import PlanQuery
 from repro.runtime.verification import verify_against_placement
+import repro.service.cache as cache_module
 from repro.service.cache import PLAN_FORMAT_VERSION, PlanCache
 from repro.topology.gcp import a100_system
 
@@ -88,8 +89,9 @@ class TestMemoryTier:
         assert cache.stats.misses == 1
         assert cache.stats.memory_hits == 1
 
-    def test_lru_eviction(self):
-        cache = PlanCache(capacity=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 2)
+        cache = PlanCache()
         cache.put("a", {"n": 1})
         cache.put("b", {"n": 2})
         cache.get("a")  # refresh "a": now "b" is least recently used
@@ -99,9 +101,11 @@ class TestMemoryTier:
         assert cache.get("c") is not None
         assert cache.stats.evictions == 1
 
-    def test_capacity_validated(self):
-        with pytest.raises(ServiceError):
-            PlanCache(capacity=0)
+    def test_the_bound_is_a_module_constant_not_a_knob(self):
+        assert cache_module.MEMORY_ENTRIES == 128
+        assert "memory 0/128" in PlanCache().describe()
+        with pytest.raises(TypeError):
+            PlanCache(capacity=2)
 
 
 class TestDiskTier:
@@ -159,6 +163,21 @@ class TestDiskTier:
         fresh = PlanCache(directory=tmp_path)
         assert fresh.get("feedface") is None
         assert fresh.stats.corrupt_entries == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe" + b"{}", b"[" * 100000 + b"]" * 100000],
+        ids=["not-utf8", "nested-past-the-parser"],
+    )
+    def test_unreadable_entry_is_a_corrupt_miss_and_removed(self, plan, tmp_path, content):
+        PlanCache(directory=tmp_path).put("beef", plan.to_dict())
+        path = tmp_path / "beef.json"
+        path.write_bytes(content)
+
+        fresh = PlanCache(directory=tmp_path)
+        assert fresh.lookup("beef") == (None, None)
+        assert (fresh.stats.corrupt_entries, fresh.stats.misses) == (1, 1)
         assert not path.exists()
 
     def test_wrong_fingerprint_in_envelope_is_corrupt(self, plan, tmp_path):
