@@ -10,9 +10,9 @@ rows it produced.
 The paper's aggregate claim over this sweep (Result 5 / abstract) is that a
 synthesized program outperforms AllReduce for 69% of mappings with an average
 speedup of 1.27x; the benchmark reports the same aggregate for the subset it
-ran and asserts the qualitative version (a substantial fraction of mappings
-benefit; the average speedup over *benefiting* mappings is in the paper's
-range).
+ran (:func:`repro.analysis.summarize_results`) and asserts the qualitative
+version (a substantial fraction of mappings benefit; the average speedup over
+*benefiting* mappings is in the paper's range).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import os
 
 import pytest
 
+from repro.analysis import summarize_results
 from repro.cost.nccl import NCCLAlgorithm
 from repro.evaluation.config import appendix_configs
 from repro.evaluation.runner import SweepRunner
@@ -45,23 +46,12 @@ def test_appendix_full_sweep(benchmark, payload_scale, measurement_runs, save_ar
     results = benchmark.pedantic(runner.run_many, args=(configs,), rounds=1, iterations=1)
     artifact = build_appendix_table(results)
 
-    speedups = []
-    for result in results:
-        for matrix in result.matrices:
-            speedup = matrix.speedup_over_all_reduce()
-            if speedup is not None and matrix.all_reduce.evaluation_seconds > 0:
-                speedups.append(speedup)
-    benefiting = [s for s in speedups if s > 1.05]
-    summary = (
-        f"\nconfigurations: {len(results)}; mappings: {len(speedups)}; "
-        f"mappings with a >5% faster synthesized program: {len(benefiting)} "
-        f"({100 * len(benefiting) / max(len(speedups), 1):.0f}%); "
-        f"average speedup over those mappings: "
-        f"{sum(benefiting) / max(len(benefiting), 1):.2f}x "
-        f"(paper: 69% of mappings, 1.27x average)"
+    # A mapping "benefits" when its best synthesized program is at least 5%
+    # faster than the default AllReduce (speedup >= 1.05).
+    summary = summarize_results(results)
+    save_artifact(
+        "appendix_full_sweep", artifact.text + "\n" + summary.describe(), preview_lines=30
     )
-    save_artifact("appendix_full_sweep", artifact.text + summary, preview_lines=30)
 
-    assert len(benefiting) / max(len(speedups), 1) > 0.25
-    average = sum(benefiting) / max(len(benefiting), 1)
-    assert 1.1 <= average <= 2.5
+    assert summary.fraction_outperforming > 0.25
+    assert 1.1 <= summary.average_speedup_outperforming <= 2.5

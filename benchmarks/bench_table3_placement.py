@@ -19,7 +19,7 @@ from repro.evaluation.tables import build_table3
 def test_table3_placement_impact(benchmark, payload_scale, save_artifact):
     artifact = benchmark.pedantic(
         build_table3,
-        kwargs=dict(payload_scale=payload_scale, measured=True),
+        kwargs=dict(payload_scale=payload_scale),
         rounds=1,
         iterations=1,
     )

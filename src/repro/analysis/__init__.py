@@ -1,15 +1,13 @@
-"""Post-processing of sweep results: persistence, statistics and comparisons.
+"""Post-processing of sweep results: persistence and the abstract's statistic.
 
 The evaluation harness can take minutes at paper-scale payloads, so results
 should be produced once and analysed many times:
 
 * :mod:`repro.analysis.serialization` — sweep results as JSONL records
   (``repro-cli sweep --out``) and back.
-* :mod:`repro.analysis.stats` — aggregate statistics (fraction of mappings a
-  synthesized program helps, average and maximum speedups, per-system
-  breakdowns) in the form the paper's abstract quotes.
-* :mod:`repro.analysis.compare` — compare two sweeps of the same
-  configurations (e.g. ring vs. tree, or two cost-model settings).
+* :mod:`repro.analysis.stats` — the aggregate the paper's abstract quotes
+  (fraction of mappings a synthesized program helps, average and maximum
+  speedups).
 """
 
 from repro.analysis.serialization import (
@@ -19,7 +17,6 @@ from repro.analysis.serialization import (
     result_to_record,
 )
 from repro.analysis.stats import SpeedupSummary, summarize_results
-from repro.analysis.compare import SweepComparison, compare_sweeps
 
 __all__ = [
     "result_to_record",
@@ -28,6 +25,4 @@ __all__ = [
     "iter_jsonl_records",
     "SpeedupSummary",
     "summarize_results",
-    "SweepComparison",
-    "compare_sweeps",
 ]

@@ -180,15 +180,20 @@ def load_jsonl_results(path: Union[str, Path]) -> List[SweepResult]:
 
 
 def iter_jsonl_records(path: Union[str, Path]) -> Iterator[Dict]:
-    """Parsed records of a JSONL checkpoint, tolerating a torn trailing line."""
-    with open(path) as handle:
+    """Parsed records of a JSONL checkpoint, skipping lines that do not parse.
+
+    Lines are decoded one by one, so a torn trailing line (an interrupted
+    writer), bytes that are not UTF-8 or nesting past the parser's depth
+    each cost one line, never the load.
+    """
+    with open(path, "rb") as handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # a partially written (interrupted) trailing line
+                record = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError):  # JSONDecodeError, UnicodeDecodeError
+                continue
             if isinstance(record, dict):
                 yield record

@@ -11,13 +11,12 @@ placed side by side with the paper's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import EvaluationError
 from repro.evaluation.runner import SweepResult
-from repro.utils.tabulate import format_table
 
-__all__ = ["SpeedupSummary", "summarize_results", "render_summary"]
+__all__ = ["SpeedupSummary", "summarize_results"]
 
 
 @dataclass(frozen=True)
@@ -99,37 +98,4 @@ def summarize_results(
         max_speedup=max_speedup,
         max_speedup_matrix=max_matrix,
         median_speedup=_median(values),
-    )
-
-
-def render_summary(results_by_group: Dict[str, Sequence[SweepResult]]) -> str:
-    """Render one summary row per group (e.g. per system) plus a total row."""
-    rows = []
-    all_results: List[SweepResult] = []
-    for group, results in results_by_group.items():
-        all_results.extend(results)
-        summary = summarize_results(results)
-        rows.append(
-            [
-                group,
-                summary.num_mappings,
-                summary.fraction_outperforming * 100,
-                summary.average_speedup_outperforming,
-                summary.max_speedup,
-            ]
-        )
-    total = summarize_results(all_results)
-    rows.append(
-        [
-            "Total",
-            total.num_mappings,
-            total.fraction_outperforming * 100,
-            total.average_speedup_outperforming,
-            total.max_speedup,
-        ]
-    )
-    return format_table(
-        ["group", "mappings", "outperforming (%)", "avg speedup", "max speedup"],
-        rows,
-        title="Synthesized strategies vs AllReduce (paper abstract: 69%, 1.27x avg, 2.04x max)",
     )

@@ -4,22 +4,14 @@ The paper's implementation lowers synthesized programs "into sequences of XLA
 collective operations, which in turn result in sequences of NCCL calls".
 :mod:`repro.compile.xla` provides the equivalent artefact for this
 reproduction: an HLO-like textual module with one collective op per step
-(including ``replica_groups``), plus a parser so programs can be round-tripped
-and inspected by external tooling.
+(including ``replica_groups``).  The parser the round-trip tests read it
+back with lives in ``tests/oracles/xla.py``.
 """
 
-from repro.compile.xla import (
-    XlaCollectiveOp,
-    XlaModule,
-    emit_xla_module,
-    parse_xla_module,
-    program_from_module,
-)
+from repro.compile.xla import XlaCollectiveOp, XlaModule, emit_xla_module
 
 __all__ = [
     "XlaCollectiveOp",
     "XlaModule",
     "emit_xla_module",
-    "parse_xla_module",
-    "program_from_module",
 ]

@@ -118,17 +118,3 @@ def nearest_records(
         ranked.append((distance, -record.seq, record))
     ranked.sort(key=lambda item: (item[0], item[1]))
     return [record for _, _, record in ranked[:top_k]]
-
-
-def neighbor_features(record: CorpusRecord) -> Mapping[str, Any]:
-    """The features a record is matched on (debugging/stats helper)."""
-    sizes, names = _axes_of(record.query)
-    return {
-        "axes_sizes": list(sizes),
-        "axes_names": list(names),
-        "request_axes": list(_request_of(record.query)),
-        "algorithm": record.query.get("algorithm"),
-        "bytes_per_device": _payload_of(record.query),
-        "context": record.context,
-        "seq": record.seq,
-    }

@@ -353,9 +353,3 @@ class PlanCorpus:
             "rejected_budgeted": self.rejected_budgeted,
             "skipped_lines": self.skipped_lines,
         }
-
-    def describe(self) -> str:
-        return (
-            f"PlanCorpus({len(self._records)} records, "
-            f"{self.total_bytes() / 1e3:.1f} kB at {self.path})"
-        )

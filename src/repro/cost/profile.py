@@ -26,7 +26,8 @@ The profile stores, per step, just those classes (in first-occurrence order)
 plus the step-level attributes of the breakdown.
 
 The contract, enforced by ``tests/test_cost_profile.py``: pricing a profile
-is **bit-identical** to :meth:`ProgramSimulator.simulate_reference` — the same
+is **bit-identical** to the per-group reference simulator in
+``tests/oracles/simulator.py`` — the same
 float operations in the same order (the per-group max collapses to a per-class
 max over identical floats; the sum over steps is unchanged), so
 ``predicted_seconds`` match to the last ulp and rankings can never shift.
@@ -177,13 +178,6 @@ class SimulationProfile:
                 latency_seconds, seconds_per_byte * bytes_per_device
             )
         return total
-
-    def describe(self) -> str:
-        steps = "; ".join(
-            f"{s.collective}x{s.num_groups}->{s.num_classes} class(es)"
-            for s in self.steps
-        )
-        return f"{self.label or 'profile'}: {steps}"
 
 
 def _bound_coefficients(

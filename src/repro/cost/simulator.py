@@ -17,9 +17,8 @@ them once per program by compiling a :class:`~repro.cost.profile.SimulationProfi
 (memoized per :meth:`LoweredProgram.signature`) and answering
 every ``simulate`` call by *pricing* the profile — a closed-form loop over
 group equivalence classes.  The priced result is bit-identical to the
-original per-group evaluation, which remains available as
-:meth:`ProgramSimulator.simulate_reference` and serves as the executable
-specification the profile is property-tested against.
+original per-group evaluation, which lives in ``tests/oracles/simulator.py``
+as the executable specification the profile is property-tested against.
 
 The result object keeps the per-step breakdown so the evaluation harness and
 the examples can explain *why* a strategy wins.
@@ -28,19 +27,16 @@ the examples can explain *why* a strategy wins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.cost.batch import BatchPricer, price_programs
-from repro.cost.contention import analyze_step_contention
 from repro.cost.model import CostModel
 from repro.cost.nccl import NCCLAlgorithm
 from repro.cost.profile import SimulationProfile, compile_profile, price_profile
 from repro.errors import CostModelError
 from repro.obs.recorder import get_recorder
-from repro.semantics.collectives import Collective, apply_collective
-from repro.semantics.goals import initial_context
-from repro.semantics.state import DeviceState, StateContext
-from repro.synthesis.lowering import LoweredProgram, LoweredStep
+from repro.semantics.collectives import Collective
+from repro.synthesis.lowering import LoweredProgram
 from repro.topology.topology import MachineTopology
 from repro.utils.memo import BoundedMemo
 
@@ -215,41 +211,6 @@ class ProgramSimulator:
         return profile
 
     # ------------------------------------------------------------------ #
-    # Reference implementation (the executable specification)
-    # ------------------------------------------------------------------ #
-    def simulate_reference(
-        self,
-        program: LoweredProgram,
-        bytes_per_device: float,
-        algorithm: NCCLAlgorithm = NCCLAlgorithm.RING,
-    ) -> SimulationResult:
-        """The original per-group evaluation, kept as the specification.
-
-        Profile pricing (:meth:`simulate`) must stay bit-identical to this
-        method — ``tests/test_cost_profile.py`` asserts exact float equality
-        across payload ladders and both NCCL algorithms.  New cost-model
-        features land here first and must be mirrored into
-        :mod:`repro.cost.profile` under the same contract.
-        """
-        self._validate(program, bytes_per_device)
-        context = initial_context(program.num_devices)
-        steps: List[StepSimulation] = []
-        total = 0.0
-        for step in program.steps:
-            step_result, context = self._simulate_step(
-                step, context, bytes_per_device, algorithm
-            )
-            steps.append(step_result)
-            total += step_result.seconds
-        return SimulationResult(
-            total_seconds=total,
-            steps=tuple(steps),
-            algorithm=algorithm,
-            bytes_per_device=bytes_per_device,
-            label=program.label,
-        )
-
-    # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
     def _validate(self, program: LoweredProgram, bytes_per_device: float) -> None:
@@ -260,56 +221,6 @@ class ProgramSimulator:
                 f"program is over {program.num_devices} devices but the topology has "
                 f"{self.topology.num_devices}"
             )
-
-    def _simulate_step(
-        self,
-        step: LoweredStep,
-        context: StateContext,
-        bytes_per_device: float,
-        algorithm: NCCLAlgorithm,
-    ) -> Tuple[StepSimulation, StateContext]:
-        contention = analyze_step_contention(step, self.topology)
-
-        # A lowered step always has at least one group (LoweredStep enforces
-        # it), so the fallback bottleneck is the first group's link: it is
-        # reported, with the 0.0 payload it was priced at, exactly when every
-        # group prices to 0.0 seconds (zero payload under a zero-overhead
-        # cost model on zero-latency links) and the strict ``>`` never fires.
-        worst_seconds = 0.0
-        worst_link = contention.groups[0].link.name if contention.groups else "-"
-        worst_payload = 0.0
-        updates: Dict[int, DeviceState] = {}
-
-        for group, cost in zip(step.groups, contention.groups):
-            pre_states = [context[d] for d in group]
-            payload = max(s.chunk_fraction() for s in pre_states) * bytes_per_device
-            seconds = self.cost_model.group_time(
-                op=step.collective,
-                algorithm=algorithm,
-                group_size=len(group),
-                payload_bytes=payload,
-                bandwidth=cost.effective_bandwidth,
-                link_latency=cost.link.latency,
-            )
-            if seconds > worst_seconds:
-                worst_seconds = seconds
-                worst_link = cost.link.name
-                worst_payload = payload
-            post_states = apply_collective(step.collective, pre_states)
-            for device, state in zip(group, post_states):
-                updates[device] = state
-
-        new_context = context.replace(updates)
-        step_result = StepSimulation(
-            collective=step.collective,
-            num_groups=step.num_groups,
-            group_size=step.group_size,
-            seconds=worst_seconds,
-            bottleneck_link=worst_link,
-            max_sharing=contention.max_sharing,
-            payload_bytes=worst_payload,
-        )
-        return step_result, new_context
 
 
 def simulate_program(

@@ -1,11 +1,11 @@
 """Reduction instructions and programs.
 
 A :class:`ReductionInstruction` is the triple ``(slice, form, collective)``
-from the paper; a :class:`ReductionProgram` is a sequence of them.  Programs
-are evaluated over a :class:`~repro.semantics.state.StateContext` by deriving
-the device groups of each instruction (via :mod:`repro.dsl.grouping`) and
-applying the collective's Hoare rule to every group while leaving
-non-participating devices untouched.
+from the paper; a :class:`ReductionProgram` is a sequence of them.  An
+instruction derives its device groups over a hierarchy (via
+:mod:`repro.dsl.grouping`); the synthesizer applies the collective's Hoare
+rule to those groups itself.  Evaluating a whole program instruction by
+instruction is the tests' reference (``tests/oracles/dsl.py``).
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.dsl.forms import Form, InsideGroup, Master, Parallel
 from repro.dsl.grouping import Groups, derive_groups
-from repro.errors import DSLError, InvalidCollectiveError
-from repro.semantics.collectives import Collective, apply_step, step_error
-from repro.semantics.state import StateContext
+from repro.errors import DSLError
+from repro.semantics.collectives import Collective
 
 __all__ = ["ReductionInstruction", "ReductionProgram"]
 
@@ -43,23 +42,6 @@ class ReductionInstruction:
     def groups(self, radices: Sequence[int]) -> Groups:
         """Device groups this instruction induces over a hierarchy with ``radices``."""
         return derive_groups(radices, self.slice_level, self.form)
-
-    def apply(self, context: StateContext, radices: Sequence[int]) -> StateContext:
-        """Apply this instruction to ``context``; raise if semantically invalid."""
-        groups = self.groups(radices)
-        if not groups:
-            raise InvalidCollectiveError(
-                f"instruction {self!r} induces no group of size >= 2"
-            )
-        return self.apply_to_groups(context, groups)
-
-    def apply_to_groups(self, context: StateContext, groups: Groups) -> StateContext:
-        """Apply the collective to pre-computed ``groups`` over ``context``."""
-        states = list(context.states)
-        failure = apply_step(self.collective, groups, states)
-        if failure is not None:
-            raise step_error(self.collective, groups, states, failure)
-        return StateContext._trusted(states)
 
     def describe(self, level_names: Optional[Sequence[str]] = None) -> str:
         if level_names is not None and 0 <= self.slice_level < len(level_names):
@@ -101,33 +83,6 @@ class ReductionProgram:
     def append(self, instruction: ReductionInstruction) -> "ReductionProgram":
         """Return a new program with ``instruction`` appended."""
         return ReductionProgram(self.instructions + (instruction,))
-
-    # ------------------------------------------------------------------ #
-    # Evaluation
-    # ------------------------------------------------------------------ #
-    def apply(self, context: StateContext, radices: Sequence[int]) -> StateContext:
-        """Run the whole program from ``context``; raise on the first invalid step."""
-        current = context
-        for instruction in self.instructions:
-            current = instruction.apply(current, radices)
-        return current
-
-    def is_valid(self, context: StateContext, radices: Sequence[int]) -> bool:
-        """True when every step satisfies its Hoare precondition from ``context``."""
-        try:
-            self.apply(context, radices)
-            return True
-        except InvalidCollectiveError:
-            return False
-
-    def achieves(
-        self, initial: StateContext, goal: StateContext, radices: Sequence[int]
-    ) -> bool:
-        """True when running the program from ``initial`` produces exactly ``goal``."""
-        try:
-            return self.apply(initial, radices) == goal
-        except InvalidCollectiveError:
-            return False
 
     # ------------------------------------------------------------------ #
     # Structure queries

@@ -103,9 +103,6 @@ class Scenario:
             shards=self.shards,
         )
 
-    def describe(self) -> str:
-        return self.config.describe()
-
 
 def _format_scale(scale: float) -> str:
     """A stable, filename-safe rendering of a payload scale (1.0 -> "1")."""
@@ -228,9 +225,6 @@ class ScenarioGrid:
 
     def count(self) -> int:
         return len(self.expand())
-
-    def __len__(self) -> int:  # pragma: no cover - convenience alias
-        return self.count()
 
     def scaled(self, payload_scale: float) -> "ScenarioGrid":
         """A copy with every payload scale replaced by ``payload_scale``."""

@@ -22,7 +22,6 @@ from repro.evaluation.config import (
     table5_configs,
 )
 from repro.evaluation.runner import SweepResult, SweepRunner
-from repro.evaluation.simulators import shared_simulator
 from repro.hierarchy.matrix import enumerate_parallelism_matrices
 from repro.hierarchy.placement import DevicePlacement
 from repro.runtime.events import TestbedSimulator
@@ -65,36 +64,23 @@ def _render(name: str, headers: Sequence[str], rows: Sequence[Sequence[object]])
 # --------------------------------------------------------------------------- #
 # Table 3: impact of parallelism placement on AllReduce
 # --------------------------------------------------------------------------- #
-def _allreduce_time(
-    config: ExperimentConfig, matrix, measured: bool, noise_seed: int
-) -> float:
-    """Time of the default AllReduce on one matrix under ``config``."""
-    topology = config.topology()
+def _allreduce_time(config: ExperimentConfig, matrix) -> float:
+    """Measured time of the default AllReduce on one matrix under ``config``."""
     placement = DevicePlacement(matrix)
     program = default_all_reduce(placement, config.request())
     if program.num_steps == 0:
         return 0.0
-    if measured:
-        # Testbed rows stay per-row: the noise model is reseeded per call so
-        # row values are order-independent, which a shared instance would break.
-        testbed = TestbedSimulator(topology, NoiseModel(seed=noise_seed))
-        return testbed.measure(
-            program, config.bytes_per_device, config.algorithm, num_runs=3
-        ).total_seconds
-    # Predicted rows share one simulator per topology, so the repeated
-    # default-AllReduce signatures across matrices/algorithms compile once.
-    simulator = shared_simulator(topology)
-    return simulator.simulate(
-        program, config.bytes_per_device, config.algorithm
+    # The noise model is reseeded per row so row values are order-independent,
+    # which a shared testbed would break.
+    testbed = TestbedSimulator(config.topology(), NoiseModel(seed=0))
+    return testbed.measure(
+        program, config.bytes_per_device, config.algorithm, num_runs=3
     ).total_seconds
 
 
-def build_table3(
-    payload_scale: float = 1.0,
-    measured: bool = True,
-    noise_seed: int = 0,
-) -> TableArtifact:
-    """Table 3: AllReduce time per parallelism matrix, reduction axis and NCCL algorithm."""
+def build_table3(payload_scale: float = 1.0) -> TableArtifact:
+    """Table 3: measured AllReduce time per parallelism matrix, reduction axis
+    and NCCL algorithm."""
     configs = table3_configs(payload_scale)
     # Group the 4 algorithm/axis variants of each shape together.
     by_shape: Dict[Tuple[SystemKind, Tuple[int, ...]], Dict[Tuple[int, NCCLAlgorithm], ExperimentConfig]] = {}
@@ -114,7 +100,7 @@ def build_table3(
             for reduction_axis in (0, 1):
                 for algorithm in (NCCLAlgorithm.RING, NCCLAlgorithm.TREE):
                     config = variants[(reduction_axis, algorithm)]
-                    row.append(_allreduce_time(config, matrix, measured, noise_seed))
+                    row.append(_allreduce_time(config, matrix))
             rows.append(row)
     headers = [
         "System / axes",

@@ -157,9 +157,6 @@ class ParallelismMatrix:
         """Compact representation, e.g. ``[[1 2] [4 8]]`` (one bracket per axis)."""
         return "[" + " ".join("[" + " ".join(str(x) for x in row) + "]" for row in self.entries) + "]"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.describe()
-
 
 def enumerate_parallelism_matrices(
     hierarchy: SystemHierarchy,

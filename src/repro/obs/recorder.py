@@ -550,24 +550,12 @@ class Recorder:
                     self._dropped_spans += 1
             self._dropped_spans += snapshot.dropped_spans
 
-    def clear(self) -> None:
-        """Reset every metric and span (the recorder stays enabled)."""
-        self.drain()
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     def counter_value(self, name: str) -> int:
         with self._lock:
             return self._counters.get(name, 0)
-
-    def describe(self) -> str:
-        with self._lock:
-            return (
-                f"Recorder({len(self._counters)} counters, "
-                f"{len(self._gauges)} gauges, {len(self._histograms)} histograms, "
-                f"{len(self._spans)} spans)"
-            )
 
 
 class _NullSpan:
@@ -620,20 +608,8 @@ class NullRecorder:
     def snapshot(self) -> RecorderSnapshot:
         return RecorderSnapshot()
 
-    def drain(self) -> RecorderSnapshot:
-        return RecorderSnapshot()
-
-    def merge(self, snapshot: RecorderSnapshot) -> None:
-        pass
-
-    def clear(self) -> None:
-        pass
-
     def counter_value(self, name: str) -> int:
         return 0
-
-    def describe(self) -> str:
-        return "NullRecorder()"
 
 
 NULL_RECORDER = NullRecorder()

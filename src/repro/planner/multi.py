@@ -91,12 +91,6 @@ class PlacementEvaluation:
         """Weighted communication time per training step under this placement."""
         return sum(choice.weighted_seconds for choice in self.choices)
 
-    @property
-    def total_all_reduce_seconds(self) -> float:
-        return sum(
-            choice.all_reduce_seconds * choice.reduction.weight for choice in self.choices
-        )
-
     def choice_for(self, name: str) -> ReductionChoice:
         for choice in self.choices:
             if choice.reduction.name == name:

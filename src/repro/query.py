@@ -109,7 +109,7 @@ class PlanQuery:
         if not isinstance(payload, int):
             try:
                 coerced = int(payload)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # OverflowError: inf
                 raise QueryError(
                     f"bytes_per_device must be an integer, got {payload!r}"
                 )

@@ -1,7 +1,7 @@
 """The streaming search driver: incremental pricing with branch-and-bound.
 
 :class:`SearchDriver` replaces the materialize-everything spine
-(``collect_strategy_entries`` -> ``evaluate_entries_serial`` -> rank) with a
+(synthesize everything, flatten, price, rank; ``tests/oracles/pipeline.py``) with a
 single pass over lazily enumerated :class:`~repro.search.source.StrategyEntry`
 streams:
 
@@ -125,20 +125,6 @@ class SearchReport:
             data["shard_stats"] = [dict(stats) for stats in self.shard_stats]
         return data
 
-    def describe(self) -> str:
-        stops = []
-        if self.budget_stopped:
-            stops.append("candidate budget")
-        if self.time_stopped:
-            stops.append("time budget")
-        suffix = f"; stopped by {' + '.join(stops)}" if stops else ""
-        return (
-            f"{self.ranked} ranked of {self.considered} considered "
-            f"({self.bound_rejected} bound-rejected, "
-            f"{self.placements_pruned} placements pruned) over "
-            f"{self.matrices_reached} matrices{suffix}"
-        )
-
 
 @dataclass
 class SearchResult:
@@ -180,8 +166,8 @@ class _EntryPricer:
 
     One simulator call per distinct ``(num_devices, signature)``; duplicates
     copy the first price without touching the simulator, so the
-    profile-cache hit/miss provenance is identical to the historical
-    ``evaluate_entries_serial`` accounting.
+    profile-cache hit/miss provenance is identical to the eager pipeline's
+    accounting (``tests/oracles/pipeline.py``).
     """
 
     def __init__(self, simulator: ProgramSimulator, space: SearchSpace) -> None:

@@ -241,7 +241,7 @@ class SynthesisSource:
 
     For each parallelism matrix it yields the default AllReduce entry first
     and then every synthesized program, in exactly the order the eager
-    ``collect_strategy_entries(synthesize_all(...))`` spine produced — fully
+    pipeline (``tests/oracles/pipeline.py``) produced — fully
     consuming this source reproduces the historical entry list bit for bit.
     When the incumbent watermark is finite, whole placements whose
     closed-form lower bound

@@ -13,12 +13,7 @@ states and produces their post-states.
 """
 
 from repro.semantics.state import DeviceState, StateContext
-from repro.semantics.collectives import (
-    Collective,
-    apply_collective,
-    check_collective,
-    collective_is_valid,
-)
+from repro.semantics.collectives import Collective, apply_collective
 from repro.semantics.goals import (
     all_reduce_goal,
     goal_context,
@@ -31,8 +26,6 @@ __all__ = [
     "StateContext",
     "Collective",
     "apply_collective",
-    "check_collective",
-    "collective_is_valid",
     "initial_state",
     "initial_context",
     "goal_context",

@@ -44,11 +44,9 @@ from repro.semantics.state import DeviceState, popcount
 
 __all__ = [
     "Collective",
-    "check_collective",
     "apply_collective",
     "apply_step",
     "step_error",
-    "collective_is_valid",
     "ALL_COLLECTIVES",
 ]
 
@@ -307,20 +305,6 @@ def apply_collective(op: Collective, states: Sequence[DeviceState]) -> List[Devi
     if failure is not None:
         raise step_error(op, groups, post, failure)
     return post
-
-
-def check_collective(op: Collective, states: Sequence[DeviceState]) -> None:
-    """Check the Hoare precondition of ``op`` without computing post-states."""
-    apply_collective(op, states)
-
-
-def collective_is_valid(op: Collective, states: Sequence[DeviceState]) -> bool:
-    """Boolean variant of :func:`check_collective`."""
-    try:
-        apply_collective(op, states)
-        return True
-    except InvalidCollectiveError:
-        return False
 
 
 # --------------------------------------------------------------------------- #

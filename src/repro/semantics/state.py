@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, Iterator, List, Mapping, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 from repro.errors import SemanticsError
 
@@ -143,23 +141,6 @@ class DeviceState:
                 mask |= 1 << c
         return cls._uniform(num_chunks, mask)
 
-    @classmethod
-    def from_matrix(cls, matrix: Sequence[Sequence[int]]) -> "DeviceState":
-        """Build a state from an explicit 0/1 matrix (row = chunk, column = contributor)."""
-        num_chunks = len(matrix)
-        rows: List[int] = []
-        for r, row in enumerate(matrix):
-            if len(row) != num_chunks:
-                raise SemanticsError(f"state matrices must be square; row {r} is not")
-            mask = 0
-            for c, bit in enumerate(row):
-                if bit not in (0, 1):
-                    raise SemanticsError(f"matrix entries must be 0/1, got {bit!r}")
-                if bit:
-                    mask |= 1 << c
-            rows.append(mask)
-        return cls(num_chunks, tuple(rows))
-
     # ------------------------------------------------------------------ #
     # Queries used by the Hoare rules
     # ------------------------------------------------------------------ #
@@ -215,16 +196,6 @@ class DeviceState:
             self.num_chunks, self.bits | other.bits, self.present | other.present
         )
 
-    def restricted_to_rows(self, rows: Iterable[int]) -> "DeviceState":
-        """This state with every chunk outside ``rows`` dropped."""
-        k = self.num_chunks
-        full = (1 << k) - 1
-        keep = kept_rows = 0
-        for r in rows:
-            keep |= full << (r * k)
-            kept_rows |= 1 << r
-        return DeviceState._packed(k, self.bits & keep, self.present & kept_rows)
-
     def is_subset_of(self, other: "DeviceState") -> bool:
         """Element-wise ``<=`` (the paper's information order on states)."""
         self._check_compatible(other)
@@ -233,16 +204,6 @@ class DeviceState:
     def is_strict_subset_of(self, other: "DeviceState") -> bool:
         return self.is_subset_of(other) and self.bits != other.bits
 
-    def rows_disjoint_with(self, other: "DeviceState") -> bool:
-        """True if no chunk has a contributor present in both states."""
-        self._check_compatible(other)
-        return not self.bits & other.bits
-
-    def row_sets_disjoint_with(self, other: "DeviceState") -> bool:
-        """True if the two states have no non-empty row index in common."""
-        self._check_compatible(other)
-        return not self.present & other.present
-
     def _check_compatible(self, other: "DeviceState") -> None:
         if self.num_chunks != other.num_chunks:
             raise SemanticsError(
@@ -250,17 +211,8 @@ class DeviceState:
             )
 
     # ------------------------------------------------------------------ #
-    # Presentation / conversion
+    # Presentation
     # ------------------------------------------------------------------ #
-    def to_matrix(self) -> np.ndarray:
-        """Return the state as a dense ``uint8`` 0/1 matrix (rows = chunks)."""
-        out = np.zeros((self.num_chunks, self.num_chunks), dtype=np.uint8)
-        for r, mask in enumerate(self.rows):
-            for c in range(self.num_chunks):
-                if mask & (1 << c):
-                    out[r, c] = 1
-        return out
-
     def describe(self) -> str:
         lines = []
         for r, mask in enumerate(self.rows):
@@ -289,15 +241,6 @@ class StateContext:
         context = object.__new__(cls)
         _set(context, "states", tuple(states))
         return context
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, DeviceState]) -> "StateContext":
-        devices = sorted(mapping)
-        if devices != list(range(len(devices))):
-            raise SemanticsError(
-                f"state contexts must cover devices 0..n-1 contiguously, got {devices}"
-            )
-        return cls(tuple(mapping[d] for d in devices))
 
     @property
     def num_devices(self) -> int:

@@ -56,9 +56,6 @@ class HierarchyVariant(str, Enum):
     REDUCTION = "reduction"      # (d), uncollapsed
     REDUCTION_COLLAPSED = "reduction-collapsed"  # (d) with same-level factors collapsed
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 @dataclass(frozen=True)
 class SynthesisLevel:
@@ -119,10 +116,6 @@ class SynthesisHierarchy:
         return tuple(level.name for level in self.levels)
 
     @property
-    def num_levels(self) -> int:
-        return len(self.levels)
-
-    @property
     def num_virtual_devices(self) -> int:
         total = 1
         for level in self.levels:
@@ -151,10 +144,6 @@ class SynthesisHierarchy:
     @cached_property
     def _virtual_radix(self) -> MixedRadix:
         return MixedRadix(self.radices)
-
-    @cached_property
-    def _covered_radix(self) -> MixedRadix:
-        return MixedRadix(tuple(self.matrix.factor(i, j) for i, j in self.covered_positions))
 
     @cached_property
     def free_radix(self) -> MixedRadix:

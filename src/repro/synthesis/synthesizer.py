@@ -64,9 +64,6 @@ class SynthesisResult:
     def num_programs(self) -> int:
         return len(self.programs)
 
-    def sorted_by_size(self) -> List[SynthesizedProgram]:
-        return sorted(self.programs, key=lambda p: p.size)
-
     def describe(self) -> str:
         return (
             f"{self.num_programs} programs for {self.hierarchy.describe()} "

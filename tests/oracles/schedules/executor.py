@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 
 from repro.errors import RuntimeExecutionError
 from repro.runtime.cluster import SimCluster
-from repro.schedules.transfer import CollectiveSchedule
+from oracles.schedules.transfer import CollectiveSchedule
 from repro.semantics.collectives import Collective
 
 __all__ = ["ScheduleExecutor", "execute_schedule"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.errors import ReproError
-from repro.schedules.transfer import CollectiveSchedule, ScheduleRound, Transfer
+from oracles.schedules.transfer import CollectiveSchedule, ScheduleRound, Transfer
 from repro.semantics.collectives import Collective
 
 __all__ = ["build_ring_schedule"]

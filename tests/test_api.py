@@ -186,6 +186,25 @@ class TestRetiredSurface:
         with pytest.raises(ImportError):
             from repro.planner import MultiReductionPlanner  # noqa: F401
 
+    def test_oracles_and_callerless_code_left_the_package(self):
+        """References live in ``tests/oracles``; code no caller reached is gone."""
+        import importlib
+
+        import repro.analysis
+        from repro.cost.simulator import ProgramSimulator
+        from repro.evaluation.tables import build_table3
+
+        for module in ("repro.schedules", "repro.evaluation.simulators", "repro.analysis.compare"):
+            with pytest.raises(ImportError):
+                importlib.import_module(module)
+        for name in ("compare_sweeps", "render_summary", "SweepComparison"):
+            assert not hasattr(repro.analysis, name)
+        assert not hasattr(ProgramSimulator, "simulate_reference")
+        with pytest.raises(TypeError):
+            build_table3(measured=False)
+        with pytest.raises(TypeError):
+            build_table3(noise_seed=1)
+
 
 class TestPackageExports:
     def test_the_package_exports_the_planner_surface(self):
@@ -215,3 +234,16 @@ class TestPackageExports:
         from repro._version import __version__
 
         assert output[1] == __version__
+
+    def test_import_repro_semantics_leaves_numpy_out(self):
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        script = "import sys, repro.semantics\nprint('numpy' in sys.modules)\n"
+        output = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env,
+        ).stdout.strip()
+        assert output == "False"

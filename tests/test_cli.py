@@ -200,6 +200,30 @@ class TestMain:
             json.loads(line)["scenario"] for line in cold_lines
         ]
 
+    @pytest.mark.parametrize(
+        "damage", [b'{"scenario": "\xff"}', b"[" * 100000], ids=["not-utf8", "nested-past-the-parser"]
+    )
+    def test_sweep_resume_skips_a_damaged_checkpoint_line(self, capsys, tmp_path, damage):
+        import json
+
+        from repro.analysis import iter_jsonl_records
+
+        out = tmp_path / "smoke.jsonl"
+        assert main(["sweep", "--preset", "smoke", "--out", str(out)]) == 0
+        capsys.readouterr()
+        cold = out.read_bytes().splitlines()
+        assert len(cold) == 3
+
+        # The last record is replaced by a damaged line: resume reruns just it.
+        out.write_bytes(b"\n".join(cold[:2] + [damage]) + b"\n")
+        assert main(
+            ["sweep", "--preset", "smoke", "--out", str(out), "--resume"]
+        ) == 0
+        capsys.readouterr()
+        assert [r["scenario"] for r in iter_jsonl_records(out)] == [
+            json.loads(line)["scenario"] for line in cold
+        ]
+
     def test_sweep_resume_requires_out(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--preset", "smoke", "--resume"])

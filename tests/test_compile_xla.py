@@ -1,4 +1,4 @@
-"""Tests for the XLA-style emission of lowered programs."""
+"""Tests for the XLA-style emission of lowered programs (parsed back by ``oracles.xla``)."""
 
 from __future__ import annotations
 
@@ -7,17 +7,15 @@ import pytest
 from repro.baselines.allreduce import default_all_reduce
 from repro.baselines.blueconnect import blueconnect
 from repro.baselines.hierarchical import reduce_allreduce_broadcast
-from repro.compile import (
-    emit_xla_module,
-    parse_xla_module,
-    program_from_module,
-)
+from repro.compile import emit_xla_module
 from repro.errors import ReproError
 from repro.hierarchy.matrix import enumerate_parallelism_matrices
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.hierarchy.placement import DevicePlacement
 from repro.synthesis.hierarchy import build_synthesis_hierarchy
 from repro.topology.gcp import a100_system
+
+from oracles.xla import parse_xla_module, program_from_module
 
 
 @pytest.fixture(scope="module")

@@ -24,6 +24,8 @@ from repro.errors import CostModelError
 from repro.synthesis.lowering import LoweredProgram
 from tests.test_cost_profile import PAYLOAD_LADDER, synthesized_programs
 
+from oracles.simulator import simulate_reference
+
 MB = 1 << 20
 ALGORITHMS = (NCCLAlgorithm.RING, NCCLAlgorithm.TREE)
 # Cost models with the derating threshold straddling the ladder payloads, so
@@ -96,7 +98,7 @@ class TestExactEquality:
                     for p in programs
                 ]
                 assert totals == [
-                    reference.simulate_reference(p, payload, algorithm).total_seconds
+                    simulate_reference(reference, p, payload, algorithm).total_seconds
                     for p in programs
                 ]
         # Profile hit/miss accounting is identical to per-program simulate.

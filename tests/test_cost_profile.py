@@ -2,7 +2,7 @@
 
 The central contract: pricing a compiled :class:`SimulationProfile` is
 **bit-identical** to the per-group reference simulation
-(:meth:`ProgramSimulator.simulate_reference`) — exact ``==`` on every float,
+(``tests/oracles/simulator.py``) — exact ``==`` on every float,
 never ``approx`` — across payload ladders and both NCCL algorithms.  The
 property test below exercises it over every program the synthesis pipeline
 produces for a deterministic sample of shapes on both GCP systems.
@@ -15,7 +15,6 @@ import random
 
 import pytest
 
-from repro.api import collect_strategy_entries, evaluate_entries_serial
 from repro.baselines.allreduce import default_all_reduce
 from repro.cost.model import CostModel
 from repro.cost.nccl import NCCLAlgorithm
@@ -31,6 +30,9 @@ from repro.synthesis.lowering import LoweredProgram, LoweredStep
 from repro.synthesis.pipeline import synthesize_all
 from repro.topology.links import LinkKind, LinkSpec
 from repro.topology.topology import MachineTopology
+
+from oracles.pipeline import collect_strategy_entries, evaluate_entries_serial
+from oracles.simulator import simulate_reference
 
 MB = 1 << 20
 PAYLOAD_LADDER = (0, 1 << 10, 1 << 20, 123456789, 1 << 30)
@@ -65,7 +67,7 @@ class TestBitIdenticalPricing:
             profile = compile_profile(program, a100_2node)
             for payload in PAYLOAD_LADDER:
                 for algorithm in ALGORITHMS:
-                    reference = simulator.simulate_reference(program, payload, algorithm)
+                    reference = simulate_reference(simulator, program, payload, algorithm)
                     priced = price_profile(
                         profile, payload, algorithm, simulator.cost_model
                     )
@@ -84,7 +86,7 @@ class TestBitIdenticalPricing:
                 for algorithm in ALGORITHMS:
                     assert price_profile(
                         profile, payload, algorithm, simulator.cost_model
-                    ) == simulator.simulate_reference(program, payload, algorithm)
+                    ) == simulate_reference(simulator, program, payload, algorithm)
 
     def test_custom_cost_model_prices_identically(self, a100_2node):
         model = CostModel(
@@ -93,8 +95,8 @@ class TestBitIdenticalPricing:
         simulator = ProgramSimulator(a100_2node, model)
         for program in synthesized_programs(a100_2node, (8, 4), (0,))[:6]:
             for payload in PAYLOAD_LADDER:
-                assert simulator.simulate(program, payload) == simulator.simulate_reference(
-                    program, payload
+                assert simulator.simulate(program, payload) == simulate_reference(
+                    simulator, program, payload
                 )
 
 
@@ -160,7 +162,7 @@ class TestExplicitEdgePaths:
         simulator = ProgramSimulator(a100_2node)
         for result in (
             simulator.simulate(program, 1 * MB),
-            simulator.simulate_reference(program, 1 * MB),
+            simulate_reference(simulator, program, 1 * MB),
             compile_profile(program, a100_2node).price(1 * MB),
         ):
             assert result.total_seconds == 0.0
@@ -181,7 +183,7 @@ class TestExplicitEdgePaths:
         simulator = ProgramSimulator(topology, model)
         for result in (
             simulator.simulate(program, 0),
-            simulator.simulate_reference(program, 0),
+            simulate_reference(simulator, program, 0),
             compile_profile(program, topology).price(0, cost_model=model),
         ):
             assert result.total_seconds == 0.0
@@ -194,7 +196,7 @@ class TestExplicitEdgePaths:
         program = LoweredProgram(num_devices=32, steps=(step,))
         simulator = ProgramSimulator(a100_2node)
         result = simulator.simulate(program, 0)
-        assert result == simulator.simulate_reference(program, 0)
+        assert result == simulate_reference(simulator, program, 0)
         assert result.total_seconds > 0.0  # launch overhead + hop latency
         assert result.steps[0].payload_bytes == 0.0
 
@@ -332,8 +334,8 @@ class TestEntryDeduplication:
         expected = [
             0.0
             if entry.lowered.num_steps == 0
-            else reference.simulate_reference(
-                entry.lowered, 64 * MB, NCCLAlgorithm.RING
+            else simulate_reference(
+                reference, entry.lowered, 64 * MB, NCCLAlgorithm.RING
             ).total_seconds
             for entry in entries
         ]

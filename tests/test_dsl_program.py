@@ -11,6 +11,8 @@ from repro.errors import DSLError, InvalidCollectiveError
 from repro.semantics.collectives import Collective
 from repro.semantics.goals import all_reduce_goal, initial_context
 
+from oracles.dsl import apply_instruction, program_achieves, program_is_valid
+
 RADICES = (1, 2, 2)  # root, 2 nodes, 2 gpus each -> 4 devices
 
 
@@ -53,14 +55,14 @@ class TestReductionInstruction:
         groups = instr.groups(RADICES)
         assert groups == ((0, 1), (2, 3))
         context = initial_context(4)
-        after = instr.apply(context, RADICES)
+        after = apply_instruction(instr, context, RADICES)
         assert after[0].row(0) == 0b0011
         assert after[2].row(0) == 0b1100
 
     def test_apply_raises_when_no_groups(self):
         instr = ReductionInstruction(2, InsideGroup(), Collective.ALL_REDUCE)
         with pytest.raises(InvalidCollectiveError):
-            instr.apply(initial_context(4), RADICES)
+            apply_instruction(instr, initial_context(4), RADICES)
 
     def test_describe_uses_level_names(self):
         instr = ReductionInstruction(1, Parallel(0), Collective.REDUCE)
@@ -78,11 +80,11 @@ class TestReductionProgram:
 
     def test_single_all_reduce_achieves_goal(self):
         program = ReductionProgram.single_all_reduce()
-        assert program.achieves(initial_context(4), all_reduce_goal(4), RADICES)
+        assert program_achieves(program, initial_context(4), all_reduce_goal(4), RADICES)
 
     def test_blueconnect_achieves_goal(self):
         program = self.make_blueconnect()
-        assert program.achieves(initial_context(4), all_reduce_goal(4), RADICES)
+        assert program_achieves(program, initial_context(4), all_reduce_goal(4), RADICES)
 
     def test_hierarchical_reduce_broadcast_achieves_goal(self):
         program = ReductionProgram.of(
@@ -90,7 +92,7 @@ class TestReductionProgram:
             ReductionInstruction(1, Master(0), Collective.ALL_REDUCE),
             ReductionInstruction(1, InsideGroup(), Collective.BROADCAST),
         )
-        assert program.achieves(initial_context(4), all_reduce_goal(4), RADICES)
+        assert program_achieves(program, initial_context(4), all_reduce_goal(4), RADICES)
 
     def test_invalid_program_detected(self):
         # AllReduce twice over the same groups folds data twice (Figure 4b).
@@ -98,15 +100,15 @@ class TestReductionProgram:
             ReductionInstruction(1, InsideGroup(), Collective.ALL_REDUCE),
             ReductionInstruction(1, InsideGroup(), Collective.ALL_REDUCE),
         )
-        assert not program.is_valid(initial_context(4), RADICES)
-        assert not program.achieves(initial_context(4), all_reduce_goal(4), RADICES)
+        assert not program_is_valid(program, initial_context(4), RADICES)
+        assert not program_achieves(program, initial_context(4), all_reduce_goal(4), RADICES)
 
     def test_incomplete_program_does_not_achieve(self):
         program = ReductionProgram.of(
             ReductionInstruction(1, InsideGroup(), Collective.ALL_REDUCE)
         )
-        assert program.is_valid(initial_context(4), RADICES)
-        assert not program.achieves(initial_context(4), all_reduce_goal(4), RADICES)
+        assert program_is_valid(program, initial_context(4), RADICES)
+        assert not program_achieves(program, initial_context(4), all_reduce_goal(4), RADICES)
 
     def test_append_is_persistent(self):
         program = ReductionProgram.of()

@@ -49,8 +49,8 @@ def small_results():
 
 
 class TestTable3:
-    def test_predicted_variant_runs_quickly(self):
-        artifact = build_table3(payload_scale=PAYLOAD_SCALE, measured=False)
+    def test_measured_table_shows_the_placement_spread(self):
+        artifact = build_table3(payload_scale=PAYLOAD_SCALE)
         assert artifact.num_rows > 0
         # Columns: system/axes, matrix, 4 time columns.
         assert len(artifact.headers) == 6
@@ -67,8 +67,8 @@ class TestTable3:
                 spread_found = True
         assert spread_found
 
-    def test_measured_variant_on_reduced_payload(self):
-        artifact = build_table3(payload_scale=0.001, measured=True)
+    def test_measured_table_on_reduced_payload(self):
+        artifact = build_table3(payload_scale=0.001)
         assert artifact.num_rows > 0
 
 

@@ -24,6 +24,8 @@ from repro.service.fingerprint import (
 from repro.synthesis.lowering import LoweredStep, StepTable
 from repro.topology.gcp import a100_system
 
+from oracles.simulator import simulate_reference
+
 MB = 1 << 20
 
 
@@ -180,6 +182,17 @@ class TestPlanQueryValidation:
         # an integral float (as JSON parsers may produce) is accepted exactly
         query = PlanQuery(ParallelismAxes.of(8, 4), ReductionRequest.over(0), 1048576.0)
         assert query.bytes_per_device == 1 << 20
+
+    @pytest.mark.parametrize("payload", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_payload(self, payload):
+        with pytest.raises(QueryError):
+            PlanQuery(ParallelismAxes.of(8, 4), ReductionRequest.over(0), payload)
+
+    def test_rejects_an_overflowing_json_payload(self):
+        # json.loads reads 1e400 as inf: the frame a client can send.
+        data = json.loads('{"axes": [4, 4], "reduce": [0], "bytes": 1e400}')
+        with pytest.raises(QueryError):
+            PlanQuery.from_dict(data)
 
     def test_rejects_bad_algorithm(self):
         with pytest.raises(QueryError):
@@ -449,8 +462,9 @@ class TestPlanPlacementsIntegration:
             assert [c.reduction for c in evaluation.choices] == reductions
             for choice in evaluation.choices:
                 payload = choice.reduction.bytes_per_device
-                chosen = oracle.simulate_reference(choice.program, payload, algorithm)
-                default = oracle.simulate_reference(
+                chosen = simulate_reference(oracle, choice.program, payload, algorithm)
+                default = simulate_reference(
+                    oracle,
                     default_all_reduce(placement, choice.reduction.request),
                     payload,
                     algorithm,

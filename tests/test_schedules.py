@@ -1,4 +1,4 @@
-"""Tests for the chunk-level ring/tree schedules and their executor."""
+"""Tests for the chunk-level ring/tree schedule oracle (``tests/oracles/schedules``)."""
 
 from __future__ import annotations
 
@@ -11,15 +11,16 @@ from repro.cost.nccl import NCCLAlgorithm, bytes_on_wire
 from repro.errors import ReproError, RuntimeExecutionError
 from repro.runtime.cluster import SimCluster
 from repro.runtime.executor import CollectiveExecutor
-from repro.schedules import (
+from repro.semantics.collectives import Collective
+
+from oracles.schedules import (
     build_ring_schedule,
     build_tree_schedule,
     execute_schedule,
     schedule_statistics,
 )
-from repro.schedules.executor import ScheduleExecutor
-from repro.schedules.transfer import CollectiveSchedule, ScheduleRound, Transfer
-from repro.semantics.collectives import Collective
+from oracles.schedules.executor import ScheduleExecutor
+from oracles.schedules.transfer import CollectiveSchedule, ScheduleRound, Transfer
 
 
 class TestScheduleDataModel:

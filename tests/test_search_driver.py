@@ -42,6 +42,8 @@ from repro.synthesis.pipeline import enumerate_search_matrices, synthesize_all
 from repro.synthesis.pruning import SearchStatistics
 from repro.topology.gcp import a100_system, v100_system
 
+from oracles.simulator import simulate_reference
+
 MB = 1 << 20
 
 # The lossless property is checked over a grid of shapes x payloads x
@@ -125,11 +127,9 @@ class TestLosslessPruning:
 class TestExhaustiveEquivalence:
     def test_streaming_spine_matches_legacy_eager_pipeline(self, topology):
         """The refactor contract: same entries, same floats, same counters."""
-        from repro.api import (
-            collect_strategy_entries,
-            evaluate_entries_serial,
-            rank_entries,
-        )
+        from repro.api import rank_entries
+
+        from oracles.pipeline import collect_strategy_entries, evaluate_entries_serial
 
         query = _query((8, 4), (0,), 64 * MB, NCCLAlgorithm.RING)
         candidates = synthesize_all(
@@ -176,7 +176,7 @@ class TestExhaustiveEquivalence:
 
         def oracle_seconds(program):
             scalar = oracle.simulate(program, payload, algorithm).total_seconds
-            reference = oracle.simulate_reference(program, payload, algorithm)
+            reference = simulate_reference(oracle, program, payload, algorithm)
             assert scalar == reference.total_seconds
             return scalar
 
@@ -509,6 +509,21 @@ class TestShardedSearch:
         space = SearchSpace(topology=topology, cost_model=CostModel(), query=query)
         with pytest.raises(SearchError, match="cannot shard"):
             driver.run(space, sources=[CustomSource()])
+
+    def test_a_shard_that_dies_without_a_message_is_a_search_error(self, topology, monkeypatch):
+        import multiprocessing
+        import os
+
+        from repro.errors import SearchError
+        from repro.search import sharded
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched worker target reaches the child only under fork")
+        # The child exits at once: no "done", no "error" message, exit code 3.
+        monkeypatch.setattr(sharded, "_shard_worker", lambda *args: os._exit(3))
+        query = _query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING, shards=2)
+        with pytest.raises(SearchError, match="died with exit code 3"):
+            P2(topology).plan(query)
 
     def test_single_matrix_falls_back_to_serial(self, topology):
         # One placement only: the sharded driver must not spawn workers, and

@@ -19,7 +19,7 @@ import dataclasses
 
 import pytest
 
-from repro.api import P2, collect_strategy_entries, compute_plan
+from repro.api import P2, compute_plan
 from repro.baselines import blueconnect, default_all_reduce, reduce_allreduce_broadcast
 from repro.cost.model import CostModel
 from repro.cost.simulator import ProgramSimulator
@@ -46,6 +46,8 @@ from repro.service import PlanningService
 from repro.synthesis.hierarchy import build_synthesis_hierarchy
 from repro.synthesis.pipeline import synthesize_all
 from repro.topology.gcp import a100_system
+
+from oracles.pipeline import collect_strategy_entries
 
 MB = 1 << 20
 

@@ -12,10 +12,10 @@ from repro.semantics.collectives import (
     Collective,
     TRAFFIC_PROFILES,
     apply_collective,
-    check_collective,
-    collective_is_valid,
 )
 from repro.semantics.state import DeviceState
+
+from oracles.dsl import collective_is_valid
 
 
 def initial(num, device):
@@ -142,9 +142,9 @@ class TestGroupValidation:
         with pytest.raises(SemanticsError):
             apply_collective(Collective.ALL_REDUCE, [initial(2, 0), initial(3, 1)])
 
-    def test_check_and_boolean_wrappers(self):
+    def test_boolean_precondition_check(self):
         states = [initial(2, 0), initial(2, 1)]
-        check_collective(Collective.ALL_REDUCE, states)
+        apply_collective(Collective.ALL_REDUCE, states)
         assert collective_is_valid(Collective.ALL_REDUCE, states)
         assert not collective_is_valid(Collective.ALL_REDUCE, [states[0], states[0]])
 

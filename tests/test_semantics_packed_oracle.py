@@ -24,6 +24,14 @@ from repro.semantics.collectives import apply_step, step_error
 from repro.semantics.state import DeviceState, StateContext
 from repro.synthesis.pruning import context_within_goal
 
+from oracles.state import (
+    restricted_to_rows,
+    row_sets_disjoint,
+    rows_disjoint,
+    state_from_matrix,
+    state_to_matrix,
+)
+
 
 # --------------------------------------------------------------------------- #
 # The oracle: paper Figure 8 over dense matrices
@@ -123,7 +131,7 @@ def oracle_apply(op: Collective, mats: Sequence[np.ndarray]) -> List[np.ndarray]
 
 def assert_agrees(op: Collective, mats: Sequence[np.ndarray]) -> bool:
     """Packed kernel == oracle on one group; returns whether the group was valid."""
-    states = [DeviceState.from_matrix(m.tolist()) for m in mats]
+    states = [state_from_matrix(m.tolist()) for m in mats]
     try:
         expected = oracle_apply(op, mats)
     except (InvalidCollectiveError, SemanticsError) as error:
@@ -135,9 +143,9 @@ def assert_agrees(op: Collective, mats: Sequence[np.ndarray]) -> bool:
     post = apply_collective(op, states)
     assert len(post) == len(expected)
     for state, matrix in zip(post, expected):
-        assert np.array_equal(state.to_matrix(), matrix)
+        assert np.array_equal(state_to_matrix(state), matrix)
         # Derived states must be indistinguishable from validated ones.
-        assert state == DeviceState.from_matrix(matrix.tolist())
+        assert state == state_from_matrix(matrix.tolist())
         assert state.non_empty_rows == _rows(matrix)
     return True
 
@@ -326,7 +334,7 @@ def step_cases(draw):
     the time an earlier step's partition with that step's natural follow-up, so
     that AllGather after ReduceScatter and Broadcast after Reduce come up valid."""
     n = draw(st.integers(2, 12))
-    mats = [np.array(DeviceState.initial(n, d).to_matrix()) for d in range(n)]
+    mats = [np.array(state_to_matrix(DeviceState.initial(n, d))) for d in range(n)]
     used = []
     for _ in range(draw(st.integers(0, 3))):
         op, groups = draw(collectives), draw(partitions(n))
@@ -364,7 +372,7 @@ class TestStepKernelAgainstOracle:
     @settings(max_examples=400, deadline=None)
     def test_step_matches_the_oracle_group_by_group(self, case):
         op, groups, mats = case
-        states = [DeviceState.from_matrix(m.tolist()) for m in mats]
+        states = [state_from_matrix(m.tolist()) for m in mats]
         try:
             expected = oracle_step(op, groups, mats)
         except InvalidCollectiveError as error:
@@ -374,8 +382,8 @@ class TestStepKernelAgainstOracle:
             return
         assert apply_step(op, groups, states) is None
         for state, matrix in zip(states, expected):
-            assert np.array_equal(state.to_matrix(), matrix)
-            assert state == DeviceState.from_matrix(matrix.tolist())
+            assert np.array_equal(state_to_matrix(state), matrix)
+            assert state == state_from_matrix(matrix.tolist())
 
 
 # --------------------------------------------------------------------------- #
@@ -399,7 +407,7 @@ class TestPackedState:
         assert state.num_non_empty_rows == sum(1 for m in rows if m)
         assert state.is_empty == (not any(rows))
         assert state.chunk_fraction() == sum(1 for m in rows if m) / k
-        assert DeviceState.from_matrix(state.to_matrix().tolist()) == state
+        assert state_from_matrix(state_to_matrix(state).tolist()) == state
         clone = pickle.loads(pickle.dumps(state))
         assert clone == state and hash(clone) == hash(state) and clone.rows == rows
         assert repr(state) == f"DeviceState(num_chunks={k}, rows={rows})"
@@ -415,15 +423,15 @@ class TestPackedState:
         assert a.union(b) == DeviceState(k, a.union(b).rows)
         assert a.is_subset_of(b) == all(x & ~y == 0 for x, y in zip(a_rows, b_rows))
         assert a.is_strict_subset_of(b) == (a.is_subset_of(b) and a_rows != b_rows)
-        assert a.rows_disjoint_with(b) == all(x & y == 0 for x, y in zip(a_rows, b_rows))
-        assert a.row_sets_disjoint_with(b) == (
+        assert rows_disjoint(a, b) == all(x & y == 0 for x, y in zip(a_rows, b_rows))
+        assert row_sets_disjoint(a, b) == (
             not set(a.non_empty_rows) & set(b.non_empty_rows)
         )
         assert (a == b) == (a_rows == b_rows)
         if a == b:
             assert hash(a) == hash(b)
         kept = data.draw(st.sets(st.integers(0, k - 1)))
-        assert a.restricted_to_rows(kept).rows == tuple(
+        assert restricted_to_rows(a, kept).rows == tuple(
             m if r in kept else 0 for r, m in enumerate(a_rows)
         )
 

@@ -311,6 +311,14 @@ class TestDaemonEndToEnd:
         assert client.ping()["ok"] is True  # same socket still serves
         assert client.stats()["counters"]["serve.bad_request"] == before + 1
 
+    def test_infinite_payload_is_a_bad_request_on_a_live_connection(self, client):
+        # 1e400 parses as an infinite float, which no integer payload equals.
+        frame = b'{"op": "plan", "query": {"axes": [4, 4], "reduce": [0], "bytes": 1e400}}\n'
+        reply = client.send_raw(frame)
+        assert reply["ok"] is False and reply["error"] == "bad_request"
+        assert "bytes_per_device" in reply["detail"]
+        assert client.ping()["ok"] is True  # same socket still serves
+
     def test_plan_failed_is_structured(self, client):
         # A well-formed query that cannot plan on this topology: the axes
         # product exceeds the 16 devices of Figure 2a.

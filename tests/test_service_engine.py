@@ -202,11 +202,12 @@ class TestBatchedSimulation:
         assert simulator.simulate_many([], 1 * MB) == []
 
     def test_simulate_many_preserves_input_order(self, topology, query_84):
-        from repro.api import collect_strategy_entries, evaluate_entries_serial
         from repro.cost.model import CostModel
         from repro.cost.nccl import NCCLAlgorithm
         from repro.cost.simulator import ProgramSimulator
         from repro.synthesis.pipeline import synthesize_all
+
+        from oracles.pipeline import collect_strategy_entries, evaluate_entries_serial
 
         candidates = synthesize_all(
             topology.hierarchy, query_84.axes, query_84.request, max_program_size=3

@@ -17,6 +17,8 @@ from repro.evaluation.scenarios import preset
 from repro.evaluation.tables import build_appendix_table
 from repro.service import PlanCache, PlanningService
 
+from oracles.simulator import simulate_reference
+
 
 @pytest.fixture(scope="module")
 def smoke_scenarios():
@@ -259,12 +261,12 @@ class TestProfileFastPathInvariance:
 
         class ReferenceSimulator(ProgramSimulator):
             def simulate(self, program, bytes_per_device, algorithm):
-                return self.simulate_reference(program, bytes_per_device, algorithm)
+                return simulate_reference(self, program, bytes_per_device, algorithm)
 
             def simulate_many(self, programs, bytes_per_device, algorithm):
                 return [
-                    self.simulate_reference(
-                        program, bytes_per_device, algorithm
+                    simulate_reference(
+                        self, program, bytes_per_device, algorithm
                     ).total_seconds
                     for program in programs
                 ]

@@ -25,6 +25,8 @@ from repro.synthesis.hierarchy import HierarchyVariant, build_synthesis_hierarch
 from repro.synthesis.pruning import SearchStatistics, context_within_goal
 from repro.synthesis.synthesizer import SynthesizedProgram, Synthesizer
 
+from oracles.dsl import apply_to_groups
+
 
 def reference_search(
     synthesizer: Synthesizer,
@@ -50,7 +52,7 @@ def reference_search(
                 return
             statistics.steps_attempted += 1
             try:
-                next_context = instruction.apply_to_groups(context, groups)
+                next_context = apply_to_groups(instruction, context, groups)
             except InvalidCollectiveError:
                 statistics.steps_invalid += 1
                 continue

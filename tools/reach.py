@@ -1,0 +1,874 @@
+"""Reachability ledger: which functions under ``src/`` does no caller enter?
+
+Drives every documented entry point in this one process with a call hook
+installed, then prints, per module, the functions that no entry point
+entered.  The entry points are:
+
+* every ``repro-cli`` subcommand (``main([...])`` in-process), including
+  ``sweep --grid``, ``plan``, ``corpus ingest|compact`` and ``cache clear``;
+* a ``serve`` round: the daemon runs on the main thread while a client
+  thread sends ``plan``, ``ping`` and ``stats`` (and the README's client
+  block), then SIGTERMs the process so the daemon drains and returns;
+* every ``examples/*.py`` ``main()``;
+* the README's Python blocks, run in order in one namespace.
+
+Functions entered only inside ``multiprocessing`` workers (sharded search
+under the ``fork`` start method) are listed as worker-process code, not as
+unentered.  Each unentered function is printed with its verdict from
+``LEDGER`` below: why it stays although no entry point enters it.  A
+function with no recorded verdict prints as ``UNJUDGED``; the ledger's job
+is to keep that list empty.
+
+Stdlib only.  Run from anywhere (four to five minutes on 2 cores)::
+
+    python tools/reach.py
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import json
+import multiprocessing.util
+import os
+import re
+import signal
+import sys
+import tempfile
+import threading
+import time
+from collections import defaultdict
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+#: Why a function stays in ``src/`` though no entry point enters it, keyed
+#: by ``module:qualname``.  Two verdicts remain once oracles have moved to
+#: ``tests/oracles`` and dead code is deleted:
+#:
+#: * ``error path: <test>`` — a refusal or recovery path; the named test
+#:   drives it.
+#: * ``library: <caller>`` — public surface that the entry points do not
+#:   need but a caller outside ``src/`` does (a benchmark, ``bench/``, CI,
+#:   or the test named).  ``test-only`` marks those that nothing under
+#:   ``src/`` references either: each is a candidate to move to
+#:   ``tests/oracles`` or to delete with its test.
+LEDGER: Dict[str, str] = {
+    # repro.analysis.serialization
+    "repro.analysis.serialization:load_jsonl_results":
+        "library: CI sweep-smoke reads the --out records with it",
+    # repro.analysis.stats
+    "repro.analysis.stats:SpeedupSummary.fraction_outperforming":
+        "library: benchmarks/bench_appendix_full_sweep.py",
+    "repro.analysis.stats:SpeedupSummary.describe":
+        "library: benchmarks/bench_appendix_full_sweep.py",
+    "repro.analysis.stats:_median":
+        "library: benchmarks/bench_appendix_full_sweep.py (summarize_results)",
+    "repro.analysis.stats:summarize_results": "library: benchmarks/bench_appendix_full_sweep.py",
+    # repro.api
+    "repro.api:OptimizationPlan.speedup_over_baseline":
+        "library: test-only; "
+        "tests/test_search_sources.py::TestBaselineSource::test_baselines_survive_plan_serialization",
+    "repro.api:P2.topology":
+        "library: bench/openloop.py; "
+        "tests/test_cost_profile.py::TestStaleBindingGuards::test_planner_bindings_are_read_only",
+    "repro.api:P2.cost_model":
+        "library: tests/test_corpus.py::TestSeeding::test_empty_corpus_seeds_nothing",
+    # repro.cost.contention
+    "repro.cost.contention:StepContention.describe":
+        "library: tests/test_cost_contention_simulator.py::TestContention::test_describe",
+    # repro.cost.profile
+    "repro.cost.profile:StepProfile.num_classes":
+        "library: tests/test_cost_profile.py::TestEquivalenceClasses::test_replicated_cross_node_step_collapses_to_one_class",
+    "repro.cost.profile:SimulationProfile.num_classes":
+        "library: tests/test_cost_profile.py::TestEquivalenceClasses::test_replicated_cross_node_step_collapses_to_one_class",
+    "repro.cost.profile:SimulationProfile.num_groups":
+        "library: tests/test_cost_profile.py::TestEquivalenceClasses::test_replicated_cross_node_step_collapses_to_one_class",
+    "repro.cost.profile:SimulationProfile.price":
+        "library: tests/test_cost_profile.py::TestExplicitEdgePaths::test_empty_program_prices_to_zero_with_no_steps",
+    # repro.cost.simulator
+    "repro.cost.simulator:SimulationResult.num_steps":
+        "library: tests/test_api.py::TestSimulateMeasureVerify::test_simulate_detail",
+    # repro.dsl.pretty
+    "repro.dsl.pretty:describe_instruction":
+        "library: tests/test_dsl_program.py::TestPretty::test_describe_instruction",
+    "repro.dsl.pretty:describe_program":
+        "library: tests/test_dsl_program.py::TestPretty::test_describe_program_multiline",
+    # repro.dsl.program
+    "repro.dsl.program:ReductionProgram.single_all_reduce":
+        "library: test-only; "
+        "tests/test_dsl_program.py::TestReductionProgram::test_single_all_reduce_achieves_goal",
+    "repro.dsl.program:ReductionProgram.size":
+        "library: tests/test_dsl_program.py::TestReductionProgram::test_iteration_indexing_and_size",
+    "repro.dsl.program:ReductionProgram.append":
+        "library: tests/test_dsl_program.py::TestReductionProgram::test_append_is_persistent",
+    "repro.dsl.program:ReductionProgram.collectives_used":
+        "library: test-only; "
+        "tests/test_dsl_program.py::TestReductionProgram::test_collectives_used_and_rooted",
+    "repro.dsl.program:ReductionProgram.uses_rooted_collectives":
+        "library: test-only; "
+        "tests/test_dsl_program.py::TestReductionProgram::test_collectives_used_and_rooted",
+    # repro.evaluation.accuracy
+    "repro.evaluation.accuracy:AccuracyReport.describe":
+        "library: tests/test_evaluation_runner_accuracy.py::TestAccuracy::test_accuracy_report",
+    # repro.evaluation.config
+    "repro.evaluation.config:ExperimentConfig.scaled":
+        "library: tests/test_evaluation_config.py::TestExperimentConfig::test_payload_scale",
+    "repro.evaluation.config:ExperimentConfig.with_algorithm":
+        "library: test-only; "
+        "tests/test_edge_cases.py::TestTreeAlgorithmEndToEnd::test_tree_sweep_runs_and_orders_like_ring",
+    # repro.evaluation.report
+    "repro.evaluation.report:render_matrix_result":
+        "library: tests/test_edge_cases.py::TestReportRendering::test_matrix_report_without_measurements",
+    "repro.evaluation.report:render_sweep_result":
+        "library: test-only; "
+        "tests/test_evaluation_tables_figures.py::TestReports::test_render_sweep_result",
+    # repro.evaluation.scenarios
+    "repro.evaluation.scenarios:ScenarioGrid.queries":
+        "library: tests/test_evaluation_scenarios.py::TestScenarioGridExpansion::test_queries_stream_matches_expansion",
+    "repro.evaluation.scenarios:ScenarioGrid.count":
+        "library: tests/test_evaluation_scenarios.py::TestScenarioGridExpansion::test_explicit_shapes_skip_invalid_combinations",
+    "repro.evaluation.scenarios:ScenarioGrid.to_dict":
+        "library: tests/test_cli.py::TestMain::test_sweep_grid_file",
+    "repro.evaluation.scenarios:preset":
+        "library: tests/test_evaluation_scenarios.py::TestPresets::test_smoke_preset_names_are_stable",
+    # repro.evaluation.tables
+    "repro.evaluation.tables:TableArtifact.num_rows":
+        "library: tests/test_evaluation_tables_figures.py::TestTable3::test_measured_table_shows_the_placement_spread",
+    # repro.hierarchy.levels
+    "repro.hierarchy.levels:SystemHierarchy.level_index":
+        "library: test-only; tests/test_hierarchy_levels.py::TestQueries::test_level_index",
+    "repro.hierarchy.levels:SystemHierarchy.__len__":
+        "library: tests/test_hierarchy_levels.py::TestQueries::test_len_iter_getitem",
+    "repro.hierarchy.levels:SystemHierarchy.__iter__":
+        "library: tests/test_hierarchy_levels.py::TestQueries::test_len_iter_getitem",
+    "repro.hierarchy.levels:SystemHierarchy.__getitem__":
+        "library: tests/test_hierarchy_levels.py::TestQueries::test_len_iter_getitem",
+    "repro.hierarchy.levels:SystemHierarchy.device_id":
+        "library: tests/test_hierarchy_levels.py::TestDeviceAddressing::test_roundtrip_all_devices",
+    "repro.hierarchy.levels:SystemHierarchy.devices_under":
+        "library: test-only; "
+        "tests/test_hierarchy_levels.py::TestDeviceAddressing::test_devices_under_cpu",
+    # repro.hierarchy.matrix
+    "repro.hierarchy.matrix:ParallelismMatrix.row_major_factors":
+        "library: test-only; "
+        "tests/test_hierarchy_matrix.py::TestAccessorsAndFlattenings::test_row_major_flattening_is_hierarchy_c",
+    "repro.hierarchy.matrix:ParallelismMatrix.column_major_factors":
+        "library: test-only; "
+        "tests/test_hierarchy_matrix.py::TestAccessorsAndFlattenings::test_column_major_flattening_is_hierarchy_b",
+    "repro.hierarchy.matrix:ParallelismMatrix.reduction_axis_factors":
+        "library: test-only; "
+        "tests/test_hierarchy_matrix.py::TestAccessorsAndFlattenings::test_reduction_axis_factors_is_hierarchy_d",
+    "repro.hierarchy.matrix:ParallelismMatrix.collapsed_reduction_factors":
+        "library: test-only; "
+        "tests/test_hierarchy_matrix.py::TestAccessorsAndFlattenings::test_collapsed_reduction_factors",
+    "repro.hierarchy.matrix:count_naive_placements":
+        "library: benchmarks/bench_placement_space.py; "
+        "tests/test_hierarchy_matrix.py::TestNaivePlacementCount::test_matches_factorial",
+    # repro.hierarchy.parallelism
+    "repro.hierarchy.parallelism:ParallelismAxes.axis_index":
+        "library: test-only; "
+        "tests/test_hierarchy_parallelism.py::TestParallelismAxes::test_explicit_names",
+    "repro.hierarchy.parallelism:ParallelismAxes.__len__":
+        "library: tests/test_hierarchy_parallelism.py::TestParallelismAxes::test_iteration_and_indexing",
+    "repro.hierarchy.parallelism:ParallelismAxes.__iter__":
+        "library: tests/test_hierarchy_parallelism.py::TestParallelismAxes::test_iteration_and_indexing",
+    "repro.hierarchy.parallelism:ParallelismAxes.__getitem__":
+        "library: tests/test_hierarchy_parallelism.py::TestParallelismAxes::test_iteration_and_indexing",
+    "repro.hierarchy.parallelism:ReductionRequest.group_size":
+        "library: tests/test_hierarchy_parallelism.py::TestReductionRequest::test_group_size",
+    "repro.hierarchy.parallelism:ReductionRequest.non_reduction_axes":
+        "library: test-only; "
+        "tests/test_hierarchy_parallelism.py::TestReductionRequest::test_non_reduction_axes",
+    # repro.hierarchy.placement
+    "repro.hierarchy.placement:DevicePlacement.grid_to_device":
+        "library: tests/test_hierarchy_placement.py::TestGridConversions::test_grid_roundtrip_all_devices",
+    "repro.hierarchy.placement:DevicePlacement._check_grid":
+        "error path: tests/test_hierarchy_placement.py::TestGridConversions::test_grid_shape_validation",
+    "repro.hierarchy.placement:DevicePlacement.axis_coordinate":
+        "library: test-only; "
+        "tests/test_hierarchy_placement.py::TestParallelCoordinates::test_axis_coordinate_matches_parallel_coordinates",
+    "repro.hierarchy.placement:DevicePlacement.device_for_coordinates":
+        "library: test-only; "
+        "tests/test_hierarchy_placement.py::TestParallelCoordinates::test_coordinate_roundtrip",
+    "repro.hierarchy.placement:DevicePlacement.coordinate_table":
+        "library: tests/test_hierarchy_placement.py::TestParallelCoordinates::test_coordinate_table_matches",
+    "repro.hierarchy.placement:DevicePlacement.__getstate__":
+        "library: tests/test_semantics_transitions.py::TestNothingOutlivesTheSearch::test_a_placement_pickles_without_its_search_state",
+    "repro.hierarchy.placement:DevicePlacement.reduction_group_of":
+        "library: test-only; "
+        "tests/test_hierarchy_placement.py::TestReductionGroups::test_reduction_group_of",
+    "repro.hierarchy.placement:DevicePlacement.placement_table":
+        "library: test-only; "
+        "tests/test_hierarchy_placement.py::TestReductionGroups::test_placement_table",
+    # repro.obs.export
+    "repro.obs.export:jsonl_events":
+        "library: tests/test_obs.py::TestExport::test_jsonl_round_trips_through_load_snapshot",
+    "repro.obs.export:write_jsonl":
+        "library: test-only; "
+        "tests/test_obs.py::TestExport::test_jsonl_round_trips_through_load_snapshot",
+    "repro.obs.export:_snapshot_from_jsonl":
+        "library: `stats FILE` on a JSONL stream from repro.obs.write_jsonl; "
+        "tests/test_obs.py::TestExport::test_jsonl_round_trips_through_load_snapshot",
+    # repro.obs.recorder
+    "repro.obs.recorder:Recorder.__getstate__":
+        "library: pickled into spawn-started shard workers; "
+        "tests/test_obs.py::TestRecorder::test_recorder_survives_pickling",
+    "repro.obs.recorder:Recorder.__setstate__":
+        "library: pickled into spawn-started shard workers; "
+        "tests/test_obs.py::TestRecorder::test_recorder_survives_pickling",
+    "repro.obs.recorder:Recorder.counter_value":
+        "library: test-only; "
+        "tests/test_obs.py::TestRecorder::test_counter_increments_are_thread_safe",
+    "repro.obs.recorder:NullRecorder.snapshot":
+        "library: benchmarks/bench_telemetry_overhead.py; "
+        "tests/test_obs.py::TestRecorder::test_null_recorder_is_inert_and_default",
+    "repro.obs.recorder:NullRecorder.counter_value":
+        "library: test-only; "
+        "tests/test_obs.py::TestRecorder::test_null_recorder_is_inert_and_default",
+    # repro.planner.multi
+    "repro.planner.multi:MultiReductionPlan.placement_for":
+        "library: test-only; tests/test_planner.py::TestPlanPlacements::test_placement_for",
+    # repro.query
+    "repro.query:PlanOutcome.best":
+        "library: tests/test_search_driver.py::TestLosslessPruning::test_bounded_search_returns_bit_identical_best",
+    "repro.query:Planner.plan": "library: Protocol stub, never executed (P2.plan is entered)",
+    "repro.query:Planner.plan_many":
+        "library: Protocol stub, never executed (P2.plan_many is entered)",
+    # repro.runtime.cluster
+    "repro.runtime.cluster:SimCluster.num_chunks":
+        "library: tests/test_runtime_device_cluster.py::TestSimCluster::test_create_shapes",
+    "repro.runtime.cluster:SimCluster.elems_per_chunk":
+        "library: tests/test_runtime_device_cluster.py::TestSimCluster::test_create_shapes",
+    "repro.runtime.cluster:SimCluster.__iter__":
+        "library: tests/test_runtime_device_cluster.py::TestSimCluster::test_iteration_and_describe",
+    "repro.runtime.cluster:SimCluster.describe":
+        "library: tests/test_runtime_device_cluster.py::TestSimCluster::test_iteration_and_describe",
+    # repro.runtime.device
+    "repro.runtime.device:SimDevice.holds":
+        "library: tests/test_runtime_device_cluster.py::TestSimDevice::test_invalidate_and_holds",
+    "repro.runtime.device:SimDevice.describe":
+        "library: tests/test_runtime_device_cluster.py::TestSimDevice::test_describe",
+    # repro.runtime.executor
+    "repro.runtime.executor:ExecutionTrace.num_events":
+        "library: test-only; "
+        "tests/test_runtime_executor.py::TestProgramExecution::test_execute_records_trace",
+    "repro.runtime.executor:ExecutionTrace.events_for_step":
+        "library: test-only; "
+        "tests/test_runtime_executor.py::TestProgramExecution::test_execute_records_trace",
+    "repro.runtime.executor:CollectiveExecutor.reduce":
+        "library: tests/test_integration_paper_claims.py::TestEndToEndPlanQuality::test_every_top_strategy_verifies_numerically",
+    "repro.runtime.executor:CollectiveExecutor.broadcast":
+        "library: tests/test_integration_paper_claims.py::TestEndToEndPlanQuality::test_every_top_strategy_verifies_numerically",
+    # repro.runtime.noise
+    "repro.runtime.noise:NoiseModel.reset":
+        "library: tests/test_runtime_noise_events.py::TestNoiseModel::test_reset_replays_sequence",
+    # repro.search.driver
+    "repro.search.driver:SearchResult.best_per_matrix":
+        "library: test-only; "
+        "tests/test_search_driver.py::TestDriverIntrospection::test_best_per_matrix_tracks_incumbents",
+    # repro.search.sharded
+    "repro.search.sharded:SharedWatermark.matrix_seconds":
+        "library: test-only; "
+        "tests/test_search_driver.py::TestSharedWatermark::test_view_updates_propagate_globally",
+    "repro.search.sharded:PlacementLedger.claimed_count":
+        "library: test-only; "
+        "tests/test_search_driver.py::TestPlacementLedger::test_exhausted_home_slice_steals",
+    "repro.search.sharded:_check_liveness":
+        "error path: tests/test_search_driver.py::TestShardedSearch::test_a_shard_that_dies_without_a_message_is_a_search_error",
+    # repro.search.source
+    "repro.search.source:CandidateSource.entries":
+        "library: Protocol stub, never executed (every source's entries is entered)",
+    # repro.semantics.collectives
+    "repro.semantics.collectives:Collective.moves_reduced_data":
+        "library: test-only; "
+        "tests/test_semantics_collectives.py::TestCollectiveEnum::test_moves_reduced_data",
+    "repro.semantics.collectives:step_error":
+        "error path: tests/test_semantics_packed_oracle.py::TestStepKernelAgainstOracle::test_step_matches_the_oracle_group_by_group",
+    "repro.semantics.collectives:TrafficProfile.output_payload":
+        "library: test-only; "
+        "tests/test_semantics_collectives.py::TestTrafficProfiles::test_output_payload_factors",
+    # repro.semantics.goals
+    "repro.semantics.goals:initial_state":
+        "library: test-only; "
+        "tests/test_semantics_goals.py::TestInitialContext::test_initial_state_helper",
+    # repro.semantics.state
+    "repro.semantics.state:DeviceState.__new__":
+        "library: tests/test_semantics_collectives.py::TestAllReduce::test_two_fresh_devices",
+    "repro.semantics.state:DeviceState.__setattr__":
+        "library: tests/test_semantics_packed_oracle.py::TestPackedState::test_states_are_immutable",
+    "repro.semantics.state:DeviceState.__delattr__":
+        "library: tests/test_semantics_packed_oracle.py::TestPackedState::test_states_are_immutable",
+    "repro.semantics.state:DeviceState.__repr__":
+        "library: tests/test_semantics_packed_oracle.py::TestPackedState::test_round_trips",
+    "repro.semantics.state:DeviceState.__reduce__":
+        "library: tests/test_semantics_packed_oracle.py::TestPackedState::test_round_trips",
+    "repro.semantics.state:DeviceState.empty":
+        "library: tests/test_semantics_collectives.py::TestAllReduce::test_rejects_empty_group_data",
+    "repro.semantics.state:DeviceState.rows":
+        "library: tests/test_semantics_packed_oracle.py::TestKernelAgainstOracle::test_random_groups",
+    "repro.semantics.state:DeviceState.non_empty_rows":
+        "library: tests/test_semantics_collectives.py::TestAllReduce::test_rejects_mismatched_rows",
+    "repro.semantics.state:DeviceState.num_non_empty_rows":
+        "library: test-only; "
+        "tests/test_semantics_packed_oracle.py::TestPackedState::test_round_trips",
+    "repro.semantics.state:DeviceState.is_empty":
+        "library: test-only; "
+        "tests/test_semantics_packed_oracle.py::TestPackedState::test_round_trips",
+    "repro.semantics.state:DeviceState.row":
+        "library: tests/test_dsl_program.py::TestReductionInstruction::test_groups_and_apply",
+    "repro.semantics.state:DeviceState.contributors":
+        "library: tests/test_semantics_state.py::TestUniformStatesArePackedDirectly::test_initial_on_every_device",
+    "repro.semantics.state:DeviceState.union":
+        "library: tests/test_semantics_collectives.py::TestSemanticProperties::test_total_information_never_decreases_except_clearing",
+    "repro.semantics.state:DeviceState.is_subset_of":
+        "library: tests/test_semantics_collectives.py::TestSemanticProperties::test_total_information_never_decreases_except_clearing",
+    "repro.semantics.state:DeviceState.is_strict_subset_of":
+        "library: test-only; "
+        "tests/test_semantics_packed_oracle.py::TestPackedState::test_algebra_matches_row_tuples",
+    "repro.semantics.state:DeviceState._check_compatible":
+        "library: tests/test_semantics_collectives.py::TestSemanticProperties::test_total_information_never_decreases_except_clearing",
+    "repro.semantics.state:DeviceState.describe":
+        "library: tests/test_semantics_state.py::TestQueries::test_describe_mentions_every_chunk",
+    "repro.semantics.state:StateContext.num_devices":
+        "library: tests/test_semantics_goals.py::TestInitialContext::test_single_device",
+    "repro.semantics.state:StateContext.__iter__":
+        "library: tests/test_semantics_goals.py::TestGoalContext::test_all_reduce_goal_is_full_matrix",
+    "repro.semantics.state:StateContext.describe":
+        "library: tests/test_semantics_state.py::TestStateContext::test_iteration_and_describe",
+    # repro.serve.client
+    "repro.serve.client:PlanClient.send_raw":
+        "library: test-only; "
+        "tests/test_serve_daemon.py::TestDaemonEndToEnd::test_malformed_line_keeps_connection_alive",
+    # repro.serve.daemon
+    "repro.serve.daemon:TokenBucket.retry_after_s":
+        "error path: tests/test_serve_daemon.py::TestServingPolicy::test_rate_limit_refusal_shape",
+    "repro.serve.daemon:DaemonThread.__init__":
+        "library: tests/test_corpus.py::TestDaemonCorpusWarm::test_daemon_pre_warms_from_corpus_on_boot",
+    "repro.serve.daemon:DaemonThread.start":
+        "library: tests/test_corpus.py::TestDaemonCorpusWarm::test_daemon_pre_warms_from_corpus_on_boot",
+    "repro.serve.daemon:DaemonThread._thread_main":
+        "library: tests/test_corpus.py::TestDaemonCorpusWarm::test_daemon_pre_warms_from_corpus_on_boot",
+    "repro.serve.daemon:DaemonThread._amain":
+        "library: tests/test_corpus.py::TestDaemonCorpusWarm::test_daemon_pre_warms_from_corpus_on_boot",
+    "repro.serve.daemon:DaemonThread.address":
+        "library: tests/test_corpus.py::TestDaemonCorpusWarm::test_daemon_pre_warms_from_corpus_on_boot",
+    "repro.serve.daemon:DaemonThread.stop":
+        "library: tests/test_corpus.py::TestDaemonCorpusWarm::test_daemon_pre_warms_from_corpus_on_boot",
+    "repro.serve.daemon:DaemonThread.__enter__":
+        "library: tests/test_corpus.py::TestDaemonCorpusWarm::test_daemon_pre_warms_from_corpus_on_boot",
+    "repro.serve.daemon:DaemonThread.__exit__":
+        "library: tests/test_corpus.py::TestDaemonCorpusWarm::test_daemon_pre_warms_from_corpus_on_boot",
+    # repro.serve.protocol
+    "repro.serve.protocol:error_reply":
+        "error path: tests/test_serve_daemon.py::TestDaemonEndToEnd::test_malformed_line_keeps_connection_alive",
+    # repro.service.cache
+    "repro.service.cache:CacheStats.demote_hit":
+        "error path: tests/test_service_engine.py::TestPlanningService::test_recovers_from_semantically_corrupt_cache_entry",
+    "repro.service.cache:PlanCache.get":
+        "library: bench/staged.py; "
+        "tests/test_service_cache.py::TestMemoryTier::test_get_miss_then_hit",
+    "repro.service.cache:PlanCache.discard":
+        "error path: tests/test_service_engine.py::TestPlanningService::test_recovers_from_semantically_corrupt_cache_entry",
+    # repro.synthesis.hierarchy
+    "repro.synthesis.hierarchy:SynthesisHierarchy._virtual_radix":
+        "library: tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps_and_physical_device",
+    "repro.synthesis.hierarchy:SynthesisHierarchy.free_radix":
+        "library: tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps_and_physical_device",
+    "repro.synthesis.hierarchy:SynthesisHierarchy.virtual_to_position_digits":
+        "library: tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps_and_physical_device",
+    "repro.synthesis.hierarchy:SynthesisHierarchy.position_digits_to_virtual":
+        "library: test-only; "
+        "tests/test_synthesis_hierarchy.py::TestVirtualDeviceMapping::test_virtual_roundtrip",
+    "repro.synthesis.hierarchy:SynthesisHierarchy.physical_device":
+        "library: test-only; "
+        "tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps_and_physical_device",
+    "repro.synthesis.hierarchy:_level_name":
+        "library: the non-default hierarchy variants; benchmarks/bench_hierarchy_ablation.py",
+    # repro.synthesis.lowering
+    "repro.synthesis.lowering:LoweredStep.devices":
+        "library: tests/test_service_cache.py::TestInternedFormat::test_equal_steps_from_distinct_objects_share_one_entry",
+    "repro.synthesis.lowering:LoweredStep.min_device":
+        "library: tests/test_service_cache.py::TestInternedFormat::test_equal_steps_from_distinct_objects_share_one_entry",
+    "repro.synthesis.lowering:LoweredStep.max_device":
+        "library: tests/test_service_cache.py::TestInternedFormat::test_equal_steps_from_distinct_objects_share_one_entry",
+    "repro.synthesis.lowering:LoweredStep.__getstate__":
+        "library: tests/test_semantics_shared_sweep.py::TestNoStateOutlivesTheSweep::test_programs_hold_floats_not_states",
+    "repro.synthesis.lowering:LoweredStep.describe":
+        "library: tests/test_synthesis_lowering.py::TestLoweredStepValidation::test_describe_previews_groups",
+    "repro.synthesis.lowering:LoweredProgram.__len__":
+        "library: tests/test_synthesis_lowering.py::TestLoweredProgramValidation::test_run_semantics_and_iteration",
+    "repro.synthesis.lowering:LoweredProgram.__iter__":
+        "library: tests/test_synthesis_lowering.py::TestLoweredProgramValidation::test_run_semantics_and_iteration",
+    "repro.synthesis.lowering:LoweredProgram.to_dict":
+        "library: tests/test_corpus.py::TestPlanCorpusStore::test_old_plan_format_line_is_skipped_and_counted",
+    "repro.synthesis.lowering:LoweredProgram.from_dict":
+        "library: tests/test_semantics_shared_sweep.py::TestCompileReusesTheValidationSweep::test_no_rule_is_applied_twice",
+    "repro.synthesis.lowering:LoweredProgram.run_semantics":
+        "library: tests/test_semantics_shared_sweep.py::TestCompileReusesTheValidationSweep::test_validation_still_visits_every_group",
+    "repro.synthesis.lowering:LoweredProgram.describe":
+        "library: tests/test_synthesis_lowering.py::TestLoweredProgramValidation::test_run_semantics_and_iteration",
+    # repro.synthesis.pipeline
+    "repro.synthesis.pipeline:ProgramCandidate.describe":
+        "library: bench/staged.py; "
+        "tests/test_synthesis_pipeline.py::TestSynthesizeAll::test_candidate_describe",
+    "repro.synthesis.pipeline:PlacementCandidate.num_programs":
+        "library: tests/test_synthesis_pipeline.py::TestSynthesizeAll::test_every_candidate_has_programs_and_default",
+    "repro.synthesis.pipeline:PlacementCandidate.default_program":
+        "library: test-only; "
+        "tests/test_synthesis_pipeline.py::TestSynthesizeAll::test_every_candidate_has_programs_and_default",
+    "repro.synthesis.pipeline:PlacementCandidate.describe":
+        "library: bench/staged.py; "
+        "tests/test_synthesis_pipeline.py::TestSynthesizeAll::test_candidate_describe",
+    "repro.synthesis.pipeline:synthesize_all":
+        "library: benchmarks/bench_synthesis_time.py; "
+        "tests/test_cost_batch.py::TestExactEquality::test_price_programs_equals_per_profile_pricing",
+    # repro.synthesis.pruning
+    "repro.synthesis.pruning:SearchStatistics.describe":
+        "library: tests/test_synthesis_synthesizer.py::TestSynthesisBasics::test_statistics_are_populated",
+    # repro.synthesis.synthesizer
+    "repro.synthesis.synthesizer:SynthesisResult.describe":
+        "library: tests/test_synthesis_synthesizer.py::TestSynthesisBasics::test_statistics_are_populated",
+    # repro.topology.builders
+    "repro.topology.builders:flat_system":
+        "library: tests/test_topology.py::TestBuilders::test_flat_system",
+    # repro.topology.links
+    "repro.topology.links:LinkSpec.scaled":
+        "library: tests/test_metamorphic_oracles.py::test_doubling_every_unit_keeps_the_ranking",
+    "repro.topology.links:LinkSpec.transfer_time":
+        "library: test-only; tests/test_topology.py::TestLinkSpec::test_transfer_time",
+    # repro.topology.topology
+    "repro.topology.topology:MachineTopology.effective_cross_bandwidth":
+        "library: test-only; "
+        "tests/test_topology.py::TestMachineTopology::test_effective_cross_bandwidth_uses_host_link",
+    "repro.topology.topology:MachineTopology.crosses_nic":
+        "library: tests/test_topology.py::TestMachineTopology::test_crosses_nic",
+    "repro.topology.topology:MachineTopology.devices_per_nic_instance":
+        "library: test-only; "
+        "tests/test_topology.py::TestMachineTopology::test_devices_per_nic_instance",
+    "repro.topology.topology:MachineTopology.with_hierarchy":
+        "library: test-only; "
+        "tests/test_topology.py::TestMachineTopology::test_with_hierarchy_compatible_only",
+    # repro.utils.factorization
+    "repro.utils.factorization:prime_factorization":
+        "library: tests/test_utils_factorization.py::TestPrimeFactorization::test_one_has_no_factors",
+    "repro.utils.factorization:count_ordered_factorizations":
+        "library: test-only; "
+        "tests/test_utils_factorization.py::TestOrderedFactorizations::test_products_and_count_match_formula",
+    "repro.utils.factorization:multiplicities":
+        "library: test-only; tests/test_utils_factorization.py::TestMultiplicities::test_histogram",
+    # repro.utils.memo
+    "repro.utils.memo:BoundedMemo.discard":
+        "error path: tests/test_service_cache.py::TestDiskTier::test_discard_drops_one_entry_from_both_tiers",
+    "repro.utils.memo:BoundedMemo.counts":
+        "library: tests/test_memo.py::TestBoundedMemo::test_get_counts_hits_and_misses",
+    "repro.utils.memo:BoundedMemo.__reduce__":
+        "library: a memo pickles empty (shard workers under spawn); "
+        "tests/test_memo.py::TestBoundedMemo::test_a_subclass_pickles_as_itself",
+    "repro.utils.memo:_empty_memo":
+        "library: a memo pickles empty (shard workers under spawn); "
+        "tests/test_memo.py::TestBoundedMemo::test_a_subclass_pickles_as_itself",
+    # repro.utils.mixed_radix
+    "repro.utils.mixed_radix:MixedRadix.__len__":
+        "library: tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps_and_physical_device",
+    "repro.utils.mixed_radix:MixedRadix.__iter__":
+        "library: tests/test_hierarchy_levels.py::TestDeviceAddressing::test_devices_under_cpu",
+    "repro.utils.mixed_radix:MixedRadix.sub":
+        "library: tests/test_utils_mixed_radix.py::TestMixedRadixClass::test_sub_radix",
+    # repro.utils.validation
+    "repro.utils.validation:check_non_negative":
+        "library: test-only; "
+        "tests/test_utils_validation_tabulate.py::TestCheckProbabilityAndNonNegative::test_non_negative",
+    "repro.utils.validation:check_probability":
+        "library: test-only; "
+        "tests/test_utils_validation_tabulate.py::TestCheckProbabilityAndNonNegative::test_probability_bounds",
+}
+
+Key = Tuple[str, int]  # (absolute filename, first line of the code object)
+
+_seen: Set[Key] = set()
+_worker_dir: Optional[str] = None
+
+
+def _hook(frame, event, arg):
+    code = frame.f_code
+    _seen.add((code.co_filename, code.co_firstlineno))
+    return None
+
+
+class _ForkMarker:
+    """Weak-referenceable anchor for ``multiprocessing.util.register_after_fork``."""
+
+
+_FORK_MARKER = _ForkMarker()
+
+
+def _after_fork(_marker) -> None:
+    # Runs in a freshly forked multiprocessing child: start from an empty
+    # set and write what the child entered when its finalizers run.
+    _seen.clear()
+    multiprocessing.util.Finalize(None, _dump_worker, exitpriority=100)
+
+
+def _dump_worker() -> None:
+    path = Path(_worker_dir) / f"worker-{os.getpid()}.json"
+    path.write_text(json.dumps(sorted(_seen)))
+
+
+def _worker_keys() -> Set[Key]:
+    keys: Set[Key] = set()
+    for path in Path(_worker_dir).glob("worker-*.json"):
+        keys.update((name, line) for name, line in json.loads(path.read_text()))
+    return keys
+
+
+# ---------------------------------------------------------------------------
+# The function inventory
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class Function:
+    """One ``def`` under ``src/``: its module, lines and enclosing function."""
+
+    module: str
+    qualname: str
+    path: str
+    first: int
+    last: int
+    parent: Optional["Function"]
+
+    @property
+    def key(self) -> Key:
+        return (self.path, self.first)
+
+    @property
+    def name(self) -> str:
+        return f"{self.module}:{self.qualname}"
+
+    @property
+    def lines(self) -> int:
+        return self.last - self.first + 1
+
+
+def inventory(src: Path = SRC) -> List[Function]:
+    """Every ``def`` under ``src`` (methods and nested functions included).
+
+    A code object's first line is its first decorator's line, so that is
+    the line a function is matched on.
+    """
+    functions: List[Function] = []
+    for path in sorted(src.rglob("*.py")):
+        relative = path.relative_to(src).with_suffix("")
+        parts = relative.parts[:-1] if relative.name == "__init__" else relative.parts
+        module = ".".join(parts)
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def visit(node: ast.AST, prefix: str, parent: Optional[Function]) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    function = Function(module, prefix + child.name, str(path), first,
+                                        child.end_lineno, parent)
+                    functions.append(function)
+                    visit(child, f"{prefix}{child.name}.<locals>.", function)
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.", parent)
+                else:
+                    visit(child, prefix, parent)
+
+        visit(tree, "", None)
+    return functions
+
+
+def unentered(functions: Sequence[Function], entered: Set[Key]) -> List[Function]:
+    """Functions whose code never ran, minus those inside an unentered function.
+
+    A nested ``def`` cannot run unless its enclosing function did, so only
+    the outermost unentered function is reported (its lines cover the rest).
+    """
+    missed = [f for f in functions if f.key not in entered]
+    missed_keys = {f.key for f in missed}
+    return [
+        f for f in missed
+        if f.parent is None or f.parent.key not in missed_keys
+    ]
+
+
+def package_of(function: Function) -> str:
+    parts = function.module.split(".")
+    return parts[1] if len(parts) > 1 else parts[0]
+
+
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
+
+SHAPE = ["--system", "a100", "--nodes", "2", "--axes", "8", "4"]
+SMALL = SHAPE + ["--max-program-size", "3"]
+QUERY = "8,4:0:33554432"
+
+
+def cli_invocations(tmp: Path) -> List[Tuple[List[str], Optional[Path]]]:
+    """Every ``repro-cli`` subcommand but ``serve`` (see :func:`serve_round`).
+
+    Each entry is ``(argv, path)``: when ``path`` is set, the invocation's
+    stdout is saved there for a later invocation to read.
+    """
+    corpus, cache, trace = str(tmp / "corpus"), str(tmp / "cache"), str(tmp / "trace.json")
+    outcomes, snapshot = tmp / "outcomes.jsonl", tmp / "snapshot.json"
+    grid, sweep_out, queries = tmp / "grid.json", tmp / "sweep.jsonl", tmp / "queries.jsonl"
+    queries.write_text(json.dumps({"axes": [2, 16], "reduce": [1], "bytes": 1 << 20}) + "\n")
+    grid.write_text(json.dumps({
+        "name": "reach", "systems": ["a100"], "node_counts": [2],
+        "shapes": [[8, 4]], "workloads": [[0], [1]], "payload_scales": [1.0],
+        "algorithms": ["ring", "tree"], "max_program_size": 3,
+    }))
+    invocations: list = [
+        ["optimize", *SMALL, "--reduce", "0", "--bytes", "33554432"],
+        ["optimize", *SMALL, "--reduce", "1", "--bytes", "16777216", "--json",
+         "--corpus", corpus, "--trace-out", trace],
+        ["optimize", *SMALL, "--reduce", "1", "--bytes", "33554432", "--corpus", corpus],
+        ["optimize", *SMALL, "--reduce", "0", "--max-candidates", "40", "--time-budget", "30"],
+        ["optimize", *SMALL, "--reduce", "0", "--bytes", "33554432", "--shards", "2",
+         "--trace-out", str(tmp / "shards.json")],
+        ["optimize", *SMALL, "--reduce", "0", "--shards", "2", "--max-candidates", "40"],
+        ["plan", *SHAPE, "--reduction", "gradients:0:268435456",
+         "--reduction", "activations:1:67108864:4"],
+        ["emit", *SHAPE, "--reduce", "0", "--bytes", "33554432"],
+        ["serve-batch", "--nodes", "2", "--max-program-size", "3", "--query", QUERY,
+         "--query", QUERY, "--query", "8,4:0:67108864:tree", "--queries-file", str(queries),
+         "--cache-dir", cache, "--trace-out", trace],
+        (["serve-batch", "--nodes", "2", "--max-program-size", "3", "--query", QUERY,
+          "--cache-dir", cache, "--json", "--corpus", corpus], outcomes),
+        ["cache", "stats", "--cache-dir", cache],
+        ["cache", "stats", "--cache-dir", cache, "--json"],
+        ["cache", "clear", "--cache-dir", cache],
+        ["corpus", "stats", "--corpus", corpus],
+        ["corpus", "stats", "--corpus", corpus, "--json"],
+        ["corpus", "ingest", "--corpus", corpus, str(outcomes)],
+        ["corpus", "compact", "--corpus", corpus, "--max-records", "2"],
+        ["stats", trace],
+        (["stats", trace, "--json"], snapshot),
+        ["stats", str(snapshot)],
+        ["table3", "--payload-scale", "0.01"],
+        ["table4", "--payload-scale", "0.01", "--quick"],
+        ["table5", "--payload-scale", "0.01", "--quick"],
+        ["figure11", "--payload-scale", "0.01", "--quick"],
+        ["sweep", "--preset", "smoke", "--json", "--out", str(sweep_out), "--cache-dir", cache],
+        ["sweep", "--preset", "smoke", "--out", str(sweep_out), "--resume"],
+        ["sweep", "--grid", str(grid), "--payload-scale", "0.01", "--corpus", corpus,
+         "--trace-out", trace],
+        ["sweep", "--preset", "paper-table2", "--quick"],
+        ["sweep", "--preset", "gcp-scaleout", "--quick"],
+        ["sweep", "--preset", "payload-ladder", "--quick", "--json"],
+        ["sweep", "--preset", "appendix", "--quick", "--payload-scale", "0.01"],
+        ["sweep", "--payload-scale", "0.01", "--quick"],
+    ]
+    return [entry if isinstance(entry, tuple) else (entry, None) for entry in invocations]
+
+
+def readme_blocks(readme: Path = ROOT / "README.md") -> List[str]:
+    return re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
+
+
+def run_cli(argv: Sequence[str], capture: io.StringIO) -> int:
+    from repro.cli import main
+
+    with contextlib.redirect_stdout(capture), contextlib.redirect_stderr(capture):
+        return main(list(argv))
+
+
+def serve_round(tmp: Path, client_blocks: Sequence[str], namespace: dict,
+                log: Callable[[str, str, float], None]) -> None:
+    """``repro-cli serve`` on this (main) thread; a client thread drives it."""
+    ready = tmp / "ready.json"
+    warm = tmp / "warm.jsonl"
+    warm.write_text(json.dumps({"axes": [8, 4], "reduce": [0], "bytes": 1 << 20,
+                                "max_program_size": 3}) + "\n")
+    problems: List[str] = []
+
+    def client() -> None:
+        from repro.query import PlanQuery
+        from repro.serve import PlanClient
+
+        try:
+            deadline = time.monotonic() + 60
+            while not ready.exists() or not ready.read_text():
+                if time.monotonic() > deadline:
+                    raise TimeoutError("serve never wrote its ready file")
+                time.sleep(0.05)
+            info = json.loads(ready.read_text())
+            with PlanClient(host=info["host"], port=info["port"]) as c:
+                query = PlanQuery(axes=(8, 4), request=(0,), bytes_per_device=1 << 20,
+                                  max_program_size=3)
+                c.plan(query, tenant="alpha")
+                c.plan(query, tenant="beta", include_plan=True)
+                c.ping()
+                c.stats()
+            namespace["port"] = info["port"]
+            for block in client_blocks:
+                exec(compile(block, "README.md", "exec"), namespace)
+        except BaseException as error:  # reported, never raised on this thread
+            problems.append(repr(error))
+        finally:
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    thread = threading.Thread(target=client, name="reach-client")
+    capture = io.StringIO()
+    start = time.perf_counter()
+    thread.start()
+    status = run_cli(["serve", "--nodes", "2", "--port", "0", "--ready-file", str(ready),
+                      "--unix", str(tmp / "serve.sock"), "--rate-limit", "1000",
+                      "--warm", str(warm), "--cache-dir", str(tmp / "serve-cache"),
+                      "--corpus", str(tmp / "corpus"), "--trace-out", str(tmp / "serve.json")],
+                     capture)
+    thread.join()
+    detail = f"exit {status}" + (f"; client: {problems[0]}" if problems else "")
+    log("serve round", detail, time.perf_counter() - start)
+
+
+def drive(tmp: Path, log: Callable[[str, str, float], None]) -> None:
+    os.environ["HOME"] = str(tmp)  # README blocks write under ~/.cache
+    for argv, saved in cli_invocations(tmp):
+        capture = io.StringIO()
+        start = time.perf_counter()
+        try:
+            status = f"exit {run_cli(argv, capture)}"
+        except SystemExit as error:
+            status = f"exit {error.code}"
+        except Exception as error:  # reported, then the next entry point runs
+            status = f"raised {error!r}"
+        if saved is not None:
+            saved.write_text(capture.getvalue())
+        log("repro-cli " + " ".join(argv[:2]), status, time.perf_counter() - start)
+
+    namespace: dict = {"__name__": "__readme__"}
+    from repro.topology import a100_system
+
+    namespace["topology"] = a100_system(num_nodes=2)
+    blocks = readme_blocks()
+    client_blocks = [b for b in blocks if "PlanClient" in b]
+    for number, block in enumerate(blocks, start=1):
+        if block in client_blocks:
+            continue
+        capture = io.StringIO()
+        start = time.perf_counter()
+        try:
+            with contextlib.redirect_stdout(capture):
+                exec(compile(block, "README.md", "exec"), namespace)
+            status = "ok"
+        except Exception as error:  # a fragment (e.g. a `...` body) may not run whole
+            status = f"raised {error!r}"
+        log(f"README block {number}", status, time.perf_counter() - start)
+
+    serve_round(tmp, client_blocks, namespace, log)
+
+    import importlib.util
+
+    for path in sorted((ROOT / "examples").glob("*.py")):
+        spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        capture = io.StringIO()
+        start = time.perf_counter()
+        try:
+            spec.loader.exec_module(module)
+            with contextlib.redirect_stdout(capture), contextlib.redirect_stderr(capture):
+                module.main()
+            status = "ok"
+        except Exception as error:
+            status = f"raised {error!r}"
+        log(f"examples/{path.name}", status, time.perf_counter() - start)
+
+
+# ---------------------------------------------------------------------------
+# Report
+# ---------------------------------------------------------------------------
+
+
+def report(functions: Sequence[Function], entered: Set[Key], worker: Set[Key],
+           out=sys.stdout) -> Dict[str, int]:
+    """Print the ledger; return unentered lines per package (worker code excluded)."""
+    missed = unentered(functions, entered)
+    in_workers = [f for f in missed if f.key in worker]
+    missed = [f for f in missed if f.key not in worker]
+    by_module: Dict[str, List[Function]] = defaultdict(list)
+    for function in missed:
+        by_module[function.module].append(function)
+    per_package: Dict[str, int] = defaultdict(int)
+    unjudged = 0
+    for module in sorted(by_module):
+        entries = by_module[module]
+        print(f"\n{module}  ({sum(f.lines for f in entries)} lines)", file=out)
+        for function in entries:
+            verdict = LEDGER.get(function.name)
+            unjudged += verdict is None
+            print(f"  {function.first:>5}  {function.lines:>4}  {function.qualname}"
+                  f"  -- {verdict or 'UNJUDGED'}", file=out)
+            per_package[package_of(function)] += function.lines
+    if in_workers:
+        print("\nentered only in worker processes:", file=out)
+        for function in in_workers:
+            print(f"  {function.name}  ({function.lines} lines)", file=out)
+    stale = sorted(set(LEDGER) - {f.name for f in missed})
+    if stale:
+        print("\nledger entries for functions that were entered or are gone:", file=out)
+        for name in stale:
+            print(f"  {name}", file=out)
+    kinds: Dict[str, List[Function]] = defaultdict(list)
+    for function in missed:
+        verdict = LEDGER.get(function.name, "UNJUDGED")
+        kind = verdict.split(":")[0]
+        if verdict.startswith("library: test-only"):
+            kind = "library (test-only)"
+        kinds[kind].append(function)
+    print("\nverdicts:", file=out)
+    for kind in sorted(kinds):
+        entries = kinds[kind]
+        print(f"  {kind:<20} {len(entries):>4} functions {sum(f.lines for f in entries):>5} lines",
+              file=out)
+    print("\nunentered lines per package:", file=out)
+    for package, lines in sorted(per_package.items(), key=lambda item: (-item[1], item[0])):
+        print(f"  {package:<12} {lines:>5}", file=out)
+    total = sum(per_package.values())
+    print(f"  {'total':<12} {total:>5}  in {len(missed)} functions; {unjudged} unjudged",
+          file=out)
+    return dict(per_package)
+
+
+def main() -> int:
+    global _worker_dir
+
+    sys.path.insert(0, str(SRC))
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
+        _worker_dir = str(Path(tmp) / "workers")
+        os.mkdir(_worker_dir)
+        multiprocessing.util.register_after_fork(_FORK_MARKER, _after_fork)
+
+        def log(what: str, status: str, seconds: float) -> None:
+            print(f"{seconds:7.1f}s  {what:<28} {status}", file=sys.stderr, flush=True)
+
+        previous_home = os.environ.get("HOME")
+        threading.settrace(_hook)
+        sys.settrace(_hook)
+        try:
+            drive(Path(tmp), log)
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+            if previous_home is not None:
+                os.environ["HOME"] = previous_home
+        worker = _worker_keys() - _seen
+        entered = set(_seen)
+    print(f"driven in {time.perf_counter() - start:.0f}s", file=sys.stderr)
+    report(inventory(), entered, worker)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
