@@ -41,27 +41,16 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.api import P2
 from repro.cost.nccl import NCCLAlgorithm
 from repro.errors import ReproError
-from repro.evaluation.config import (
-    SystemKind,
-    appendix_configs,
-    figure11_configs,
-    paper_payload_bytes,
-)
-from repro.evaluation.figures import build_figure11
-from repro.evaluation.report import render_sweep_summary
-from repro.evaluation.runner import SweepRunner
-from repro.evaluation.tables import (
-    build_appendix_table,
-    build_table3,
-    build_table4,
-    build_table5,
-)
+from repro.evaluation.config import SystemKind, paper_payload_bytes
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
+
+if TYPE_CHECKING:
+    from repro.evaluation.runner import SweepRunner
 
 __all__ = ["main", "build_parser"]
 
@@ -831,12 +820,15 @@ def _run_emit(args: argparse.Namespace) -> int:
 
 
 def _quick_runner(args: argparse.Namespace) -> SweepRunner:
+    from repro.evaluation.runner import SweepRunner
+
     runs = 1 if args.quick else 3
     return SweepRunner(measurement_runs=runs)
 
 
 def _sweep_scenarios(args: argparse.Namespace):
     """Scenario list plus runner measurement settings for ``repro-cli sweep``."""
+    from repro.evaluation.config import appendix_configs
     from repro.evaluation.scenarios import (
         PRESETS,
         ScenarioGrid,
@@ -869,6 +861,10 @@ def _sweep_scenarios(args: argparse.Namespace):
 
 def _run_sweep(args: argparse.Namespace) -> int:
     import json
+
+    from repro.evaluation.report import render_sweep_summary
+    from repro.evaluation.runner import SweepRunner
+    from repro.evaluation.tables import build_appendix_table
 
     if args.resume and not args.out:
         raise SystemExit("--resume needs --out (the JSONL checkpoint to resume)")
@@ -1028,16 +1024,22 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_emit(args)
 
     if args.command == "table3":
+        from repro.evaluation.tables import build_table3
+
         artifact = build_table3(payload_scale=args.payload_scale)
         print(artifact.text)
         return 0
 
     if args.command == "table4":
+        from repro.evaluation.tables import build_table4
+
         artifact = build_table4(payload_scale=args.payload_scale, runner=_quick_runner(args))
         print(artifact.text)
         return 0
 
     if args.command == "table5":
+        from repro.evaluation.tables import build_table5
+
         artifact = build_table5(
             payload_scale=args.payload_scale, quick=args.quick, runner=_quick_runner(args)
         )
@@ -1045,6 +1047,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "figure11":
+        from repro.evaluation.config import figure11_configs
+        from repro.evaluation.figures import build_figure11
+
         for config in figure11_configs(args.payload_scale):
             series = build_figure11(config, runner=_quick_runner(args))
             print(series.render())

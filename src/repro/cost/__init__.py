@@ -13,9 +13,9 @@ a :class:`~repro.topology.topology.MachineTopology`:
 * :mod:`repro.cost.profile` — the payload-independent part of a simulation
   (semantics + contention) compiled once per program into a
   :class:`SimulationProfile`, priceable for any payload in closed form.
-* :mod:`repro.cost.batch` — :func:`price_programs`, the one vectorized
-  kernel: many programs' profiles priced at one payload in one numpy shot,
-  bit-identical to :func:`price_profile` per program.
+* :mod:`repro.cost.batch` — :func:`price_programs`: many programs'
+  profiles priced at one payload, each distinct step once, with the step
+  scan :func:`price_profile` runs.
 * :mod:`repro.cost.simulator` — drives the Hoare semantics step by step to
   track per-device payload sizes and sums the per-step times; answers
   repeat simulations by pricing cached profiles (one program per call with

@@ -283,6 +283,41 @@ def _compile_step(
     )
 
 
+def _scan_step(
+    step: StepProfile,
+    bytes_per_device: float,
+    algorithm: NCCLAlgorithm,
+    model: CostModel,
+) -> Tuple[float, Optional[ProfileClass], float]:
+    """One step's time: the max over its classes, and the bottleneck's payload.
+
+    Classes are scanned in first-occurrence order with a strict ``>`` from
+    0.0, so the bottleneck is the first class to reach the maximum, as it is
+    the first group to reach it in the per-group loop.  When no class prices
+    above 0.0 (zero payload under a zero-overhead cost model on zero-latency
+    links) the bottleneck is the first class at payload 0.0, and ``None`` for
+    a step with no classes.
+    """
+    worst_seconds = 0.0
+    worst_class = step.classes[0] if step.classes else None
+    worst_payload = 0.0
+    for cls in step.classes:
+        payload = cls.chunk_fraction * bytes_per_device
+        seconds = model.group_time(
+            op=step.collective,
+            algorithm=algorithm,
+            group_size=cls.group_size,
+            payload_bytes=payload,
+            bandwidth=cls.effective_bandwidth,
+            link_latency=cls.link_latency,
+        )
+        if seconds > worst_seconds:
+            worst_seconds = seconds
+            worst_class = cls
+            worst_payload = payload
+    return worst_seconds, worst_class, worst_payload
+
+
 def price_profile(
     profile: SimulationProfile,
     bytes_per_device: float,
@@ -294,10 +329,11 @@ def price_profile(
 
     Bit-identical to the per-group reference simulation: within a class every
     group prices to the same float, so the max over classes equals the max
-    over groups, and iterating classes in first-occurrence order with a strict
-    ``>`` selects the same bottleneck (link, payload) the group loop's strict
-    ``>`` would.  ``label`` overrides the profile's own label (used when a
-    cached profile answers for a program that shares its signature).
+    over groups, and :func:`_scan_step`'s strict ``>`` over classes in
+    first-occurrence order selects the same bottleneck (link, payload) the
+    group loop's strict ``>`` would.  ``label`` overrides the profile's own
+    label (used when a cached profile answers for a program that shares its
+    signature).
     """
     from repro.cost.simulator import SimulationResult, StepSimulation
 
@@ -308,40 +344,19 @@ def price_profile(
     steps: List[StepSimulation] = []
     total = 0.0
     for step in profile.steps:
-        # A lowered step always has at least one group (LoweredStep enforces
-        # it), so the fallback bottleneck is the first group's link: it is
-        # reported, with the 0.0 payload it was priced at, exactly when every
-        # class prices to 0.0 seconds (zero payload under a zero-overhead
-        # cost model on zero-latency links) and the strict ``>`` never fires.
-        worst_seconds = 0.0
-        worst_link = step.classes[0].link_name if step.classes else "-"
-        worst_payload = 0.0
-        for cls in step.classes:
-            payload = cls.chunk_fraction * bytes_per_device
-            seconds = model.group_time(
-                op=step.collective,
-                algorithm=algorithm,
-                group_size=cls.group_size,
-                payload_bytes=payload,
-                bandwidth=cls.effective_bandwidth,
-                link_latency=cls.link_latency,
-            )
-            if seconds > worst_seconds:
-                worst_seconds = seconds
-                worst_link = cls.link_name
-                worst_payload = payload
+        seconds, bottleneck, payload = _scan_step(step, bytes_per_device, algorithm, model)
         steps.append(
             StepSimulation(
                 collective=step.collective,
                 num_groups=step.num_groups,
                 group_size=step.group_size,
-                seconds=worst_seconds,
-                bottleneck_link=worst_link,
+                seconds=seconds,
+                bottleneck_link=bottleneck.link_name if bottleneck is not None else "-",
                 max_sharing=step.max_sharing,
-                payload_bytes=worst_payload,
+                payload_bytes=payload,
             )
         )
-        total += worst_seconds
+        total += seconds
     return SimulationResult(
         total_seconds=total,
         steps=tuple(steps),

@@ -117,8 +117,8 @@ class ProgramSimulator:
     # analysed rather than shared with an earlier profile (reported once per search).
     steps_profiled: int = field(default=0, init=False, repr=False, compare=False)
     steps_compiled: int = field(default=0, init=False, repr=False, compare=False)
-    # Batch-pricing provenance: how many pricing-kernel invocations ran and
-    # how many programs they priced.  Mirrored into the telemetry recorder as
+    # Batch-pricing provenance: how many price_programs calls ran and how
+    # many programs they priced.  Mirrored into the telemetry recorder as
     # ``batch.prices`` / ``batch.payloads``.
     batch_prices: int = field(default=0, init=False, repr=False, compare=False)
     batch_payloads: int = field(default=0, init=False, repr=False, compare=False)
@@ -157,8 +157,8 @@ class ProgramSimulator:
     ) -> List[float]:
         """Total predicted seconds for many programs at one payload.
 
-        One :func:`~repro.cost.batch.price_programs` kernel prices the class
-        rows of every distinct step profile once.  Profiles are resolved through
+        One :func:`~repro.cost.batch.price_programs` call prices every
+        distinct step profile once.  Profiles are resolved through
         :meth:`profile_for` in input order — the hit/miss provenance is
         exactly what per-program :meth:`simulate` calls would record.
         """

@@ -19,67 +19,7 @@
   (ResNet-50 data parallelism, Megatron-style sharding) used by the examples
   and the §1 "15% faster ResNet-50" experiment.
 * :mod:`repro.evaluation.report` — plain-text rendering.
+
+The package re-exports nothing: import from its submodules, so that reading
+one configuration does not load the runner, :mod:`repro.runtime` and numpy.
 """
-
-from repro.evaluation.config import (
-    ExperimentConfig,
-    SystemKind,
-    paper_payload_bytes,
-    table3_configs,
-    table4_configs,
-    table5_configs,
-    appendix_configs,
-    figure11_configs,
-)
-from repro.evaluation.runner import (
-    MatrixResult,
-    ProgramResult,
-    SweepResult,
-    SweepRunner,
-)
-from repro.evaluation.scenarios import (
-    PRESETS,
-    Scenario,
-    ScenarioGrid,
-    preset,
-    preset_names,
-    scenarios_from_configs,
-)
-from repro.evaluation.accuracy import AccuracyReport, top_k_accuracy, accuracy_table
-from repro.evaluation.tables import (
-    build_table3,
-    build_table4,
-    build_table5,
-    build_appendix_table,
-)
-from repro.evaluation.figures import Figure11Series, build_figure11
-
-__all__ = [
-    "ExperimentConfig",
-    "SystemKind",
-    "paper_payload_bytes",
-    "table3_configs",
-    "table4_configs",
-    "table5_configs",
-    "appendix_configs",
-    "figure11_configs",
-    "MatrixResult",
-    "ProgramResult",
-    "SweepResult",
-    "SweepRunner",
-    "PRESETS",
-    "Scenario",
-    "ScenarioGrid",
-    "preset",
-    "preset_names",
-    "scenarios_from_configs",
-    "AccuracyReport",
-    "top_k_accuracy",
-    "accuracy_table",
-    "build_table3",
-    "build_table4",
-    "build_table5",
-    "build_appendix_table",
-    "Figure11Series",
-    "build_figure11",
-]

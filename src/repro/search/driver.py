@@ -24,7 +24,7 @@ profile-cache traffic — which is what keeps the planning service's
 fingerprint cache and the tier-1 determinism contracts sound.
 
 Pricing takes one of two paths: an exhaustive run buffers the stream and
-prices it in one vectorized ``price_many`` batch at the end, while a
+prices it in one ``price_many`` batch at the end, while a
 budgeted run prices entry by entry so every bound check reads the freshest
 incumbent.  Parallel search is :mod:`repro.search.sharded`, whose workers
 run this same loop over slices of the placement space.
@@ -84,8 +84,8 @@ class SearchReport:
     # first reached it came from a seed source (a corpus/pinned warm start).
     time_to_incumbent_s: Optional[float] = None
     seeded_incumbent: bool = False
-    batch_prices: int = 0         # pricing-kernel invocations
-    batch_payloads: int = 0       # programs those kernels priced
+    batch_prices: int = 0         # price_programs calls
+    batch_payloads: int = 0       # programs those calls priced
     # Profile compiles on this driver's simulator that reused the validation sweep.
     semantics_reused: int = 0
     # Source streams answered from the planner's shape memo: their entries were
@@ -191,15 +191,15 @@ class _EntryPricer:
         return seconds
 
     def price_many(self, entries: Sequence[StrategyEntry]) -> List[float]:
-        """Price a buffered entry list through one vectorized kernel.
+        """Price a buffered entry list through one ``price_programs`` call.
 
         Shares the first-occurrence memo with :meth:`price`: duplicates —
         within the batch or against entries priced earlier — copy the first
         price, and the distinct programs reach the simulator in buffer
         order, so profile compilation order and hit/miss provenance are
         exactly what per-entry :meth:`price` calls would produce.  The
-        prices themselves are exact-equal floats (the
-        :mod:`repro.cost.batch` contract), so rankings can never shift.
+        prices themselves are exact-equal floats (both paths run the same
+        step scan), so rankings can never shift.
         """
         out = [0.0] * len(entries)
         distinct: List[LoweredProgram] = []
@@ -343,7 +343,7 @@ class SearchDriver:
         # only lower the watermark under a search budget, so an exhaustive
         # stream never prunes and a seeded exhaustive plan stays bit-identical
         # to unseeded.  The stream is therefore buffered and priced in one
-        # vectorized batch at the end — same entries, same floats, same
+        # batch at the end — same entries, same floats, same
         # profile-cache traffic as per-entry pricing.
         buffered: List[Tuple[StrategyEntry, str]] = []
         counters_before = (

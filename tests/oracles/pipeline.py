@@ -6,6 +6,9 @@ placement's programs up front, flatten them into one entry list, price the
 list.  :func:`repro.api.compute_plan` streams the same entries through
 :class:`~repro.search.driver.SearchDriver` instead; the tests check that the
 stream and its prices equal this list exactly.
+
+:func:`synthesized_programs` and :data:`PAYLOAD_LADDER` are the program set
+and payloads the pricing tests sweep.
 """
 
 from __future__ import annotations
@@ -16,12 +19,20 @@ from repro.baselines.allreduce import default_all_reduce
 from repro.cost.model import CostModel
 from repro.cost.nccl import NCCLAlgorithm
 from repro.cost.simulator import ProgramSimulator
-from repro.hierarchy.parallelism import ReductionRequest
+from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.search.source import StrategyEntry
-from repro.synthesis.pipeline import PlacementCandidate
+from repro.synthesis.pipeline import PlacementCandidate, synthesize_all
 from repro.topology.topology import MachineTopology
 
-__all__ = ["collect_strategy_entries", "evaluate_entries_serial"]
+__all__ = [
+    "PAYLOAD_LADDER",
+    "collect_strategy_entries",
+    "evaluate_entries_serial",
+    "synthesized_programs",
+]
+
+# Crosses the default small-message threshold (1 MiB) and includes 0.
+PAYLOAD_LADDER = (0, 1 << 10, 1 << 20, 123456789, 1 << 30)
 
 
 def collect_strategy_entries(
@@ -79,3 +90,14 @@ def evaluate_entries_serial(
             entry.lowered, bytes_per_device, algorithm
         ).total_seconds
     return predicted
+
+
+def synthesized_programs(topology, axes_sizes, request_axes, max_program_size=3):
+    """Every lowered program (baselines included) for one planning shape."""
+    axes = ParallelismAxes.of(*axes_sizes)
+    request = ReductionRequest(tuple(request_axes))
+    candidates = synthesize_all(
+        topology.hierarchy, axes, request, max_program_size=max_program_size
+    )
+    entries = collect_strategy_entries(candidates, request)
+    return [entry.lowered for entry in entries if entry.lowered.num_steps > 0]

@@ -235,14 +235,18 @@ class TestPackageExports:
 
         assert output[1] == __version__
 
-    def test_import_repro_semantics_leaves_numpy_out(self):
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.semantics", "repro.cost", "repro.api", "repro.service", "repro.serve", "repro.search"],
+    )
+    def test_import_repro_semantics_leaves_numpy_out(self, module):
         import os
         import subprocess
         import sys
 
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-        script = "import sys, repro.semantics\nprint('numpy' in sys.modules)\n"
+        script = f"import sys, {module}\nprint('numpy' in sys.modules)\n"
         output = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env,
         ).stdout.strip()

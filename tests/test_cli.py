@@ -605,3 +605,39 @@ class TestCorpusCli:
         out = capsys.readouterr().out
         assert "dropped 1 record(s)" in out
         assert "1 kept" in out
+
+
+class TestImportFootprint:
+    """Planning commands load the planner core only: no reproduction layer, no numpy."""
+
+    def test_planning_commands_leave_the_reproduction_layer_out(self):
+        import os
+        import subprocess
+        import sys
+        import textwrap
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        script = textwrap.dedent(
+            f"""
+            import contextlib, io, sys
+            from repro.cli import main
+
+            shape = ["--system", "a100", "--nodes", "2", "--axes", "8", "4"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["optimize", *shape, "--reduce", "0",
+                             "--bytes", "{1 << 20}", "--max-program-size", "3"]) == 0
+                assert main(["plan", *shape, "--reduction", "g:0:{1 << 20}",
+                             "--reduction", "a:1:{1 << 20}"]) == 0
+                assert main(["serve-batch", "--nodes", "2", "--max-program-size", "3",
+                             "--query", "8,4:0:{1 << 20}"]) == 0
+            # What `repro-cli serve` imports before it boots the daemon.
+            import repro.corpus, repro.obs, repro.serve, repro.service
+            loaded = ("numpy", "repro.runtime", "repro.evaluation.runner")
+            print(sorted(name for name in loaded if name in sys.modules))
+            """
+        )
+        output = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env,
+        ).stdout.strip()
+        assert output == "[]"

@@ -1,4 +1,4 @@
-"""Tests for repro.cost.batch: the one vectorized pricing kernel.
+"""Tests for repro.cost.batch: many profiles priced at one payload.
 
 The contract under test is the same one ``tests/test_cost_profile.py``
 enforces for the compile/price split: **exact float equality** (``==``,
@@ -22,14 +22,14 @@ from repro.cost.profile import price_profile
 from repro.cost.simulator import ProgramSimulator
 from repro.errors import CostModelError
 from repro.synthesis.lowering import LoweredProgram
-from tests.test_cost_profile import PAYLOAD_LADDER, synthesized_programs
 
+from oracles.pipeline import PAYLOAD_LADDER, synthesized_programs
 from oracles.simulator import simulate_reference
 
 MB = 1 << 20
 ALGORITHMS = (NCCLAlgorithm.RING, NCCLAlgorithm.TREE)
 # Cost models with the derating threshold straddling the ladder payloads, so
-# both bandwidth branches of the kernel are exercised.
+# both bandwidth branches of the pricing are exercised.
 COST_MODELS = (
     CostModel(),
     CostModel(launch_overhead=0.0, small_message_bytes=0.0),
@@ -138,7 +138,19 @@ class TestValidation:
 
 
 class TestRetiredSurface:
-    """The payload-vector pricer and the numpy-less fallback are gone."""
+    """The payload-vector pricer, the numpy-less fallback and the numpy kernel are gone."""
+
+    def test_numpy_kernel_is_gone(self):
+        import repro.cost.batch as batch
+
+        assert not hasattr(batch, "_Rows")
+        assert not hasattr(batch, "_np")
+
+    def test_evaluation_package_reexports_nothing(self):
+        import repro.evaluation
+
+        for retired in ("SweepRunner", "build_table3"):
+            assert not hasattr(repro.evaluation, retired)
 
     def test_fallback_probe_is_gone(self):
         with pytest.raises(ImportError):

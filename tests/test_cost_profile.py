@@ -31,23 +31,16 @@ from repro.synthesis.pipeline import synthesize_all
 from repro.topology.links import LinkKind, LinkSpec
 from repro.topology.topology import MachineTopology
 
-from oracles.pipeline import collect_strategy_entries, evaluate_entries_serial
+from oracles.pipeline import (
+    PAYLOAD_LADDER,
+    collect_strategy_entries,
+    evaluate_entries_serial,
+    synthesized_programs,
+)
 from oracles.simulator import simulate_reference
 
 MB = 1 << 20
-PAYLOAD_LADDER = (0, 1 << 10, 1 << 20, 123456789, 1 << 30)
 ALGORITHMS = (NCCLAlgorithm.RING, NCCLAlgorithm.TREE)
-
-
-def synthesized_programs(topology, axes_sizes, request_axes, max_program_size=3):
-    """Every lowered program (baselines included) for one planning shape."""
-    axes = ParallelismAxes.of(*axes_sizes)
-    request = ReductionRequest(tuple(request_axes))
-    candidates = synthesize_all(
-        topology.hierarchy, axes, request, max_program_size=max_program_size
-    )
-    entries = collect_strategy_entries(candidates, request)
-    return [entry.lowered for entry in entries if entry.lowered.num_steps > 0]
 
 
 class TestBitIdenticalPricing:
