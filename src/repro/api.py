@@ -191,23 +191,6 @@ class OptimizationPlan:
             return float("inf") if default > 0 else 1.0
         return default / best
 
-    def speedup_over_baseline(self, name: str) -> float:
-        """Predicted speedup of the best strategy over a named paper baseline.
-
-        ``name`` is a key of :attr:`baselines`; the zero-cost conventions
-        match :meth:`speedup_over_default`.
-        """
-        if name not in self.baselines:
-            raise EvaluationError(
-                f"this plan records no {name!r} baseline; available: "
-                f"{sorted(self.baselines)}"
-            )
-        best = self.best.predicted_seconds
-        baseline = self.baselines[name]
-        if best <= 0:
-            return float("inf") if baseline > 0 else 1.0
-        return baseline / best
-
     def describe(self, top_k: int = 5) -> str:
         rows = [
             [i + 1, s.matrix.describe(), s.mnemonic, s.predicted_seconds,

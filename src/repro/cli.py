@@ -18,7 +18,7 @@
 * ``repro-cli cache stats | clear`` — inspect or clear an on-disk plan cache
   (``stats --json`` emits the telemetry snapshot schema).
 * ``repro-cli stats`` — pretty-print a telemetry file written by
-  ``--trace-out`` (Chrome trace, bare snapshot JSON or JSONL).
+  ``--trace-out`` (Chrome trace or bare snapshot JSON).
 * ``repro-cli table3 | table4 | table5`` — regenerate the paper tables.
 * ``repro-cli figure11`` — regenerate the Figure 11 series.
 * ``repro-cli sweep`` — run a scenario sweep: a named preset
@@ -248,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="pretty-print a telemetry file written by --trace-out"
     )
     p_stats.add_argument("file",
-                         help="a Chrome trace with embedded snapshot, a bare "
-                              "snapshot JSON, or a JSONL event stream")
+                         help="a Chrome trace with embedded snapshot or a bare "
+                              "snapshot JSON")
     p_stats.add_argument("--json", action="store_true",
                          help="emit the canonical snapshot JSON instead of the "
                               "plain-text summary")

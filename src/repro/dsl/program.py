@@ -61,11 +61,6 @@ class ReductionProgram:
     def of(cls, *instructions: ReductionInstruction) -> "ReductionProgram":
         return cls(tuple(instructions))
 
-    @classmethod
-    def single_all_reduce(cls, slice_level: int = 0) -> "ReductionProgram":
-        """The default strategy: one AllReduce inside each slice-level group."""
-        return cls.of(ReductionInstruction(slice_level, InsideGroup(), Collective.ALL_REDUCE))
-
     @property
     def size(self) -> int:
         """Program size as the paper counts it: number of instructions."""
@@ -83,15 +78,6 @@ class ReductionProgram:
     def append(self, instruction: ReductionInstruction) -> "ReductionProgram":
         """Return a new program with ``instruction`` appended."""
         return ReductionProgram(self.instructions + (instruction,))
-
-    # ------------------------------------------------------------------ #
-    # Structure queries
-    # ------------------------------------------------------------------ #
-    def collectives_used(self) -> Tuple[Collective, ...]:
-        return tuple(instruction.collective for instruction in self.instructions)
-
-    def uses_rooted_collectives(self) -> bool:
-        return any(instruction.collective.is_rooted for instruction in self.instructions)
 
     def describe(self, level_names: Optional[Sequence[str]] = None) -> str:
         if not self.instructions:

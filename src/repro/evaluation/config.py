@@ -131,9 +131,6 @@ class ExperimentConfig:
         """A copy with a different payload scale (used by tests and quick runs)."""
         return replace(self, payload_scale=payload_scale)
 
-    def with_algorithm(self, algorithm: NCCLAlgorithm) -> "ExperimentConfig":
-        return replace(self, algorithm=algorithm, name=f"{self.name}-{algorithm.value}")
-
     def describe(self) -> str:
         axes = " ".join(str(a) for a in self.axes)
         reduce_axes = ",".join(str(a) for a in self.reduction_axes)

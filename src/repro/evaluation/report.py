@@ -7,52 +7,15 @@ formatting lives in one place.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
-from repro.evaluation.runner import MatrixResult, SweepResult
+from repro.evaluation.runner import SweepResult
 from repro.utils.tabulate import format_table
 
 __all__ = [
-    "render_matrix_result",
-    "render_sweep_result",
     "render_sweep_summary",
     "render_provenance_summary",
 ]
-
-
-def render_matrix_result(matrix: MatrixResult, max_programs: Optional[int] = 10) -> str:
-    """One matrix: its programs sorted by evaluation time."""
-    programs = sorted(matrix.programs, key=lambda p: p.evaluation_seconds)
-    rows = []
-    for program in programs[: max_programs or len(programs)]:
-        rows.append(
-            [
-                program.mnemonic,
-                program.size,
-                program.predicted_seconds,
-                program.measured_seconds,
-                "yes" if program.is_default_all_reduce else "",
-            ]
-        )
-    table = format_table(
-        ["program", "size", "predicted (s)", "measured (s)", "default"],
-        rows,
-        title=f"matrix {matrix.matrix_description} ({matrix.num_programs} programs)",
-        float_fmt="{:.4f}",
-    )
-    speedup = matrix.speedup_over_all_reduce()
-    if speedup is not None:
-        table += f"\nbest speedup over AllReduce: {speedup:.2f}x"
-    return table
-
-
-def render_sweep_result(result: SweepResult, max_programs: Optional[int] = 10) -> str:
-    """Full report for one configuration."""
-    sections: List[str] = [result.describe(), ""]
-    for matrix in result.matrices:
-        sections.append(render_matrix_result(matrix, max_programs))
-        sections.append("")
-    return "\n".join(sections)
 
 
 def render_sweep_summary(results: Sequence[SweepResult], snapshot=None) -> str:

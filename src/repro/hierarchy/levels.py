@@ -19,7 +19,7 @@ Example (Figure 2a of the paper)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from repro.errors import HierarchyError
 from repro.utils.mixed_radix import MixedRadix
@@ -121,13 +121,6 @@ class SystemHierarchy:
         """Mixed radix over the level cardinalities (root most significant)."""
         return MixedRadix(self.cardinalities)
 
-    def level_index(self, name: str) -> int:
-        """Return the index of the level called ``name``."""
-        for i, level in enumerate(self.levels):
-            if level.name == name:
-                return i
-        raise HierarchyError(f"no level named {name!r}; levels are {list(self.names)}")
-
     def __len__(self) -> int:
         return self.num_levels
 
@@ -147,25 +140,6 @@ class SystemHierarchy:
     def device_id(self, coordinates: Sequence[int]) -> int:
         """Return the flat device id for per-level digits (root first)."""
         return self.radix.encode(coordinates)
-
-    def devices_under(self, level: int, instance_coordinates: Sequence[int]) -> List[int]:
-        """List devices under a given instance of ``level``.
-
-        ``instance_coordinates`` are the digits of levels ``0..level`` that
-        identify the instance.
-        """
-        if not 0 <= level < self.num_levels:
-            raise HierarchyError(f"level index {level} out of range")
-        if len(instance_coordinates) != level + 1:
-            raise HierarchyError(
-                f"expected {level + 1} coordinates for level {level}, "
-                f"got {len(instance_coordinates)}"
-            )
-        below = MixedRadix(self.cardinalities[level + 1 :])
-        devices = []
-        for tail in below:
-            devices.append(self.device_id(tuple(instance_coordinates) + tail))
-        return devices
 
     def ancestor_instance(self, device: int, level: int) -> Tuple[int, ...]:
         """Return the coordinates identifying ``device``'s ancestor at ``level``."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import PlacementError
 from repro.hierarchy.levels import SystemHierarchy
@@ -109,46 +109,6 @@ class ParallelismMatrix:
 
     def factor(self, axis: int, level: int) -> int:
         return self.entries[axis][level]
-
-    # ------------------------------------------------------------------ #
-    # Flattenings used by the synthesis hierarchies (paper §2.5 / §3.4)
-    # ------------------------------------------------------------------ #
-    def row_major_factors(self) -> Tuple[int, ...]:
-        """Row-based flattening (synthesis hierarchy (c)): axis 0's factors, then axis 1's, ..."""
-        flat: List[int] = []
-        for i in range(self.num_rows):
-            flat.extend(self.entries[i])
-        return tuple(flat)
-
-    def column_major_factors(self) -> Tuple[int, ...]:
-        """Column-based flattening (synthesis hierarchy (b)): level 0's factors, then level 1's, ..."""
-        flat: List[int] = []
-        for j in range(self.num_cols):
-            flat.extend(self.entries[i][j] for i in range(self.num_rows))
-        return tuple(flat)
-
-    def reduction_axis_factors(self, reduction_axes: Sequence[int]) -> Tuple[int, ...]:
-        """Row-based flattening restricted to the reduction axes (hierarchy (d), uncollapsed)."""
-        flat: List[int] = []
-        for i in sorted(reduction_axes):
-            flat.extend(self.entries[i])
-        return tuple(flat)
-
-    def collapsed_reduction_factors(self, reduction_axes: Sequence[int]) -> Tuple[int, ...]:
-        """Per-level product of the reduction-axis factors (hierarchy (d), collapsed).
-
-        Factors that live on the same hardware level are multiplied together
-        (paper §2.5: "collapse parallelism factors of the same hardware
-        hierarchies"), preserving the level order.
-        """
-        axes = sorted(reduction_axes)
-        collapsed: List[int] = []
-        for j in range(self.num_cols):
-            product = 1
-            for i in axes:
-                product *= self.entries[i][j]
-            collapsed.append(product)
-        return tuple(collapsed)
 
     # ------------------------------------------------------------------ #
     # Presentation

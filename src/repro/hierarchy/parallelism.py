@@ -70,13 +70,6 @@ class ParallelismAxes:
             total *= s
         return total
 
-    def axis_index(self, name: str) -> int:
-        """Return the index of the axis called ``name``."""
-        for i, axis_name in enumerate(self.names):
-            if axis_name == name:
-                return i
-        raise HierarchyError(f"no parallelism axis named {name!r}; axes are {list(self.names)}")
-
     def __len__(self) -> int:
         return self.num_axes
 
@@ -132,11 +125,6 @@ class ReductionRequest:
         for a in self.axes:
             total *= axes.sizes[a]
         return total
-
-    def non_reduction_axes(self, axes: ParallelismAxes) -> Tuple[int, ...]:
-        """Indices of the axes *not* reduced over, in increasing order."""
-        self.validate_against(axes)
-        return tuple(i for i in range(axes.num_axes) if i not in self.axes)
 
     def describe(self, axes: ParallelismAxes = None) -> str:
         if axes is None:

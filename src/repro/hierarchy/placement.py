@@ -150,28 +150,12 @@ class DevicePlacement:
     # ------------------------------------------------------------------ #
     # Parallelism coordinates
     # ------------------------------------------------------------------ #
-    def axis_coordinate(self, device: int, axis: int) -> int:
-        """Coordinate of ``device`` along parallelism ``axis`` (e.g. its data-parallel rank)."""
-        grid = self.device_to_grid(device)
-        return self._axis_radices[axis].encode(grid[axis])
-
     def parallel_coordinates(self, device: int) -> Tuple[int, ...]:
         """All per-axis coordinates of ``device`` (one entry per parallelism axis)."""
         grid = self.device_to_grid(device)
         return tuple(
             self._axis_radices[i].encode(grid[i]) for i in range(self.num_axes)
         )
-
-    def device_for_coordinates(self, coordinates: Sequence[int]) -> int:
-        """Inverse of :meth:`parallel_coordinates`."""
-        if len(coordinates) != self.num_axes:
-            raise PlacementError(
-                f"expected {self.num_axes} parallel coordinates, got {len(coordinates)}"
-            )
-        grid: List[Tuple[int, ...]] = []
-        for i, coord in enumerate(coordinates):
-            grid.append(self._axis_radices[i].decode(coord))
-        return self.grid_to_device(grid)
 
     @cached_property
     def coordinate_table(self) -> Tuple[Tuple[int, ...], ...]:
@@ -237,20 +221,9 @@ class DevicePlacement:
         # Memos are pure in the matrix: a shipped placement rebuilds what it needs.
         return {"matrix": self.matrix}
 
-    def reduction_group_of(self, device: int, request: ReductionRequest) -> List[int]:
-        """Return the (ordered) reduction group containing ``device``."""
-        for group in self.reduction_groups(request):
-            if device in group:
-                return group
-        raise PlacementError(f"device {device} not found in any reduction group")
-
     # ------------------------------------------------------------------ #
     # Presentation
     # ------------------------------------------------------------------ #
-    def placement_table(self) -> List[Tuple[int, Tuple[int, ...]]]:
-        """Return ``(device, parallel coordinates)`` rows, device order."""
-        return [(d, self.parallel_coordinates(d)) for d in range(self.num_devices)]
-
     def describe_device(self, device: int) -> str:
         """Human-readable marker like the paper's ``n/m`` labels in Figure 2."""
         coords = self.parallel_coordinates(device)

@@ -8,8 +8,8 @@ The subsystem has two halves:
   default, so instrumentation left in hot paths costs an attribute lookup
   when telemetry is off.
 * :mod:`repro.obs.export` — snapshot consumers: Chrome trace-event JSON
-  (Perfetto-loadable), a JSONL event stream, and a plain-text percentile
-  summary, plus :func:`load_snapshot` to read any of them back.
+  (Perfetto-loadable) and a plain-text percentile summary, plus
+  :func:`load_snapshot` to read a trace or a bare snapshot back.
 
 Everything is stdlib-only.  See the README "Observability" section for the
 end-to-end workflow (``repro.cli ... --trace-out trace.json`` then
@@ -18,11 +18,9 @@ end-to-end workflow (``repro.cli ... --trace-out trace.json`` then
 
 from repro.obs.export import (
     chrome_trace,
-    jsonl_events,
     load_snapshot,
     render_summary,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.recorder import (
     BUCKET_BOUNDS,
@@ -58,8 +56,6 @@ __all__ = [
     "current_trace_context",
     "chrome_trace",
     "write_chrome_trace",
-    "jsonl_events",
-    "write_jsonl",
     "render_summary",
     "load_snapshot",
 ]

@@ -1,6 +1,6 @@
-"""Exporters for recorder snapshots: Chrome trace JSON, JSONL, text summary.
+"""Exporters for recorder snapshots: Chrome trace JSON and a text summary.
 
-All three exporters consume the same :class:`~repro.obs.recorder.RecorderSnapshot`:
+Both exporters consume the same :class:`~repro.obs.recorder.RecorderSnapshot`:
 
 * :func:`chrome_trace` — the Chrome trace-event format (``traceEvents`` with
   complete ``"X"`` events), loadable directly in Perfetto or
@@ -8,25 +8,22 @@ All three exporters consume the same :class:`~repro.obs.recorder.RecorderSnapsho
   top-level ``"snapshot"`` key (the format ignores unknown top-level keys),
   so one ``--trace-out`` file serves both the timeline viewer and
   ``repro.cli stats``.
-* :func:`jsonl_events` — one JSON object per line: finished spans first,
-  then counter/gauge/histogram events; greppable and streamable.
 * :func:`render_summary` — a plain-text table of counters, gauges and
   latency percentiles (p50/p90/p99 from the mergeable histograms).
 
-:func:`load_snapshot` is the inverse seam: it accepts a bare snapshot dict,
-a Chrome-trace file with an embedded snapshot, or a JSONL stream, so the
-``stats`` CLI can pretty-print whatever a previous run wrote.
+:func:`load_snapshot` is the inverse seam: it accepts a bare snapshot dict
+or a Chrome-trace file with an embedded snapshot, so the ``stats`` CLI can
+pretty-print whatever a previous run wrote.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.obs.recorder import (
     SNAPSHOT_SCHEMA,
-    Histogram,
     RecorderSnapshot,
     SpanRecord,
 )
@@ -34,8 +31,6 @@ from repro.obs.recorder import (
 __all__ = [
     "chrome_trace",
     "write_chrome_trace",
-    "jsonl_events",
-    "write_jsonl",
     "render_summary",
     "load_snapshot",
 ]
@@ -109,38 +104,6 @@ def write_chrome_trace(
     if path.parent != Path("."):
         path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(chrome_trace(snapshot), indent=2))
-    return path
-
-
-# --------------------------------------------------------------------------- #
-# JSONL event stream
-# --------------------------------------------------------------------------- #
-def jsonl_events(snapshot: RecorderSnapshot) -> Iterator[Dict[str, Any]]:
-    """Yield the snapshot as a stream of per-line JSON event objects."""
-    yield {"event": "meta", "schema": SNAPSHOT_SCHEMA, "dropped_spans": snapshot.dropped_spans}
-    for span in sorted(snapshot.spans, key=lambda s: (s.pid, s.start_mono_s)):
-        record = span.to_dict()
-        record["event"] = "span"
-        yield record
-    for name, value in sorted(snapshot.counters.items()):
-        yield {"event": "counter", "name": name, "value": value}
-    for name, value in sorted(snapshot.gauges.items()):
-        yield {"event": "gauge", "name": name, "value": value}
-    for name, histogram in sorted(snapshot.histograms.items()):
-        record = histogram.to_dict()
-        record["event"] = "histogram"
-        record["name"] = name
-        yield record
-
-
-def write_jsonl(snapshot: RecorderSnapshot, path: Union[str, Path]) -> Path:
-    """Write the JSONL event stream for ``snapshot`` to ``path``."""
-    path = Path(path)
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        for event in jsonl_events(snapshot):
-            handle.write(json.dumps(event) + "\n")
     return path
 
 
@@ -244,46 +207,26 @@ def render_summary(snapshot: RecorderSnapshot, title: str = "telemetry") -> str:
 # --------------------------------------------------------------------------- #
 # Loading exported telemetry back
 # --------------------------------------------------------------------------- #
-def _snapshot_from_jsonl(lines: List[str]) -> RecorderSnapshot:
-    snapshot = RecorderSnapshot()
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        event = record.get("event")
-        if event == "span":
-            snapshot.spans.append(SpanRecord.from_dict(record))
-        elif event == "counter":
-            snapshot.counters[record["name"]] = int(record["value"])
-        elif event == "gauge":
-            snapshot.gauges[record["name"]] = float(record["value"])
-        elif event == "histogram":
-            snapshot.histograms[record["name"]] = Histogram.from_dict(record)
-        elif event == "meta":
-            snapshot.dropped_spans = int(record.get("dropped_spans", 0))
-    return snapshot
-
-
 def load_snapshot(path: Union[str, Path]) -> RecorderSnapshot:
     """Load a snapshot from any exported form.
 
-    Accepts a bare snapshot dict (``schema: repro.obs/1``), a Chrome trace
-    file carrying an embedded ``snapshot`` key, or a JSONL event stream.
+    Accepts a bare snapshot dict (``schema: repro.obs/1``) or a Chrome trace
+    file carrying an embedded ``snapshot`` key.  Anything else — bytes that
+    are not UTF-8 JSON, nesting deeper than the parser descends, or a
+    snapshot whose fields have the wrong shape — is a :class:`ValueError`.
     """
     path = Path(path)
-    text = path.read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        return _snapshot_from_jsonl(text.splitlines())
-    if isinstance(data, dict):
-        if data.get("schema") == SNAPSHOT_SCHEMA:
+        data = json.loads(path.read_bytes().decode("utf-8"))
+        if isinstance(data, dict) and data.get("schema") != SNAPSHOT_SCHEMA:
+            data = data.get("snapshot")
+        if isinstance(data, dict) and data.get("schema") == SNAPSHOT_SCHEMA:
             return RecorderSnapshot.from_dict(data)
-        embedded = data.get("snapshot")
-        if isinstance(embedded, dict) and embedded.get("schema") == SNAPSHOT_SCHEMA:
-            return RecorderSnapshot.from_dict(embedded)
+    except RecursionError:
+        raise ValueError(f"{path} nests deeper than the JSON parser can descend") from None
+    except (ValueError, KeyError, TypeError, AttributeError) as error:
+        # ValueError covers invalid JSON and invalid UTF-8.
+        raise ValueError(f"{path} is not a readable recorder snapshot: {error}") from None
     raise ValueError(
-        f"{path} is not a recorder snapshot, a Chrome trace with an embedded "
-        "snapshot, or a JSONL event stream"
+        f"{path} is not a recorder snapshot or a Chrome trace with an embedded snapshot"
     )

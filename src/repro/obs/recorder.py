@@ -550,13 +550,6 @@ class Recorder:
                     self._dropped_spans += 1
             self._dropped_spans += snapshot.dropped_spans
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def counter_value(self, name: str) -> int:
-        with self._lock:
-            return self._counters.get(name, 0)
-
 
 class _NullSpan:
     """The shared no-op span: no ids, no timing, no context mutation."""
@@ -607,9 +600,6 @@ class NullRecorder:
 
     def snapshot(self) -> RecorderSnapshot:
         return RecorderSnapshot()
-
-    def counter_value(self, name: str) -> int:
-        return 0
 
 
 NULL_RECORDER = NullRecorder()

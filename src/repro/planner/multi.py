@@ -113,12 +113,6 @@ class MultiReductionPlan:
             raise EvaluationError("the plan contains no placements")
         return self.placements[0]
 
-    def placement_for(self, matrix: ParallelismMatrix) -> PlacementEvaluation:
-        for evaluation in self.placements:
-            if evaluation.matrix == matrix:
-                return evaluation
-        raise EvaluationError(f"matrix {matrix.describe()} not in this plan")
-
     def advantage_over_single_axis_choice(self) -> float:
         """How much worse the combined cost gets if the placement is chosen by
         looking only at the single most expensive reduction (a common heuristic)."""

@@ -43,13 +43,6 @@ class ExecutionTrace:
     def record(self, event: TraceEvent) -> None:
         self.events.append(event)
 
-    @property
-    def num_events(self) -> int:
-        return len(self.events)
-
-    def events_for_step(self, step: int) -> List[TraceEvent]:
-        return [e for e in self.events if e.step == step]
-
 
 @dataclass
 class CollectiveExecutor:

@@ -139,19 +139,6 @@ class SearchResult:
     synthesis_seconds: float
     evaluation_seconds: float
 
-    def best_per_matrix(self) -> Dict[int, float]:
-        """Incumbent best exact time per reached matrix (candidate index keyed)."""
-        index_of = {id(c): i for i, c in enumerate(self.candidates)}
-        best: Dict[int, float] = {}
-        for entry, seconds in zip(self.entries, self.predicted):
-            index = index_of.get(id(entry.candidate))
-            if index is None:
-                continue
-            known = best.get(index)
-            if known is None or seconds < known:
-                best[index] = seconds
-        return best
-
 
 def note_sharing(span, candidates: Sequence[PlacementCandidate]) -> None:
     """On a ``search.run`` span: the matrices reached and how many distinct

@@ -6,9 +6,9 @@ Each worker runs the existing :class:`~repro.search.driver.SearchDriver`
 loop over one matrix at a time — the *identical* per-matrix code path,
 reached through ``matrix_indices``-filtered :class:`BaselineSource` /
 :class:`SynthesisSource` streams — while publishing incumbent costs through
-a :class:`SharedWatermark` (one ``multiprocessing.Value`` per matrix plus a
-global one, mirroring :class:`~repro.search.source.Watermark` semantics), so
-one shard's good plan bounds every other shard's budgeted search.
+a :class:`SharedWatermark` (one ``multiprocessing.Value``, mirroring
+:class:`~repro.search.source.Watermark` semantics), so one shard's good plan
+bounds every other shard's budgeted search.
 
 Work distribution is a :class:`PlacementLedger`: every matrix index lives in
 one shared claim table, each shard owns a round-robin "home" slice, and a
@@ -79,61 +79,33 @@ _JOIN_SECONDS = 10.0
 
 
 class SharedWatermark:
-    """A cross-process incumbent: one value per matrix plus the global best.
+    """A cross-process incumbent: the best exact time any shard has priced.
 
     Mirrors :class:`~repro.search.source.Watermark` semantics — starts at
     infinity, only ever lowers, ``update`` reports improvement — over
     ``multiprocessing`` shared memory so every shard prices against the
-    freshest incumbent any shard has found.  :meth:`matrix_view` binds a
-    matrix index: the view's ``update`` publishes to both that matrix's slot
-    and the global value, while its ``seconds`` reads the *global* incumbent
-    (the legal bound for rejecting any candidate anywhere).
+    freshest incumbent any shard has found (the legal bound for rejecting
+    any candidate anywhere).
     """
 
-    def __init__(self, num_matrices: int, ctx=None) -> None:
+    def __init__(self, ctx=None) -> None:
         ctx = ctx if ctx is not None else multiprocessing.get_context()
         self._lock = ctx.Lock()
         # lock=False: every write happens under self._lock, and reads of one
         # aligned double are atomic on every platform we run on.
         self._best = ctx.Value("d", float("inf"), lock=False)
-        self._per_matrix = ctx.Array("d", [float("inf")] * max(num_matrices, 1), lock=False)
 
     @property
     def seconds(self) -> float:
         return self._best.value
 
-    def matrix_seconds(self, index: int) -> float:
-        return self._per_matrix[index]
-
-    def update(self, seconds: float, matrix_index: Optional[int] = None) -> bool:
-        """Lower the incumbent(s) to ``seconds`` if better; True on global improvement."""
+    def update(self, seconds: float) -> bool:
+        """Lower the incumbent to ``seconds`` if better; True on improvement."""
         with self._lock:
-            if matrix_index is not None and seconds < self._per_matrix[matrix_index]:
-                self._per_matrix[matrix_index] = seconds
             if seconds < self._best.value:
                 self._best.value = seconds
                 return True
         return False
-
-    def matrix_view(self, index: int) -> "_MatrixWatermarkView":
-        return _MatrixWatermarkView(self, index)
-
-
-class _MatrixWatermarkView:
-    """The Watermark-shaped handle a per-matrix driver run holds."""
-
-    __slots__ = ("_shared", "_index")
-
-    def __init__(self, shared: SharedWatermark, index: int) -> None:
-        self._shared = shared
-        self._index = index
-
-    @property
-    def seconds(self) -> float:
-        return self._shared.seconds
-
-    def update(self, seconds: float) -> bool:
-        return self._shared.update(seconds, matrix_index=self._index)
 
 
 class PlacementLedger:
@@ -167,10 +139,6 @@ class PlacementLedger:
                     self._claimed[index] = 1
                     return index, True
         return None
-
-    def claimed_count(self) -> int:
-        with self._lock:
-            return sum(1 for index in range(self.num_matrices) if self._claimed[index])
 
 
 def _shard_worker(
@@ -220,9 +188,7 @@ def _shard_worker(
                 if search_enabled:
                     sources.append(SynthesisSource(matrix_indices=(index,)))
                 space = SearchSpace(topology=topology, cost_model=cost_model, query=sub_query)
-                result = driver.run(
-                    space, sources=sources, watermark=watermark.matrix_view(index)
-                )
+                result = driver.run(space, sources=sources, watermark=watermark)
                 if not search_enabled:
                     # The search stream was cut before this matrix: surface
                     # the same stop flags the serial driver would have set.
@@ -376,7 +342,7 @@ class ShardedSearchDriver:
     ) -> SearchResult:
         query = space.query
         ctx = multiprocessing.get_context()
-        watermark = SharedWatermark(len(matrices), ctx)
+        watermark = SharedWatermark(ctx)
         ledger = PlacementLedger(len(matrices), effective, ctx)
         report = SearchReport(
             sources=[source.name for source in source_list],

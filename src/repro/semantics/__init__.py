@@ -18,7 +18,6 @@ from repro.semantics.goals import (
     all_reduce_goal,
     goal_context,
     initial_context,
-    initial_state,
 )
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "StateContext",
     "Collective",
     "apply_collective",
-    "initial_state",
     "initial_context",
     "goal_context",
     "all_reduce_goal",

@@ -64,11 +64,6 @@ class Collective(str, Enum):
         return self.value
 
     @property
-    def moves_reduced_data(self) -> bool:
-        """True for collectives whose output combines (sums) inputs."""
-        return self in (Collective.ALL_REDUCE, Collective.REDUCE_SCATTER, Collective.REDUCE)
-
-    @property
     def is_rooted(self) -> bool:
         """True for collectives with a distinguished root device."""
         return self in (Collective.REDUCE, Collective.BROADCAST)
@@ -323,13 +318,6 @@ class TrafficProfile:
     """
 
     collective: Collective
-
-    def output_payload(self, input_payload: float, group_size: int) -> float:
-        if self.collective == Collective.REDUCE_SCATTER:
-            return input_payload / group_size
-        if self.collective == Collective.ALL_GATHER:
-            return input_payload * group_size
-        return input_payload
 
     def ring_bytes_on_wire(self, input_payload: float, group_size: int) -> float:
         g = group_size

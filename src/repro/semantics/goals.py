@@ -18,12 +18,7 @@ from typing import List, Sequence
 from repro.errors import SemanticsError
 from repro.semantics.state import DeviceState, StateContext
 
-__all__ = ["initial_state", "initial_context", "goal_context", "all_reduce_goal"]
-
-
-def initial_state(num_devices: int, device: int) -> DeviceState:
-    """State of ``device`` before any communication: only its own contribution."""
-    return DeviceState.initial(num_devices, device)
+__all__ = ["initial_context", "goal_context", "all_reduce_goal"]
 
 
 def initial_context(num_devices: int) -> StateContext:

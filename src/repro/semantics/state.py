@@ -158,14 +158,6 @@ class DeviceState:
         present = self.present
         return tuple(r for r in range(self.num_chunks) if present >> r & 1)
 
-    @property
-    def num_non_empty_rows(self) -> int:
-        return popcount(self.present)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.bits == 0
-
     def row(self, r: int) -> int:
         k = self.num_chunks
         if not 0 <= r < k:
@@ -200,9 +192,6 @@ class DeviceState:
         """Element-wise ``<=`` (the paper's information order on states)."""
         self._check_compatible(other)
         return not self.bits & ~other.bits
-
-    def is_strict_subset_of(self, other: "DeviceState") -> bool:
-        return self.is_subset_of(other) and self.bits != other.bits
 
     def _check_compatible(self, other: "DeviceState") -> None:
         if self.num_chunks != other.num_chunks:

@@ -83,11 +83,6 @@ class PlanClient:
         except (BrokenPipeError, ConnectionResetError) as error:
             raise ServeError(f"connection to the daemon lost: {error}")
 
-    def send_raw(self, payload: bytes) -> Dict[str, Any]:
-        """Ship raw bytes and read one reply (protocol tests)."""
-        self._sock.sendall(payload)
-        return decode_message(self._read_line())
-
     # ------------------------------------------------------------------ #
     # Ops
     # ------------------------------------------------------------------ #

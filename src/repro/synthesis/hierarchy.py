@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.errors import HierarchyError, PlacementError, SynthesisError
+from repro.errors import SynthesisError
 from repro.hierarchy.matrix import ParallelismMatrix
 from repro.hierarchy.parallelism import ReductionRequest
 from repro.hierarchy.placement import DevicePlacement
@@ -163,48 +163,6 @@ class SynthesisHierarchy:
             for position, digit in zip(level.positions, sub.decode(level_digit)):
                 digits[position] = digit
         return digits
-
-    def position_digits_to_virtual(self, digits: Dict[Position, int]) -> int:
-        """Inverse of :meth:`virtual_to_position_digits` (missing digits default to 0)."""
-        level_digits: List[int] = []
-        for level in self.levels:
-            if not level.positions:
-                level_digits.append(0)
-                continue
-            sub = MixedRadix(tuple(self.matrix.factor(i, j) for i, j in level.positions))
-            level_digits.append(sub.encode(tuple(digits.get(p, 0) for p in level.positions)))
-        return self._virtual_radix.encode(level_digits)
-
-    def physical_device(
-        self,
-        placement: DevicePlacement,
-        virtual_device: int,
-        free_digits: Sequence[int] = (),
-    ) -> int:
-        """Physical device id for a virtual device and an assignment of free digits.
-
-        ``free_digits`` must follow the order of :attr:`free_positions`.
-        """
-        if placement.matrix is not self.matrix and placement.matrix != self.matrix:
-            raise SynthesisError("placement was built from a different parallelism matrix")
-        if len(free_digits) != len(self.free_positions):
-            raise SynthesisError(
-                f"expected {len(self.free_positions)} free digits, got {len(free_digits)}"
-            )
-        if not 0 <= virtual_device < self.num_virtual_devices:
-            raise HierarchyError(
-                f"value {virtual_device} out of range for radices {list(self.radices)}"
-            )
-        strides = placement.strides
-        device = self._device_offsets[0][virtual_device]
-        for (i, j), digit in zip(self.free_positions, free_digits):
-            limit = self.matrix.factor(i, j)
-            if not 0 <= digit < limit:
-                raise PlacementError(
-                    f"grid digit c[{i}][{j}] = {digit} out of range [0, {limit})"
-                )
-            device += digit * strides[i][j]
-        return device
 
     @cached_property
     def _device_offsets(self) -> Tuple[List[int], List[int]]:

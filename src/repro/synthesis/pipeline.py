@@ -112,14 +112,6 @@ class PlacementCandidate:
     def num_programs(self) -> int:
         return len(self.programs)
 
-    @property
-    def default_program(self) -> Optional[ProgramCandidate]:
-        """The single-step AllReduce candidate, if the reduction needs one at all."""
-        for candidate in self.programs:
-            if candidate.is_default_all_reduce:
-                return candidate
-        return None
-
     def describe(self) -> str:
         return (
             f"matrix {self.matrix.describe()}: {self.num_programs} programs "

@@ -65,12 +65,6 @@ class LinkSpec:
             raise TopologyError("bandwidth_factor must be positive")
         return replace(self, bandwidth=self.bandwidth * bandwidth_factor)
 
-    def transfer_time(self, num_bytes: float) -> float:
-        """Time to push ``num_bytes`` through this link at full bandwidth."""
-        if num_bytes < 0:
-            raise TopologyError("cannot transfer a negative number of bytes")
-        return self.latency + num_bytes / self.bandwidth
-
     def describe(self) -> str:
         return f"{self.name} ({self.kind}, {self.bandwidth / GB:.1f} GB/s, {self.latency * 1e6:.1f} us)"
 

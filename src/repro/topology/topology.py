@@ -19,7 +19,6 @@ it to count how many concurrent groups share each NIC.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import TopologyError
@@ -119,13 +118,6 @@ class MachineTopology:
         """The (bottleneck) interconnect for a communication group."""
         return self.interconnect_for_level(self.span_level(devices))
 
-    def effective_cross_bandwidth(self) -> float:
-        """Per-NIC-flow bandwidth for cross-node traffic (min of NIC and host link)."""
-        nic = self.interconnects[self.nic_level].bandwidth
-        if self.host_link is not None:
-            return min(nic, self.host_link.bandwidth)
-        return nic
-
     def crosses_nic(self, devices: Sequence[int]) -> bool:
         """True when the group's traffic passes through the per-node NICs."""
         return self.span_level(devices) <= self.nic_level
@@ -150,13 +142,6 @@ class MachineTopology:
             self._instances.put(key, cached)
         return cached
 
-    @cached_property
-    def devices_per_nic_instance(self) -> int:
-        per = 1
-        for level in range(self.nic_level + 1, self.num_levels):
-            per *= self.hierarchy.cardinalities[level]
-        return per
-
     # ------------------------------------------------------------------ #
     # Presentation
     # ------------------------------------------------------------------ #
@@ -170,23 +155,3 @@ class MachineTopology:
             f"  NICs: {self.nics_per_instance} per {self.hierarchy.names[self.nic_level]}"
         )
         return "\n".join(lines)
-
-    def with_hierarchy(self, hierarchy: SystemHierarchy) -> "MachineTopology":
-        """A copy of this topology with a different (compatible) hierarchy.
-
-        Used to rename levels (e.g. to match a workload's vocabulary) while
-        keeping the same structure; the cardinalities must be identical so the
-        per-level interconnects still apply.
-        """
-        if hierarchy.cardinalities != self.hierarchy.cardinalities:
-            raise TopologyError(
-                "replacement hierarchy must have the same per-level cardinalities"
-            )
-        return MachineTopology(
-            name=self.name,
-            hierarchy=hierarchy,
-            interconnects=self.interconnects,
-            nic_level=self.nic_level,
-            nics_per_instance=self.nics_per_instance,
-            host_link=self.host_link,
-        )

@@ -15,7 +15,6 @@ from repro.utils.factorization import (
     divisors,
     ordered_factorizations,
     prime_factorization,
-    count_ordered_factorizations,
 )
 from repro.utils.mixed_radix import (
     MixedRadix,
@@ -26,19 +25,16 @@ from repro.utils.tabulate import format_table
 from repro.utils.validation import (
     check_positive_int,
     check_positive_ints,
-    check_probability,
 )
 
 __all__ = [
     "divisors",
     "ordered_factorizations",
     "prime_factorization",
-    "count_ordered_factorizations",
     "MixedRadix",
     "mixed_radix_encode",
     "mixed_radix_decode",
     "format_table",
     "check_positive_int",
     "check_positive_ints",
-    "check_probability",
 ]

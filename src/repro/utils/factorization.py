@@ -10,7 +10,7 @@ at most a few thousand) and are exhaustively tested against brute force.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import HierarchyError
 
@@ -18,8 +18,6 @@ __all__ = [
     "prime_factorization",
     "divisors",
     "ordered_factorizations",
-    "count_ordered_factorizations",
-    "multiplicities",
 ]
 
 
@@ -90,30 +88,3 @@ def ordered_factorizations(n: int, k: int) -> Iterator[Tuple[int, ...]]:
 
     yield from _rec(n, k)
 
-
-def count_ordered_factorizations(n: int, k: int) -> int:
-    """Count ordered factorizations of ``n`` into ``k`` factors without enumerating.
-
-    Uses the standard multiplicative formula: if ``n = prod p_i^{e_i}`` then the
-    count is ``prod C(e_i + k - 1, k - 1)`` (stars and bars per prime).
-    """
-    if n < 1:
-        raise HierarchyError(f"cannot factorize non-positive integer {n}")
-    if k < 0:
-        raise HierarchyError(f"number of factors must be non-negative, got {k}")
-    if k == 0:
-        return 1 if n == 1 else 0
-    from math import comb
-
-    total = 1
-    for exponent in prime_factorization(n).values():
-        total *= comb(exponent + k - 1, k - 1)
-    return total
-
-
-def multiplicities(values: Sequence[int]) -> Dict[int, int]:
-    """Return a ``{value: count}`` histogram of ``values`` (ordering-insensitive)."""
-    hist: Dict[int, int] = {}
-    for v in values:
-        hist[v] = hist.get(v, 0) + 1
-    return hist

@@ -10,7 +10,7 @@ from typing import Sequence
 
 from repro.errors import ReproError
 
-__all__ = ["check_positive_int", "check_positive_ints", "check_probability", "check_non_negative"]
+__all__ = ["check_positive_int", "check_positive_ints"]
 
 
 def check_positive_int(value: int, name: str, exc: type = ReproError) -> int:
@@ -20,22 +20,9 @@ def check_positive_int(value: int, name: str, exc: type = ReproError) -> int:
     return value
 
 
-def check_non_negative(value: float, name: str, exc: type = ReproError) -> float:
-    """Raise ``exc`` unless ``value`` is a non-negative number; return it otherwise."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-        raise exc(f"{name} must be a non-negative number, got {value!r}")
-    return float(value)
-
-
 def check_positive_ints(values: Sequence[int], name: str, exc: type = ReproError) -> tuple:
     """Validate a non-empty sequence of positive integers; return it as a tuple."""
     if len(values) == 0:
         raise exc(f"{name} must be non-empty")
     return tuple(check_positive_int(v, f"{name}[{i}]", exc) for i, v in enumerate(values))
 
-
-def check_probability(value: float, name: str, exc: type = ReproError) -> float:
-    """Raise ``exc`` unless ``0 <= value <= 1``; return ``value`` otherwise."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0.0 <= value <= 1.0:
-        raise exc(f"{name} must be a probability in [0, 1], got {value!r}")
-    return float(value)

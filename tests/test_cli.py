@@ -147,6 +147,26 @@ class TestMain:
         assert captured.err.startswith("repro-cli: error: no parallelism matrix exists")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"1\n2\n",
+            b"[" * 100_000,
+            b'{"schema": "repro.obs/1", "counters": [1]}',
+            b"\xff\xfe not utf-8",
+        ],
+        ids=["json-lines", "over-nested", "wrong-shape", "not-utf-8"],
+    )
+    def test_stats_fails_closed_on_a_file_that_is_not_a_snapshot(self, tmp_path, content):
+        path = tmp_path / "telemetry.json"
+        path.write_bytes(content)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stats", str(path)])
+        # A one-line message (printed to stderr, exit status 1), no traceback.
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert str(path) in message
+
     def test_sweep_quick_with_out(self, capsys, tmp_path):
         from repro.analysis import load_jsonl_results
 

@@ -16,6 +16,11 @@ from oracles.dsl import apply_instruction, program_achieves, program_is_valid
 RADICES = (1, 2, 2)  # root, 2 nodes, 2 gpus each -> 4 devices
 
 
+def single_all_reduce() -> ReductionProgram:
+    """The default strategy: one AllReduce inside each root-level group."""
+    return ReductionProgram.of(ReductionInstruction(0, InsideGroup(), Collective.ALL_REDUCE))
+
+
 class TestForms:
     def test_describe_with_and_without_names(self):
         assert InsideGroup().describe() == "InsideGroup"
@@ -79,7 +84,7 @@ class TestReductionProgram:
         )
 
     def test_single_all_reduce_achieves_goal(self):
-        program = ReductionProgram.single_all_reduce()
+        program = single_all_reduce()
         assert program_achieves(program, initial_context(4), all_reduce_goal(4), RADICES)
 
     def test_blueconnect_achieves_goal(self):
@@ -127,28 +132,15 @@ class TestReductionProgram:
             Collective.ALL_GATHER,
         ]
 
-    def test_collectives_used_and_rooted(self):
-        program = self.make_blueconnect()
-        assert program.collectives_used() == (
-            Collective.REDUCE_SCATTER,
-            Collective.ALL_REDUCE,
-            Collective.ALL_GATHER,
-        )
-        assert not program.uses_rooted_collectives()
-        rooted = ReductionProgram.of(
-            ReductionInstruction(1, InsideGroup(), Collective.REDUCE)
-        )
-        assert rooted.uses_rooted_collectives()
-
     def test_signature_distinguishes_programs(self):
         a = self.make_blueconnect()
-        b = ReductionProgram.single_all_reduce()
+        b = single_all_reduce()
         assert a.signature() != b.signature()
         assert a.signature() == self.make_blueconnect().signature()
 
     def test_describe_empty_and_nonempty(self):
         assert ReductionProgram.of().describe() == "<empty program>"
-        assert "AllReduce" in ReductionProgram.single_all_reduce().describe()
+        assert "AllReduce" in single_all_reduce().describe()
 
 
 class TestPretty:
@@ -162,7 +154,7 @@ class TestPretty:
         assert program_mnemonic(ReductionProgram.of()) == "<empty>"
 
     def test_describe_program_multiline(self):
-        program = ReductionProgram.single_all_reduce()
+        program = single_all_reduce()
         multiline = describe_program(program, multiline=True)
         assert multiline.startswith("  step 0:")
         single = describe_program(program)

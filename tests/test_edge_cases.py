@@ -8,6 +8,7 @@ sweep serialization, and report rendering corner cases.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from repro.analysis import result_from_record, result_to_record
@@ -16,7 +17,6 @@ from repro.cost.contention import analyze_step_contention
 from repro.cost.nccl import NCCLAlgorithm
 from repro.cost.simulator import simulate_program
 from repro.evaluation.config import ExperimentConfig, SystemKind
-from repro.evaluation.report import render_matrix_result
 from repro.evaluation.runner import SweepRunner
 from repro.hierarchy.matrix import enumerate_parallelism_matrices
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
@@ -139,23 +139,6 @@ class TestPredictionOnlySerialization:
         assert program.evaluation_seconds == program.predicted_seconds
 
 
-class TestReportRendering:
-    def test_matrix_report_without_measurements(self):
-        config = ExperimentConfig(
-            name="edge-report",
-            system=SystemKind.V100,
-            num_nodes=2,
-            axes=(16,),
-            reduction_axes=(0,),
-            payload_scale=0.002,
-            max_program_size=2,
-        )
-        result = SweepRunner(measure_programs=False).run(config)
-        text = render_matrix_result(result.matrices[0], max_programs=2)
-        assert "predicted" in text
-        assert "speedup" in text
-
-
 class TestTreeAlgorithmEndToEnd:
     def test_tree_sweep_runs_and_orders_like_ring(self):
         base = ExperimentConfig(
@@ -169,7 +152,7 @@ class TestTreeAlgorithmEndToEnd:
         )
         runner = SweepRunner(measurement_runs=1)
         ring = runner.run(base)
-        tree = runner.run(base.with_algorithm(NCCLAlgorithm.TREE))
+        tree = runner.run(dataclasses.replace(base, algorithm=NCCLAlgorithm.TREE))
         # Under both algorithms the intra-node placement beats the cross-node one.
         def best_time(result, description):
             matrix = next(m for m in result.matrices if m.matrix_description == description)

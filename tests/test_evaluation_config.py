@@ -65,11 +65,6 @@ class TestExperimentConfig:
         with pytest.raises(EvaluationError):
             self.make(payload_scale=2.0)
 
-    def test_with_algorithm(self):
-        tree = self.make().with_algorithm(NCCLAlgorithm.TREE)
-        assert tree.algorithm == NCCLAlgorithm.TREE
-        assert tree.name.endswith("tree")
-
     def test_system_kind_helpers(self):
         assert SystemKind.A100.gpus_per_node == 16
         assert SystemKind.V100.gpus_per_node == 8

@@ -9,8 +9,6 @@ from repro.errors import EvaluationError
 from repro.evaluation.config import ExperimentConfig, SystemKind, figure11_configs
 from repro.evaluation.figures import build_figure11
 from repro.evaluation.report import (
-    render_matrix_result,
-    render_sweep_result,
     render_sweep_summary,
 )
 from repro.evaluation.runner import SweepRunner
@@ -133,14 +131,6 @@ class TestFigure11:
 
 
 class TestReports:
-    def test_render_matrix_result(self, small_results):
-        text = render_matrix_result(small_results[0].matrices[0])
-        assert "matrix" in text and "speedup" in text
-
-    def test_render_sweep_result(self, small_results):
-        text = render_sweep_result(small_results[0], max_programs=3)
-        assert small_results[0].config.name in text
-
     def test_render_sweep_summary(self, small_results):
         text = render_sweep_summary(small_results)
         assert "Sweep summary" in text

@@ -54,11 +54,6 @@ class TestQueries:
     def test_num_devices(self, figure2a_hierarchy):
         assert figure2a_hierarchy.num_devices == 16
 
-    def test_level_index(self, figure2a_hierarchy):
-        assert figure2a_hierarchy.level_index("cpu") == 2
-        with pytest.raises(HierarchyError):
-            figure2a_hierarchy.level_index("tpu")
-
     def test_len_iter_getitem(self, figure2a_hierarchy):
         assert len(figure2a_hierarchy) == 4
         assert [level.name for level in figure2a_hierarchy] == [
@@ -81,18 +76,6 @@ class TestDeviceAddressing:
 
     def test_device_zero_is_all_zero(self, figure2a_hierarchy):
         assert figure2a_hierarchy.device_coordinates(0) == (0, 0, 0, 0)
-
-    def test_devices_under_cpu(self, figure2a_hierarchy):
-        # First CPU of the first server holds devices 0..3 (the paper's A0..A3).
-        assert figure2a_hierarchy.devices_under(2, (0, 0, 0)) == [0, 1, 2, 3]
-        # Second CPU of the second server holds devices 12..15 (D0..D3).
-        assert figure2a_hierarchy.devices_under(2, (0, 1, 1)) == [12, 13, 14, 15]
-
-    def test_devices_under_validates_arguments(self, figure2a_hierarchy):
-        with pytest.raises(HierarchyError):
-            figure2a_hierarchy.devices_under(5, (0,))
-        with pytest.raises(HierarchyError):
-            figure2a_hierarchy.devices_under(2, (0, 0))
 
     def test_ancestor_instance(self, figure2a_hierarchy):
         assert figure2a_hierarchy.ancestor_instance(13, 1) == (0, 1)

@@ -59,30 +59,6 @@ class TestAccessorsAndFlattenings:
         assert matrix.column(3) == (2, 2)
         assert matrix.factor(1, 1) == 2
 
-    def test_row_major_flattening_is_hierarchy_c(self, matrix):
-        assert matrix.row_major_factors() == (1, 1, 2, 2, 1, 2, 1, 2)
-
-    def test_column_major_flattening_is_hierarchy_b(self, matrix):
-        assert matrix.column_major_factors() == (1, 1, 1, 2, 2, 1, 2, 2)
-
-    def test_reduction_axis_factors_is_hierarchy_d(self, matrix):
-        assert matrix.reduction_axis_factors([1]) == (1, 2, 1, 2)
-        assert matrix.reduction_axis_factors([0, 1]) == (1, 1, 2, 2, 1, 2, 1, 2)
-
-    def test_collapsed_reduction_factors(self, matrix):
-        assert matrix.collapsed_reduction_factors([1]) == (1, 2, 1, 2)
-        # Collapsing both axes gives the system hierarchy itself.
-        assert matrix.collapsed_reduction_factors([0, 1]) == (1, 2, 2, 4)
-
-    def test_collapsed_matches_paper_table1_example(self):
-        # Paper Table 1 second example: a 3x3 matrix with rows [1 2 3],[4 5 6],[7 8 9]
-        # (treated as factors), reduction over rows 0 and 2 collapses to [7 16 27].
-        hierarchy = SystemHierarchy.from_cardinalities([1 * 4 * 7, 2 * 5 * 8, 3 * 6 * 9])
-        axes = ParallelismAxes.of(1 * 2 * 3, 4 * 5 * 6, 7 * 8 * 9)
-        matrix = _matrix(hierarchy, axes, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        assert matrix.collapsed_reduction_factors([0, 2]) == (7, 16, 27)
-        assert matrix.reduction_axis_factors([0, 2]) == (1, 2, 3, 7, 8, 9)
-
     def test_describe(self, matrix):
         assert matrix.describe() == "[[1 1 2 2] [1 2 1 2]]"
 

@@ -19,7 +19,7 @@ class TestParallelismAxes:
 
     def test_explicit_names(self):
         axes = ParallelismAxes.of(4, 2, names=("dp", "tp"))
-        assert axes.axis_index("tp") == 1
+        assert axes.names == ("dp", "tp")
 
     def test_total_parallelism(self):
         assert ParallelismAxes.of(4, 4).total_parallelism == 16
@@ -33,10 +33,6 @@ class TestParallelismAxes:
 
     def test_describe(self):
         assert ParallelismAxes.of(4, 4).describe() == "[data=4, model=4]"
-
-    def test_unknown_axis_name(self):
-        with pytest.raises(HierarchyError):
-            ParallelismAxes.of(4).axis_index("nope")
 
     def test_rejects_empty(self):
         with pytest.raises(HierarchyError):
@@ -89,11 +85,6 @@ class TestReductionRequest:
         axes = ParallelismAxes.of(4, 2, 8)
         assert ReductionRequest.over(0).group_size(axes) == 4
         assert ReductionRequest.over(0, 2).group_size(axes) == 32
-
-    def test_non_reduction_axes(self):
-        axes = ParallelismAxes.of(4, 2, 8)
-        assert ReductionRequest.over(0, 2).non_reduction_axes(axes) == (1,)
-        assert ReductionRequest.over(1).non_reduction_axes(axes) == (0, 2)
 
     def test_describe(self):
         axes = ParallelismAxes.of(4, 4, names=("data", "shard"))

@@ -38,21 +38,6 @@ class TestParallelCoordinates:
                   for d in range(figure2d_placement.num_devices)}
         assert coords == {(n, m) for n in range(4) for m in range(4)}
 
-    def test_coordinate_roundtrip(self, figure2d_placement):
-        for device in range(figure2d_placement.num_devices):
-            coords = figure2d_placement.parallel_coordinates(device)
-            assert figure2d_placement.device_for_coordinates(coords) == device
-
-    def test_axis_coordinate_matches_parallel_coordinates(self, figure2d_placement):
-        for device in range(figure2d_placement.num_devices):
-            coords = figure2d_placement.parallel_coordinates(device)
-            assert figure2d_placement.axis_coordinate(device, 0) == coords[0]
-            assert figure2d_placement.axis_coordinate(device, 1) == coords[1]
-
-    def test_wrong_coordinate_count_rejected(self, figure2d_placement):
-        with pytest.raises(PlacementError):
-            figure2d_placement.device_for_coordinates((1,))
-
     def test_coordinate_table_matches(self, figure2d_placement):
         table = figure2d_placement.coordinate_table
         assert len(table) == 16
@@ -61,6 +46,14 @@ class TestParallelCoordinates:
     def test_describe_device_marker(self, figure2d_placement):
         marker = figure2d_placement.describe_device(0)
         assert marker == "0/0"
+
+
+def devices_under_cpu(hierarchy, server, cpu):
+    """The GPUs below one CPU of the Figure 2a hierarchy (level 2)."""
+    return [
+        d for d in range(hierarchy.num_devices)
+        if hierarchy.ancestor_instance(d, 2) == (0, server, cpu)
+    ]
 
 
 class TestFigure2Interpretation:
@@ -74,18 +67,20 @@ class TestFigure2Interpretation:
         # share the same data coordinate and carry the 4 different shards.
         for server in range(2):
             for cpu in range(2):
-                devices = hierarchy.devices_under(2, (0, server, cpu))
-                data_coords = {placement.axis_coordinate(d, 0) for d in devices}
-                shard_coords = sorted(placement.axis_coordinate(d, 1) for d in devices)
+                devices = devices_under_cpu(hierarchy, server, cpu)
+                assert len(devices) == 4
+                data_coords = {placement.parallel_coordinates(d)[0] for d in devices}
+                shard_coords = sorted(placement.parallel_coordinates(d)[1] for d in devices)
                 assert len(data_coords) == 1
                 assert shard_coords == [0, 1, 2, 3]
 
     def test_figure2d_gpu_level_splits_both_axes(self, figure2d_placement):
         # In Figure 2d each CPU's 4 GPUs cover 2 data coordinates x 2 shards.
         hierarchy = figure2d_placement.matrix.hierarchy
-        devices = hierarchy.devices_under(2, (0, 0, 0))
-        data_coords = {figure2d_placement.axis_coordinate(d, 0) for d in devices}
-        shard_coords = {figure2d_placement.axis_coordinate(d, 1) for d in devices}
+        devices = devices_under_cpu(hierarchy, 0, 0)
+        assert devices == [0, 1, 2, 3]
+        data_coords = {figure2d_placement.parallel_coordinates(d)[0] for d in devices}
+        shard_coords = {figure2d_placement.parallel_coordinates(d)[1] for d in devices}
         assert len(data_coords) == 2 and len(shard_coords) == 2
 
 
@@ -100,8 +95,8 @@ class TestReductionGroups:
         self, figure2d_placement, shard_reduction
     ):
         for group in figure2d_placement.reduction_groups(shard_reduction):
-            data_coords = {figure2d_placement.axis_coordinate(d, 0) for d in group}
-            shard_coords = {figure2d_placement.axis_coordinate(d, 1) for d in group}
+            data_coords = {figure2d_placement.parallel_coordinates(d)[0] for d in group}
+            shard_coords = {figure2d_placement.parallel_coordinates(d)[1] for d in group}
             assert len(data_coords) == 1
             assert len(shard_coords) == len(group)
 
@@ -109,10 +104,6 @@ class TestReductionGroups:
         request = ReductionRequest.over(0, 1)
         groups = figure2d_placement.reduction_groups(request)
         assert len(groups) == 1 and len(groups[0]) == 16
-
-    def test_reduction_group_of(self, figure2d_placement, shard_reduction):
-        group = figure2d_placement.reduction_group_of(5, shard_reduction)
-        assert 5 in group
 
     def test_group_ordering_follows_reduction_digits(self):
         # For a [[2 1] [1 16]] placement on [2 16] the axis-0 reduction pairs
@@ -124,11 +115,6 @@ class TestReductionGroups:
         placement = DevicePlacement(matrix)
         groups = placement.reduction_groups(ReductionRequest.over(0))
         assert [0, 16] in groups and [15, 31] in groups
-
-    def test_placement_table(self, figure2d_placement):
-        table = figure2d_placement.placement_table()
-        assert len(table) == 16
-        assert table[0] == (0, (0, 0))
 
 
 class TestPlacementProperties:

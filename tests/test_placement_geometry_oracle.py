@@ -147,15 +147,9 @@ class TestStridesAgainstPerDeviceDecoding:
 
     @given(matrices())
     @settings(max_examples=100, deadline=None)
-    def test_physical_device_maps_and_physical_device(self, matrix):
-        placement = DevicePlacement(matrix)
+    def test_physical_device_maps(self, matrix):
         for request in requests(matrix):
             for variant in HierarchyVariant:
                 hierarchy = build_synthesis_hierarchy(matrix, request, variant)
                 expected = reference_physical_device_maps(hierarchy)
                 assert hierarchy._physical_device_maps == expected
-                for free, mapping in zip(list(hierarchy.free_radix) or [()], expected):
-                    assert [
-                        hierarchy.physical_device(placement, v, free)
-                        for v in range(hierarchy.num_virtual_devices)
-                    ] == list(mapping)

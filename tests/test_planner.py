@@ -73,10 +73,6 @@ class TestPlanPlacements:
         placement greedily for the heaviest reduction alone."""
         assert plan.advantage_over_single_axis_choice() >= 1.0
 
-    def test_placement_for(self, plan):
-        matrix = plan.best.matrix
-        assert plan.placement_for(matrix) is plan.best
-
     def test_describe(self, plan):
         text = plan.describe(top_k=3)
         assert "gradients" in text and "activations" in text

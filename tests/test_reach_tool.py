@@ -1,13 +1,16 @@
 """Tests for the reachability ledger's bookkeeping (``tools/reach.py``).
 
 Driving every entry point takes minutes, so the suite checks the parts that
-decide what the report says: the function inventory, the nesting rule, and
-that every ledger verdict names a function that exists.
+decide what the report says: the function inventory, the nesting rule, what
+fails the ledger, and that every ledger verdict names a function that exists
+and a test that exists.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import io
+import re
 import sys
 from pathlib import Path
 
@@ -98,7 +101,64 @@ def test_every_ledger_verdict_names_a_function_under_src(reach):
     root = TOOL.parent.parent
     for name, verdict in reach.LEDGER.items():
         assert verdict.startswith(("error path: ", "library: ")), (name, verdict)
-        if verdict.startswith("error path: "):
-            # An error path names the test that drives it: file::Class::test.
-            path, *_, test = verdict[len("error path: "):].split("::")
+        assert not verdict.startswith("library: test-only"), (name, verdict)
+        # Every test a verdict names exists (file::Class::test), and an error
+        # path names the test that drives it.
+        tests = re.findall(r"(tests/[\w/]+\.py)::(?:\w+::)*(\w+)", verdict)
+        assert tests or not verdict.startswith("error path: "), (name, verdict)
+        for path, test in tests:
             assert f"def {test}(" in (root / path).read_text(), (name, verdict)
+
+
+LEDGERED = '''\
+def entered():
+    return 1
+
+
+def worker_only():
+    return 2
+
+
+def judged():
+    return 3
+'''
+
+CLEAN = {
+    "repro.mod:worker_only": "library: shard workers",
+    "repro.mod:judged": "library: tests/test_reach_tool.py",
+}
+
+
+FORGOTTEN = "\n\ndef forgotten():\n    return 4\n"
+
+
+@pytest.mark.parametrize(
+    "extra_source, extra_ledger, problems",
+    [
+        # worker_only's entry is not stale: whether a worker or this process
+        # runs it depends on timing.
+        ("", {}, []),
+        (FORGOTTEN, {}, ["unjudged: repro.mod:forgotten"]),
+        (
+            "",
+            {"repro.mod:gone": "library: deleted", "repro.mod:entered": "library: a caller"},
+            ["stale ledger entry: repro.mod:entered", "stale ledger entry: repro.mod:gone"],
+        ),
+        (
+            "",
+            {"repro.mod:judged": "library: test-only; tests/x.py"},
+            ["test-only verdict: repro.mod:judged"],
+        ),
+    ],
+    ids=["clean", "unjudged", "stale", "test-only"],
+)
+def test_what_fails_the_ledger(reach, monkeypatch, tmp_path, extra_source, extra_ledger,
+                               problems):
+    package = tmp_path / "repro"
+    package.mkdir()
+    (package / "mod.py").write_text(LEDGERED + extra_source)
+    functions = reach.inventory(tmp_path)
+    keys = {f.qualname: f.key for f in functions}
+    monkeypatch.setattr(reach, "LEDGER", dict(CLEAN, **extra_ledger))
+    entered, worker = {keys["entered"]}, {keys["worker_only"]}
+    assert reach.report(functions, entered, worker, out=io.StringIO()) == problems

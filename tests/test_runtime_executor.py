@@ -97,8 +97,8 @@ class TestProgramExecution:
             ),
         )
         trace = execute_program(program, cluster)
-        assert trace.num_events == 8  # 2 steps x 2 groups x 2 devices
-        assert len(trace.events_for_step(0)) == 4
+        assert len(trace.events) == 8  # 2 steps x 2 groups x 2 devices
+        assert sum(event.step == 0 for event in trace.events) == 4
 
     def test_device_count_mismatch(self):
         cluster = SimCluster.create(2)

@@ -268,7 +268,7 @@ class TestBudgets:
 
 
 class TestDriverIntrospection:
-    def test_best_per_matrix_tracks_incumbents(self, topology):
+    def test_incumbent_is_the_best_exact_price_of_a_reached_matrix(self, topology):
         from repro.search import SearchDriver, SearchSpace
 
         query = _query((8, 4), (0,), 1 * MB, NCCLAlgorithm.RING)
@@ -276,16 +276,16 @@ class TestDriverIntrospection:
         result = driver.run(
             SearchSpace(topology=topology, cost_model=CostModel(), query=query)
         )
-        best = result.best_per_matrix()
-        assert set(best) == set(range(len(result.candidates)))
-        for index, candidate in enumerate(result.candidates):
-            expected = min(
+        per_matrix = [
+            [
                 seconds
                 for entry, seconds in zip(result.entries, result.predicted)
                 if entry.candidate is candidate
-            )
-            assert best[index] == expected
-        assert min(best.values()) == result.report.incumbent_seconds
+            ]
+            for candidate in result.candidates
+        ]
+        assert all(per_matrix)  # every reached matrix was priced
+        assert min(min(prices) for prices in per_matrix) == result.report.incumbent_seconds
 
 
 class TestBoundsAdmissibility:
@@ -592,9 +592,9 @@ class TestPlacementLedger:
         # ...then steals shard 1's unclaimed work, flagged as stolen.
         assert ledger.claim(0) == (1, True)
         assert ledger.claim(0) == (3, True)
+        # Every index is claimed: neither shard gets another.
         assert ledger.claim(0) is None
         assert ledger.claim(1) is None
-        assert ledger.claimed_count() == 5
 
     def test_every_matrix_claimed_exactly_once(self):
         from repro.search.sharded import PlacementLedger
@@ -614,28 +614,24 @@ class TestPlacementLedger:
 
 
 class TestSharedWatermark:
-    def test_view_updates_propagate_globally(self):
+    def test_updates_only_ever_lower_the_incumbent(self):
         from repro.search.sharded import SharedWatermark
 
-        shared = SharedWatermark(3)
-        view0, view2 = shared.matrix_view(0), shared.matrix_view(2)
-        assert view0.seconds == float("inf")
-        assert view0.update(5.0)
-        # The other matrix's view reads the *global* incumbent immediately.
-        assert view2.seconds == 5.0
-        assert not view2.update(7.0)  # worse globally...
-        assert shared.matrix_seconds(2) == 7.0  # ...but its matrix slot kept it
-        assert view2.update(1.0)
-        assert view0.seconds == 1.0
+        shared = SharedWatermark()
+        assert shared.seconds == float("inf")
+        assert shared.update(5.0)
+        assert not shared.update(7.0)  # worse: reported, not published
+        assert shared.seconds == 5.0
+        assert not shared.update(5.0)  # a tie is no improvement
+        assert shared.update(1.0)
         assert shared.seconds == 1.0
-        assert shared.matrix_seconds(0) == 5.0
 
     def test_updates_cross_process_boundaries(self):
         import multiprocessing
 
         from repro.search.sharded import SharedWatermark
 
-        shared = SharedWatermark(2)
+        shared = SharedWatermark()
         process = multiprocessing.Process(
             target=_lower_watermark_in_child, args=(shared,)
         )
@@ -643,10 +639,8 @@ class TestSharedWatermark:
         process.join(timeout=30)
         assert process.exitcode == 0
         assert shared.seconds == 0.25
-        assert shared.matrix_seconds(1) == 0.25
 
 
 def _lower_watermark_in_child(shared):
-    view = shared.matrix_view(1)
-    if not view.update(0.25):
+    if not shared.update(0.25):
         raise SystemExit(1)

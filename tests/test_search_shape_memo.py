@@ -190,19 +190,21 @@ class TestWhatAHitSkips:
         repeated = ("search.considered", "search.ranked", "search.baseline_entries")
 
         service.plan(first)
-        after_first = {name: recorder.counter_value(name) for name in work + repeated}
+        counters = recorder.snapshot().counters
+        after_first = {name: counters.get(name, 0) for name in work + repeated}
         assert min(after_first.values()) > 0
-        assert recorder.counter_value("search.shape_memo.miss") == 2
-        assert recorder.counter_value("search.shape_memo.hit") == 0
+        assert counters.get("search.shape_memo.miss", 0) == 2
+        assert counters.get("search.shape_memo.hit", 0) == 0
 
         service.plan(second)
+        counters = recorder.snapshot().counters
         for name in work:
-            assert recorder.counter_value(name) == after_first[name]
+            assert counters.get(name, 0) == after_first[name]
         for name in repeated:
-            assert recorder.counter_value(name) == 2 * after_first[name]
-        assert recorder.counter_value("search.shape_memo.hit") == 2
-        assert recorder.counter_value("search.shape_memo.miss") == 2
-        assert recorder.counter_value("search.shape_memo.evicted") == 0
+            assert counters.get(name, 0) == 2 * after_first[name]
+        assert counters.get("search.shape_memo.hit", 0) == 2
+        assert counters.get("search.shape_memo.miss", 0) == 2
+        assert counters.get("search.shape_memo.evicted", 0) == 0
         assert recorder.snapshot().gauges["search.shape_memo.shapes"] == 1
 
 
@@ -334,7 +336,7 @@ class TestBound:
         for query in shapes:
             assert service.plan(query).search["reused_streams"] == 0
         assert len(service._shapes) == 2
-        assert recorder.counter_value("search.shape_memo.evicted") == 1
+        assert recorder.snapshot().counters.get("search.shape_memo.evicted", 0) == 1
         again = [dataclasses.replace(query, bytes_per_device=2 * MB) for query in shapes]
         assert service.plan(again[2]).search["reused_streams"] == 2
         evicted = service.plan(again[0])

@@ -23,7 +23,7 @@ from repro.api import P2, compute_plan
 from repro.baselines import blueconnect, default_all_reduce, reduce_allreduce_broadcast
 from repro.cost.model import CostModel
 from repro.cost.simulator import ProgramSimulator
-from repro.errors import EvaluationError, SynthesisError
+from repro.errors import SynthesisError
 from repro.hierarchy.matrix import enumerate_parallelism_matrices
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.hierarchy.placement import DevicePlacement
@@ -164,14 +164,7 @@ class TestBaselineSource:
         plan = P2(topology).plan(query_84).plan
         restored = OptimizationPlan.from_dict(plan.to_dict())
         assert restored.baselines == plan.baselines
-        assert restored.speedup_over_baseline(
-            BASELINE_BLUECONNECT
-        ) == plan.speedup_over_baseline(BASELINE_BLUECONNECT)
-
-    def test_unknown_baseline_name_rejected(self, topology, query_84):
-        plan = P2(topology).plan(query_84).plan
-        with pytest.raises(EvaluationError):
-            plan.speedup_over_baseline("nonexistent")
+        assert BASELINE_BLUECONNECT in restored.baselines
 
 
 class TestPinnedPlanSource:

@@ -169,26 +169,12 @@ class TestPaperFigure4:
 
 
 class TestCollectiveEnum:
-    def test_moves_reduced_data(self):
-        assert Collective.ALL_REDUCE.moves_reduced_data
-        assert Collective.REDUCE.moves_reduced_data
-        assert not Collective.ALL_GATHER.moves_reduced_data
-        assert not Collective.BROADCAST.moves_reduced_data
-
     def test_is_rooted(self):
         assert Collective.REDUCE.is_rooted and Collective.BROADCAST.is_rooted
         assert not Collective.ALL_REDUCE.is_rooted
 
 
 class TestTrafficProfiles:
-    def test_output_payload_factors(self):
-        rs = TRAFFIC_PROFILES[Collective.REDUCE_SCATTER]
-        ag = TRAFFIC_PROFILES[Collective.ALL_GATHER]
-        ar = TRAFFIC_PROFILES[Collective.ALL_REDUCE]
-        assert rs.output_payload(8.0, 4) == pytest.approx(2.0)
-        assert ag.output_payload(2.0, 4) == pytest.approx(8.0)
-        assert ar.output_payload(8.0, 4) == pytest.approx(8.0)
-
     def test_ring_allreduce_volume(self):
         ar = TRAFFIC_PROFILES[Collective.ALL_REDUCE]
         assert ar.ring_bytes_on_wire(100.0, 4) == pytest.approx(150.0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SemanticsError
-from repro.semantics.goals import all_reduce_goal, goal_context, initial_context, initial_state
+from repro.semantics.goals import all_reduce_goal, goal_context, initial_context
 from repro.semantics.state import DeviceState
 
 
@@ -22,9 +22,6 @@ class TestInitialContext:
     def test_rejects_zero_devices(self):
         with pytest.raises(SemanticsError):
             initial_context(0)
-
-    def test_initial_state_helper(self):
-        assert initial_state(4, 2) == DeviceState.initial(4, 2)
 
 
 class TestGoalContext:

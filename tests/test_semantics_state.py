@@ -38,7 +38,7 @@ class TestConstruction:
 
     def test_empty_state(self):
         state = DeviceState.empty(3)
-        assert state.is_empty
+        assert state.rows == (0, 0, 0)
         assert state.non_empty_rows == ()
 
     def test_full_state_default_everyone(self):
@@ -161,9 +161,9 @@ class TestQueries:
         assert state.contributors(1) == ()
         assert state.contributors(2) == (1,)
 
-    def test_num_non_empty_rows_and_fraction(self):
+    def test_non_empty_rows_and_fraction(self):
         state = DeviceState(4, (0b1, 0, 0b1, 0))
-        assert state.num_non_empty_rows == 2
+        assert state.non_empty_rows == (0, 2)
         assert state.chunk_fraction() == pytest.approx(0.5)
 
     def test_describe_mentions_every_chunk(self):
@@ -185,10 +185,8 @@ class TestAlgebra:
         small = DeviceState(2, (0b01, 0))
         big = DeviceState(2, (0b11, 0b01))
         assert small.is_subset_of(big)
-        assert small.is_strict_subset_of(big)
         assert not big.is_subset_of(small)
         assert big.is_subset_of(big)
-        assert not big.is_strict_subset_of(big)
 
     def test_rows_disjoint_with(self):
         a = DeviceState(2, (0b01, 0b01))

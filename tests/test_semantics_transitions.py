@@ -342,7 +342,8 @@ class TestSharingIsPerRequest:
         service = PlanningService(topology, cache=PlanCache(None), recorder=recorder)
         service.plan(query)
         (run,) = [s for s in recorder.snapshot().spans if s.name == "search.run"]
-        return {name: recorder.counter_value(name) for name in self.COUNTERS}, run.attrs
+        counters = recorder.snapshot().counters
+        return {name: counters.get(name, 0) for name in self.COUNTERS}, run.attrs
 
     def test_a_fresh_topology_shares_as_much_as_a_long_lived_ones_first_request(self):
         query = PlanQuery(

@@ -54,6 +54,15 @@ QUERY_B = PlanQuery(
 )
 
 
+class RawClient(PlanClient):
+    """A client that can also put arbitrary bytes on its connection."""
+
+    def send_raw(self, payload: bytes):
+        """Ship raw bytes and read one reply."""
+        self._sock.sendall(payload)
+        return decode_message(self._read_line())
+
+
 # --------------------------------------------------------------------------- #
 # Protocol units
 # --------------------------------------------------------------------------- #
@@ -251,7 +260,7 @@ def daemon():
 @pytest.fixture()
 def client(daemon):
     host, port = daemon.address
-    with PlanClient(host=host, port=port) as c:
+    with RawClient(host=host, port=port) as c:
         yield c
 
 
@@ -336,7 +345,7 @@ class TestDaemonEndToEnd:
         config = DaemonConfig(port=0, max_line_bytes=256)
         with DaemonThread(service, config) as handle:
             host, port = handle.address
-            with PlanClient(host=host, port=port) as raw:
+            with RawClient(host=host, port=port) as raw:
                 huge = b'{"op": "ping", "pad": "' + b"x" * 1024 + b'"}\n'
                 reply = raw.send_raw(huge)
                 assert reply["ok"] is False and reply["error"] == "line_too_long"

@@ -5,10 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SynthesisError
-from repro.hierarchy.matrix import enumerate_parallelism_matrices
+from repro.hierarchy.matrix import ParallelismMatrix, enumerate_parallelism_matrices
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.hierarchy.levels import SystemHierarchy
-from repro.hierarchy.placement import DevicePlacement
 from repro.semantics.state import DeviceState
 from repro.synthesis.hierarchy import (
     HierarchyVariant,
@@ -73,40 +72,32 @@ class TestVariantsOnFigure2d:
         assert uncollapsed.num_virtual_devices == collapsed.num_virtual_devices == 16
 
 
-class TestVirtualDeviceMapping:
-    def test_virtual_roundtrip(self, figure2d_synthesis_hierarchy):
-        hierarchy = figure2d_synthesis_hierarchy
-        for virtual in range(hierarchy.num_virtual_devices):
-            digits = hierarchy.virtual_to_position_digits(virtual)
-            assert hierarchy.position_digits_to_virtual(digits) == virtual
+class TestPaperTable1:
+    def test_collapsed_matches_paper_table1_example(self):
+        # Paper Table 1 second example: a 3x3 matrix with rows [1 2 3],[4 5 6],[7 8 9]
+        # (treated as factors), reduction over rows 0 and 2 collapses to [7 16 27].
+        hierarchy = SystemHierarchy.from_cardinalities([1 * 4 * 7, 2 * 5 * 8, 3 * 6 * 9])
+        axes = ParallelismAxes.of(1 * 2 * 3, 4 * 5 * 6, 7 * 8 * 9)
+        matrix = ParallelismMatrix(hierarchy, axes, ((1, 2, 3), (4, 5, 6), (7, 8, 9)))
+        request = ReductionRequest.over(0, 2)
+        collapsed = build_synthesis_hierarchy(
+            matrix, request, HierarchyVariant.REDUCTION_COLLAPSED
+        )
+        assert collapsed.radices == (1, 7, 16, 27)  # root + the collapsed factors
+        uncollapsed = build_synthesis_hierarchy(matrix, request, HierarchyVariant.REDUCTION)
+        assert uncollapsed.radices == (1, 1, 2, 3, 7, 8, 9)
 
+
+class TestVirtualDeviceMapping:
     def test_physical_device_mapping_respects_reduction_groups(
         self, figure2d_synthesis_hierarchy, figure2d_placement, shard_reduction
     ):
         hierarchy = figure2d_synthesis_hierarchy
-        placement = figure2d_placement
-        groups = placement.reduction_groups(shard_reduction)
-        for free_digits in hierarchy.free_radix:
-            physical = [
-                hierarchy.physical_device(placement, v, free_digits)
-                for v in range(hierarchy.num_virtual_devices)
-            ]
-            # Each full sweep of the virtual devices for one free assignment is
-            # exactly one reduction group, in group order.
-            assert physical in groups
-
-    def test_physical_device_validates_free_digits(
-        self, figure2d_synthesis_hierarchy, figure2d_placement
-    ):
-        with pytest.raises(SynthesisError):
-            figure2d_synthesis_hierarchy.physical_device(figure2d_placement, 0, (0,))
-
-    def test_physical_device_rejects_other_matrix(
-        self, figure2d_synthesis_hierarchy, figure2_matrices
-    ):
-        other = next(m for m in figure2_matrices if m.entries == ((1, 2, 2, 1), (1, 1, 1, 4)))
-        with pytest.raises(SynthesisError):
-            figure2d_synthesis_hierarchy.physical_device(DevicePlacement(other), 0, (0, 0, 0, 0))
+        groups = figure2d_placement.reduction_groups(shard_reduction)
+        # Each full sweep of the virtual devices for one free assignment is
+        # exactly one reduction group, in group order.
+        everyone = (tuple(range(hierarchy.num_virtual_devices)),)
+        assert [list(group) for group in hierarchy.physical_groups(everyone)] == groups
 
 
 class TestGoals:

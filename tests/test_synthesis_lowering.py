@@ -109,7 +109,9 @@ class TestLoweringFigure2d:
     def test_lowering_replicates_per_free_assignment(
         self, figure2d_synthesis_hierarchy, figure2d_placement
     ):
-        program = ReductionProgram.single_all_reduce()
+        program = ReductionProgram.of(
+            ReductionInstruction(0, InsideGroup(), Collective.ALL_REDUCE)
+        )
         lowered = lower_program(program, figure2d_synthesis_hierarchy, figure2d_placement)
         # One AllReduce group per non-reduction (data) replica: 4 groups of 4.
         assert lowered.steps[0].num_groups == 4
@@ -119,7 +121,9 @@ class TestLoweringFigure2d:
         self, figure2d_synthesis_hierarchy, figure2_matrices
     ):
         other = next(m for m in figure2_matrices if m.entries == ((1, 2, 2, 1), (1, 1, 1, 4)))
-        program = ReductionProgram.single_all_reduce()
+        program = ReductionProgram.of(
+            ReductionInstruction(0, InsideGroup(), Collective.ALL_REDUCE)
+        )
         with pytest.raises(LoweringError):
             lower_program(program, figure2d_synthesis_hierarchy, DevicePlacement(other))
 

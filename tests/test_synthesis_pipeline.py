@@ -32,8 +32,9 @@ class TestSynthesizeAll:
         assert len(candidates) == 1
         candidate = candidates[0]
         assert candidate.num_programs > 1
-        default = candidate.default_program
-        assert default is not None and default.is_default_all_reduce
+        defaults = [p for p in candidate.programs if p.is_default_all_reduce]
+        assert len(defaults) == 1
+        default = defaults[0]
         assert default.lowered.num_steps == 1
 
     def test_candidate_describe(self, small_system):

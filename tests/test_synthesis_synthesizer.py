@@ -99,7 +99,7 @@ class TestSynthesizerConfiguration:
             hierarchy, max_program_size=3, collectives=[Collective.ALL_REDUCE]
         )
         for program in result.programs:
-            assert set(program.program.collectives_used()) == {Collective.ALL_REDUCE}
+            assert {i.collective for i in program.program} == {Collective.ALL_REDUCE}
 
     def test_node_limit_stops_search(self):
         hierarchy = two_level_hierarchy(4, 4)

@@ -39,18 +39,17 @@ VARIANT_ORDER = [
 
 def is_fully_replicated(lowered, placement, request) -> bool:
     """True when every step touches each non-reduction coordinate equally often."""
-    non_reduction = request.non_reduction_axes(placement.matrix.axes)
+    non_reduction = [axis for axis in range(placement.num_axes) if axis not in request.axes]
     if not non_reduction:
         return True
+
+    def key(device):
+        coordinates = placement.parallel_coordinates(device)
+        return tuple(coordinates[axis] for axis in non_reduction)
+
     for step in lowered.steps:
-        counts = Counter(
-            tuple(placement.axis_coordinate(device, axis) for axis in non_reduction)
-            for device in step.devices
-        )
-        all_keys = {
-            tuple(placement.axis_coordinate(device, axis) for axis in non_reduction)
-            for device in range(placement.num_devices)
-        }
+        counts = Counter(key(device) for device in step.devices)
+        all_keys = {key(device) for device in range(placement.num_devices)}
         if set(counts) != all_keys or len(set(counts.values())) != 1:
             return False
     return True

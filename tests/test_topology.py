@@ -39,12 +39,6 @@ class TestLinkSpec:
         with pytest.raises(TopologyError):
             DCN_NIC_8GBS.scaled(0)
 
-    def test_transfer_time(self):
-        link = LinkSpec("x", LinkKind.NIC, 1e9, 1e-6)
-        assert link.transfer_time(1e9) == pytest.approx(1.0 + 1e-6)
-        with pytest.raises(TopologyError):
-            link.transfer_time(-1)
-
     def test_shared_medium_classification(self):
         assert LinkKind.NIC.is_shared_medium
         assert LinkKind.NVLINK_RING.is_shared_medium
@@ -86,26 +80,9 @@ class TestMachineTopology:
         assert a100_2node.nic_instances_touched([0, 16]) == ((0,), (1,))
         assert a100_2node.nic_instances_touched([0, 1, 2]) == ((0,),)
 
-    def test_effective_cross_bandwidth_uses_host_link(self, v100_2node, a100_2node):
-        assert v100_2node.effective_cross_bandwidth() == pytest.approx(8 * GB)
-        assert a100_2node.effective_cross_bandwidth() == pytest.approx(8 * GB)
-
-    def test_devices_per_nic_instance(self, a100_2node, v100_2node):
-        assert a100_2node.devices_per_nic_instance == 16
-        assert v100_2node.devices_per_nic_instance == 8
-
     def test_describe_lists_levels(self, v100_2node):
         text = v100_2node.describe()
         assert "nvlink-ring" in text and "NICs" in text
-
-    def test_with_hierarchy_compatible_only(self, a100_2node):
-        renamed = SystemHierarchy.from_cardinalities([2, 16], ["host", "accelerator"])
-        replaced = a100_2node.with_hierarchy(renamed)
-        assert replaced.hierarchy.names == ("host", "accelerator")
-        with pytest.raises(TopologyError):
-            a100_2node.with_hierarchy(SystemHierarchy.from_cardinalities([4, 8]))
-        with pytest.raises(TopologyError):
-            a100_2node.with_hierarchy(SystemHierarchy.from_cardinalities([32]))
 
 
 class TestBuilders:

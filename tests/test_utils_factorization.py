@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 from repro.errors import HierarchyError
 from repro.utils.factorization import (
-    count_ordered_factorizations,
     divisors,
-    multiplicities,
     ordered_factorizations,
     prime_factorization,
 )
+
+
+def count_ordered_factorizations(n: int, k: int) -> int:
+    """Stars and bars per prime: ``n = prod p^e`` has ``prod C(e + k - 1, k - 1)``."""
+    return math.prod(math.comb(e + k - 1, k - 1) for e in prime_factorization(n).values())
 
 
 class TestPrimeFactorization:
@@ -99,22 +102,3 @@ class TestOrderedFactorizations:
         assert all(math.prod(f) == n for f in factorizations)
         assert len(set(factorizations)) == len(factorizations)
         assert len(factorizations) == count_ordered_factorizations(n, k)
-
-
-class TestCountOrderedFactorizations:
-    def test_known_values(self):
-        assert count_ordered_factorizations(4, 2) == 3
-        assert count_ordered_factorizations(12, 2) == 6
-        assert count_ordered_factorizations(1, 5) == 1
-
-    def test_zero_slots(self):
-        assert count_ordered_factorizations(1, 0) == 1
-        assert count_ordered_factorizations(7, 0) == 0
-
-
-class TestMultiplicities:
-    def test_histogram(self):
-        assert multiplicities([2, 2, 3, 1]) == {2: 2, 3: 1, 1: 1}
-
-    def test_empty(self):
-        assert multiplicities([]) == {}

@@ -6,12 +6,7 @@ import pytest
 
 from repro.errors import ReproError, TopologyError
 from repro.utils.tabulate import format_cell, format_table
-from repro.utils.validation import (
-    check_non_negative,
-    check_positive_int,
-    check_positive_ints,
-    check_probability,
-)
+from repro.utils.validation import check_positive_int, check_positive_ints
 
 
 class TestCheckPositiveInt:
@@ -46,22 +41,6 @@ class TestCheckPositiveInts:
     def test_reports_offending_index(self):
         with pytest.raises(ReproError, match=r"xs\[1\]"):
             check_positive_ints([1, 0], "xs")
-
-
-class TestCheckProbabilityAndNonNegative:
-    def test_probability_bounds(self):
-        assert check_probability(0.0, "p") == 0.0
-        assert check_probability(1.0, "p") == 1.0
-        with pytest.raises(ReproError):
-            check_probability(1.5, "p")
-        with pytest.raises(ReproError):
-            check_probability(-0.1, "p")
-
-    def test_non_negative(self):
-        assert check_non_negative(0, "x") == 0.0
-        assert check_non_negative(2.5, "x") == 2.5
-        with pytest.raises(ReproError):
-            check_non_negative(-1e-9, "x")
 
 
 class TestFormatCell:

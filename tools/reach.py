@@ -15,9 +15,19 @@ entered.  The entry points are:
 Functions entered only inside ``multiprocessing`` workers (sharded search
 under the ``fork`` start method) are listed as worker-process code, not as
 unentered.  Each unentered function is printed with its verdict from
-``LEDGER`` below: why it stays although no entry point enters it.  A
-function with no recorded verdict prints as ``UNJUDGED``; the ledger's job
-is to keep that list empty.
+``LEDGER`` below: why it stays although no entry point enters it.
+
+The tool is a gate: it exits 1, after printing the report, when
+
+* an unentered function has no verdict (printed as ``UNJUDGED``);
+* a ``LEDGER`` entry names a function that an entry point entered or that
+  no longer exists (a function entered only in a worker is neither: which
+  process runs it depends on timing);
+* a verdict says ``test-only``: code that only its own tests call is
+  deleted with those tests, not kept;
+* an entry point fails: a ``repro-cli`` invocation exits non-zero or
+  raises, the serve round or its client fails, or an example or a README
+  block raises.
 
 Stdlib only.  Run from anywhere (four to five minutes on 2 cores)::
 
@@ -47,16 +57,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 #: Why a function stays in ``src/`` though no entry point enters it, keyed
-#: by ``module:qualname``.  Two verdicts remain once oracles have moved to
-#: ``tests/oracles`` and dead code is deleted:
+#: by ``module:qualname``.  There are two verdicts:
 #:
 #: * ``error path: <test>`` — a refusal or recovery path; the named test
 #:   drives it.
-#: * ``library: <caller>`` — public surface that the entry points do not
-#:   need but a caller outside ``src/`` does (a benchmark, ``bench/``, CI,
-#:   or the test named).  ``test-only`` marks those that nothing under
-#:   ``src/`` references either: each is a candidate to move to
-#:   ``tests/oracles`` or to delete with its test.
+#: * ``library: <caller>`` — surface that the entry points do not need but
+#:   a caller outside ``src/`` does (a benchmark, ``bench/``, CI, a pickling
+#:   or protocol hook, or the test named).
+#:
+#: A function that only its own unit tests call has no verdict: it goes,
+#: together with those tests.  A reference implementation a test compares
+#: against lives in ``tests/oracles``.
 LEDGER: Dict[str, str] = {
     # repro.analysis.serialization
     "repro.analysis.serialization:load_jsonl_results":
@@ -70,9 +81,6 @@ LEDGER: Dict[str, str] = {
         "library: benchmarks/bench_appendix_full_sweep.py (summarize_results)",
     "repro.analysis.stats:summarize_results": "library: benchmarks/bench_appendix_full_sweep.py",
     # repro.api
-    "repro.api:OptimizationPlan.speedup_over_baseline":
-        "library: test-only; "
-        "tests/test_search_sources.py::TestBaselineSource::test_baselines_survive_plan_serialization",
     "repro.api:P2.topology":
         "library: bench/openloop.py; "
         "tests/test_cost_profile.py::TestStaleBindingGuards::test_planner_bindings_are_read_only",
@@ -99,34 +107,16 @@ LEDGER: Dict[str, str] = {
     "repro.dsl.pretty:describe_program":
         "library: tests/test_dsl_program.py::TestPretty::test_describe_program_multiline",
     # repro.dsl.program
-    "repro.dsl.program:ReductionProgram.single_all_reduce":
-        "library: test-only; "
-        "tests/test_dsl_program.py::TestReductionProgram::test_single_all_reduce_achieves_goal",
     "repro.dsl.program:ReductionProgram.size":
         "library: tests/test_dsl_program.py::TestReductionProgram::test_iteration_indexing_and_size",
     "repro.dsl.program:ReductionProgram.append":
         "library: tests/test_dsl_program.py::TestReductionProgram::test_append_is_persistent",
-    "repro.dsl.program:ReductionProgram.collectives_used":
-        "library: test-only; "
-        "tests/test_dsl_program.py::TestReductionProgram::test_collectives_used_and_rooted",
-    "repro.dsl.program:ReductionProgram.uses_rooted_collectives":
-        "library: test-only; "
-        "tests/test_dsl_program.py::TestReductionProgram::test_collectives_used_and_rooted",
     # repro.evaluation.accuracy
     "repro.evaluation.accuracy:AccuracyReport.describe":
         "library: tests/test_evaluation_runner_accuracy.py::TestAccuracy::test_accuracy_report",
     # repro.evaluation.config
     "repro.evaluation.config:ExperimentConfig.scaled":
         "library: tests/test_evaluation_config.py::TestExperimentConfig::test_payload_scale",
-    "repro.evaluation.config:ExperimentConfig.with_algorithm":
-        "library: test-only; "
-        "tests/test_edge_cases.py::TestTreeAlgorithmEndToEnd::test_tree_sweep_runs_and_orders_like_ring",
-    # repro.evaluation.report
-    "repro.evaluation.report:render_matrix_result":
-        "library: tests/test_edge_cases.py::TestReportRendering::test_matrix_report_without_measurements",
-    "repro.evaluation.report:render_sweep_result":
-        "library: test-only; "
-        "tests/test_evaluation_tables_figures.py::TestReports::test_render_sweep_result",
     # repro.evaluation.scenarios
     "repro.evaluation.scenarios:ScenarioGrid.queries":
         "library: tests/test_evaluation_scenarios.py::TestScenarioGridExpansion::test_queries_stream_matches_expansion",
@@ -140,8 +130,6 @@ LEDGER: Dict[str, str] = {
     "repro.evaluation.tables:TableArtifact.num_rows":
         "library: tests/test_evaluation_tables_figures.py::TestTable3::test_measured_table_shows_the_placement_spread",
     # repro.hierarchy.levels
-    "repro.hierarchy.levels:SystemHierarchy.level_index":
-        "library: test-only; tests/test_hierarchy_levels.py::TestQueries::test_level_index",
     "repro.hierarchy.levels:SystemHierarchy.__len__":
         "library: tests/test_hierarchy_levels.py::TestQueries::test_len_iter_getitem",
     "repro.hierarchy.levels:SystemHierarchy.__iter__":
@@ -150,29 +138,11 @@ LEDGER: Dict[str, str] = {
         "library: tests/test_hierarchy_levels.py::TestQueries::test_len_iter_getitem",
     "repro.hierarchy.levels:SystemHierarchy.device_id":
         "library: tests/test_hierarchy_levels.py::TestDeviceAddressing::test_roundtrip_all_devices",
-    "repro.hierarchy.levels:SystemHierarchy.devices_under":
-        "library: test-only; "
-        "tests/test_hierarchy_levels.py::TestDeviceAddressing::test_devices_under_cpu",
     # repro.hierarchy.matrix
-    "repro.hierarchy.matrix:ParallelismMatrix.row_major_factors":
-        "library: test-only; "
-        "tests/test_hierarchy_matrix.py::TestAccessorsAndFlattenings::test_row_major_flattening_is_hierarchy_c",
-    "repro.hierarchy.matrix:ParallelismMatrix.column_major_factors":
-        "library: test-only; "
-        "tests/test_hierarchy_matrix.py::TestAccessorsAndFlattenings::test_column_major_flattening_is_hierarchy_b",
-    "repro.hierarchy.matrix:ParallelismMatrix.reduction_axis_factors":
-        "library: test-only; "
-        "tests/test_hierarchy_matrix.py::TestAccessorsAndFlattenings::test_reduction_axis_factors_is_hierarchy_d",
-    "repro.hierarchy.matrix:ParallelismMatrix.collapsed_reduction_factors":
-        "library: test-only; "
-        "tests/test_hierarchy_matrix.py::TestAccessorsAndFlattenings::test_collapsed_reduction_factors",
     "repro.hierarchy.matrix:count_naive_placements":
         "library: benchmarks/bench_placement_space.py; "
         "tests/test_hierarchy_matrix.py::TestNaivePlacementCount::test_matches_factorial",
     # repro.hierarchy.parallelism
-    "repro.hierarchy.parallelism:ParallelismAxes.axis_index":
-        "library: test-only; "
-        "tests/test_hierarchy_parallelism.py::TestParallelismAxes::test_explicit_names",
     "repro.hierarchy.parallelism:ParallelismAxes.__len__":
         "library: tests/test_hierarchy_parallelism.py::TestParallelismAxes::test_iteration_and_indexing",
     "repro.hierarchy.parallelism:ParallelismAxes.__iter__":
@@ -181,39 +151,15 @@ LEDGER: Dict[str, str] = {
         "library: tests/test_hierarchy_parallelism.py::TestParallelismAxes::test_iteration_and_indexing",
     "repro.hierarchy.parallelism:ReductionRequest.group_size":
         "library: tests/test_hierarchy_parallelism.py::TestReductionRequest::test_group_size",
-    "repro.hierarchy.parallelism:ReductionRequest.non_reduction_axes":
-        "library: test-only; "
-        "tests/test_hierarchy_parallelism.py::TestReductionRequest::test_non_reduction_axes",
     # repro.hierarchy.placement
     "repro.hierarchy.placement:DevicePlacement.grid_to_device":
         "library: tests/test_hierarchy_placement.py::TestGridConversions::test_grid_roundtrip_all_devices",
     "repro.hierarchy.placement:DevicePlacement._check_grid":
         "error path: tests/test_hierarchy_placement.py::TestGridConversions::test_grid_shape_validation",
-    "repro.hierarchy.placement:DevicePlacement.axis_coordinate":
-        "library: test-only; "
-        "tests/test_hierarchy_placement.py::TestParallelCoordinates::test_axis_coordinate_matches_parallel_coordinates",
-    "repro.hierarchy.placement:DevicePlacement.device_for_coordinates":
-        "library: test-only; "
-        "tests/test_hierarchy_placement.py::TestParallelCoordinates::test_coordinate_roundtrip",
     "repro.hierarchy.placement:DevicePlacement.coordinate_table":
         "library: tests/test_hierarchy_placement.py::TestParallelCoordinates::test_coordinate_table_matches",
     "repro.hierarchy.placement:DevicePlacement.__getstate__":
         "library: tests/test_semantics_transitions.py::TestNothingOutlivesTheSearch::test_a_placement_pickles_without_its_search_state",
-    "repro.hierarchy.placement:DevicePlacement.reduction_group_of":
-        "library: test-only; "
-        "tests/test_hierarchy_placement.py::TestReductionGroups::test_reduction_group_of",
-    "repro.hierarchy.placement:DevicePlacement.placement_table":
-        "library: test-only; "
-        "tests/test_hierarchy_placement.py::TestReductionGroups::test_placement_table",
-    # repro.obs.export
-    "repro.obs.export:jsonl_events":
-        "library: tests/test_obs.py::TestExport::test_jsonl_round_trips_through_load_snapshot",
-    "repro.obs.export:write_jsonl":
-        "library: test-only; "
-        "tests/test_obs.py::TestExport::test_jsonl_round_trips_through_load_snapshot",
-    "repro.obs.export:_snapshot_from_jsonl":
-        "library: `stats FILE` on a JSONL stream from repro.obs.write_jsonl; "
-        "tests/test_obs.py::TestExport::test_jsonl_round_trips_through_load_snapshot",
     # repro.obs.recorder
     "repro.obs.recorder:Recorder.__getstate__":
         "library: pickled into spawn-started shard workers; "
@@ -221,18 +167,9 @@ LEDGER: Dict[str, str] = {
     "repro.obs.recorder:Recorder.__setstate__":
         "library: pickled into spawn-started shard workers; "
         "tests/test_obs.py::TestRecorder::test_recorder_survives_pickling",
-    "repro.obs.recorder:Recorder.counter_value":
-        "library: test-only; "
-        "tests/test_obs.py::TestRecorder::test_counter_increments_are_thread_safe",
     "repro.obs.recorder:NullRecorder.snapshot":
         "library: benchmarks/bench_telemetry_overhead.py; "
         "tests/test_obs.py::TestRecorder::test_null_recorder_is_inert_and_default",
-    "repro.obs.recorder:NullRecorder.counter_value":
-        "library: test-only; "
-        "tests/test_obs.py::TestRecorder::test_null_recorder_is_inert_and_default",
-    # repro.planner.multi
-    "repro.planner.multi:MultiReductionPlan.placement_for":
-        "library: test-only; tests/test_planner.py::TestPlanPlacements::test_placement_for",
     # repro.query
     "repro.query:PlanOutcome.best":
         "library: tests/test_search_driver.py::TestLosslessPruning::test_bounded_search_returns_bit_identical_best",
@@ -254,12 +191,6 @@ LEDGER: Dict[str, str] = {
     "repro.runtime.device:SimDevice.describe":
         "library: tests/test_runtime_device_cluster.py::TestSimDevice::test_describe",
     # repro.runtime.executor
-    "repro.runtime.executor:ExecutionTrace.num_events":
-        "library: test-only; "
-        "tests/test_runtime_executor.py::TestProgramExecution::test_execute_records_trace",
-    "repro.runtime.executor:ExecutionTrace.events_for_step":
-        "library: test-only; "
-        "tests/test_runtime_executor.py::TestProgramExecution::test_execute_records_trace",
     "repro.runtime.executor:CollectiveExecutor.reduce":
         "library: tests/test_integration_paper_claims.py::TestEndToEndPlanQuality::test_every_top_strategy_verifies_numerically",
     "repro.runtime.executor:CollectiveExecutor.broadcast":
@@ -267,35 +198,15 @@ LEDGER: Dict[str, str] = {
     # repro.runtime.noise
     "repro.runtime.noise:NoiseModel.reset":
         "library: tests/test_runtime_noise_events.py::TestNoiseModel::test_reset_replays_sequence",
-    # repro.search.driver
-    "repro.search.driver:SearchResult.best_per_matrix":
-        "library: test-only; "
-        "tests/test_search_driver.py::TestDriverIntrospection::test_best_per_matrix_tracks_incumbents",
     # repro.search.sharded
-    "repro.search.sharded:SharedWatermark.matrix_seconds":
-        "library: test-only; "
-        "tests/test_search_driver.py::TestSharedWatermark::test_view_updates_propagate_globally",
-    "repro.search.sharded:PlacementLedger.claimed_count":
-        "library: test-only; "
-        "tests/test_search_driver.py::TestPlacementLedger::test_exhausted_home_slice_steals",
     "repro.search.sharded:_check_liveness":
         "error path: tests/test_search_driver.py::TestShardedSearch::test_a_shard_that_dies_without_a_message_is_a_search_error",
     # repro.search.source
     "repro.search.source:CandidateSource.entries":
         "library: Protocol stub, never executed (every source's entries is entered)",
     # repro.semantics.collectives
-    "repro.semantics.collectives:Collective.moves_reduced_data":
-        "library: test-only; "
-        "tests/test_semantics_collectives.py::TestCollectiveEnum::test_moves_reduced_data",
     "repro.semantics.collectives:step_error":
         "error path: tests/test_semantics_packed_oracle.py::TestStepKernelAgainstOracle::test_step_matches_the_oracle_group_by_group",
-    "repro.semantics.collectives:TrafficProfile.output_payload":
-        "library: test-only; "
-        "tests/test_semantics_collectives.py::TestTrafficProfiles::test_output_payload_factors",
-    # repro.semantics.goals
-    "repro.semantics.goals:initial_state":
-        "library: test-only; "
-        "tests/test_semantics_goals.py::TestInitialContext::test_initial_state_helper",
     # repro.semantics.state
     "repro.semantics.state:DeviceState.__new__":
         "library: tests/test_semantics_collectives.py::TestAllReduce::test_two_fresh_devices",
@@ -313,12 +224,6 @@ LEDGER: Dict[str, str] = {
         "library: tests/test_semantics_packed_oracle.py::TestKernelAgainstOracle::test_random_groups",
     "repro.semantics.state:DeviceState.non_empty_rows":
         "library: tests/test_semantics_collectives.py::TestAllReduce::test_rejects_mismatched_rows",
-    "repro.semantics.state:DeviceState.num_non_empty_rows":
-        "library: test-only; "
-        "tests/test_semantics_packed_oracle.py::TestPackedState::test_round_trips",
-    "repro.semantics.state:DeviceState.is_empty":
-        "library: test-only; "
-        "tests/test_semantics_packed_oracle.py::TestPackedState::test_round_trips",
     "repro.semantics.state:DeviceState.row":
         "library: tests/test_dsl_program.py::TestReductionInstruction::test_groups_and_apply",
     "repro.semantics.state:DeviceState.contributors":
@@ -327,9 +232,6 @@ LEDGER: Dict[str, str] = {
         "library: tests/test_semantics_collectives.py::TestSemanticProperties::test_total_information_never_decreases_except_clearing",
     "repro.semantics.state:DeviceState.is_subset_of":
         "library: tests/test_semantics_collectives.py::TestSemanticProperties::test_total_information_never_decreases_except_clearing",
-    "repro.semantics.state:DeviceState.is_strict_subset_of":
-        "library: test-only; "
-        "tests/test_semantics_packed_oracle.py::TestPackedState::test_algebra_matches_row_tuples",
     "repro.semantics.state:DeviceState._check_compatible":
         "library: tests/test_semantics_collectives.py::TestSemanticProperties::test_total_information_never_decreases_except_clearing",
     "repro.semantics.state:DeviceState.describe":
@@ -340,10 +242,6 @@ LEDGER: Dict[str, str] = {
         "library: tests/test_semantics_goals.py::TestGoalContext::test_all_reduce_goal_is_full_matrix",
     "repro.semantics.state:StateContext.describe":
         "library: tests/test_semantics_state.py::TestStateContext::test_iteration_and_describe",
-    # repro.serve.client
-    "repro.serve.client:PlanClient.send_raw":
-        "library: test-only; "
-        "tests/test_serve_daemon.py::TestDaemonEndToEnd::test_malformed_line_keeps_connection_alive",
     # repro.serve.daemon
     "repro.serve.daemon:TokenBucket.retry_after_s":
         "error path: tests/test_serve_daemon.py::TestServingPolicy::test_rate_limit_refusal_shape",
@@ -376,17 +274,11 @@ LEDGER: Dict[str, str] = {
         "error path: tests/test_service_engine.py::TestPlanningService::test_recovers_from_semantically_corrupt_cache_entry",
     # repro.synthesis.hierarchy
     "repro.synthesis.hierarchy:SynthesisHierarchy._virtual_radix":
-        "library: tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps_and_physical_device",
+        "library: tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps",
     "repro.synthesis.hierarchy:SynthesisHierarchy.free_radix":
-        "library: tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps_and_physical_device",
+        "library: tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps",
     "repro.synthesis.hierarchy:SynthesisHierarchy.virtual_to_position_digits":
-        "library: tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps_and_physical_device",
-    "repro.synthesis.hierarchy:SynthesisHierarchy.position_digits_to_virtual":
-        "library: test-only; "
-        "tests/test_synthesis_hierarchy.py::TestVirtualDeviceMapping::test_virtual_roundtrip",
-    "repro.synthesis.hierarchy:SynthesisHierarchy.physical_device":
-        "library: test-only; "
-        "tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps_and_physical_device",
+        "library: tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps",
     "repro.synthesis.hierarchy:_level_name":
         "library: the non-default hierarchy variants; benchmarks/bench_hierarchy_ablation.py",
     # repro.synthesis.lowering
@@ -418,9 +310,6 @@ LEDGER: Dict[str, str] = {
         "tests/test_synthesis_pipeline.py::TestSynthesizeAll::test_candidate_describe",
     "repro.synthesis.pipeline:PlacementCandidate.num_programs":
         "library: tests/test_synthesis_pipeline.py::TestSynthesizeAll::test_every_candidate_has_programs_and_default",
-    "repro.synthesis.pipeline:PlacementCandidate.default_program":
-        "library: test-only; "
-        "tests/test_synthesis_pipeline.py::TestSynthesizeAll::test_every_candidate_has_programs_and_default",
     "repro.synthesis.pipeline:PlacementCandidate.describe":
         "library: bench/staged.py; "
         "tests/test_synthesis_pipeline.py::TestSynthesizeAll::test_candidate_describe",
@@ -439,28 +328,12 @@ LEDGER: Dict[str, str] = {
     # repro.topology.links
     "repro.topology.links:LinkSpec.scaled":
         "library: tests/test_metamorphic_oracles.py::test_doubling_every_unit_keeps_the_ranking",
-    "repro.topology.links:LinkSpec.transfer_time":
-        "library: test-only; tests/test_topology.py::TestLinkSpec::test_transfer_time",
     # repro.topology.topology
-    "repro.topology.topology:MachineTopology.effective_cross_bandwidth":
-        "library: test-only; "
-        "tests/test_topology.py::TestMachineTopology::test_effective_cross_bandwidth_uses_host_link",
     "repro.topology.topology:MachineTopology.crosses_nic":
         "library: tests/test_topology.py::TestMachineTopology::test_crosses_nic",
-    "repro.topology.topology:MachineTopology.devices_per_nic_instance":
-        "library: test-only; "
-        "tests/test_topology.py::TestMachineTopology::test_devices_per_nic_instance",
-    "repro.topology.topology:MachineTopology.with_hierarchy":
-        "library: test-only; "
-        "tests/test_topology.py::TestMachineTopology::test_with_hierarchy_compatible_only",
     # repro.utils.factorization
     "repro.utils.factorization:prime_factorization":
         "library: tests/test_utils_factorization.py::TestPrimeFactorization::test_one_has_no_factors",
-    "repro.utils.factorization:count_ordered_factorizations":
-        "library: test-only; "
-        "tests/test_utils_factorization.py::TestOrderedFactorizations::test_products_and_count_match_formula",
-    "repro.utils.factorization:multiplicities":
-        "library: test-only; tests/test_utils_factorization.py::TestMultiplicities::test_histogram",
     # repro.utils.memo
     "repro.utils.memo:BoundedMemo.discard":
         "error path: tests/test_service_cache.py::TestDiskTier::test_discard_drops_one_entry_from_both_tiers",
@@ -474,18 +347,11 @@ LEDGER: Dict[str, str] = {
         "tests/test_memo.py::TestBoundedMemo::test_a_subclass_pickles_as_itself",
     # repro.utils.mixed_radix
     "repro.utils.mixed_radix:MixedRadix.__len__":
-        "library: tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps_and_physical_device",
+        "library: tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps",
     "repro.utils.mixed_radix:MixedRadix.__iter__":
-        "library: tests/test_hierarchy_levels.py::TestDeviceAddressing::test_devices_under_cpu",
+        "library: tests/test_utils_mixed_radix.py::TestMixedRadixClass::test_iteration_order",
     "repro.utils.mixed_radix:MixedRadix.sub":
         "library: tests/test_utils_mixed_radix.py::TestMixedRadixClass::test_sub_radix",
-    # repro.utils.validation
-    "repro.utils.validation:check_non_negative":
-        "library: test-only; "
-        "tests/test_utils_validation_tabulate.py::TestCheckProbabilityAndNonNegative::test_non_negative",
-    "repro.utils.validation:check_probability":
-        "library: test-only; "
-        "tests/test_utils_validation_tabulate.py::TestCheckProbabilityAndNonNegative::test_probability_bounds",
 }
 
 Key = Tuple[str, int]  # (absolute filename, first line of the code object)
@@ -509,9 +375,13 @@ _FORK_MARKER = _ForkMarker()
 
 def _after_fork(_marker) -> None:
     # Runs in a freshly forked multiprocessing child: start from an empty
-    # set and write what the child entered when its finalizers run.
+    # set and write what the child entered when its finalizers run.  A
+    # queue's feeder thread pickles what the child put on it until the
+    # queue's own finalizer (exitpriority -5) joins that thread, so the dump
+    # runs after it: an earlier dump would miss, depending on timing, the
+    # pickling hooks the feeder thread runs.
     _seen.clear()
-    multiprocessing.util.Finalize(None, _dump_worker, exitpriority=100)
+    multiprocessing.util.Finalize(None, _dump_worker, exitpriority=-10)
 
 
 def _dump_worker() -> None:
@@ -740,12 +610,14 @@ def drive(tmp: Path, log: Callable[[str, str, float], None]) -> None:
         try:
             status = f"exit {run_cli(argv, capture)}"
         except SystemExit as error:
-            status = f"exit {error.code}"
+            status = f"exit {0 if error.code is None else error.code}"
         except Exception as error:  # reported, then the next entry point runs
             status = f"raised {error!r}"
         if saved is not None:
             saved.write_text(capture.getvalue())
-        log("repro-cli " + " ".join(argv[:2]), status, time.perf_counter() - start)
+        if status != "exit 0":
+            sys.stderr.write(capture.getvalue()[-2000:])
+        log("repro-cli " + " ".join(argv), status, time.perf_counter() - start)
 
     namespace: dict = {"__name__": "__readme__"}
     from repro.topology import a100_system
@@ -762,7 +634,7 @@ def drive(tmp: Path, log: Callable[[str, str, float], None]) -> None:
             with contextlib.redirect_stdout(capture):
                 exec(compile(block, "README.md", "exec"), namespace)
             status = "ok"
-        except Exception as error:  # a fragment (e.g. a `...` body) may not run whole
+        except Exception as error:  # reported as a failure, then the next block runs
             status = f"raised {error!r}"
         log(f"README block {number}", status, time.perf_counter() - start)
 
@@ -791,8 +663,13 @@ def drive(tmp: Path, log: Callable[[str, str, float], None]) -> None:
 
 
 def report(functions: Sequence[Function], entered: Set[Key], worker: Set[Key],
-           out=sys.stdout) -> Dict[str, int]:
-    """Print the ledger; return unentered lines per package (worker code excluded)."""
+           out=sys.stdout) -> List[str]:
+    """Print the ledger; return the problems that fail it (empty when it is clean).
+
+    A problem is an unentered function without a verdict, a ledger entry for
+    a function that was entered or is gone, or a ``test-only`` verdict.
+    Worker-only code counts as neither entered nor unentered.
+    """
     missed = unentered(functions, entered)
     in_workers = [f for f in missed if f.key in worker]
     missed = [f for f in missed if f.key not in worker]
@@ -800,13 +677,14 @@ def report(functions: Sequence[Function], entered: Set[Key], worker: Set[Key],
     for function in missed:
         by_module[function.module].append(function)
     per_package: Dict[str, int] = defaultdict(int)
-    unjudged = 0
+    problems: List[str] = []
     for module in sorted(by_module):
         entries = by_module[module]
         print(f"\n{module}  ({sum(f.lines for f in entries)} lines)", file=out)
         for function in entries:
             verdict = LEDGER.get(function.name)
-            unjudged += verdict is None
+            if verdict is None:
+                problems.append(f"unjudged: {function.name}")
             print(f"  {function.first:>5}  {function.lines:>4}  {function.qualname}"
                   f"  -- {verdict or 'UNJUDGED'}", file=out)
             per_package[package_of(function)] += function.lines
@@ -814,18 +692,19 @@ def report(functions: Sequence[Function], entered: Set[Key], worker: Set[Key],
         print("\nentered only in worker processes:", file=out)
         for function in in_workers:
             print(f"  {function.name}  ({function.lines} lines)", file=out)
-    stale = sorted(set(LEDGER) - {f.name for f in missed})
+    stale = sorted(set(LEDGER) - {f.name for f in missed + in_workers})
     if stale:
         print("\nledger entries for functions that were entered or are gone:", file=out)
         for name in stale:
             print(f"  {name}", file=out)
+    problems += [f"stale ledger entry: {name}" for name in stale]
+    problems += [
+        f"test-only verdict: {name}" for name, verdict in sorted(LEDGER.items())
+        if "test-only" in verdict
+    ]
     kinds: Dict[str, List[Function]] = defaultdict(list)
     for function in missed:
-        verdict = LEDGER.get(function.name, "UNJUDGED")
-        kind = verdict.split(":")[0]
-        if verdict.startswith("library: test-only"):
-            kind = "library (test-only)"
-        kinds[kind].append(function)
+        kinds[LEDGER.get(function.name, "UNJUDGED").split(":")[0]].append(function)
     print("\nverdicts:", file=out)
     for kind in sorted(kinds):
         entries = kinds[kind]
@@ -835,16 +714,19 @@ def report(functions: Sequence[Function], entered: Set[Key], worker: Set[Key],
     for package, lines in sorted(per_package.items(), key=lambda item: (-item[1], item[0])):
         print(f"  {package:<12} {lines:>5}", file=out)
     total = sum(per_package.values())
+    unjudged = len(kinds.get("UNJUDGED", ()))
     print(f"  {'total':<12} {total:>5}  in {len(missed)} functions; {unjudged} unjudged",
           file=out)
-    return dict(per_package)
+    return problems
 
 
 def main() -> int:
+    """Drive the entry points, print the ledger; 1 if anything fails it."""
     global _worker_dir
 
     sys.path.insert(0, str(SRC))
     start = time.perf_counter()
+    failed: List[str] = []
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
         _worker_dir = str(Path(tmp) / "workers")
         os.mkdir(_worker_dir)
@@ -852,6 +734,8 @@ def main() -> int:
 
         def log(what: str, status: str, seconds: float) -> None:
             print(f"{seconds:7.1f}s  {what:<28} {status}", file=sys.stderr, flush=True)
+            if status not in ("ok", "exit 0"):
+                failed.append(f"entry point failed: {what}: {status}")
 
         previous_home = os.environ.get("HOME")
         threading.settrace(_hook)
@@ -866,7 +750,13 @@ def main() -> int:
         worker = _worker_keys() - _seen
         entered = set(_seen)
     print(f"driven in {time.perf_counter() - start:.0f}s", file=sys.stderr)
-    report(inventory(), entered, worker)
+    problems = failed + report(inventory(), entered, worker)
+    if problems:
+        print(f"\nreach: FAILED ({len(problems)} problems)", file=sys.stderr)
+        for problem in problems:
+            print(f"  {problem}", file=sys.stderr)
+        return 1
+    print("\nreach: ok", file=sys.stderr)
     return 0
 
 
