@@ -154,8 +154,13 @@ class TestMain:
             b"[" * 100_000,
             b'{"schema": "repro.obs/1", "counters": [1]}',
             b"\xff\xfe not utf-8",
+            b"",
+            b'{"traceEvents": []}',
         ],
-        ids=["json-lines", "over-nested", "wrong-shape", "not-utf-8"],
+        ids=[
+            "json-lines", "over-nested", "wrong-shape", "not-utf-8",
+            "empty", "trace-without-snapshot",
+        ],
     )
     def test_stats_fails_closed_on_a_file_that_is_not_a_snapshot(self, tmp_path, content):
         path = tmp_path / "telemetry.json"

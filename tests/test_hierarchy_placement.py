@@ -127,3 +127,53 @@ class TestPlacementProperties:
             placement = DevicePlacement(matrix)
             coords = {placement.parallel_coordinates(d) for d in range(16)}
             assert len(coords) == 16  # bijection between devices and shard coordinates
+
+
+#: The four parallelism matrices of the Figure 2 example, named by their rows.
+FIGURE2_ENTRIES = {
+    "1114-1221": ((1, 1, 1, 4), (1, 2, 2, 1)),
+    "1122-1212": ((1, 1, 2, 2), (1, 2, 1, 2)),
+    "1212-1122": ((1, 2, 1, 2), (1, 1, 2, 2)),
+    "1221-1114": ((1, 2, 2, 1), (1, 1, 1, 4)),
+}
+
+
+def figure2_placement(figure2_matrices, name):
+    return DevicePlacement(
+        next(m for m in figure2_matrices if m.entries == FIGURE2_ENTRIES[name])
+    )
+
+
+class TestEveryFigure2Placement:
+    """Placement geometry on every matrix of the Figure 2 example, not only 2d."""
+
+    def test_the_four_matrices_are_all_of_figure2(self, figure2_matrices):
+        assert sorted(m.entries for m in figure2_matrices) == sorted(FIGURE2_ENTRIES.values())
+
+    @pytest.mark.parametrize("name", sorted(FIGURE2_ENTRIES))
+    def test_grids_and_coordinates_are_bijections(self, figure2_matrices, name):
+        placement = figure2_placement(figure2_matrices, name)
+        grids = [placement.device_to_grid(d) for d in range(16)]
+        assert [placement.grid_to_device(grid) for grid in grids] == list(range(16))
+        assert sorted(placement.coordinate_table) == [(n, m) for n in range(4) for m in range(4)]
+
+    @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)], ids=["data", "shard", "both"])
+    @pytest.mark.parametrize("name", sorted(FIGURE2_ENTRIES))
+    def test_reduction_groups_partition_the_devices(self, figure2_matrices, name, axes):
+        placement = figure2_placement(figure2_matrices, name)
+        request = ReductionRequest.over(*axes)
+        groups = placement.reduction_groups(request)
+        assert sorted(d for group in groups for d in group) == list(range(16))
+        assert all(len(group) == request.group_size(placement.matrix.axes) for group in groups)
+        for group in groups:
+            coords = [placement.parallel_coordinates(d) for d in group]
+            # Members agree on every other axis and differ on the reduced ones.
+            kept = {tuple(c[i] for i in range(2) if i not in axes) for c in coords}
+            reduced = {tuple(c[i] for i in axes) for c in coords}
+            assert len(kept) == 1 and len(reduced) == len(group)
+        # Group members are ordered by their reduction digits, so the first
+        # member (the root of Reduce/Broadcast) has all reduction coordinates 0.
+        assert all(
+            all(placement.parallel_coordinates(group[0])[i] == 0 for i in axes)
+            for group in groups
+        )

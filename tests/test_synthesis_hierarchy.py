@@ -8,6 +8,7 @@ from repro.errors import SynthesisError
 from repro.hierarchy.matrix import ParallelismMatrix, enumerate_parallelism_matrices
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.hierarchy.levels import SystemHierarchy
+from repro.hierarchy.placement import DevicePlacement
 from repro.semantics.state import DeviceState
 from repro.synthesis.hierarchy import (
     HierarchyVariant,
@@ -98,6 +99,43 @@ class TestVirtualDeviceMapping:
         # exactly one reduction group, in group order.
         everyone = (tuple(range(hierarchy.num_virtual_devices)),)
         assert [list(group) for group in hierarchy.physical_groups(everyone)] == groups
+
+
+FIGURE2_ENTRIES = (
+    ((1, 1, 1, 4), (1, 2, 2, 1)),
+    ((1, 1, 2, 2), (1, 2, 1, 2)),
+    ((1, 2, 1, 2), (1, 1, 2, 2)),
+    ((1, 2, 2, 1), (1, 1, 1, 4)),
+)
+
+
+class TestVirtualDevicesOnEveryFigure2Matrix:
+    @pytest.mark.parametrize("variant", list(HierarchyVariant), ids=lambda v: v.value)
+    @pytest.mark.parametrize(
+        "entries", FIGURE2_ENTRIES,
+        ids=lambda e: "-".join("".join(map(str, row)) for row in e),
+    )
+    def test_virtual_devices_land_on_devices_with_their_digits(
+        self, figure2_matrices, shard_reduction, entries, variant
+    ):
+        matrix = next(m for m in figure2_matrices if m.entries == entries)
+        hierarchy = build_synthesis_hierarchy(matrix, shard_reduction, variant)
+        placement = DevicePlacement(matrix)
+        free_assignments = hierarchy.free_radix.size
+        reached = []
+        for virtual in range(hierarchy.num_virtual_devices):
+            digits = hierarchy.virtual_to_position_digits(virtual)
+            assert set(digits) == set(hierarchy.covered_positions)
+            devices = [group[0] for group in hierarchy.physical_groups(((virtual,),))]
+            # One physical device per free-digit assignment, each carrying the
+            # virtual device's digit at every covered matrix position.
+            assert len(devices) == free_assignments
+            for device in devices:
+                grid = placement.device_to_grid(device)
+                assert all(grid[i][j] == digit for (i, j), digit in digits.items())
+            reached.extend(devices)
+        # Virtual devices times free assignments cover the machine exactly once.
+        assert sorted(reached) == list(range(placement.num_devices))
 
 
 class TestGoals:

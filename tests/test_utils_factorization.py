@@ -78,6 +78,11 @@ class TestOrderedFactorizations:
     def test_two_factors_of_four(self):
         assert sorted(ordered_factorizations(4, 2)) == [(1, 4), (2, 2), (4, 1)]
 
+    def test_known_counts(self):
+        assert len(list(ordered_factorizations(12, 2))) == 6
+        assert len(list(ordered_factorizations(8, 3))) == 10  # C(3 + 2, 2)
+        assert len(list(ordered_factorizations(1, 5))) == 1
+
     def test_order_matters(self):
         results = set(ordered_factorizations(6, 2))
         assert (2, 3) in results and (3, 2) in results
