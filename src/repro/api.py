@@ -521,14 +521,6 @@ class P2:
             self._seeder = CorpusSeeder(corpus, topology, self._cost_model, recorder=self.recorder)
         self.requests_served = 0
 
-    @property
-    def topology(self) -> MachineTopology:
-        return self._topology
-
-    @property
-    def cost_model(self) -> CostModel:
-        return self._cost_model
-
     def query_fingerprint(self, query: PlanQuery) -> str:
         """The cache key this planner uses for ``query``."""
         from repro.service.fingerprint import plan_query_fingerprint

@@ -401,19 +401,22 @@ def _load_batch_queries(
 
     from repro.query import PlanQuery
 
-    with open(path) as handle:
-        text = handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as error:
+        raise SystemExit(f"{path}: not UTF-8 text: {error}")
     queries, errors, entries = [], [], []
     try:
         document = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         # Not one JSON document: treat as JSONL, one query object per line.
         for number, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
                 entries.append(({"line": number}, json.loads(line)))
-            except json.JSONDecodeError as error:
+            except (json.JSONDecodeError, RecursionError) as error:
                 errors.append(
                     {"error": "bad_json", "line": number, "detail": str(error)}
                 )

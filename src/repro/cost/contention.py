@@ -58,13 +58,6 @@ class StepContention:
     def max_sharing(self) -> float:
         return max((g.sharing for g in self.groups), default=1.0)
 
-    def describe(self) -> str:
-        per_link: Dict[str, int] = {}
-        for g in self.groups:
-            per_link[g.link.name] = per_link.get(g.link.name, 0) + 1
-        links = ", ".join(f"{name} x{count}" for name, count in sorted(per_link.items()))
-        return f"{len(self.groups)} groups over {links} (max sharing {self.max_sharing:.0f})"
-
 
 def analyze_step_contention(
     step: LoweredStep, topology: MachineTopology

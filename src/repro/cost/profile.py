@@ -138,20 +138,6 @@ class SimulationProfile:
         """Total pricing work per payload (the sum of per-step class counts)."""
         return sum(step.num_classes for step in self.steps)
 
-    @property
-    def num_groups(self) -> int:
-        """Total per-group work the compilation paid (and pricing avoids)."""
-        return sum(step.num_groups for step in self.steps)
-
-    def price(
-        self,
-        bytes_per_device: float,
-        algorithm: NCCLAlgorithm = NCCLAlgorithm.RING,
-        cost_model: Optional[CostModel] = None,
-    ):
-        """Convenience method; see :func:`price_profile`."""
-        return price_profile(self, bytes_per_device, algorithm, cost_model)
-
     def lower_bound(
         self,
         bytes_per_device: float,

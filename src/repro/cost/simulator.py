@@ -76,10 +76,6 @@ class SimulationResult:
     bytes_per_device: float
     label: str = ""
 
-    @property
-    def num_steps(self) -> int:
-        return len(self.steps)
-
     def describe(self) -> str:
         header = f"{self.label or 'program'}: {self.total_seconds:.4f}s ({self.algorithm})"
         return "\n".join([header] + [f"  {s.describe()}" for s in self.steps])

@@ -20,7 +20,6 @@ over state contexts.
 from repro.dsl.forms import Form, InsideGroup, Master, Parallel
 from repro.dsl.program import ReductionInstruction, ReductionProgram
 from repro.dsl.grouping import derive_groups, enumerate_instructions
-from repro.dsl.pretty import describe_instruction, describe_program
 
 __all__ = [
     "Form",
@@ -31,6 +30,4 @@ __all__ = [
     "ReductionProgram",
     "derive_groups",
     "enumerate_instructions",
-    "describe_instruction",
-    "describe_program",
 ]

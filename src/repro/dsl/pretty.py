@@ -1,19 +1,15 @@
-"""Pretty-printing helpers for reduction programs.
+"""Short mnemonic names for reduction programs (e.g. ``RS-AR-AG``).
 
-These are split from :mod:`repro.dsl.program` so that the evaluation harness
-and the CLI can render programs with hierarchy level names, device groups and
-short mnemonic names (e.g. ``RS-AR-AG``) without the core classes knowing
-about presentation concerns.
+Split from :mod:`repro.dsl.program` so that the core classes know nothing
+about presentation.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-from repro.dsl.program import ReductionInstruction, ReductionProgram
+from repro.dsl.program import ReductionProgram
 from repro.semantics.collectives import Collective
 
-__all__ = ["describe_instruction", "describe_program", "program_mnemonic"]
+__all__ = ["program_mnemonic"]
 
 _MNEMONICS = {
     Collective.ALL_REDUCE: "AR",
@@ -22,27 +18,6 @@ _MNEMONICS = {
     Collective.REDUCE: "R",
     Collective.BROADCAST: "B",
 }
-
-
-def describe_instruction(
-    instruction: ReductionInstruction, level_names: Optional[Sequence[str]] = None
-) -> str:
-    """One-line rendering of a single instruction."""
-    return instruction.describe(level_names)
-
-
-def describe_program(
-    program: ReductionProgram,
-    level_names: Optional[Sequence[str]] = None,
-    multiline: bool = False,
-) -> str:
-    """Render a program either on one line or as a numbered step list."""
-    if not multiline:
-        return program.describe(level_names)
-    lines: List[str] = []
-    for step, instruction in enumerate(program):
-        lines.append(f"  step {step}: {instruction.describe(level_names)}")
-    return "\n".join(lines) if lines else "<empty program>"
 
 
 def program_mnemonic(program: ReductionProgram) -> str:

@@ -61,11 +61,6 @@ class ReductionProgram:
     def of(cls, *instructions: ReductionInstruction) -> "ReductionProgram":
         return cls(tuple(instructions))
 
-    @property
-    def size(self) -> int:
-        """Program size as the paper counts it: number of instructions."""
-        return len(self.instructions)
-
     def __len__(self) -> int:
         return len(self.instructions)
 
@@ -74,10 +69,6 @@ class ReductionProgram:
 
     def __getitem__(self, index: int) -> ReductionInstruction:
         return self.instructions[index]
-
-    def append(self, instruction: ReductionInstruction) -> "ReductionProgram":
-        """Return a new program with ``instruction`` appended."""
-        return ReductionProgram(self.instructions + (instruction,))
 
     def describe(self, level_names: Optional[Sequence[str]] = None) -> str:
         if not self.instructions:

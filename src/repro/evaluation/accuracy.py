@@ -65,10 +65,6 @@ class AccuracyReport:
             raise EvaluationError(f"top-{k} accuracy was not computed")
         return self.top_k[k]
 
-    def describe(self) -> str:
-        parts = [f"top-{k}: {value * 100:.1f}%" for k, value in sorted(self.top_k.items())]
-        return f"{self.num_experiments} experiments; " + ", ".join(parts)
-
 
 def top_k_accuracy(
     results: Sequence[SweepResult], top_ks: Sequence[int] = DEFAULT_TOP_KS

@@ -24,7 +24,7 @@ bandwidth-dominated regime).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Sequence, Tuple
 
@@ -126,10 +126,6 @@ class ExperimentConfig:
     @property
     def bytes_per_device(self) -> int:
         return max(1, int(paper_payload_bytes(self.num_nodes) * self.payload_scale))
-
-    def scaled(self, payload_scale: float) -> "ExperimentConfig":
-        """A copy with a different payload scale (used by tests and quick runs)."""
-        return replace(self, payload_scale=payload_scale)
 
     def describe(self) -> str:
         axes = " ".join(str(a) for a in self.axes)

@@ -14,7 +14,7 @@ expand them into :class:`~repro.query.PlanQuery` streams that any
   (system × node count) × parallelism shapes × reduction workloads ×
   payload scales × NCCL algorithms — into a deterministic scenario list,
   with ``include``/``exclude`` fnmatch filters over scenario names.
-* :func:`preset` returns the named scenario lists the CLI and CI use:
+* :data:`PRESETS` holds the named scenario lists the CLI and CI use:
   ``smoke`` (seconds, prediction-only), ``paper-table2`` (the paper's
   configuration table: the Table 3 placement shapes plus the Table 4
   synthesis rows), ``gcp-scaleout`` (node-count scaling on both GCP
@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.cost.nccl import NCCLAlgorithm
 from repro.errors import EvaluationError
@@ -51,7 +51,6 @@ __all__ = [
     "Scenario",
     "ScenarioGrid",
     "scenarios_from_configs",
-    "preset",
     "preset_names",
     "PRESETS",
 ]
@@ -218,14 +217,6 @@ class ScenarioGrid:
                             )
         return scenarios
 
-    def queries(self) -> Iterator[Tuple[Scenario, PlanQuery]]:
-        """Stream (scenario, PlanQuery) pairs — the currency a Planner consumes."""
-        for scenario in self.expand():
-            yield scenario, scenario.query()
-
-    def count(self) -> int:
-        return len(self.expand())
-
     def scaled(self, payload_scale: float) -> "ScenarioGrid":
         """A copy with every payload scale replaced by ``payload_scale``."""
         return replace(self, payload_scales=(payload_scale,))
@@ -233,25 +224,6 @@ class ScenarioGrid:
     # ------------------------------------------------------------------ #
     # Serialization — ``repro-cli sweep --grid FILE.json`` reads this form.
     # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "systems": [s.value for s in self.systems],
-            "node_counts": list(self.node_counts),
-            "shapes": (
-                self.shapes
-                if isinstance(self.shapes, str)
-                else [list(shape) for shape in self.shapes]
-            ),
-            "workloads": [list(w) for w in self.workloads],
-            "payload_scales": list(self.payload_scales),
-            "algorithms": [a.value for a in self.algorithms],
-            "max_program_size": self.max_program_size,
-            "max_matrices": self.max_matrices,
-            "include": list(self.include),
-            "exclude": list(self.exclude),
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioGrid":
         if not isinstance(data, Mapping):
@@ -293,8 +265,10 @@ class ScenarioGrid:
     @classmethod
     def from_json_file(cls, path: Union[str, Path]) -> "ScenarioGrid":
         try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as error:
+            data = json.loads(Path(path).read_bytes().decode("utf-8"))
+        except RecursionError:
+            raise EvaluationError(f"{path}: nests deeper than the JSON parser can descend")
+        except ValueError as error:  # invalid JSON or invalid UTF-8
             raise EvaluationError(f"{path}: not valid JSON: {error}")
         return cls.from_dict(data)
 
@@ -446,14 +420,3 @@ PRESETS: Dict[str, _Preset] = {
 
 def preset_names() -> List[str]:
     return sorted(PRESETS)
-
-
-def preset(name: str, payload_scale: Optional[float] = None) -> List[Scenario]:
-    """The scenario list of a named preset (see :data:`PRESETS`)."""
-    try:
-        entry = PRESETS[name]
-    except KeyError:
-        raise EvaluationError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        )
-    return entry.scenarios(payload_scale)

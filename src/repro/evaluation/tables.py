@@ -46,10 +46,6 @@ class TableArtifact:
     rows: Tuple[Tuple[object, ...], ...]
     text: str
 
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
 
 def _render(name: str, headers: Sequence[str], rows: Sequence[Sequence[object]]) -> TableArtifact:
     text = format_table(headers, rows, title=name, float_fmt="{:.3f}")

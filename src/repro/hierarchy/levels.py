@@ -137,10 +137,6 @@ class SystemHierarchy:
         """Return the per-level digits (root first) for a flat device id."""
         return self.radix.decode(device)
 
-    def device_id(self, coordinates: Sequence[int]) -> int:
-        """Return the flat device id for per-level digits (root first)."""
-        return self.radix.encode(coordinates)
-
     def ancestor_instance(self, device: int, level: int) -> Tuple[int, ...]:
         """Return the coordinates identifying ``device``'s ancestor at ``level``."""
         coords = self.device_coordinates(device)

@@ -118,14 +118,6 @@ class ReductionRequest:
                     f"reduction axis {a} out of range for {axes.num_axes} parallelism axes"
                 )
 
-    def group_size(self, axes: ParallelismAxes) -> int:
-        """Number of devices in each reduction group (product of reduced axis sizes)."""
-        self.validate_against(axes)
-        total = 1
-        for a in self.axes:
-            total *= axes.sizes[a]
-        return total
-
     def describe(self, axes: ParallelismAxes = None) -> str:
         if axes is None:
             return "reduce over axes " + ", ".join(str(a) for a in self.axes)

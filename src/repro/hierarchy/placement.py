@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import PlacementError
 from repro.hierarchy.matrix import ParallelismMatrix
 from repro.hierarchy.parallelism import ReductionRequest
 from repro.semantics.goals import goal_context, initial_context
@@ -70,7 +69,7 @@ class DevicePlacement:
     def strides(self) -> Tuple[Tuple[int, ...], ...]:
         """``strides[i][j]``: how far the device id moves per unit of digit ``c[i][j]``.
 
-        :meth:`grid_to_device` is ``sum(c[i][j] * strides[i][j])``: levels are
+        A device id is ``sum(c[i][j] * strides[i][j])`` over its digit grid: levels are
         mixed-radix digits of the id, and each level's digit is the mixed radix
         of its per-axis digits, so position (axis, level) weighs the product of
         every factor after it in (level, axis) order.
@@ -113,15 +112,6 @@ class DevicePlacement:
     # ------------------------------------------------------------------ #
     # Grid <-> device id
     # ------------------------------------------------------------------ #
-    def grid_to_device(self, grid: Sequence[Sequence[int]]) -> int:
-        """Map a full digit grid ``c[i][j]`` to the flat physical device id."""
-        self._check_grid(grid)
-        level_digits = []
-        for j in range(self.num_levels):
-            column_digits = tuple(grid[i][j] for i in range(self.num_axes))
-            level_digits.append(self._level_radices[j].encode(column_digits))
-        return self._hierarchy_radix.encode(level_digits)
-
     def device_to_grid(self, device: int) -> CoordGrid:
         """Map a flat physical device id back to the full digit grid."""
         level_digits = self._hierarchy_radix.decode(device)
@@ -132,21 +122,6 @@ class DevicePlacement:
                 grid[i][j] = column_digits[i]
         return tuple(tuple(row) for row in grid)
 
-    def _check_grid(self, grid: Sequence[Sequence[int]]) -> None:
-        if len(grid) != self.num_axes:
-            raise PlacementError(f"grid has {len(grid)} rows, expected {self.num_axes}")
-        for i, row in enumerate(grid):
-            if len(row) != self.num_levels:
-                raise PlacementError(
-                    f"grid row {i} has {len(row)} columns, expected {self.num_levels}"
-                )
-            for j, digit in enumerate(row):
-                limit = self.matrix.factor(i, j)
-                if not 0 <= digit < limit:
-                    raise PlacementError(
-                        f"grid digit c[{i}][{j}] = {digit} out of range [0, {limit})"
-                    )
-
     # ------------------------------------------------------------------ #
     # Parallelism coordinates
     # ------------------------------------------------------------------ #
@@ -156,11 +131,6 @@ class DevicePlacement:
         return tuple(
             self._axis_radices[i].encode(grid[i]) for i in range(self.num_axes)
         )
-
-    @cached_property
-    def coordinate_table(self) -> Tuple[Tuple[int, ...], ...]:
-        """``coordinate_table[d]`` is :meth:`parallel_coordinates` of device ``d``."""
-        return tuple(self.parallel_coordinates(d) for d in range(self.num_devices))
 
     # ------------------------------------------------------------------ #
     # Reduction groups

@@ -64,14 +64,6 @@ class SimCluster:
     def num_devices(self) -> int:
         return len(self.devices)
 
-    @property
-    def num_chunks(self) -> int:
-        return self.devices[0].num_chunks
-
-    @property
-    def elems_per_chunk(self) -> int:
-        return self.devices[0].chunk_elems
-
     def __getitem__(self, device_id: int) -> SimDevice:
         return self.devices[device_id]
 
@@ -87,9 +79,3 @@ class SimCluster:
             if not 0 <= d < self.num_devices:
                 raise RuntimeExecutionError(f"device {d} out of range")
         return self.initial_payloads[list(group)].sum(axis=0)
-
-    def describe(self) -> str:
-        return (
-            f"cluster of {self.num_devices} devices, "
-            f"{self.num_chunks} chunks x {self.elems_per_chunk} elems each"
-        )

@@ -81,10 +81,6 @@ class SimDevice:
             self._check_chunk(chunk)
             self.valid_chunks.discard(chunk)
 
-    def holds(self, chunk: int) -> bool:
-        self._check_chunk(chunk)
-        return chunk in self.valid_chunks
-
     @property
     def sorted_valid_chunks(self) -> Tuple[int, ...]:
         return tuple(sorted(self.valid_chunks))
@@ -101,8 +97,3 @@ class SimDevice:
                 f"{self.num_chunks} chunks"
             )
         return self.buffer.copy()
-
-    def describe(self) -> str:
-        return (
-            f"device {self.device_id}: {self.num_valid_chunks}/{self.num_chunks} chunks valid"
-        )

@@ -20,7 +20,7 @@ communication".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -75,10 +75,6 @@ class NoiseModel:
             if not 0 < value <= 1:
                 raise ReproError(f"efficiency for {kind} must be in (0, 1], got {value}")
         self._rng = np.random.default_rng(self.seed)
-
-    def reset(self, seed: Optional[int] = None) -> None:
-        """Re-seed the generator (used to get repeated 'runs' of an experiment)."""
-        self._rng = np.random.default_rng(self.seed if seed is None else seed)
 
     def link_efficiency(self, kind: LinkKind) -> float:
         """Deterministic fraction of nominal bandwidth achieved on ``kind`` links."""

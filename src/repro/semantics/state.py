@@ -91,9 +91,6 @@ class DeviceState:
     def __hash__(self) -> int:
         return hash((self.num_chunks, self.bits))
 
-    def __repr__(self) -> str:
-        return f"DeviceState(num_chunks={self.num_chunks}, rows={self.rows})"
-
     def __reduce__(self):
         # Unpickling goes through the validating constructor.
         return (DeviceState, (self.num_chunks, self.rows))
@@ -113,11 +110,6 @@ class DeviceState:
         if not mask:
             return cls._packed(num_chunks, 0, 0)
         return cls._packed(num_chunks, mask * _repunit(num_chunks), (1 << num_chunks) - 1)
-
-    @classmethod
-    def empty(cls, num_chunks: int) -> "DeviceState":
-        """A device holding no data at all."""
-        return cls._uniform(num_chunks, 0)
 
     @classmethod
     def initial(cls, num_chunks: int, device: int) -> "DeviceState":
@@ -158,17 +150,6 @@ class DeviceState:
         present = self.present
         return tuple(r for r in range(self.num_chunks) if present >> r & 1)
 
-    def row(self, r: int) -> int:
-        k = self.num_chunks
-        if not 0 <= r < k:
-            raise IndexError(f"row {r} out of range for {k} chunks")
-        return (self.bits >> (r * k)) & ((1 << k) - 1)
-
-    def contributors(self, r: int) -> Tuple[int, ...]:
-        """Devices whose original chunk ``r`` is folded into this device's chunk ``r``."""
-        mask = self.row(r)
-        return tuple(c for c in range(self.num_chunks) if mask & (1 << c))
-
     def chunk_fraction(self) -> float:
         """Fraction of the full payload currently materialised on this device.
 
@@ -177,37 +158,6 @@ class DeviceState:
         non-empty rows.
         """
         return popcount(self.present) / self.num_chunks
-
-    # ------------------------------------------------------------------ #
-    # Order / algebra
-    # ------------------------------------------------------------------ #
-    def union(self, other: "DeviceState") -> "DeviceState":
-        """Element-wise OR (the paper's ``⊎`` once disjointness has been checked)."""
-        self._check_compatible(other)
-        return DeviceState._packed(
-            self.num_chunks, self.bits | other.bits, self.present | other.present
-        )
-
-    def is_subset_of(self, other: "DeviceState") -> bool:
-        """Element-wise ``<=`` (the paper's information order on states)."""
-        self._check_compatible(other)
-        return not self.bits & ~other.bits
-
-    def _check_compatible(self, other: "DeviceState") -> None:
-        if self.num_chunks != other.num_chunks:
-            raise SemanticsError(
-                f"state size mismatch: {self.num_chunks} vs {other.num_chunks}"
-            )
-
-    # ------------------------------------------------------------------ #
-    # Presentation
-    # ------------------------------------------------------------------ #
-    def describe(self) -> str:
-        lines = []
-        for r, mask in enumerate(self.rows):
-            bits = "".join("1" if mask & (1 << c) else "." for c in range(self.num_chunks))
-            lines.append(f"chunk {r}: {bits}")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -232,10 +182,6 @@ class StateContext:
         return context
 
     @property
-    def num_devices(self) -> int:
-        return len(self.states)
-
-    @property
     def num_chunks(self) -> int:
         return self.states[0].num_chunks
 
@@ -258,12 +204,3 @@ class StateContext:
             new_states[device] = state
         # Every substituted state was size-checked above.
         return StateContext._trusted(new_states)
-
-    def describe(self) -> str:
-        parts = []
-        for d, state in enumerate(self.states):
-            rows = ",".join(
-                f"{r}:{state.row(r):0{self.num_chunks}b}" for r in state.non_empty_rows
-            )
-            parts.append(f"d{d}{{{rows}}}")
-        return " ".join(parts)

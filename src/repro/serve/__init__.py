@@ -20,7 +20,6 @@ stdlib-only.
 from repro.serve.client import PlanClient
 from repro.serve.daemon import (
     DaemonConfig,
-    DaemonThread,
     PlanDaemon,
     TokenBucket,
     load_warm_queries,
@@ -44,7 +43,6 @@ __all__ = [
     "DaemonConfig",
     "TokenBucket",
     "PlanDaemon",
-    "DaemonThread",
     "load_warm_queries",
     "PlanClient",
 ]

@@ -31,9 +31,6 @@ The serving discipline, in order of arrival:
 Cache warming on boot replays a ``PlanQuery`` JSONL file (the same format
 ``serve-batch --queries-file`` reads) through ``PlanningService.warm``, so a
 restarted daemon serves its first real request from a hot cache.
-
-:class:`DaemonThread` runs the whole daemon on a background thread with its
-own event loop — the embedding the daemon's tests use.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ import dataclasses
 import json
 import logging
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -63,7 +59,7 @@ from repro.serve.protocol import (
     ok_reply,
 )
 
-__all__ = ["DaemonConfig", "TokenBucket", "PlanDaemon", "DaemonThread", "load_warm_queries"]
+__all__ = ["DaemonConfig", "TokenBucket", "PlanDaemon", "load_warm_queries"]
 
 logger = logging.getLogger(__name__)
 
@@ -157,14 +153,13 @@ def load_warm_queries(path: Union[str, Path]) -> List[PlanQuery]:
     is an operator-provided artefact, not traffic.
     """
     queries: List[PlanQuery] = []
-    text = Path(path).read_text()
-    for number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for number, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
-            queries.append(PlanQuery.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, ReproError, KeyError, TypeError, ValueError) as error:
+            line = line.decode("utf-8").strip()
+            if line:
+                queries.append(PlanQuery.from_dict(json.loads(line)))
+        except (ReproError, KeyError, TypeError, ValueError, RecursionError) as error:
+            # ValueError covers invalid JSON and invalid UTF-8.
             raise ServeError(f"{path}: bad warm query on line {number}: {error}")
     return queries
 
@@ -561,74 +556,3 @@ class PlanDaemon:
         if root.trace_id is not None:
             reply["trace_id"] = root.trace_id
         return reply
-
-
-class DaemonThread:
-    """Run a :class:`PlanDaemon` on a background thread with its own loop.
-
-    The embedding tests and benchmarks use::
-
-        with DaemonThread(service, config) as handle:
-            client = PlanClient(*handle.address)
-            ...
-
-    ``stop(drain=True)`` (or context-manager exit) drains and joins.
-    """
-
-    def __init__(self, service, config: Optional[DaemonConfig] = None, recorder=None) -> None:
-        self.service = service
-        self.config = config if config is not None else DaemonConfig()
-        self.recorder = recorder
-        self.daemon: Optional[PlanDaemon] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    def start(self) -> "DaemonThread":
-        self._thread = threading.Thread(
-            target=self._thread_main, name="repro-serve-daemon", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise ServeError("daemon thread did not start within 30s")
-        if self._startup_error is not None:
-            raise ServeError(f"daemon failed to start: {self._startup_error}")
-        return self
-
-    def _thread_main(self) -> None:
-        asyncio.run(self._amain())
-
-    async def _amain(self) -> None:
-        self._loop = asyncio.get_event_loop()
-        self.daemon = PlanDaemon(self.service, self.config, recorder=self.recorder)
-        try:
-            await self.daemon.start()
-        except BaseException as error:  # surface bind errors to the caller
-            self._startup_error = error
-            self._ready.set()
-            return
-        self._ready.set()
-        await self.daemon.wait_closed()
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        assert self.daemon is not None and self.daemon.tcp_address is not None
-        return self.daemon.tcp_address
-
-    def stop(self, drain: bool = True) -> None:
-        if self.daemon is None or self._loop is None or self._thread is None:
-            return
-        if not self._thread.is_alive():
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self.daemon.shutdown(drain=drain), self._loop
-        )
-        future.result(timeout=self.config.drain_timeout_s + 10)
-        self._thread.join(timeout=10)
-
-    def __enter__(self) -> "DaemonThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

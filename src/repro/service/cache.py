@@ -177,10 +177,6 @@ class PlanCache:
         self.stats.misses += 1
         return None, None
 
-    def get(self, fingerprint: str) -> Optional[Dict]:
-        """Return the cached plan dict for ``fingerprint``, or ``None``."""
-        return self.lookup(fingerprint)[0]
-
     def put(self, fingerprint: str, plan: Dict) -> None:
         """Store a serialized plan under ``fingerprint`` in both tiers."""
         self._remember(fingerprint, plan)

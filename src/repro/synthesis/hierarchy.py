@@ -145,10 +145,6 @@ class SynthesisHierarchy:
     def _virtual_radix(self) -> MixedRadix:
         return MixedRadix(self.radices)
 
-    @cached_property
-    def free_radix(self) -> MixedRadix:
-        return MixedRadix(tuple(self.matrix.factor(i, j) for i, j in self.free_positions))
-
     # ------------------------------------------------------------------ #
     # Virtual devices <-> matrix digits
     # ------------------------------------------------------------------ #
@@ -167,7 +163,7 @@ class SynthesisHierarchy:
     @cached_property
     def _device_offsets(self) -> Tuple[List[int], List[int]]:
         """Device-id offsets of every virtual device and of every free-digit
-        assignment (``free_radix`` order): a physical device is one of each, summed.
+        assignment (``free_positions`` order): a physical device is one of each, summed.
         A virtual device's digits are its covered positions' in packing order."""
         placement = DevicePlacement(self.matrix)
         return (
@@ -177,7 +173,7 @@ class SynthesisHierarchy:
 
     @cached_property
     def _physical_device_maps(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per free-digit assignment (``free_radix`` order): virtual -> physical device id."""
+        """Per free-digit assignment (``free_positions`` order): virtual -> physical device id."""
         virtual, free = self._device_offsets
         return tuple(tuple(base + offset for offset in virtual) for base in free)
 

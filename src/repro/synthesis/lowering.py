@@ -116,13 +116,6 @@ class LoweredStep:
             groups=tuple(tuple(map(int, group)) for group in data["groups"]),
         )
 
-    def describe(self) -> str:
-        preview = ", ".join(
-            "{" + ",".join(str(d) for d in group) + "}" for group in self.groups[:4]
-        )
-        suffix = "" if len(self.groups) <= 4 else f", ... ({len(self.groups)} groups)"
-        return f"{self.collective} over {preview}{suffix}"
-
 
 @dataclass(frozen=True)
 class LoweredProgram:
@@ -161,22 +154,6 @@ class LoweredProgram:
     # ------------------------------------------------------------------ #
     # Serialization (used by plan caching and the query API's JSON output)
     # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict:
-        """JSON-serializable form: label + per-step collective and groups.
-
-        The synthesizer's ``source`` program is deliberately not persisted —
-        it is search state, not part of the communication pattern.
-        """
-        return {"label": self.label, "steps": [step.to_dict() for step in self.steps]}
-
-    @classmethod
-    def from_dict(cls, data: Dict, num_devices: int) -> "LoweredProgram":
-        """Rebuild a program from :meth:`to_dict` output (``source`` is ``None``)."""
-        steps = tuple(LoweredStep.from_dict(step) for step in data["steps"])
-        return cls(
-            num_devices=num_devices, steps=steps, source=None, label=data.get("label", "")
-        )
-
     @classmethod
     def from_table(
         cls, data: Dict, table: Sequence[LoweredStep], num_devices: int
@@ -207,10 +184,6 @@ class LoweredProgram:
     # ------------------------------------------------------------------ #
     # Semantic validation over the physical devices
     # ------------------------------------------------------------------ #
-    def run_semantics(self, initial: StateContext) -> StateContext:
-        """Run the Hoare semantics of every step starting from ``initial``."""
-        return self._sweep(initial)[0]
-
     def _sweep(self, initial: StateContext) -> Tuple[StateContext, Tuple[Tuple[float, ...], ...]]:
         """One unmemoized pass of the Hoare rules over every step and group: the
         final context and the per-step, per-group fractions of :func:`_fractions`."""
@@ -238,9 +211,9 @@ class LoweredProgram:
         The table holds every context reached, as device states: the caller must
         end with :func:`forget_transitions` before the placement outlives the
         search (a plan's candidates keep theirs).  Nothing is shared across
-        placements or without one (:meth:`run_semantics`,
-        :meth:`pre_state_fractions`).  The chunk fractions stay on the program
-        (floats, never states) so ``compile_profile`` does not repeat the pass.
+        placements or without one (:meth:`pre_state_fractions`).  The chunk
+        fractions stay on the program (floats, never states) so
+        ``compile_profile`` does not repeat the pass.
         """
         if placement.num_devices != self.num_devices:
             raise SemanticsError(
@@ -268,18 +241,13 @@ class LoweredProgram:
         """Per step, per group: the largest chunk fraction a member holds before it.
 
         Taken from :meth:`validates_against`'s sweep when there was one; else
-        (``from_dict`` rebuilds, baselines) the semantics run here and an
+        (plans rebuilt from their dict form, baselines) the semantics run here and an
         invalid step raises :class:`~repro.errors.InvalidCollectiveError`.
         """
         recorded = self.__dict__.get("_pre_state_fractions")
         if recorded is not None:
             return recorded
         return self._sweep(initial_context(self.num_devices))[1]
-
-    def describe(self) -> str:
-        name = self.label or (self.source.describe() if self.source else "<lowered>")
-        steps = "; ".join(f"{s.collective}x{s.num_groups}(g={s.group_size})" for s in self.steps)
-        return f"{name}: {steps}"
 
 
 class StepTable:

@@ -83,10 +83,6 @@ class ProgramCandidate:
     size: int
     is_default_all_reduce: bool = False
 
-    def describe(self) -> str:
-        tag = " (default)" if self.is_default_all_reduce else ""
-        return f"{self.mnemonic}{tag}: {self.lowered.describe()}"
-
 
 @dataclass
 class PlacementCandidate:
@@ -111,12 +107,6 @@ class PlacementCandidate:
     @property
     def num_programs(self) -> int:
         return len(self.programs)
-
-    def describe(self) -> str:
-        return (
-            f"matrix {self.matrix.describe()}: {self.num_programs} programs "
-            f"(synthesis {self.synthesis_seconds:.3f}s)"
-        )
 
 
 def lower_program_candidate(

@@ -86,12 +86,3 @@ class SearchStatistics:
                 str(size): count for size, count in sorted(self.per_size_counts.items())
             },
         }
-
-    def describe(self) -> str:
-        sizes = ", ".join(f"size {k}: {v}" for k, v in sorted(self.per_size_counts.items()))
-        return (
-            f"{self.programs_found} programs "
-            f"({sizes or 'none'}); expanded {self.nodes_expanded} nodes, "
-            f"{self.steps_invalid}/{self.steps_attempted} steps invalid, "
-            f"{self.branches_pruned_goal} goal-pruned"
-        )

@@ -64,12 +64,6 @@ class SynthesisResult:
     def num_programs(self) -> int:
         return len(self.programs)
 
-    def describe(self) -> str:
-        return (
-            f"{self.num_programs} programs for {self.hierarchy.describe()} "
-            f"in {self.elapsed_seconds:.3f}s ({self.statistics.describe()})"
-        )
-
 
 _INVALID, _PRUNED, _GOAL = "invalid", "pruned", "goal"
 

@@ -11,14 +11,13 @@ custom systems (e.g. the rack/server/CPU/GPU system of Figure 2a).
 
 from repro.topology.links import LinkKind, LinkSpec
 from repro.topology.topology import MachineTopology
-from repro.topology.builders import flat_system, hierarchical_system
+from repro.topology.builders import hierarchical_system
 from repro.topology.gcp import a100_system, v100_system, figure2a_system
 
 __all__ = [
     "LinkKind",
     "LinkSpec",
     "MachineTopology",
-    "flat_system",
     "hierarchical_system",
     "a100_system",
     "v100_system",

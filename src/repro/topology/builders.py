@@ -2,9 +2,8 @@
 
 The GCP systems of the paper live in :mod:`repro.topology.gcp`; these builders
 exist so that examples, tests and users can model other hierarchies (the
-rack/server/CPU/GPU system of Figure 2a, flat single-switch boxes, deeper
-data-center trees, ...) without hand-assembling :class:`MachineTopology`
-instances.
+rack/server/CPU/GPU system of Figure 2a, deeper data-center trees, ...)
+without hand-assembling :class:`MachineTopology` instances.
 """
 
 from __future__ import annotations
@@ -13,30 +12,10 @@ from typing import Optional, Sequence, Tuple
 
 from repro.errors import TopologyError
 from repro.hierarchy.levels import SystemHierarchy
-from repro.topology.links import GB, LinkKind, LinkSpec
+from repro.topology.links import LinkKind, LinkSpec
 from repro.topology.topology import MachineTopology
 
-__all__ = ["flat_system", "hierarchical_system"]
-
-
-def flat_system(
-    num_devices: int,
-    bandwidth: float = 100 * GB,
-    latency: float = 2e-6,
-    name: str = "flat",
-    device_name: str = "gpu",
-) -> MachineTopology:
-    """A single-switch system: every device talks to every other at ``bandwidth``."""
-    if num_devices < 1:
-        raise TopologyError("num_devices must be >= 1")
-    hierarchy = SystemHierarchy.from_pairs([(device_name, num_devices)])
-    link = LinkSpec(f"{name}-switch", LinkKind.NVSWITCH, bandwidth, latency)
-    return MachineTopology(
-        name=name,
-        hierarchy=hierarchy,
-        interconnects=(link,),
-        nic_level=0,
-    )
+__all__ = ["hierarchical_system"]
 
 
 def hierarchical_system(

@@ -14,7 +14,7 @@ programs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.errors import TopologyError
@@ -58,12 +58,6 @@ class LinkSpec:
             raise TopologyError(f"link {self.name!r} must have positive bandwidth")
         if self.latency < 0:
             raise TopologyError(f"link {self.name!r} must have non-negative latency")
-
-    def scaled(self, bandwidth_factor: float) -> "LinkSpec":
-        """A copy of this link with its bandwidth multiplied by ``bandwidth_factor``."""
-        if bandwidth_factor <= 0:
-            raise TopologyError("bandwidth_factor must be positive")
-        return replace(self, bandwidth=self.bandwidth * bandwidth_factor)
 
     def describe(self) -> str:
         return f"{self.name} ({self.kind}, {self.bandwidth / GB:.1f} GB/s, {self.latency * 1e6:.1f} us)"

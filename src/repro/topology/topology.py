@@ -118,10 +118,6 @@ class MachineTopology:
         """The (bottleneck) interconnect for a communication group."""
         return self.interconnect_for_level(self.span_level(devices))
 
-    def crosses_nic(self, devices: Sequence[int]) -> bool:
-        """True when the group's traffic passes through the per-node NICs."""
-        return self.span_level(devices) <= self.nic_level
-
     def nic_instances_touched(self, devices: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
         """The NIC-owning instances (identified by their coordinates) this group touches."""
         key = tuple(devices)

@@ -14,7 +14,6 @@ dependencies, and :mod:`repro.utils.validation` hosts shared argument checks.
 from repro.utils.factorization import (
     divisors,
     ordered_factorizations,
-    prime_factorization,
 )
 from repro.utils.mixed_radix import (
     MixedRadix,
@@ -30,7 +29,6 @@ from repro.utils.validation import (
 __all__ = [
     "divisors",
     "ordered_factorizations",
-    "prime_factorization",
     "MixedRadix",
     "mixed_radix_encode",
     "mixed_radix_decode",

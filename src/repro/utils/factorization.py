@@ -10,36 +10,14 @@ at most a few thousand) and are exhaustively tested against brute force.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.errors import HierarchyError
 
 __all__ = [
-    "prime_factorization",
     "divisors",
     "ordered_factorizations",
 ]
-
-
-def prime_factorization(n: int) -> Dict[int, int]:
-    """Return the prime factorization of ``n`` as a ``{prime: exponent}`` dict.
-
-    ``prime_factorization(1)`` is the empty dict.  Raises
-    :class:`~repro.errors.HierarchyError` for ``n < 1``.
-    """
-    if n < 1:
-        raise HierarchyError(f"cannot factorize non-positive integer {n}")
-    factors: Dict[int, int] = {}
-    remaining = n
-    p = 2
-    while p * p <= remaining:
-        while remaining % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            remaining //= p
-        p += 1 if p == 2 else 2
-    if remaining > 1:
-        factors[remaining] = factors.get(remaining, 0) + 1
-    return factors
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,7 @@ reports its own hits, misses and evictions.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Hashable, Optional
 
 
 class BoundedMemo:
@@ -61,12 +61,6 @@ class BoundedMemo:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def counts(self) -> Dict[str, int]:
-        return {
-            "entries": len(self._entries), "bound": self.bound,
-            "hits": self.hits, "misses": self.misses, "evicted": self.evicted,
-        }
 
     def describe(self) -> str:
         return (

@@ -101,7 +101,3 @@ class MixedRadix:
         """Iterate over all digit vectors in increasing flat-index order."""
         for value in range(self.size):
             yield self.decode(value)
-
-    def sub(self, positions: Sequence[int]) -> "MixedRadix":
-        """Return the mixed radix restricted to ``positions`` (in the given order)."""
-        return MixedRadix(tuple(self.radices[p] for p in positions))

@@ -12,6 +12,10 @@ assert the two agree.
   came before the lazy search driver.
 * :mod:`oracles.xla` — the parser that inverts ``repro.compile.xla``'s
   emission, for round-trip tests.
-* :mod:`oracles.state` — dense-matrix constructors, views and set
-  predicates over :class:`~repro.semantics.state.DeviceState`.
+* :mod:`oracles.state` — dense-matrix constructors, views, set algebra
+  and predicates over :class:`~repro.semantics.state.DeviceState`.
+* :mod:`oracles.lowering` — lowered programs copied onto new steps and
+  run step by step, without the package's shared sweep.
+* :mod:`oracles.placement` — digit grids encoded back into device ids,
+  the inverse of the placement's decoding.
 """

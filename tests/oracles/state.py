@@ -1,9 +1,9 @@
-"""Dense-matrix views and set predicates over :class:`DeviceState`.
+"""Dense-matrix views, set algebra and predicates over :class:`DeviceState`.
 
 The package keeps a device state as two packed integers and never needs
-its paper Figure 7 matrix, nor these predicates on the packed form; the
-tests do, to build states from explicit matrices and to check the packed
-layout against row-by-row arithmetic.
+its paper Figure 7 matrix, nor this algebra on the packed form; the tests
+do, to build states from explicit matrices and to check the packed layout
+against row-by-row arithmetic.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ __all__ = [
     "state_from_matrix",
     "state_to_matrix",
     "restricted_to_rows",
+    "union",
+    "is_subset",
     "rows_disjoint",
     "row_sets_disjoint",
     "context_from_mapping",
@@ -63,15 +65,32 @@ def restricted_to_rows(state: DeviceState, rows: Iterable[int]) -> DeviceState:
     return DeviceState._packed(k, state.bits & keep, state.present & kept_rows)
 
 
+def _check_compatible(a: DeviceState, b: DeviceState) -> None:
+    if a.num_chunks != b.num_chunks:
+        raise SemanticsError(f"state size mismatch: {a.num_chunks} vs {b.num_chunks}")
+
+
+def union(a: DeviceState, b: DeviceState) -> DeviceState:
+    """Element-wise OR (the paper's ``⊎`` once disjointness has been checked)."""
+    _check_compatible(a, b)
+    return DeviceState._packed(a.num_chunks, a.bits | b.bits, a.present | b.present)
+
+
+def is_subset(a: DeviceState, b: DeviceState) -> bool:
+    """Element-wise ``<=`` (the paper's information order on states)."""
+    _check_compatible(a, b)
+    return not a.bits & ~b.bits
+
+
 def rows_disjoint(a: DeviceState, b: DeviceState) -> bool:
     """True if no chunk has a contributor present in both states (one ``&``)."""
-    a._check_compatible(b)
+    _check_compatible(a, b)
     return not a.bits & b.bits
 
 
 def row_sets_disjoint(a: DeviceState, b: DeviceState) -> bool:
     """True if the two states have no non-empty row index in common (one ``&``)."""
-    a._check_compatible(b)
+    _check_compatible(a, b)
     return not a.present & b.present
 
 

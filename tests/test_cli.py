@@ -256,21 +256,67 @@ class TestMain:
     def test_sweep_grid_file(self, capsys, tmp_path):
         import json
 
-        from repro.evaluation.scenarios import ScenarioGrid
-
-        grid = ScenarioGrid(
-            name="clig",
-            shapes=((8, 4),),
-            payload_scales=(0.002,),
-            max_program_size=3,
-        )
+        grid = {"name": "clig", "shapes": [[8, 4]], "payload_scales": [0.002],
+                "max_program_size": 3}
         grid_path = tmp_path / "grid.json"
-        grid_path.write_text(json.dumps(grid.to_dict()))
+        grid_path.write_text(json.dumps(grid))
         exit_code = main(["sweep", "--grid", str(grid_path), "--quick", "--json"])
         captured = capsys.readouterr()
         assert exit_code == 0
         records = [json.loads(line) for line in captured.out.splitlines() if line.strip()]
         assert [r["scenario"] for r in records] == ["clig-a100-2n-8x4-r0-s0p002-ring"]
+
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (["sweep", "--quick", "--grid"], b'{"name": "\xff"}'),
+            (["sweep", "--quick", "--grid"], b"[" * 100_000),
+            (["serve", "--nodes", "2", "--port", "0", "--warm"], b"\xff\n"),
+            (["serve", "--nodes", "2", "--port", "0", "--warm"], b"[" * 100_000),
+        ],
+        ids=["grid-not-utf-8", "grid-over-nested", "warm-not-utf-8", "warm-over-nested"],
+    )
+    def test_an_unreadable_input_file_is_one_line_and_exit_two(
+        self, capsys, tmp_path, argv, content
+    ):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        assert main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro-cli: error: {path}")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        if argv[0] == "serve":
+            assert "bad warm query on line 1" in captured.err
+
+    def test_serve_batch_fails_closed_on_a_queries_file_that_is_not_utf8(self, tmp_path):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_bytes(b'{"axes": [8, 4], "reduce": [0]}\n\xff\n')
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-batch", "--nodes", "2", "--queries-file", str(queries)])
+        # A one-line message (printed to stderr, exit status 1), no traceback.
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert str(queries) in message and "UTF-8" in message
+
+    @pytest.mark.parametrize("valid_lines", [0, 1], ids=["alone", "after-a-valid-line"])
+    def test_serve_batch_counts_an_over_nested_line_as_bad_json(
+        self, tmp_path, capsys, valid_lines
+    ):
+        import json
+
+        queries = tmp_path / "queries.jsonl"
+        valid = json.dumps({"axes": [8, 4], "reduce": [0], "bytes": 1 << 20}) + "\n"
+        queries.write_text(valid * valid_lines + "[" * 100_000 + "\n")
+        exit_code = main(
+            ["serve-batch", "--nodes", "2", "--max-program-size", "3",
+             "--max-matrices", "1", "--json", "--queries-file", str(queries)]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert [r["error"] for r in records if "error" in r] == ["bad_json"]
+        assert [r["line"] for r in records if "error" in r] == [valid_lines + 1]
+        assert len([r for r in records if "query" in r]) == valid_lines
 
     def test_sweep_cache_dir_makes_second_run_warm(self, capsys, tmp_path):
         import json

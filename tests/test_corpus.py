@@ -24,11 +24,13 @@ from repro.corpus import (
     warm_from_corpus,
 )
 from repro.corpus.store import CORPUS_FORMAT_VERSION, CorpusRecord
+from repro.cost.model import CostModel
 from repro.obs.recorder import Recorder
 from repro.query import PlanOutcome, PlanQuery
-from repro.serve import DaemonConfig, DaemonThread, PlanClient
+from repro.serve import DaemonConfig, PlanClient
 from repro.service import PlanningService
 from repro.topology.gcp import figure2a_system
+from serve_harness import DaemonThread
 
 
 # The provenance key older writers emitted (the process-pool width); spelled
@@ -195,7 +197,10 @@ class TestPlanCorpusStore:
         del plan["steps"]
         plan["format_version"] = 3
         for entry, strategy in zip(plan["strategies"], base_outcome.plan.strategies):
-            entry["program"] = strategy.program.to_dict()
+            program = strategy.program
+            entry["program"] = {
+                "label": program.label, "steps": [step.to_dict() for step in program.steps],
+            }
         old = CorpusRecord(
             fingerprint="0" * 64,
             context=None,
@@ -355,7 +360,7 @@ class TestNearestRecords:
 # --------------------------------------------------------------------------- #
 class TestSeeding:
     def test_empty_corpus_seeds_nothing(self, corpus, topology):
-        seeder = CorpusSeeder(corpus, topology, PlanningService(topology).cost_model)
+        seeder = CorpusSeeder(corpus, topology, CostModel())
         assert seeder.seed_sources(_query()) is None
 
     def test_seed_sources_prepend_pinned_to_defaults(
@@ -365,7 +370,7 @@ class TestSeeding:
 
         recorder = Recorder()
         seeder = CorpusSeeder(
-            corpus, topology, PlanningService(topology).cost_model, recorder=recorder
+            corpus, topology, CostModel(), recorder=recorder
         )
         corpus.ingest_outcome(base_outcome, context=seeder.context)
         sources = seeder.seed_sources(_query(payload=1 << 22))
@@ -379,7 +384,7 @@ class TestSeeding:
         assert counters["corpus.seeded"] == 1
 
     def test_unusable_plan_payload_is_skipped(self, corpus, topology, base_outcome):
-        seeder = CorpusSeeder(corpus, topology, PlanningService(topology).cost_model)
+        seeder = CorpusSeeder(corpus, topology, CostModel())
         record = CorpusRecord(
             fingerprint="0" * 64,
             context=seeder.context,
@@ -421,7 +426,7 @@ class TestSeeding:
         assert warm_from_corpus(service, corpus) == 1
 
     def test_context_fingerprint_distinguishes_topologies(self, topology):
-        cost_model = PlanningService(topology).cost_model
+        cost_model = CostModel()
         same = context_fingerprint(topology, cost_model)
         assert same == context_fingerprint(topology, cost_model)
         other = figure2a_system()

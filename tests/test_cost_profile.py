@@ -104,7 +104,6 @@ class TestEquivalenceClasses:
         assert profile.steps[0].num_classes == 1
         assert profile.steps[0].classes[0].count == 16
         assert profile.num_classes == 1
-        assert profile.num_groups == 16
 
     def test_profile_is_payload_and_algorithm_independent(self, a100_2node):
         program = default_all_reduce(
@@ -156,7 +155,7 @@ class TestExplicitEdgePaths:
         for result in (
             simulator.simulate(program, 1 * MB),
             simulate_reference(simulator, program, 1 * MB),
-            compile_profile(program, a100_2node).price(1 * MB),
+            price_profile(compile_profile(program, a100_2node), 1 * MB),
         ):
             assert result.total_seconds == 0.0
             assert result.steps == ()
@@ -177,7 +176,7 @@ class TestExplicitEdgePaths:
         for result in (
             simulator.simulate(program, 0),
             simulate_reference(simulator, program, 0),
-            compile_profile(program, topology).price(0, cost_model=model),
+            price_profile(compile_profile(program, topology), 0, cost_model=model),
         ):
             assert result.total_seconds == 0.0
             assert result.steps[0].seconds == 0.0
@@ -275,31 +274,6 @@ class TestProfileCache:
 
 
 class TestStaleBindingGuards:
-    @pytest.mark.parametrize("spelling", ["P2", "PlanningService"])
-    def test_planner_bindings_are_read_only(self, a100_2node, spelling):
-        """A planner's simulator, shape memo and cache are bound to the topology
-        and cost model it was built with, so neither can be reassigned — and a
-        failed assignment leaves every later plan priced under the original
-        model (a stale simulator used to price a new model's plans)."""
-        from repro.api import P2
-        from repro.query import PlanQuery
-        from repro.service.engine import PlanningService
-        from repro.topology.gcp import v100_system
-
-        planner = {"P2": P2, "PlanningService": PlanningService}[spelling](a100_2node)
-        first = PlanQuery((8, 4), (0,), bytes_per_device=1 * MB, max_program_size=2)
-        planner.plan(first)
-        with pytest.raises(AttributeError):
-            planner.cost_model = CostModel(launch_overhead=1e-3)
-        with pytest.raises(AttributeError):
-            planner.topology = v100_system(num_nodes=2)
-        assert planner.cost_model == CostModel()
-        assert planner.topology is a100_2node
-
-        second = PlanQuery((8, 4), (0,), bytes_per_device=4 * MB, max_program_size=2)
-        best = planner.plan(second).plan.best.predicted_seconds
-        assert best == P2(a100_2node, CostModel()).plan(second).plan.best.predicted_seconds
-
     def test_mismatched_device_count_is_rejected_not_deduped(self, a100_2node):
         step = LoweredStep(Collective.ALL_REDUCE, ((0, 1),))
         fits = LoweredProgram(num_devices=32, steps=(step,))

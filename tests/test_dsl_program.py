@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dsl.forms import InsideGroup, Master, Parallel
-from repro.dsl.pretty import describe_instruction, describe_program, program_mnemonic
+from repro.dsl.pretty import program_mnemonic
 from repro.dsl.program import ReductionInstruction, ReductionProgram
 from repro.errors import DSLError, InvalidCollectiveError
 from repro.semantics.collectives import Collective
@@ -61,8 +61,8 @@ class TestReductionInstruction:
         assert groups == ((0, 1), (2, 3))
         context = initial_context(4)
         after = apply_instruction(instr, context, RADICES)
-        assert after[0].row(0) == 0b0011
-        assert after[2].row(0) == 0b1100
+        assert after[0].rows[0] == 0b0011
+        assert after[2].rows[0] == 0b1100
 
     def test_apply_raises_when_no_groups(self):
         instr = ReductionInstruction(2, InsideGroup(), Collective.ALL_REDUCE)
@@ -115,16 +115,9 @@ class TestReductionProgram:
         assert program_is_valid(program, initial_context(4), RADICES)
         assert not program_achieves(program, initial_context(4), all_reduce_goal(4), RADICES)
 
-    def test_append_is_persistent(self):
-        program = ReductionProgram.of()
-        extended = program.append(
-            ReductionInstruction(0, InsideGroup(), Collective.ALL_REDUCE)
-        )
-        assert len(program) == 0 and len(extended) == 1
-
-    def test_iteration_indexing_and_size(self):
+    def test_iteration_indexing_and_length(self):
         program = self.make_blueconnect()
-        assert program.size == 3
+        assert len(program) == 3
         assert program[1].collective == Collective.ALL_REDUCE
         assert [i.collective for i in program] == [
             Collective.REDUCE_SCATTER,
@@ -152,14 +145,3 @@ class TestPretty:
         )
         assert program_mnemonic(program) == "RS-AR-AG"
         assert program_mnemonic(ReductionProgram.of()) == "<empty>"
-
-    def test_describe_program_multiline(self):
-        program = single_all_reduce()
-        multiline = describe_program(program, multiline=True)
-        assert multiline.startswith("  step 0:")
-        single = describe_program(program)
-        assert "AllReduce" in single
-
-    def test_describe_instruction(self):
-        instr = ReductionInstruction(0, InsideGroup(), Collective.BROADCAST)
-        assert "Broadcast" in describe_instruction(instr)

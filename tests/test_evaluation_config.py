@@ -58,7 +58,7 @@ class TestExperimentConfig:
             self.make(reduction_axes=(3,))
 
     def test_payload_scale(self):
-        scaled = self.make().scaled(0.5)
+        scaled = self.make(payload_scale=0.5)
         assert scaled.bytes_per_device == paper_payload_bytes(2) // 2
         with pytest.raises(EvaluationError):
             self.make(payload_scale=0)

@@ -49,7 +49,7 @@ def small_results():
 class TestTable3:
     def test_measured_table_shows_the_placement_spread(self):
         artifact = build_table3(payload_scale=PAYLOAD_SCALE)
-        assert artifact.num_rows > 0
+        assert len(artifact.rows) > 0
         # Columns: system/axes, matrix, 4 time columns.
         assert len(artifact.headers) == 6
         assert "Table 3" in artifact.text
@@ -67,7 +67,7 @@ class TestTable3:
 
     def test_measured_table_on_reduced_payload(self):
         artifact = build_table3(payload_scale=0.001)
-        assert artifact.num_rows > 0
+        assert len(artifact.rows) > 0
 
 
 class TestTable4:
@@ -81,7 +81,7 @@ class TestTable4:
     def test_build_table4_from_existing_results(self, small_results):
         artifact = build_table4(results=small_results)
         assert "Speedup" in artifact.headers
-        assert artifact.num_rows > 0
+        assert len(artifact.rows) > 0
 
 
 class TestTable5:
@@ -95,7 +95,7 @@ class TestTable5:
 class TestAppendixTable:
     def test_build(self, small_results):
         artifact = build_appendix_table(small_results)
-        assert artifact.num_rows == sum(len(r.matrices) for r in small_results)
+        assert len(artifact.rows) == sum(len(r.matrices) for r in small_results)
         assert "Appendix" in artifact.text
 
     def test_requires_results(self):

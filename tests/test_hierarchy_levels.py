@@ -72,7 +72,7 @@ class TestDeviceAddressing:
     def test_roundtrip_all_devices(self, figure2a_hierarchy):
         for d in range(figure2a_hierarchy.num_devices):
             coords = figure2a_hierarchy.device_coordinates(d)
-            assert figure2a_hierarchy.device_id(coords) == d
+            assert figure2a_hierarchy.radix.encode(coords) == d
 
     def test_device_zero_is_all_zero(self, figure2a_hierarchy):
         assert figure2a_hierarchy.device_coordinates(0) == (0, 0, 0, 0)
@@ -105,4 +105,4 @@ class TestDeviceAddressing:
         assert h.num_devices == product
         # Round-trip a few device ids.
         for d in range(0, h.num_devices, max(1, h.num_devices // 7)):
-            assert h.device_id(h.device_coordinates(d)) == d
+            assert h.radix.encode(h.device_coordinates(d)) == d

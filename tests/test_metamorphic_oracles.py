@@ -55,11 +55,14 @@ def _service(system: str, scale: int = 1) -> PlanningService:
         topology = SYSTEMS[system]()
         cost_model = CostModel()
         if scale != 1:
+            def scaled(link):
+                return dataclasses.replace(link, bandwidth=link.bandwidth * scale)
+
             host = topology.host_link
             topology = dataclasses.replace(
                 topology,
-                interconnects=tuple(link.scaled(scale) for link in topology.interconnects),
-                host_link=host.scaled(scale) if host is not None else None,
+                interconnects=tuple(scaled(link) for link in topology.interconnects),
+                host_link=scaled(host) if host is not None else None,
             )
             cost_model = dataclasses.replace(
                 cost_model, small_message_bytes=cost_model.small_message_bytes * scale

@@ -529,9 +529,9 @@ class TestSpineIntegration:
     def test_sweep_results_and_jsonl_records_carry_trace_ids(self, tmp_path):
         from repro.analysis.serialization import iter_jsonl_records, load_jsonl_results
         from repro.evaluation.runner import SweepRunner
-        from repro.evaluation.scenarios import preset
+        from repro.evaluation.scenarios import PRESETS
 
-        scenario = preset("smoke")[0]
+        scenario = PRESETS["smoke"].scenarios()[0]
         out = tmp_path / "sweep.jsonl"
         recorder = Recorder()
         with use_recorder(recorder):
@@ -554,11 +554,11 @@ class TestSpineIntegration:
     def test_provenance_summary_reports_percentiles_from_snapshot(self):
         from repro.evaluation.report import render_provenance_summary
         from repro.evaluation.runner import SweepRunner
-        from repro.evaluation.scenarios import preset
+        from repro.evaluation.scenarios import PRESETS
 
         recorder = Recorder()
         with use_recorder(recorder):
-            result = SweepRunner(measure_programs=False).run(preset("smoke")[0])
+            result = SweepRunner(measure_programs=False).run(PRESETS["smoke"].scenarios()[0])
         text = render_provenance_summary([result], snapshot=recorder.snapshot())
         assert "sweep.scenario: n=1 p50=" in text
         assert "\nservice.plan: n=1 p50=" in text

@@ -29,6 +29,8 @@ from repro.synthesis.hierarchy import (
 )
 from repro.utils.mixed_radix import MixedRadix
 
+from oracles.placement import free_radix, grid_to_device
+
 
 # --------------------------------------------------------------------------- #
 # References: one device at a time, through the digit grid
@@ -69,7 +71,7 @@ def reference_physical_device(
         [digits.get((i, j), 0) for j in range(matrix.num_cols)]
         for i in range(matrix.num_rows)
     ]
-    return placement.grid_to_device(grid)
+    return grid_to_device(placement, grid)
 
 
 def reference_physical_device_maps(
@@ -81,7 +83,7 @@ def reference_physical_device_maps(
             reference_physical_device(hierarchy, placement, v, free)
             for v in range(hierarchy.num_virtual_devices)
         )
-        for free in (list(hierarchy.free_radix) or [()])
+        for free in (list(free_radix(hierarchy)) or [()])
     )
 
 

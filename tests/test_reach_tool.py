@@ -8,6 +8,7 @@ and a test that exists.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import io
 import re
@@ -95,19 +96,36 @@ def test_only_the_outermost_unentered_function_is_reported(reach, tmp_path):
     ]
 
 
+def defines(path: Path, chain) -> bool:
+    """Whether ``path`` defines the node ``Class::...::test`` (``chain``)."""
+    body = ast.parse(path.read_text()).body
+    for name in chain:
+        node = next(
+            (n for n in body
+             if isinstance(n, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+             and n.name == name),
+            None,
+        )
+        if node is None:
+            return False
+        body = node.body
+    return True
+
+
 def test_every_ledger_verdict_names_a_function_under_src(reach):
     names = {f.name for f in reach.inventory()}
     assert set(reach.LEDGER) <= names, sorted(set(reach.LEDGER) - names)
     root = TOOL.parent.parent
     for name, verdict in reach.LEDGER.items():
-        assert verdict.startswith(("error path: ", "library: ")), (name, verdict)
+        assert verdict.startswith(("error path: ", "library: ", "protocol: ")), (name, verdict)
         assert not verdict.startswith("library: test-only"), (name, verdict)
-        # Every test a verdict names exists (file::Class::test), and an error
-        # path names the test that drives it.
-        tests = re.findall(r"(tests/[\w/]+\.py)::(?:\w+::)*(\w+)", verdict)
-        assert tests or not verdict.startswith("error path: "), (name, verdict)
-        for path, test in tests:
-            assert f"def {test}(" in (root / path).read_text(), (name, verdict)
+        # Every test a verdict names exists (file::Class::test, resolved
+        # through the class chain), and an error path or a protocol names
+        # the test that drives it.
+        tests = re.findall(r"(tests/[\w/]+\.py)((?:::\w+)+)", verdict)
+        assert tests or verdict.startswith("library: "), (name, verdict)
+        for path, node in tests:
+            assert defines(root / path, node.split("::")[1:]), (name, verdict)
 
 
 LEDGERED = '''\
@@ -124,10 +142,11 @@ def judged():
 '''
 
 CLEAN = {
-    "repro.mod:worker_only": "library: shard workers",
-    "repro.mod:judged": "library: tests/test_reach_tool.py",
+    "repro.mod:worker_only": "library: bench/caller.py",
+    "repro.mod:judged": "library: bench/caller.py; tests/test_reach_tool.py::test_x",
 }
 
+CALLER = "from repro.mod import judged, worker_only\n\njudged()\nworker_only()\n"
 
 FORGOTTEN = "\n\ndef forgotten():\n    return 4\n"
 
@@ -149,16 +168,48 @@ FORGOTTEN = "\n\ndef forgotten():\n    return 4\n"
             {"repro.mod:judged": "library: test-only; tests/x.py"},
             ["test-only verdict: repro.mod:judged"],
         ),
+        (
+            "",
+            {"repro.mod:judged": "library: tests/test_reach_tool.py::test_x"},
+            ["library verdict names only tests: repro.mod:judged"],
+        ),
+        (
+            "",
+            # The function's own file names it only inside its own def.
+            {"repro.mod:judged": "library: bench/caller.py; src/repro/mod.py"},
+            ["library verdict names src/repro/mod.py, which does not mention judged: "
+             "repro.mod:judged"],
+        ),
+        (
+            "",
+            {"repro.mod:judged": "protocol: pickle; tests/test_reach_tool.py::test_x"},
+            ["protocol verdict on a name that is not a dunder: repro.mod:judged"],
+        ),
+        (
+            "\n\nclass Box:\n    def __len__(self):\n        return 0\n",
+            {"repro.mod:Box.__len__": "protocol: sizing; tests/test_reach_tool.py::test_x"},
+            ["protocol verdict names no known protocol: repro.mod:Box.__len__"],
+        ),
+        (
+            "",
+            {"repro.mod:judged": "caller: bench/caller.py"},
+            ["unknown verdict kind: repro.mod:judged"],
+        ),
     ],
-    ids=["clean", "unjudged", "stale", "test-only"],
+    ids=["clean", "unjudged", "stale", "test-only", "names-only-tests",
+         "referent-without-mention", "protocol-on-non-dunder", "unknown-protocol",
+         "unknown-kind"],
 )
 def test_what_fails_the_ledger(reach, monkeypatch, tmp_path, extra_source, extra_ledger,
                                problems):
-    package = tmp_path / "repro"
-    package.mkdir()
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
     (package / "mod.py").write_text(LEDGERED + extra_source)
-    functions = reach.inventory(tmp_path)
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "caller.py").write_text(CALLER)
+    functions = reach.inventory(tmp_path / "src")
     keys = {f.qualname: f.key for f in functions}
+    monkeypatch.setattr(reach, "ROOT", tmp_path)
     monkeypatch.setattr(reach, "LEDGER", dict(CLEAN, **extra_ledger))
     entered, worker = {keys["entered"]}, {keys["worker_only"]}
     assert reach.report(functions, entered, worker, out=io.StringIO()) == problems

@@ -24,12 +24,6 @@ class TestNoiseModel:
         a, b = NoiseModel(seed=3), NoiseModel(seed=3)
         assert [a.flow_factor() for _ in range(5)] == [b.flow_factor() for _ in range(5)]
 
-    def test_reset_replays_sequence(self):
-        model = NoiseModel(seed=5)
-        first = [model.flow_factor() for _ in range(3)]
-        model.reset()
-        assert [model.flow_factor() for _ in range(3)] == first
-
     def test_zero_sigma_means_no_noise(self):
         model = NoiseModel(sigma=0.0, step_jitter=0.0)
         assert model.flow_factor() == 1.0

@@ -170,10 +170,9 @@ class TestScheduleExecution:
             assert len(chunks) == 1
             owned.extend(chunks)
             for chunk in chunks:
-                start = chunk * cluster.elems_per_chunk
+                elems = cluster[device].chunk_elems
                 np.testing.assert_allclose(
-                    cluster[device].chunk(chunk),
-                    expected[start : start + cluster.elems_per_chunk],
+                    cluster[device].chunk(chunk), expected[chunk * elems : (chunk + 1) * elems]
                 )
         assert sorted(owned) == list(range(group_size))
 

@@ -523,12 +523,10 @@ class TestGeneratedShapes:
         system, (first, second) = drawn
         # One long-lived service per system across examples, so the memo also
         # sees many shapes come and go.
-        service = _SERVICES.get(system)
-        if service is None:
-            service = _SERVICES[system] = PlanningService(
-                SYSTEMS[system](), cache=PlanCache(None)
-            )
-        topology = service.topology
+        if system not in _SERVICES:
+            topology = SYSTEMS[system]()
+            _SERVICES[system] = PlanningService(topology, cache=PlanCache(None)), topology
+        service, topology = _SERVICES[system]
         service.plan(first)
         service.cache.clear()  # the two queries may be one and the same
         memoized = service.plan(second)

@@ -16,6 +16,7 @@ from repro.semantics.collectives import (
 from repro.semantics.state import DeviceState
 
 from oracles.dsl import collective_is_valid
+from oracles.state import is_subset, union
 
 
 def initial(num, device):
@@ -43,7 +44,9 @@ class TestAllReduce:
 
     def test_rejects_empty_group_data(self):
         with pytest.raises(InvalidCollectiveError):
-            apply_collective(Collective.ALL_REDUCE, [DeviceState.empty(4), DeviceState.empty(4)])
+            apply_collective(
+                Collective.ALL_REDUCE, [DeviceState(4, (0,) * 4), DeviceState(4, (0,) * 4)]
+            )
 
     def test_three_way(self):
         post = apply_collective(
@@ -58,7 +61,7 @@ class TestReduceScatter:
         # 4 chunks over 2 devices: device 0 keeps chunks 0-1, device 1 keeps 2-3.
         assert post[0].non_empty_rows == (0, 1)
         assert post[1].non_empty_rows == (2, 3)
-        assert post[0].row(0) == 0b0011
+        assert post[0].rows[0] == 0b0011
 
     def test_requires_divisible_chunks(self):
         with pytest.raises(InvalidCollectiveError):
@@ -95,25 +98,25 @@ class TestAllGather:
     def test_rejects_empty_member(self):
         a = DeviceState(4, (0b1, 0b1, 0b1, 0b1))
         with pytest.raises(InvalidCollectiveError):
-            apply_collective(Collective.ALL_GATHER, [a, DeviceState.empty(4)])
+            apply_collective(Collective.ALL_GATHER, [a, DeviceState(4, (0,) * 4)])
 
 
 class TestReduce:
     def test_root_takes_all_others_cleared(self):
         post = apply_collective(Collective.REDUCE, [initial(2, 0), initial(2, 1)])
         assert post[0] == DeviceState.full(2)
-        assert post[1] == DeviceState.empty(2)
+        assert post[1] == DeviceState(2, (0,) * 2)
 
     def test_root_is_first_group_member(self):
         post = apply_collective(Collective.REDUCE, [initial(2, 1), initial(2, 0)])
         assert post[0] == DeviceState.full(2)  # first listed device is the root
-        assert post[1] == DeviceState.empty(2)
+        assert post[1] == DeviceState(2, (0,) * 2)
 
 
 class TestBroadcast:
     def test_overwrites_with_root_state(self):
         root = DeviceState.full(2)
-        other = DeviceState.empty(2)
+        other = DeviceState(2, (0,) * 2)
         post = apply_collective(Collective.BROADCAST, [root, other])
         assert post == [root, root]
 
@@ -130,7 +133,7 @@ class TestBroadcast:
 
     def test_rejects_empty_root(self):
         with pytest.raises(InvalidCollectiveError):
-            apply_collective(Collective.BROADCAST, [DeviceState.empty(2), DeviceState.empty(2)])
+            apply_collective(Collective.BROADCAST, [DeviceState(2, (0,) * 2), DeviceState(2, (0,) * 2)])
 
 
 class TestGroupValidation:
@@ -237,8 +240,8 @@ class TestSemanticProperties:
             return
         union_before = states[0]
         for s in states[1:]:
-            union_before = union_before.union(s)
+            union_before = union(union_before, s)
         union_after = post[0]
         for s in post[1:]:
-            union_after = union_after.union(s)
-        assert union_after.is_subset_of(union_before) or union_before.is_subset_of(union_after)
+            union_after = union(union_after, s)
+        assert is_subset(union_after, union_before) or is_subset(union_before, union_after)

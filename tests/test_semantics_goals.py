@@ -17,7 +17,7 @@ class TestInitialContext:
 
     def test_single_device(self):
         context = initial_context(1)
-        assert context.num_devices == 1
+        assert len(context.states) == 1
 
     def test_rejects_zero_devices(self):
         with pytest.raises(SemanticsError):

@@ -28,6 +28,8 @@ from repro.semantics.collectives import Collective
 from repro.synthesis.lowering import LoweredProgram, LoweredStep, forget_transitions
 from repro.synthesis.pipeline import synthesize_all
 
+from oracles.lowering import run_steps, unshared_copy
+
 MB = 1 << 20
 AXES = ParallelismAxes.of(8, 4)
 REQUEST = ReductionRequest((0,))
@@ -73,7 +75,7 @@ class TestCompileReusesTheValidationSweep:
         assert len(pairs) > 20
         for placement, program in pairs:
             assert program.semantics_recorded
-            fresh = LoweredProgram.from_dict(program.to_dict(), program.num_devices)
+            fresh = unshared_copy(program)
             assert not fresh.semantics_recorded
             del apply_calls[:]
             reused = compile_profile(program, topology)
@@ -90,10 +92,7 @@ class TestCompileReusesTheValidationSweep:
         of them is skipped, none is visited twice."""
         _, placements = candidates
         candidate = max(placements, key=lambda c: len(c.programs))
-        programs = [
-            LoweredProgram.from_dict(p.lowered.to_dict(), p.lowered.num_devices)
-            for p in candidate.programs
-        ]
+        programs = [unshared_copy(p.lowered) for p in candidate.programs]
         initial, _ = candidate.placement.reduction_contexts(REQUEST)
         # The distinct transitions, found by stepping every program on its own.
         groups_of = {}
@@ -101,7 +100,7 @@ class TestCompileReusesTheValidationSweep:
             context = initial
             for step in program.steps:
                 groups_of[(context, step)] = step.num_groups
-                context = LoweredProgram(program.num_devices, (step,)).run_semantics(context)
+                context = run_steps(LoweredProgram(program.num_devices, (step,)), context)
         every_group = sum(step.num_groups for program in programs for step in program.steps)
         assert sum(groups_of.values()) < every_group
 
@@ -116,30 +115,21 @@ class TestCompileReusesTheValidationSweep:
 
         # Without a placement nothing is shared: every group of every step.
         del apply_calls[:]
-        for program in programs:
-            program.run_semantics(initial)
-        assert len(apply_calls) == every_group
-        del apply_calls[:]
         for program in candidate.programs:
-            copy = LoweredProgram.from_dict(program.lowered.to_dict(), program.lowered.num_devices)
+            copy = unshared_copy(program.lowered)
             copy.pre_state_fractions()
         assert len(apply_calls) == every_group
 
     def test_recorded_fractions_are_outside_value_semantics(self, candidates):
         _, program = validated_programs(candidates)[0]
-        fresh = LoweredProgram.from_dict(program.to_dict(), program.num_devices)
+        fresh = unshared_copy(program)
         fresh = dataclasses.replace(fresh, source=program.source)
         assert fresh == program and hash(fresh) == hash(program)
         assert repr(fresh) == repr(program)
-        assert fresh.to_dict() == program.to_dict()
+        assert fresh.steps == program.steps and fresh.label == program.label
         assert [f.name for f in dataclasses.fields(program)] == [
             "num_devices", "steps", "source", "label",
         ]
-
-    def test_run_semantics_is_unchanged(self, candidates):
-        placement, program = validated_programs(candidates)[0]
-        initial, goal = placement.reduction_contexts(REQUEST)
-        assert program.run_semantics(initial) == goal
 
 
 class TestInvalidPrograms:
@@ -168,7 +158,7 @@ class TestInvalidPrograms:
         )
         assert partial.validates_against(placement, REQUEST) is False
         # The sweep completed, so its fractions are as good as a fresh one's.
-        fresh = LoweredProgram.from_dict(partial.to_dict(), partial.num_devices)
+        fresh = unshared_copy(partial)
         assert compile_profile(partial, topology) == compile_profile(fresh, topology)
 
     def test_placement_of_another_size_is_rejected(self, candidates):
@@ -213,7 +203,7 @@ class TestPerPlacementInvariants:
             ReductionRequest((0,))
         )
         initial, goal = placement.reduction_contexts(REQUEST)
-        assert initial.num_devices == goal.num_devices == placement.num_devices
+        assert len(initial.states) == len(goal.states) == placement.num_devices
         assert goal != placement.reduction_contexts(ReductionRequest((1,)))[1]
 
 
@@ -225,7 +215,7 @@ class TestObservability:
         programs = validated_programs(candidates)
         validated, other = programs[0][1], programs[-1][1]
         assert validated.signature() != other.signature()
-        unvalidated = LoweredProgram.from_dict(other.to_dict(), other.num_devices)
+        unvalidated = unshared_copy(other)
         simulator.simulate(validated, 4 * MB)
         simulator.simulate(unvalidated, 4 * MB)
         compiles = [s for s in recorder.snapshot().spans if s.name == "profile.compile"]

@@ -5,7 +5,7 @@ Programs of one matrix share their Hoare transitions (one check per distinct
 is searched), their per-grouping contention analysis and their per-(step,
 fractions) step profiles (kept on the topology).  Each of those is compared
 here with the computation it replaced, run on objects that share nothing:
-``from_dict`` copies of the programs, fresh placements, fresh topologies.
+copies of the programs on new steps, fresh placements, fresh topologies.
 The shapes go beyond the paper's: a non-power-of-two axis, a three-level
 hierarchy and a reduction over two axes.
 """
@@ -37,6 +37,8 @@ from repro.synthesis.pipeline import lower_program_candidate, synthesize_all
 from repro.topology.gcp import a100_system, v100_system
 from repro.topology.links import DCN_NIC_8GBS, NVLINK_RING_135GBS, PCIE_32GBS
 from repro.topology.topology import MachineTopology
+
+from oracles.lowering import run_steps, unshared_copy
 
 MB = 1 << 20
 
@@ -80,10 +82,7 @@ def shape(request):
 
 def copies(candidate):
     """Programs equal to the candidate's that share no object with them."""
-    return [
-        LoweredProgram.from_dict(p.lowered.to_dict(), p.lowered.num_devices)
-        for p in candidate.programs
-    ]
+    return [unshared_copy(p.lowered) for p in candidate.programs]
 
 
 class TestTransitionTable:
@@ -94,7 +93,7 @@ class TestTransitionTable:
             initial, goal = placement.reduction_contexts(reduction)
             for program, reference in zip(copies(candidate), copies(candidate)):
                 assert program.validates_against(placement, reduction) is True
-                assert reference.run_semantics(initial) == goal
+                assert run_steps(reference, initial) == goal
                 assert not reference.semantics_recorded
                 assert program.pre_state_fractions() == reference.pre_state_fractions()
             steps, transitions = forget_transitions(placement)
@@ -145,7 +144,7 @@ class TestInvalidStepAfterASharedPrefix:
         assert programs
         for program in programs:
             bad = self.broken(program)
-            reference = LoweredProgram.from_dict(bad.to_dict(), bad.num_devices)
+            reference = unshared_copy(bad)
             with pytest.raises(InvalidCollectiveError) as expected:
                 reference.pre_state_fractions()
             # Before and after the prefix edge exists in the table.
@@ -156,7 +155,7 @@ class TestInvalidStepAfterASharedPrefix:
             with pytest.raises(InvalidCollectiveError) as raised:
                 compile_profile(bad, topology)
             assert str(raised.value) == str(expected.value)
-            untouched = LoweredProgram.from_dict(program.to_dict(), program.num_devices)
+            untouched = unshared_copy(program)
             assert program.pre_state_fractions() == untouched.pre_state_fractions()
 
 
@@ -203,7 +202,7 @@ class TestStepProfilesAndContention:
             entered_with.update(c.chunk_fraction for c in second.classes)
             assert first != second
             assert second == compile_profile(
-                LoweredProgram.from_dict(part.to_dict(), part.num_devices), fresh(topology)
+                unshared_copy(part), fresh(topology)
             ).steps[1]
         assert entered_with == {0.25, 0.5}
 

@@ -1,7 +1,7 @@
 """Tests for the planning daemon: wire protocol, admission control, drain.
 
 The daemon's contract is exercised over *real* sockets — a
-:class:`~repro.serve.daemon.DaemonThread` on an ephemeral port, driven by
+:class:`serve_harness.DaemonThread` on an ephemeral port, driven by
 :class:`~repro.serve.client.PlanClient` and, where the protocol must be
 violated on purpose (torn lines, oversized frames), by raw sockets.
 
@@ -33,7 +33,6 @@ from repro.obs.recorder import Recorder
 from repro.query import PlanQuery
 from repro.serve import (
     DaemonConfig,
-    DaemonThread,
     PlanClient,
     ServeRequest,
     TokenBucket,
@@ -45,6 +44,7 @@ from repro.serve import (
 )
 from repro.service import PlanningService
 from repro.topology.gcp import figure2a_system
+from serve_harness import DaemonThread
 
 QUERY = PlanQuery(
     axes=(4, 4), request=(0,), bytes_per_device=1 << 20, max_program_size=3

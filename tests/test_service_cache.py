@@ -83,7 +83,7 @@ class TestPlanRoundTrip:
 class TestMemoryTier:
     def test_get_miss_then_hit(self, plan):
         cache = PlanCache()
-        assert cache.get("abc") is None
+        assert cache.lookup("abc")[0] is None
         cache.put("abc", plan.to_dict())
         assert cache.lookup("abc") == (plan.to_dict(), "memory")
         assert cache.stats.misses == 1
@@ -94,11 +94,11 @@ class TestMemoryTier:
         cache = PlanCache()
         cache.put("a", {"n": 1})
         cache.put("b", {"n": 2})
-        cache.get("a")  # refresh "a": now "b" is least recently used
+        cache.lookup("a")[0]  # refresh "a": now "b" is least recently used
         cache.put("c", {"n": 3})
-        assert cache.get("a") is not None
-        assert cache.get("b") is None  # evicted
-        assert cache.get("c") is not None
+        assert cache.lookup("a")[0] is not None
+        assert cache.lookup("b")[0] is None  # evicted
+        assert cache.lookup("c")[0] is not None
         assert cache.stats.evictions == 1
 
     def test_the_bound_is_a_module_constant_not_a_knob(self):
@@ -161,7 +161,7 @@ class TestDiskTier:
         path.write_text("{ not json at all")
 
         fresh = PlanCache(directory=tmp_path)
-        assert fresh.get("feedface") is None
+        assert fresh.lookup("feedface")[0] is None
         assert fresh.stats.corrupt_entries == 1
         assert not path.exists()
 
@@ -186,7 +186,7 @@ class TestDiskTier:
         (tmp_path / "aaaa.json").rename(tmp_path / "bbbb.json")
 
         fresh = PlanCache(directory=tmp_path)
-        assert fresh.get("bbbb") is None
+        assert fresh.lookup("bbbb")[0] is None
         assert fresh.stats.corrupt_entries == 1
 
     def test_stale_format_version_is_corrupt(self, plan, tmp_path):
@@ -198,7 +198,7 @@ class TestDiskTier:
         path.write_text(json.dumps(envelope))
 
         fresh = PlanCache(directory=tmp_path)
-        assert fresh.get("cafe") is None
+        assert fresh.lookup("cafe")[0] is None
         assert fresh.stats.corrupt_entries == 1
 
     def test_indented_entry_from_an_older_writer_is_a_clean_disk_hit(self, plan, tmp_path):
@@ -239,8 +239,8 @@ class TestDiskTier:
         cache.put("one", plan.to_dict())
         cache.put("two", plan.to_dict())
         cache.discard("one", corrupt=True)
-        assert cache.get("one") is None
-        assert cache.get("two") is not None
+        assert cache.lookup("one")[0] is None
+        assert cache.lookup("two")[0] is not None
         assert cache.disk_fingerprints() == ["two"]
         assert cache.stats.corrupt_entries == 1
 
@@ -336,7 +336,7 @@ class TestWritersSharingADirectory:
         (tmp_path / "two.k3j2h1.tmp").write_text("{")
         assert cache.disk_fingerprints() == ["one"]
         assert cache.disk_bytes() == entry_bytes
-        assert PlanCache(tmp_path).get("two") is None
+        assert PlanCache(tmp_path).lookup("two")[0] is None
         assert cache.clear() == 1
         assert list(tmp_path.iterdir()) == []
 
@@ -354,7 +354,10 @@ def _v3_plan_dict(plan):
     del data["steps"]
     data["format_version"] = 3
     for entry, strategy in zip(data["strategies"], plan.strategies):
-        entry["program"] = strategy.program.to_dict()
+        program = strategy.program
+        entry["program"] = {
+            "label": program.label, "steps": [step.to_dict() for step in program.steps],
+        }
     return data
 
 

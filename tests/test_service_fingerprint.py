@@ -82,9 +82,8 @@ class TestSensitivity:
 
     def test_scaled_link_bandwidth(self):
         base = a100_system(num_nodes=2)
-        scaled = replace(
-            base, interconnects=(base.interconnects[0].scaled(0.5),) + base.interconnects[1:]
-        )
+        slower = replace(base.interconnects[0], bandwidth=base.interconnects[0].bandwidth / 2)
+        scaled = replace(base, interconnects=(slower,) + base.interconnects[1:])
         assert _fingerprint() != _fingerprint(topology=scaled)
 
     def test_axes(self):

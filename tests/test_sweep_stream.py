@@ -13,7 +13,7 @@ from repro.analysis.serialization import (
 )
 from repro.evaluation.report import render_provenance_summary, render_sweep_summary
 from repro.evaluation.runner import SweepRunner
-from repro.evaluation.scenarios import preset
+from repro.evaluation.scenarios import PRESETS
 from repro.evaluation.tables import build_appendix_table
 from repro.service import PlanCache, PlanningService
 
@@ -22,7 +22,7 @@ from oracles.simulator import simulate_reference
 
 @pytest.fixture(scope="module")
 def smoke_scenarios():
-    return preset("smoke")
+    return PRESETS["smoke"].scenarios()
 
 
 # The provenance key older writers emitted (the process-pool width); spelled

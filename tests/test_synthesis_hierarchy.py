@@ -17,6 +17,8 @@ from repro.synthesis.hierarchy import (
     build_synthesis_hierarchy,
 )
 
+from oracles.placement import free_radix
+
 
 class TestVariantsOnFigure2d:
     """The synthesis hierarchies of Table 1 (first example) for the Figure 2d matrix."""
@@ -121,7 +123,7 @@ class TestVirtualDevicesOnEveryFigure2Matrix:
         matrix = next(m for m in figure2_matrices if m.entries == entries)
         hierarchy = build_synthesis_hierarchy(matrix, shard_reduction, variant)
         placement = DevicePlacement(matrix)
-        free_assignments = hierarchy.free_radix.size
+        free_assignments = free_radix(hierarchy).size
         reached = []
         for virtual in range(hierarchy.num_virtual_devices):
             digits = hierarchy.virtual_to_position_digits(virtual)
@@ -152,11 +154,11 @@ class TestGoals:
         goal = hierarchy.goal()
         # Each device's goal row has exactly 4 contributors (its shard group).
         for virtual in range(hierarchy.num_virtual_devices):
-            assert bin(goal[virtual].row(0)).count("1") == 4
+            assert bin(goal[virtual].rows[0]).count("1") == 4
 
     def test_initial_context(self, figure2d_synthesis_hierarchy):
         init = figure2d_synthesis_hierarchy.initial_context()
-        assert init.num_devices == 4
+        assert len(init.states) == 4
 
 
 class TestValidation:

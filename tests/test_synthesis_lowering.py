@@ -12,7 +12,6 @@ from repro.hierarchy.matrix import enumerate_parallelism_matrices
 from repro.hierarchy.parallelism import ParallelismAxes, ReductionRequest
 from repro.hierarchy.placement import DevicePlacement
 from repro.semantics.collectives import Collective
-from repro.semantics.goals import initial_context
 from repro.synthesis.hierarchy import build_synthesis_hierarchy
 from repro.synthesis.lowering import (
     LoweredProgram,
@@ -40,10 +39,6 @@ class TestLoweredStepValidation:
     def test_rejects_overlapping_groups(self):
         with pytest.raises(LoweringError):
             LoweredStep(Collective.ALL_REDUCE, ((0, 1), (1, 2)))
-
-    def test_describe_previews_groups(self):
-        step = LoweredStep(Collective.REDUCE, tuple((2 * i, 2 * i + 1) for i in range(8)))
-        assert "..." in step.describe()
 
 
 SHARED_STEP = LoweredStep(Collective.ALL_REDUCE, ((0, 5),))
@@ -80,14 +75,11 @@ class TestLoweredProgramValidation:
         b = LoweredProgram(4, (LoweredStep(Collective.ALL_REDUCE, ((2, 3), (0, 1))),))
         assert a.signature() == b.signature()
 
-    def test_run_semantics_and_iteration(self):
+    def test_iteration(self):
         program = LoweredProgram(
             2, (LoweredStep(Collective.ALL_REDUCE, ((0, 1),)),), label="test"
         )
-        final = program.run_semantics(initial_context(2))
-        assert final[0].row(0) == 0b11
         assert len(program) == 1 and list(program)[0].collective == Collective.ALL_REDUCE
-        assert "test" in program.describe()
 
 
 class TestLoweringFigure2d:

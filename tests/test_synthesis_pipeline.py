@@ -37,13 +37,6 @@ class TestSynthesizeAll:
         default = defaults[0]
         assert default.lowered.num_steps == 1
 
-    def test_candidate_describe(self, small_system):
-        candidates = synthesize_all(
-            small_system, ParallelismAxes.of(8), ReductionRequest.over(0),
-            max_program_size=2,
-        )
-        assert "programs" in candidates[0].describe()
-        assert candidates[0].programs[0].describe()
 
     def test_max_matrices_cap(self, figure2a_hierarchy, figure2_axes):
         candidates = synthesize_all(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.hierarchy.levels import SystemHierarchy
-from repro.topology.builders import flat_system, hierarchical_system
+from repro.topology.builders import hierarchical_system
 from repro.topology.gcp import a100_system, v100_system
 from repro.topology.links import (
     DCN_NIC_8GBS,
@@ -32,12 +32,6 @@ class TestLinkSpec:
     def test_rejects_negative_latency(self):
         with pytest.raises(TopologyError):
             LinkSpec("x", LinkKind.NIC, 1e9, -1e-6)
-
-    def test_scaled(self):
-        link = DCN_NIC_8GBS.scaled(2.0)
-        assert link.bandwidth == pytest.approx(16 * GB)
-        with pytest.raises(TopologyError):
-            DCN_NIC_8GBS.scaled(0)
 
     def test_shared_medium_classification(self):
         assert LinkKind.NIC.is_shared_medium
@@ -72,9 +66,9 @@ class TestMachineTopology:
         with pytest.raises(TopologyError):
             a100_2node.span_level([3])
 
-    def test_crosses_nic(self, a100_2node):
-        assert a100_2node.crosses_nic([0, 16])
-        assert not a100_2node.crosses_nic([0, 15])
+    def test_span_level_against_the_nic_level(self, a100_2node):
+        assert a100_2node.span_level([0, 16]) <= a100_2node.nic_level
+        assert a100_2node.span_level([0, 15]) > a100_2node.nic_level
 
     def test_nic_instances_touched(self, a100_2node):
         assert a100_2node.nic_instances_touched([0, 16]) == ((0,), (1,))
@@ -86,13 +80,6 @@ class TestMachineTopology:
 
 
 class TestBuilders:
-    def test_flat_system(self):
-        system = flat_system(8, bandwidth=50 * GB)
-        assert system.num_devices == 8
-        assert system.span_level([0, 7]) == 0
-        with pytest.raises(TopologyError):
-            flat_system(0)
-
     def test_hierarchical_system(self):
         system = hierarchical_system(
             [("node", 2), ("gpu", 4)], bandwidths=[8 * GB, 100 * GB]
@@ -149,6 +136,6 @@ class TestGCPSystems:
         # GPUs under one CPU use the fast local link.
         assert figure2a_machine.link_for_group([0, 1]).kind == LinkKind.NVLINK_RING
         # GPUs under the same server but different CPUs stay below the NIC ...
-        assert not figure2a_machine.crosses_nic([0, 4])
+        assert figure2a_machine.span_level([0, 4]) > figure2a_machine.nic_level
         # ... while GPUs under different servers cross it.
-        assert figure2a_machine.crosses_nic([0, 8])
+        assert figure2a_machine.span_level([0, 8]) <= figure2a_machine.nic_level

@@ -9,44 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import HierarchyError
-from repro.utils.factorization import (
-    divisors,
-    ordered_factorizations,
-    prime_factorization,
-)
+from repro.utils.factorization import divisors, ordered_factorizations
+
+
+def prime_exponents(n: int):
+    """The exponents of ``n``'s prime factorization, by trial division."""
+    exponents, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            exponents.append(e)
+        p += 1
+    return exponents + ([1] if n > 1 else [])
 
 
 def count_ordered_factorizations(n: int, k: int) -> int:
     """Stars and bars per prime: ``n = prod p^e`` has ``prod C(e + k - 1, k - 1)``."""
-    return math.prod(math.comb(e + k - 1, k - 1) for e in prime_factorization(n).values())
-
-
-class TestPrimeFactorization:
-    def test_one_has_no_factors(self):
-        assert prime_factorization(1) == {}
-
-    def test_prime(self):
-        assert prime_factorization(13) == {13: 1}
-
-    def test_composite(self):
-        assert prime_factorization(360) == {2: 3, 3: 2, 5: 1}
-
-    def test_power_of_two(self):
-        assert prime_factorization(64) == {2: 6}
-
-    def test_rejects_zero_and_negative(self):
-        with pytest.raises(HierarchyError):
-            prime_factorization(0)
-        with pytest.raises(HierarchyError):
-            prime_factorization(-4)
-
-    @given(st.integers(min_value=1, max_value=10_000))
-    def test_product_of_factors_reconstructs_n(self, n):
-        factors = prime_factorization(n)
-        product = 1
-        for p, e in factors.items():
-            product *= p**e
-        assert product == n
+    return math.prod(math.comb(e + k - 1, k - 1) for e in prime_exponents(n))
 
 
 class TestDivisors:

@@ -68,11 +68,6 @@ class TestMixedRadixClass:
         seen = [mr.encode(digits) for digits in mr]
         assert seen == list(range(mr.size))
 
-    def test_sub_radix(self):
-        mr = MixedRadix((2, 3, 4))
-        assert mr.sub([0, 2]).radices == (2, 4)
-        assert mr.sub([2]).size == 4
-
     def test_empty_radices_has_size_one(self):
         mr = MixedRadix(())
         assert mr.size == 1

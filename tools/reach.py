@@ -23,8 +23,10 @@ The tool is a gate: it exits 1, after printing the report, when
 * a ``LEDGER`` entry names a function that an entry point entered or that
   no longer exists (a function entered only in a worker is neither: which
   process runs it depends on timing);
-* a verdict says ``test-only``: code that only its own tests call is
-  deleted with those tests, not kept;
+* a verdict breaks the rules of its kind (see ``LEDGER``): a
+  ``test-only`` verdict, a ``library:`` verdict that names no referent
+  outside ``tests/`` or names one that does not mention the function, or a
+  ``protocol:`` verdict on a name that is not a dunder;
 * an entry point fails: a ``repro-cli`` invocation exits non-zero or
   raises, the serve round or its client fails, or an example or a README
   block raises.
@@ -57,301 +59,176 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 #: Why a function stays in ``src/`` though no entry point enters it, keyed
-#: by ``module:qualname``.  There are two verdicts:
+#: by ``module:qualname``.  There are three kinds of verdict:
 #:
 #: * ``error path: <test>`` — a refusal or recovery path; the named test
 #:   drives it.
-#: * ``library: <caller>`` — surface that the entry points do not need but
-#:   a caller outside ``src/`` does (a benchmark, ``bench/``, CI, a pickling
-#:   or protocol hook, or the test named).
+#: * ``library: <referent> ...`` — a caller the entry points do not reach.
+#:   The verdict names at least one referent outside ``tests/``: a ``.py``
+#:   file under ``src/``, ``bench/``, ``benchmarks/`` or ``examples/``
+#:   (which must refer to the function's name by an ``ast`` name or
+#:   attribute outside the function's own ``def``), ``README.md`` or
+#:   ``.github/workflows/ci.yml`` (which must mention the name).  Tests may
+#:   be named too, but never alone.
+#: * ``protocol: <protocol>; <test>`` — a dunder that a Python protocol
+#:   calls (one of :data:`PROTOCOLS`); the named test checks it.
 #:
 #: A function that only its own unit tests call has no verdict: it goes,
-#: together with those tests.  A reference implementation a test compares
-#: against lives in ``tests/oracles``.
+#: together with those tests.  A reference implementation or a test harness
+#: lives under ``tests/``.
+PROTOCOLS = ("context manager", "immutability", "pickle", "sequence")
+
+#: A referent a ``library:`` verdict may name, relative to the repository root.
+REFERENT = re.compile(
+    r"(?<![\w/.])(?:(?:src|bench|benchmarks|examples)/[\w/]+\.py"
+    r"|README\.md|\.github/workflows/ci\.yml)"
+)
+
 LEDGER: Dict[str, str] = {
     # repro.analysis.serialization
     "repro.analysis.serialization:load_jsonl_results":
-        "library: CI sweep-smoke reads the --out records with it",
+        "library: .github/workflows/ci.yml (sweep-smoke reads the --out records with it)",
     # repro.analysis.stats
     "repro.analysis.stats:SpeedupSummary.fraction_outperforming":
         "library: benchmarks/bench_appendix_full_sweep.py",
     "repro.analysis.stats:SpeedupSummary.describe":
         "library: benchmarks/bench_appendix_full_sweep.py",
-    "repro.analysis.stats:_median":
-        "library: benchmarks/bench_appendix_full_sweep.py (summarize_results)",
+    "repro.analysis.stats:_median": "library: src/repro/analysis/stats.py (summarize_results)",
     "repro.analysis.stats:summarize_results": "library: benchmarks/bench_appendix_full_sweep.py",
-    # repro.api
-    "repro.api:P2.topology":
-        "library: bench/openloop.py; "
-        "tests/test_cost_profile.py::TestStaleBindingGuards::test_planner_bindings_are_read_only",
-    "repro.api:P2.cost_model":
-        "library: tests/test_corpus.py::TestSeeding::test_empty_corpus_seeds_nothing",
-    # repro.cost.contention
-    "repro.cost.contention:StepContention.describe":
-        "library: tests/test_cost_contention_simulator.py::TestContention::test_describe",
     # repro.cost.profile
     "repro.cost.profile:StepProfile.num_classes":
-        "library: tests/test_cost_profile.py::TestEquivalenceClasses::test_replicated_cross_node_step_collapses_to_one_class",
+        "library: src/repro/cost/profile.py (SimulationProfile.num_classes)",
     "repro.cost.profile:SimulationProfile.num_classes":
-        "library: tests/test_cost_profile.py::TestEquivalenceClasses::test_replicated_cross_node_step_collapses_to_one_class",
-    "repro.cost.profile:SimulationProfile.num_groups":
-        "library: tests/test_cost_profile.py::TestEquivalenceClasses::test_replicated_cross_node_step_collapses_to_one_class",
-    "repro.cost.profile:SimulationProfile.price":
-        "library: tests/test_cost_profile.py::TestExplicitEdgePaths::test_empty_program_prices_to_zero_with_no_steps",
-    # repro.cost.simulator
-    "repro.cost.simulator:SimulationResult.num_steps":
-        "library: tests/test_api.py::TestSimulateMeasureVerify::test_simulate_detail",
-    # repro.dsl.pretty
-    "repro.dsl.pretty:describe_instruction":
-        "library: tests/test_dsl_program.py::TestPretty::test_describe_instruction",
-    "repro.dsl.pretty:describe_program":
-        "library: tests/test_dsl_program.py::TestPretty::test_describe_program_multiline",
-    # repro.dsl.program
-    "repro.dsl.program:ReductionProgram.size":
-        "library: tests/test_dsl_program.py::TestReductionProgram::test_iteration_indexing_and_size",
-    "repro.dsl.program:ReductionProgram.append":
-        "library: tests/test_dsl_program.py::TestReductionProgram::test_append_is_persistent",
-    # repro.evaluation.accuracy
-    "repro.evaluation.accuracy:AccuracyReport.describe":
-        "library: tests/test_evaluation_runner_accuracy.py::TestAccuracy::test_accuracy_report",
-    # repro.evaluation.config
-    "repro.evaluation.config:ExperimentConfig.scaled":
-        "library: tests/test_evaluation_config.py::TestExperimentConfig::test_payload_scale",
-    # repro.evaluation.scenarios
-    "repro.evaluation.scenarios:ScenarioGrid.queries":
-        "library: tests/test_evaluation_scenarios.py::TestScenarioGridExpansion::test_queries_stream_matches_expansion",
-    "repro.evaluation.scenarios:ScenarioGrid.count":
-        "library: tests/test_evaluation_scenarios.py::TestScenarioGridExpansion::test_explicit_shapes_skip_invalid_combinations",
-    "repro.evaluation.scenarios:ScenarioGrid.to_dict":
-        "library: tests/test_cli.py::TestMain::test_sweep_grid_file",
-    "repro.evaluation.scenarios:preset":
-        "library: tests/test_evaluation_scenarios.py::TestPresets::test_smoke_preset_names_are_stable",
-    # repro.evaluation.tables
-    "repro.evaluation.tables:TableArtifact.num_rows":
-        "library: tests/test_evaluation_tables_figures.py::TestTable3::test_measured_table_shows_the_placement_spread",
+        "library: bench/staged.py (the cost.profile_classes count)",
     # repro.hierarchy.levels
     "repro.hierarchy.levels:SystemHierarchy.__len__":
-        "library: tests/test_hierarchy_levels.py::TestQueries::test_len_iter_getitem",
+        "protocol: sequence; tests/test_hierarchy_levels.py::TestQueries::test_len_iter_getitem",
     "repro.hierarchy.levels:SystemHierarchy.__iter__":
-        "library: tests/test_hierarchy_levels.py::TestQueries::test_len_iter_getitem",
+        "protocol: sequence; tests/test_hierarchy_levels.py::TestQueries::test_len_iter_getitem",
     "repro.hierarchy.levels:SystemHierarchy.__getitem__":
-        "library: tests/test_hierarchy_levels.py::TestQueries::test_len_iter_getitem",
-    "repro.hierarchy.levels:SystemHierarchy.device_id":
-        "library: tests/test_hierarchy_levels.py::TestDeviceAddressing::test_roundtrip_all_devices",
+        "protocol: sequence; tests/test_hierarchy_levels.py::TestQueries::test_len_iter_getitem",
     # repro.hierarchy.matrix
     "repro.hierarchy.matrix:count_naive_placements":
-        "library: benchmarks/bench_placement_space.py; "
-        "tests/test_hierarchy_matrix.py::TestNaivePlacementCount::test_matches_factorial",
+        "library: benchmarks/bench_placement_space.py",
     # repro.hierarchy.parallelism
     "repro.hierarchy.parallelism:ParallelismAxes.__len__":
-        "library: tests/test_hierarchy_parallelism.py::TestParallelismAxes::test_iteration_and_indexing",
+        "protocol: sequence; "
+        "tests/test_hierarchy_parallelism.py::TestParallelismAxes::test_iteration_and_indexing",
     "repro.hierarchy.parallelism:ParallelismAxes.__iter__":
-        "library: tests/test_hierarchy_parallelism.py::TestParallelismAxes::test_iteration_and_indexing",
+        "protocol: sequence; "
+        "tests/test_hierarchy_parallelism.py::TestParallelismAxes::test_iteration_and_indexing",
     "repro.hierarchy.parallelism:ParallelismAxes.__getitem__":
-        "library: tests/test_hierarchy_parallelism.py::TestParallelismAxes::test_iteration_and_indexing",
-    "repro.hierarchy.parallelism:ReductionRequest.group_size":
-        "library: tests/test_hierarchy_parallelism.py::TestReductionRequest::test_group_size",
+        "protocol: sequence; "
+        "tests/test_hierarchy_parallelism.py::TestParallelismAxes::test_iteration_and_indexing",
     # repro.hierarchy.placement
-    "repro.hierarchy.placement:DevicePlacement.grid_to_device":
-        "library: tests/test_hierarchy_placement.py::TestGridConversions::test_grid_roundtrip_all_devices",
-    "repro.hierarchy.placement:DevicePlacement._check_grid":
-        "error path: tests/test_hierarchy_placement.py::TestGridConversions::test_grid_shape_validation",
-    "repro.hierarchy.placement:DevicePlacement.coordinate_table":
-        "library: tests/test_hierarchy_placement.py::TestParallelCoordinates::test_coordinate_table_matches",
     "repro.hierarchy.placement:DevicePlacement.__getstate__":
-        "library: tests/test_semantics_transitions.py::TestNothingOutlivesTheSearch::test_a_placement_pickles_without_its_search_state",
+        "protocol: pickle; tests/test_semantics_transitions.py::TestNothingOutlivesTheSearch::"
+        "test_a_placement_pickles_without_its_search_state",
     # repro.obs.recorder
     "repro.obs.recorder:Recorder.__getstate__":
-        "library: pickled into spawn-started shard workers; "
-        "tests/test_obs.py::TestRecorder::test_recorder_survives_pickling",
+        "protocol: pickle; tests/test_obs.py::TestRecorder::test_recorder_survives_pickling",
     "repro.obs.recorder:Recorder.__setstate__":
-        "library: pickled into spawn-started shard workers; "
-        "tests/test_obs.py::TestRecorder::test_recorder_survives_pickling",
+        "protocol: pickle; tests/test_obs.py::TestRecorder::test_recorder_survives_pickling",
     "repro.obs.recorder:NullRecorder.snapshot":
-        "library: benchmarks/bench_telemetry_overhead.py; "
-        "tests/test_obs.py::TestRecorder::test_null_recorder_is_inert_and_default",
+        "library: src/repro/serve/daemon.py (the stats op, on a PlanDaemon built "
+        "without a recorder)",
     # repro.query
-    "repro.query:PlanOutcome.best":
-        "library: tests/test_search_driver.py::TestLosslessPruning::test_bounded_search_returns_bit_identical_best",
-    "repro.query:Planner.plan": "library: Protocol stub, never executed (P2.plan is entered)",
+    "repro.query:PlanOutcome.best": "library: benchmarks/bench_telemetry_overhead.py",
+    "repro.query:Planner.plan":
+        "library: src/repro/evaluation/runner.py (SweepRunner plans through a Planner; "
+        "the Protocol stub itself never runs)",
     "repro.query:Planner.plan_many":
-        "library: Protocol stub, never executed (P2.plan_many is entered)",
+        "library: src/repro/planner/multi.py (plan_with plans through a Planner; "
+        "the Protocol stub itself never runs)",
     # repro.runtime.cluster
-    "repro.runtime.cluster:SimCluster.num_chunks":
-        "library: tests/test_runtime_device_cluster.py::TestSimCluster::test_create_shapes",
-    "repro.runtime.cluster:SimCluster.elems_per_chunk":
-        "library: tests/test_runtime_device_cluster.py::TestSimCluster::test_create_shapes",
     "repro.runtime.cluster:SimCluster.__iter__":
-        "library: tests/test_runtime_device_cluster.py::TestSimCluster::test_iteration_and_describe",
-    "repro.runtime.cluster:SimCluster.describe":
-        "library: tests/test_runtime_device_cluster.py::TestSimCluster::test_iteration_and_describe",
-    # repro.runtime.device
-    "repro.runtime.device:SimDevice.holds":
-        "library: tests/test_runtime_device_cluster.py::TestSimDevice::test_invalidate_and_holds",
-    "repro.runtime.device:SimDevice.describe":
-        "library: tests/test_runtime_device_cluster.py::TestSimDevice::test_describe",
+        "protocol: sequence; tests/test_runtime_device_cluster.py::TestSimCluster::test_iteration",
     # repro.runtime.executor
     "repro.runtime.executor:CollectiveExecutor.reduce":
-        "library: tests/test_integration_paper_claims.py::TestEndToEndPlanQuality::test_every_top_strategy_verifies_numerically",
+        "library: src/repro/runtime/executor.py (_DISPATCH, for Reduce steps)",
     "repro.runtime.executor:CollectiveExecutor.broadcast":
-        "library: tests/test_integration_paper_claims.py::TestEndToEndPlanQuality::test_every_top_strategy_verifies_numerically",
-    # repro.runtime.noise
-    "repro.runtime.noise:NoiseModel.reset":
-        "library: tests/test_runtime_noise_events.py::TestNoiseModel::test_reset_replays_sequence",
+        "library: src/repro/runtime/executor.py (_DISPATCH, for Broadcast steps)",
     # repro.search.sharded
     "repro.search.sharded:_check_liveness":
         "error path: tests/test_search_driver.py::TestShardedSearch::test_a_shard_that_dies_without_a_message_is_a_search_error",
     # repro.search.source
     "repro.search.source:CandidateSource.entries":
-        "library: Protocol stub, never executed (every source's entries is entered)",
+        "library: src/repro/search/driver.py (the driver pulls every source through it; "
+        "the Protocol stub itself never runs)",
     # repro.semantics.collectives
     "repro.semantics.collectives:step_error":
         "error path: tests/test_semantics_packed_oracle.py::TestStepKernelAgainstOracle::test_step_matches_the_oracle_group_by_group",
     # repro.semantics.state
     "repro.semantics.state:DeviceState.__new__":
-        "library: tests/test_semantics_collectives.py::TestAllReduce::test_two_fresh_devices",
+        "protocol: pickle (unpickling goes through the validating constructor); "
+        "tests/test_semantics_packed_oracle.py::TestPackedState::test_round_trips",
     "repro.semantics.state:DeviceState.__setattr__":
-        "library: tests/test_semantics_packed_oracle.py::TestPackedState::test_states_are_immutable",
+        "protocol: immutability; "
+        "tests/test_semantics_packed_oracle.py::TestPackedState::test_states_are_immutable",
     "repro.semantics.state:DeviceState.__delattr__":
-        "library: tests/test_semantics_packed_oracle.py::TestPackedState::test_states_are_immutable",
-    "repro.semantics.state:DeviceState.__repr__":
-        "library: tests/test_semantics_packed_oracle.py::TestPackedState::test_round_trips",
+        "protocol: immutability; "
+        "tests/test_semantics_packed_oracle.py::TestPackedState::test_states_are_immutable",
     "repro.semantics.state:DeviceState.__reduce__":
-        "library: tests/test_semantics_packed_oracle.py::TestPackedState::test_round_trips",
-    "repro.semantics.state:DeviceState.empty":
-        "library: tests/test_semantics_collectives.py::TestAllReduce::test_rejects_empty_group_data",
+        "protocol: pickle; tests/test_semantics_packed_oracle.py::TestPackedState::test_round_trips",
     "repro.semantics.state:DeviceState.rows":
-        "library: tests/test_semantics_packed_oracle.py::TestKernelAgainstOracle::test_random_groups",
+        "library: src/repro/semantics/state.py (DeviceState.__reduce__)",
     "repro.semantics.state:DeviceState.non_empty_rows":
-        "library: tests/test_semantics_collectives.py::TestAllReduce::test_rejects_mismatched_rows",
-    "repro.semantics.state:DeviceState.row":
-        "library: tests/test_dsl_program.py::TestReductionInstruction::test_groups_and_apply",
-    "repro.semantics.state:DeviceState.contributors":
-        "library: tests/test_semantics_state.py::TestUniformStatesArePackedDirectly::test_initial_on_every_device",
-    "repro.semantics.state:DeviceState.union":
-        "library: tests/test_semantics_collectives.py::TestSemanticProperties::test_total_information_never_decreases_except_clearing",
-    "repro.semantics.state:DeviceState.is_subset_of":
-        "library: tests/test_semantics_collectives.py::TestSemanticProperties::test_total_information_never_decreases_except_clearing",
-    "repro.semantics.state:DeviceState._check_compatible":
-        "library: tests/test_semantics_collectives.py::TestSemanticProperties::test_total_information_never_decreases_except_clearing",
-    "repro.semantics.state:DeviceState.describe":
-        "library: tests/test_semantics_state.py::TestQueries::test_describe_mentions_every_chunk",
-    "repro.semantics.state:StateContext.num_devices":
-        "library: tests/test_semantics_goals.py::TestInitialContext::test_single_device",
+        "library: src/repro/semantics/collectives.py (step_error's unequal-rows message)",
     "repro.semantics.state:StateContext.__iter__":
-        "library: tests/test_semantics_goals.py::TestGoalContext::test_all_reduce_goal_is_full_matrix",
-    "repro.semantics.state:StateContext.describe":
-        "library: tests/test_semantics_state.py::TestStateContext::test_iteration_and_describe",
+        "protocol: sequence; "
+        "tests/test_semantics_goals.py::TestGoalContext::test_all_reduce_goal_is_full_matrix",
     # repro.serve.daemon
     "repro.serve.daemon:TokenBucket.retry_after_s":
         "error path: tests/test_serve_daemon.py::TestServingPolicy::test_rate_limit_refusal_shape",
-    "repro.serve.daemon:DaemonThread.__init__":
-        "library: tests/test_corpus.py::TestDaemonCorpusWarm::test_daemon_pre_warms_from_corpus_on_boot",
-    "repro.serve.daemon:DaemonThread.start":
-        "library: tests/test_corpus.py::TestDaemonCorpusWarm::test_daemon_pre_warms_from_corpus_on_boot",
-    "repro.serve.daemon:DaemonThread._thread_main":
-        "library: tests/test_corpus.py::TestDaemonCorpusWarm::test_daemon_pre_warms_from_corpus_on_boot",
-    "repro.serve.daemon:DaemonThread._amain":
-        "library: tests/test_corpus.py::TestDaemonCorpusWarm::test_daemon_pre_warms_from_corpus_on_boot",
-    "repro.serve.daemon:DaemonThread.address":
-        "library: tests/test_corpus.py::TestDaemonCorpusWarm::test_daemon_pre_warms_from_corpus_on_boot",
-    "repro.serve.daemon:DaemonThread.stop":
-        "library: tests/test_corpus.py::TestDaemonCorpusWarm::test_daemon_pre_warms_from_corpus_on_boot",
-    "repro.serve.daemon:DaemonThread.__enter__":
-        "library: tests/test_corpus.py::TestDaemonCorpusWarm::test_daemon_pre_warms_from_corpus_on_boot",
-    "repro.serve.daemon:DaemonThread.__exit__":
-        "library: tests/test_corpus.py::TestDaemonCorpusWarm::test_daemon_pre_warms_from_corpus_on_boot",
     # repro.serve.protocol
     "repro.serve.protocol:error_reply":
         "error path: tests/test_serve_daemon.py::TestDaemonEndToEnd::test_malformed_line_keeps_connection_alive",
     # repro.service.cache
     "repro.service.cache:CacheStats.demote_hit":
         "error path: tests/test_service_engine.py::TestPlanningService::test_recovers_from_semantically_corrupt_cache_entry",
-    "repro.service.cache:PlanCache.get":
-        "library: bench/staged.py; "
-        "tests/test_service_cache.py::TestMemoryTier::test_get_miss_then_hit",
     "repro.service.cache:PlanCache.discard":
         "error path: tests/test_service_engine.py::TestPlanningService::test_recovers_from_semantically_corrupt_cache_entry",
     # repro.synthesis.hierarchy
     "repro.synthesis.hierarchy:SynthesisHierarchy._virtual_radix":
-        "library: tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps",
-    "repro.synthesis.hierarchy:SynthesisHierarchy.free_radix":
-        "library: tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps",
+        "library: src/repro/synthesis/hierarchy.py (virtual_to_position_digits)",
     "repro.synthesis.hierarchy:SynthesisHierarchy.virtual_to_position_digits":
-        "library: tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps",
+        "library: src/repro/synthesis/hierarchy.py (goal, for the whole-matrix variants)",
     "repro.synthesis.hierarchy:_level_name":
-        "library: the non-default hierarchy variants; benchmarks/bench_hierarchy_ablation.py",
+        "library: src/repro/synthesis/hierarchy.py (the non-default hierarchy variants)",
     # repro.synthesis.lowering
     "repro.synthesis.lowering:LoweredStep.devices":
-        "library: tests/test_service_cache.py::TestInternedFormat::test_equal_steps_from_distinct_objects_share_one_entry",
+        "library: src/repro/synthesis/lowering.py (LoweredStep.min_device and max_device)",
     "repro.synthesis.lowering:LoweredStep.min_device":
-        "library: tests/test_service_cache.py::TestInternedFormat::test_equal_steps_from_distinct_objects_share_one_entry",
+        "library: src/repro/synthesis/lowering.py (LoweredProgram.__post_init__, "
+        "on an unpickled step)",
     "repro.synthesis.lowering:LoweredStep.max_device":
-        "library: tests/test_service_cache.py::TestInternedFormat::test_equal_steps_from_distinct_objects_share_one_entry",
+        "library: src/repro/synthesis/lowering.py (LoweredProgram.__post_init__, "
+        "on an unpickled step)",
     "repro.synthesis.lowering:LoweredStep.__getstate__":
-        "library: tests/test_semantics_shared_sweep.py::TestNoStateOutlivesTheSweep::test_programs_hold_floats_not_states",
-    "repro.synthesis.lowering:LoweredStep.describe":
-        "library: tests/test_synthesis_lowering.py::TestLoweredStepValidation::test_describe_previews_groups",
+        "protocol: pickle; tests/test_semantics_shared_sweep.py::TestNoStateOutlivesTheSweep::"
+        "test_programs_hold_floats_not_states",
     "repro.synthesis.lowering:LoweredProgram.__len__":
-        "library: tests/test_synthesis_lowering.py::TestLoweredProgramValidation::test_run_semantics_and_iteration",
+        "protocol: sequence; tests/test_synthesis_lowering.py::TestLoweredProgramValidation::"
+        "test_iteration",
     "repro.synthesis.lowering:LoweredProgram.__iter__":
-        "library: tests/test_synthesis_lowering.py::TestLoweredProgramValidation::test_run_semantics_and_iteration",
-    "repro.synthesis.lowering:LoweredProgram.to_dict":
-        "library: tests/test_corpus.py::TestPlanCorpusStore::test_old_plan_format_line_is_skipped_and_counted",
-    "repro.synthesis.lowering:LoweredProgram.from_dict":
-        "library: tests/test_semantics_shared_sweep.py::TestCompileReusesTheValidationSweep::test_no_rule_is_applied_twice",
-    "repro.synthesis.lowering:LoweredProgram.run_semantics":
-        "library: tests/test_semantics_shared_sweep.py::TestCompileReusesTheValidationSweep::test_validation_still_visits_every_group",
-    "repro.synthesis.lowering:LoweredProgram.describe":
-        "library: tests/test_synthesis_lowering.py::TestLoweredProgramValidation::test_run_semantics_and_iteration",
+        "protocol: sequence; tests/test_synthesis_lowering.py::TestLoweredProgramValidation::"
+        "test_iteration",
     # repro.synthesis.pipeline
-    "repro.synthesis.pipeline:ProgramCandidate.describe":
-        "library: bench/staged.py; "
-        "tests/test_synthesis_pipeline.py::TestSynthesizeAll::test_candidate_describe",
     "repro.synthesis.pipeline:PlacementCandidate.num_programs":
-        "library: tests/test_synthesis_pipeline.py::TestSynthesizeAll::test_every_candidate_has_programs_and_default",
-    "repro.synthesis.pipeline:PlacementCandidate.describe":
-        "library: bench/staged.py; "
-        "tests/test_synthesis_pipeline.py::TestSynthesizeAll::test_candidate_describe",
-    "repro.synthesis.pipeline:synthesize_all":
-        "library: benchmarks/bench_synthesis_time.py; "
-        "tests/test_cost_batch.py::TestExactEquality::test_price_programs_equals_per_profile_pricing",
-    # repro.synthesis.pruning
-    "repro.synthesis.pruning:SearchStatistics.describe":
-        "library: tests/test_synthesis_synthesizer.py::TestSynthesisBasics::test_statistics_are_populated",
-    # repro.synthesis.synthesizer
-    "repro.synthesis.synthesizer:SynthesisResult.describe":
-        "library: tests/test_synthesis_synthesizer.py::TestSynthesisBasics::test_statistics_are_populated",
-    # repro.topology.builders
-    "repro.topology.builders:flat_system":
-        "library: tests/test_topology.py::TestBuilders::test_flat_system",
-    # repro.topology.links
-    "repro.topology.links:LinkSpec.scaled":
-        "library: tests/test_metamorphic_oracles.py::test_doubling_every_unit_keeps_the_ranking",
-    # repro.topology.topology
-    "repro.topology.topology:MachineTopology.crosses_nic":
-        "library: tests/test_topology.py::TestMachineTopology::test_crosses_nic",
-    # repro.utils.factorization
-    "repro.utils.factorization:prime_factorization":
-        "library: tests/test_utils_factorization.py::TestPrimeFactorization::test_one_has_no_factors",
+        "library: benchmarks/bench_synthesis_time.py",
+    "repro.synthesis.pipeline:synthesize_all": "library: benchmarks/bench_synthesis_time.py",
     # repro.utils.memo
     "repro.utils.memo:BoundedMemo.discard":
         "error path: tests/test_service_cache.py::TestDiskTier::test_discard_drops_one_entry_from_both_tiers",
-    "repro.utils.memo:BoundedMemo.counts":
-        "library: tests/test_memo.py::TestBoundedMemo::test_get_counts_hits_and_misses",
     "repro.utils.memo:BoundedMemo.__reduce__":
-        "library: a memo pickles empty (shard workers under spawn); "
+        "protocol: pickle (a memo pickles empty); "
         "tests/test_memo.py::TestBoundedMemo::test_a_subclass_pickles_as_itself",
-    "repro.utils.memo:_empty_memo":
-        "library: a memo pickles empty (shard workers under spawn); "
-        "tests/test_memo.py::TestBoundedMemo::test_a_subclass_pickles_as_itself",
+    "repro.utils.memo:_empty_memo": "library: src/repro/utils/memo.py (BoundedMemo.__reduce__)",
     # repro.utils.mixed_radix
     "repro.utils.mixed_radix:MixedRadix.__len__":
-        "library: tests/test_placement_geometry_oracle.py::TestStridesAgainstPerDeviceDecoding::test_physical_device_maps",
+        "protocol: sequence; tests/test_utils_mixed_radix.py::TestMixedRadixClass::test_iteration_order",
     "repro.utils.mixed_radix:MixedRadix.__iter__":
-        "library: tests/test_utils_mixed_radix.py::TestMixedRadixClass::test_iteration_order",
-    "repro.utils.mixed_radix:MixedRadix.sub":
-        "library: tests/test_utils_mixed_radix.py::TestMixedRadixClass::test_sub_radix",
+        "protocol: sequence; tests/test_utils_mixed_radix.py::TestMixedRadixClass::test_iteration_order",
 }
 
 Key = Tuple[str, int]  # (absolute filename, first line of the code object)
@@ -662,13 +539,63 @@ def drive(tmp: Path, log: Callable[[str, str, float], None]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def mentions(path: Path, function: Function) -> bool:
+    """Whether ``path`` refers to ``function``'s name outside its own ``def``.
+
+    A ``.py`` file must hold an ``ast`` name or attribute node of that name;
+    any other file must contain the name as a word.
+    """
+    name = function.qualname.rsplit(".", 1)[-1]
+    text = path.read_text()
+    if path.suffix != ".py":
+        return re.search(rf"(?<!\w){re.escape(name)}(?!\w)", text) is not None
+    own = path.resolve() == Path(function.path).resolve()
+    for node in ast.walk(ast.parse(text, filename=str(path))):
+        if isinstance(node, ast.Attribute):
+            found = node.attr
+        elif isinstance(node, ast.Name):
+            found = node.id
+        else:
+            continue
+        if found == name and not (own and function.first <= node.lineno <= function.last):
+            return True
+    return False
+
+
+def breach(function: Function, verdict: str) -> Optional[str]:
+    """What is wrong with ``function``'s verdict, or ``None`` if nothing is."""
+    kind, _, reason = verdict.partition(": ")
+    name = function.qualname.rsplit(".", 1)[-1]
+    if kind == "error path":
+        return None
+    if kind == "protocol":
+        if not (name.startswith("__") and name.endswith("__")):
+            return "protocol verdict on a name that is not a dunder"
+        if not reason.startswith(PROTOCOLS):
+            return "protocol verdict names no known protocol"
+        return None
+    if kind != "library":
+        return "unknown verdict kind"
+    if "test-only" in verdict:
+        return "test-only verdict"
+    referents = REFERENT.findall(verdict)
+    if not referents:
+        return "library verdict names only tests"
+    for referent in referents:
+        path = ROOT / referent
+        if not path.is_file() or not mentions(path, function):
+            return f"library verdict names {referent}, which does not mention {name}"
+    return None
+
+
 def report(functions: Sequence[Function], entered: Set[Key], worker: Set[Key],
            out=sys.stdout) -> List[str]:
     """Print the ledger; return the problems that fail it (empty when it is clean).
 
     A problem is an unentered function without a verdict, a ledger entry for
-    a function that was entered or is gone, or a ``test-only`` verdict.
-    Worker-only code counts as neither entered nor unentered.
+    a function that was entered or is gone, or a verdict that breaks the
+    rules of its kind (:func:`breach`).  Worker-only code counts as neither
+    entered nor unentered.
     """
     missed = unentered(functions, entered)
     in_workers = [f for f in missed if f.key in worker]
@@ -698,10 +625,10 @@ def report(functions: Sequence[Function], entered: Set[Key], worker: Set[Key],
         for name in stale:
             print(f"  {name}", file=out)
     problems += [f"stale ledger entry: {name}" for name in stale]
-    problems += [
-        f"test-only verdict: {name}" for name, verdict in sorted(LEDGER.items())
-        if "test-only" in verdict
-    ]
+    for function in sorted(missed + in_workers, key=lambda f: f.name):
+        problem = function.name in LEDGER and breach(function, LEDGER[function.name])
+        if problem:
+            problems.append(f"{problem}: {function.name}")
     kinds: Dict[str, List[Function]] = defaultdict(list)
     for function in missed:
         kinds[LEDGER.get(function.name, "UNJUDGED").split(":")[0]].append(function)
