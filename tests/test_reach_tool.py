@@ -128,6 +128,15 @@ def test_every_ledger_verdict_names_a_function_under_src(reach):
             assert defines(root / path, node.split("::")[1:]), (name, verdict)
 
 
+def test_every_ledger_verdict_keeps_the_rules_of_its_kind(reach):
+    """The gate's verdict rules hold for the real ledger without driving any
+    entry point: every ``library:`` referent mentions its function."""
+    functions = {f.name: f for f in reach.inventory()}
+    breaches = {name: reach.breach(functions[name], verdict)
+                for name, verdict in reach.LEDGER.items()}
+    assert {name: problem for name, problem in breaches.items() if problem} == {}
+
+
 LEDGERED = '''\
 def entered():
     return 1
@@ -213,3 +222,78 @@ def test_what_fails_the_ledger(reach, monkeypatch, tmp_path, extra_source, extra
     monkeypatch.setattr(reach, "LEDGER", dict(CLEAN, **extra_ledger))
     entered, worker = {keys["entered"]}, {keys["worker_only"]}
     assert reach.report(functions, entered, worker, out=io.StringIO()) == problems
+
+
+JUDGED = '''\
+def judged():
+    return 3
+
+
+def lonely(n):
+    return lonely(n - 1) if n else 0
+
+
+class Box:
+    def __reduce__(self):
+        return (Box, ())
+
+    def __iter__(self):
+        return iter(())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(name)
+
+    def __exit__(self, *exc):
+        return False
+'''
+
+CALLS_BY_ATTRIBUTE = "import repro.mod as mod\n\nmod.judged()\n"
+NAMES_IN_TEXT_ONLY = "# judged\nprint('judged')\n"
+
+
+@pytest.mark.parametrize(
+    "qualname, verdict, files, problem",
+    [
+        ("judged", "library: bench/caller.py", {"bench/caller.py": CALLS_BY_ATTRIBUTE}, None),
+        ("judged", "library: examples/demo.py",
+         {"examples/demo.py": "from repro.mod import judged\n\njudged()\n"}, None),
+        ("judged", "library: README.md (the quickstart)",
+         {"README.md": "Call `judged()` once.\n"}, None),
+        ("judged", "library: .github/workflows/ci.yml",
+         {".github/workflows/ci.yml": "run: python -c 'from repro.mod import judged'\n"}, None),
+        ("Box.__reduce__", "protocol: pickle; tests/x.py::test_x", {}, None),
+        ("Box.__iter__", "protocol: sequence; tests/x.py::test_x", {}, None),
+        ("Box.__setattr__", "protocol: immutability; tests/x.py::test_x", {}, None),
+        ("Box.__exit__", "protocol: context manager; tests/x.py::test_x", {}, None),
+        ("judged", "error path: tests/x.py::test_x", {}, None),
+        ("judged", "library: README.md", {"README.md": "See `judged_twice`.\n"},
+         "library verdict names README.md, which does not mention judged"),
+        ("judged", "library: bench/caller.py", {"bench/caller.py": NAMES_IN_TEXT_ONLY},
+         "library verdict names bench/caller.py, which does not mention judged"),
+        # Its only mention is its own recursive call.
+        ("lonely", "library: src/repro/mod.py", {},
+         "library verdict names src/repro/mod.py, which does not mention lonely"),
+        ("judged", "library: bench/gone.py", {},
+         "library verdict names bench/gone.py, which does not mention judged"),
+        ("judged", "library: bench/caller.py; examples/demo.py",
+         {"bench/caller.py": CALLS_BY_ATTRIBUTE, "examples/demo.py": "print(1)\n"},
+         "library verdict names examples/demo.py, which does not mention judged"),
+        ("judged", "library: tests/oracles/placement.py", {},
+         "library verdict names only tests"),
+    ],
+    ids=["attribute", "name", "readme", "ci", "pickle", "sequence", "immutability",
+         "context-manager", "error-path", "readme-longer-word", "text-not-ast",
+         "own-def-only", "missing-file", "one-referent-of-two", "tests-oracle"],
+)
+def test_what_a_verdict_names_must_mention_the_function(
+    reach, monkeypatch, tmp_path, qualname, verdict, files, problem
+):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(JUDGED)
+    for relative, text in files.items():
+        (tmp_path / relative).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / relative).write_text(text)
+    functions = {f.qualname: f for f in reach.inventory(tmp_path / "src")}
+    monkeypatch.setattr(reach, "ROOT", tmp_path)
+    assert reach.breach(functions[qualname], verdict) == problem

@@ -185,6 +185,16 @@ class TestWarmFile:
         with pytest.raises(ServeError, match="line 3"):
             load_warm_queries(path)
 
+    @pytest.mark.parametrize(
+        "bad_line", [b"\xff", b"[" * 100_000], ids=["not-utf-8", "over-nested"]
+    )
+    def test_an_unparseable_line_after_good_ones_names_its_line(self, tmp_path, bad_line):
+        path = tmp_path / "warm.jsonl"
+        good = json.dumps(QUERY.to_dict()).encode()
+        path.write_bytes(good + b"\n\n" + bad_line + b"\n" + good + b"\n")
+        with pytest.raises(ServeError, match="bad warm query on line 3"):
+            load_warm_queries(path)
+
 
 class TestDaemonConfig:
     def test_needs_some_listener(self):
